@@ -21,18 +21,18 @@ from .errors import (BoltzqError, DegenerateGameError, DomainError,
                      UnsupportedDimensionError)
 from .bifurcation import (BifurcationDiagram, CriticalCurve, InterceptProfile,
                           classify_pitchfork, corner_boundary, critical_curve,
-                          intercept_extrema, locate_cusp,
-                          sweep_equal_temperature, tangent_intercept,
-                          zero_exploration_window)
+                          equal_temperature_criticals, intercept_extrema,
+                          locate_cusp, sweep_equal_temperature,
+                          tangent_intercept, zero_exploration_window)
 from .fixtures import FIXTURES, fixture
 from .games import (Game, GameRegion, GameRegionLabel, NashEquilibrium,
                     PayoffMatrix, ReducedCoefficients, Temperatures,
                     classify_region, load_game, nash_equilibria,
                     reduce_payoffs, risk_dominant_profile)
 from .restpoints import (GFunction, RestPoint, count_rest_points,
-                         equal_temperature_criticals, find_rest_points,
-                         solve_symmetric, stability_eigenvalues,
-                         symmetric_critical_offsets, tangency_conditions)
+                         find_rest_points, solve_symmetric,
+                         stability_eigenvalues, symmetric_critical_offsets,
+                         tangency_conditions)
 from .simulate import (GENERATOR_ID, AgentState, EmpiricalTrace, SimConfig,
                        boltzmann_policy, q_update, run_two_agents)
 

@@ -3,7 +3,14 @@
 Everything here leans on one geometric fact from :mod:`boltzq.restpoints`:
 rest points are intersections of the line ``(u - b)/a`` with the response
 curve ``g(u)``, so rest points appear or vanish exactly where the line is
-*tangent* to g.  The tangent line touching g at u has intercept::
+*tangent* to g.  Along tx = ty = T that is a *fold*: one of the two
+stationary values of the defect ``u - b - a*g(u)`` crosses zero (three
+rest points exist while its local max is above zero and its local min
+below), and at a *cusp* both vanish together.  Folds are bisected in T on
+the sign of those two values.
+
+At a fixed opposite temperature (the critical curve) the tangent line
+touching g at u has intercept::
 
     delta(u) = g(u) - g'(u) * u
 
@@ -23,16 +30,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NotApplicableError, NumericFailureError
-from .games import (Game, GameRegionLabel, ReducedCoefficients,
+from .errors import DomainError, NotApplicableError, NumericFailureError
+from .games import (Game, GameRegionLabel, ReducedCoefficients, Temperatures,
                     _raw_coefficients, classify_region, reduce_payoffs)
-from .games import Temperatures
 from .numerics import bisect, sigmoid
-from .restpoints import (GFunction, RestPoint, count_rest_points,
-                         find_rest_points, symmetric_critical_offsets)
-
-#: rest points closer than this in (x, y) are stitched onto the same branch
-BRANCH_STITCH_TOL = 0.05
+from .restpoints import (TANGENCY_DETECT_TOL, GFunction, RestPoint, _extrema,
+                         count_rest_points, find_rest_points,
+                         symmetric_critical_offsets)
 
 CONTINUOUS = "continuous"
 DISCONTINUOUS = "discontinuous"
@@ -239,7 +243,7 @@ def critical_curve(game: Game, fixed_values,
         return CriticalCurve("ty_window_vs_tx", inner.samples,
                              inner.closing_temperature, inner.diagnostics)
     if orientation != "tx_window_vs_ty":
-        raise ValueError(f"unknown orientation {orientation!r}")
+        raise DomainError(f"unknown orientation {orientation!r}")
 
     raws = _normalized_raws(game)
     samples: list[tuple[float, Optional[float], Optional[float]]] = []
@@ -345,113 +349,145 @@ class BifurcationDiagram:
     pitchfork_kind: Optional[str]
 
 
-def _stitch_branches(solved: list[tuple[float, list[RestPoint]]]
-                     ) -> list[list[tuple[float, RestPoint]]]:
-    branches: list[list[tuple[float, RestPoint]]] = []
-    for temp, points in solved:
-        taken = set()
-        for pt in points:
-            best, best_dist = None, BRANCH_STITCH_TOL
-            for idx, branch in enumerate(branches):
-                if idx in taken:
-                    continue
-                last = branch[-1][1]
-                dist = math.hypot(last.x - pt.x, last.y - pt.y)
-                if dist < best_dist:
-                    best, best_dist = idx, dist
-            if best is None:
-                branches.append([(temp, pt)])
-                taken.add(len(branches) - 1)
-            else:
-                branches[best].append((temp, pt))
-                taken.add(best)
-    return branches
+#: the ordinal (low 0, middle 1, high 2) the single root keeps at a fold,
+#: keyed by the stationary value of the defect that reaches zero there
+_SURVIVOR = {"max": 2, "min": 0, "both": 1}
 
 
-def _refine_transition(base: ReducedCoefficients, t_lo: float, t_hi: float,
-                       rel_tol: float = 1e-8) -> float:
-    """Bisect the temperature where the rest-point count flips."""
-    n_lo = count_rest_points(base.at_temperatures(t_lo, t_lo))
-    while (t_hi - t_lo) > rel_tol * t_hi:
-        mid = math.sqrt(t_lo * t_hi)
-        if count_rest_points(base.at_temperatures(mid, mid)) == n_lo:
+def _pair(base: ReducedCoefficients, t: float):
+    """The defect's ``(u, phi)`` at its local max and min at tx = ty = t,
+    or None unless three rest points exist (max above zero, min below)."""
+    co = base.at_temperatures(t, t)
+    ext = _extrema(co.a, co.b, GFunction(co.c, co.d))
+    if len(ext) == 2 and ext[0][1] > 0.0 > ext[1][1]:
+        return ext
+    return None
+
+
+def _fold(base: ReducedCoefficients, t_lo: float,
+          t_hi: float) -> tuple[float, float, str]:
+    """Bisect a fold to adjacent floats in a T-bracket whose ends disagree
+    on :func:`_pair`; ``(t, u, lost)`` at the end with three rest points.
+
+    ``lost`` is the stationary value that reaches zero, ``"max"`` or
+    ``"min"``, or ``"both"`` at a cusp (both within the tangency scale);
+    ``u`` is where the line touches the curve.
+    """
+    three_lo = _pair(base, t_lo) is not None
+    mid = 0.5 * (t_lo + t_hi)
+    while t_lo < mid < t_hi:
+        if (_pair(base, mid) is not None) == three_lo:
             t_lo = mid
         else:
             t_hi = mid
-    return 0.5 * (t_lo + t_hi)
+        mid = 0.5 * (t_lo + t_hi)
+    t = t_lo if three_lo else t_hi
+    (u_max, v_max, _), (u_min, v_min, _) = _pair(base, t)
+    lost = "max" if v_max < -v_min else "min"
+    u = u_max if lost == "max" else u_min
+    tang_tol = TANGENCY_DETECT_TOL * max(1.0, abs(base.raw_a) / t)
+    if max(v_max, -v_min) <= tang_tol:
+        lost = "both"
+    return t, u, lost
 
 
-def _separation_kind(base: ReducedCoefficients, t_c: float) -> Optional[str]:
-    """Continuous vs disconnected branch collapse, judged 1e-4 below t_c."""
-    eps = min(1e-4, 0.5 * t_c)
-    below = find_rest_points(base.at_temperatures(t_c - eps, t_c - eps),
-                             fd_check=False)
-    above = find_rest_points(base.at_temperatures(t_c + eps, t_c + eps),
-                             fd_check=False)
-    if len(below) != 3 or len(above) != 1:
-        return None
-    survivor = above[0]
-    dists = [math.hypot(p.x - survivor.x, p.y - survivor.y) for p in below]
-    max_sep = max(math.hypot(p.x - q.x, p.y - q.y)
-                  for p in below for q in below)
-    if max_sep < 0.05:
-        return CONTINUOUS
-    vanishing = sorted(dists)[1:]  # all but the continuing branch
-    if min(vanishing) > 0.1:
-        return DISCONTINUOUS
-    return None
+def _folds(base: ReducedCoefficients, grid: list[float],
+           three: list[bool]) -> list[tuple[float, float, str]]:
+    """Every fold in a grid cell whose ends disagree on three rest points."""
+    return [_fold(base, grid[k], grid[k + 1]) for k in range(len(grid) - 1)
+            if three[k] != three[k + 1]]
+
+
+def _ordinal_branches(rows: list[tuple[float, list[RestPoint]]],
+                      folds: list[tuple[float, float, str]]
+                      ) -> list[list[tuple[float, RestPoint]]]:
+    """The sweep's rest points as low, middle and high branches.
+
+    A single root keeps the ordinal that the nearest fold below (else
+    above) leaves over.  A two-point row's double root (a grid T on a
+    tangency) is the middle root merging with a neighbour.
+    """
+    branches: list[list[tuple[float, RestPoint]]] = [[], [], []]
+    for t, points in rows:
+        slots = [0, 1, 2]
+        if len(points) != 3:
+            near = [f for f in folds if f[0] < t][-1:] or folds[:1]
+            keep = _SURVIVOR[near[0][2]] if near else 1
+            slots = [1 if p.degenerate_pair and len(points) > 1 else keep
+                     for p in points]
+        for slot, point in zip(slots, points):
+            branches[slot].append((t, point))
+    return [branch for branch in branches if branch]
 
 
 def sweep_equal_temperature(game: Game, t_min: float, t_max: float,
                             steps: int = 80) -> BifurcationDiagram:
     """Rest-point branches along tx = ty = T on a log-spaced grid.
 
-    Grid cells where the root count flips are refined twice at 10x local
-    resolution, then the saddle-node temperatures are bisected to 1e-8
-    relative.  Branches are stitched by nearest-neighbor continuation, and
-    the collapse at the largest critical temperature is labeled continuous
-    or discontinuous from the branch separations just below it.
+    Each grid cell where the count flips between 3 and 1 holds a fold,
+    bisected to float resolution; its three-point end joins the diagram.
+    Branches are the low, middle and high roots.  The collapse at the
+    largest critical temperature is continuous exactly when it is a cusp.
     """
-    if not 0.0 < t_min < t_max:
-        raise ValueError("need 0 < t_min < t_max")
+    if not (math.isfinite(t_min) and math.isfinite(t_max)
+            and 0.0 < t_min < t_max):
+        raise DomainError(
+            f"need finite 0 < t_min < t_max, got {t_min}, {t_max}")
+    if steps < 2:
+        raise DomainError(f"need steps >= 2, got {steps}")
     base = reduce_payoffs(game, Temperatures.equal(1.0))
-    temps = list(np.geomspace(t_min, t_max, steps))
+    grid = np.geomspace(t_min, t_max, steps).tolist()
 
     def solve(temp: float) -> list[RestPoint]:
         return find_rest_points(base.at_temperatures(temp, temp))
 
-    def fastest_move(pts_a, pts_b) -> float:
-        if len(pts_a) != len(pts_b):
-            return math.inf
-        return max(min(math.hypot(p.x - q.x, p.y - q.y) for q in pts_b)
-                   for p in pts_a)
+    solved = {t: solve(t) for t in grid}
+    folds = _folds(base, grid, [len(solved[t]) == 3 for t in grid])
+    for t_c, _, _ in folds:
+        solved[t_c] = solve(t_c)
+        # Near a fold the dying pair is smooth in s = sqrt|1 - T/t_c|, not
+        # in ln T.  Where |ln(T/t_c)| <= 1/2 the log grid is the coarser in
+        # s, so each three-point row there gains a partner at s = |ln(T/t_c)|.
+        for t in grid:
+            lam = math.log(t / t_c)
+            if abs(lam) <= 0.5 and len(solved[t]) == 3:
+                t_s = t_c * (1.0 + math.copysign(lam * lam, lam))
+                solved[t_s] = solve(t_s)
 
-    solved = {t: solve(t) for t in temps}
-    for _ in range(2):  # two levels of local 10x refinement
-        grid = sorted(solved)
-        extra: list[float] = []
-        for t0, t1 in zip(grid, grid[1:]):
-            # refine where the count flips, and where branches move faster
-            # than the stitching threshold (steep run-up to a collapse)
-            if fastest_move(solved[t0], solved[t1]) > 0.8 * BRANCH_STITCH_TOL:
-                extra.extend(np.geomspace(t0, t1, 12)[1:-1])
-        for t in extra:
-            solved[t] = solve(t)
-
-    grid = sorted(solved)
-    criticals = [
-        _refine_transition(base, t0, t1)
-        for t0, t1 in zip(grid, grid[1:])
-        if len(solved[t0]) != len(solved[t1])
-    ]
-
-    kind = _separation_kind(base, max(criticals)) if criticals else None
-
+    kind = None
+    if folds:
+        kind = CONTINUOUS if folds[-1][2] == "both" else DISCONTINUOUS
     return BifurcationDiagram(
         axis="equal_temperature", fixed_value=None,
-        branches=_stitch_branches([(t, solved[t]) for t in grid]),
-        critical_temperatures=criticals,
+        branches=_ordinal_branches(sorted(solved.items()), folds),
+        critical_temperatures=[t for t, _, _ in folds],
         pitchfork_kind=kind)
+
+
+def equal_temperature_criticals(game: Game) -> Optional[list[tuple[float, float]]]:
+    """Critical shared temperatures of a game run at tx = ty = T.
+
+    These are the folds of :func:`sweep_equal_temperature`, bracketed on a
+    log grid from ``sqrt(raw_a*raw_c)/4`` (no tangency above it) down at
+    least e^-8 and on until three rest points exist.  Returns the sorted
+    (T, u) pairs, u where the line touches the response curve, or ``None``
+    when the game's ratios fall outside the open unit box.
+    """
+    base = reduce_payoffs(game, Temperatures.equal(1.0))
+    raw_a, raw_b, raw_c, raw_d = base.raw_a, base.raw_b, base.raw_c, base.raw_d
+    if raw_a * raw_c <= 0.0 or not (-1.0 < raw_b / raw_a < 0.0
+                                    and -1.0 < raw_d / raw_c < 0.0):
+        return None
+    grid = [math.sqrt(raw_a * raw_c) / 4.0 * math.exp(-0.35 * k)
+            for k in range(24)]
+    while _pair(base, grid[-1]) is None:
+        if len(grid) == 200:
+            raise NumericFailureError(
+                f"no three rest points down to T = {grid[-1]:.3e}")
+        grid.append(grid[0] * math.exp(-0.35 * len(grid)))
+    grid.reverse()
+    folds = _folds(base, grid, [_pair(base, t) is not None for t in grid])
+    return [(t, u) for t, u, _ in folds]
 
 
 def classify_pitchfork(game: Game) -> str:

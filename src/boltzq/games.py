@@ -31,6 +31,7 @@ from typing import Optional
 
 from .errors import (
     DegenerateGameError,
+    DomainError,
     GameFormatError,
     NotApplicableError,
     NumericFailureError,
@@ -130,8 +131,8 @@ class Temperatures:
     def __post_init__(self):
         if not (self.tx > 0.0 and math.isfinite(self.tx)
                 and self.ty > 0.0 and math.isfinite(self.ty)):
-            raise ValueError(f"temperatures must be finite and > 0, got "
-                             f"({self.tx}, {self.ty})")
+            raise DomainError(f"temperatures must be finite and > 0, got "
+                              f"({self.tx}, {self.ty})")
 
     @classmethod
     def equal(cls, t: float) -> "Temperatures":

@@ -26,10 +26,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 from .errors import DomainError, NotApplicableError, NumericFailureError
-from .games import Game, ReducedCoefficients, _raw_coefficients
+from .games import ReducedCoefficients
 from .numerics import bisect, logit, sigmoid, sigmoid_slope
 
 #: two roots closer than this in u are flagged as a tangency pair
@@ -237,30 +237,74 @@ def _refine_root(f: Callable[[float], float], df: Callable[[float], float],
     return u
 
 
-def _expand_until(pred: Callable[[float], bool], start: float,
-                  direction: float) -> float:
-    """First point in `direction` from `start` where pred holds."""
-    step = 1.0
-    for _ in range(200):
-        probe = start + direction * step
-        if pred(probe):
-            return probe
-        step *= 2.0
-    raise NumericFailureError("bracket expansion failed")  # pragma: no cover
+class _Logistic:
+    """sigma itself as a response curve, with the interface of GFunction:
+    on the diagonal x = y of a symmetric game at equal temperatures the
+    rest-point equation is ``u = b + a*sigma(u)``."""
+
+    c = 1.0
+    value = staticmethod(sigmoid)
+    slope_shape = staticmethod(sigmoid_slope)
+
+    @staticmethod
+    def eval(u: float) -> tuple[float, float, float]:
+        s, s1 = sigmoid(u), sigmoid_slope(u)
+        return s, s1, s1 * (1.0 - 2.0 * s)
+
+    @staticmethod
+    def inflection() -> float:
+        return 0.0
 
 
-def _solve_u_roots(a: float, b: float, gf: GFunction,
-                   c: float) -> tuple[list[float], list[bool]]:
-    """All u-roots of phi(u) = u - b - a*g(u), with tangency flags."""
+_LOGISTIC = _Logistic()
+
+
+def _extrema(a: float, b: float, curve) -> list[tuple[float, float, bool]]:
+    """Stationary points of phi(u) = u - b - a*curve(u) inside the root
+    bracket, left to right, as ``(u, phi(u), is_max)``.
+
+    ``phi' = 1 - a*c*shape(u)`` and shape is single-peaked (at the curve's
+    inflection), so phi has two stationary points or none, and falls
+    between them: the left one is the local max, the right one the min.
+    """
+    ac = a * curve.c
+    if ac <= 0.0:
+        return []
+    u_peak = curve.inflection()
+    shape = curve.slope_shape
+    if not ac * shape(u_peak) > 1.0:
+        return []
+
+    def excess(u: float) -> float:
+        return ac * shape(u) - 1.0
+
+    # shape(u) <= sigma(u)*sigma(-u) < e^-|u|, so excess < 0 beyond span
+    span = math.log(ac) + 1.0
+    u_max = bisect(excess, -span, u_peak, excess(-span), excess(u_peak))
+    u_min = bisect(excess, u_peak, span, excess(u_peak), excess(span))
+    lo, hi = sorted((b, b + a))
+    return [(u, u - b - a * curve.value(u), is_max)
+            for u, is_max in ((u_max, True), (u_min, False)) if lo < u < hi]
+
+
+def _solve_u_roots(a: float, b: float,
+                   curve) -> tuple[list[float], list[bool]]:
+    """All u-roots of phi(u) = u - b - a*curve(u), with tangency flags.
+
+    ``curve`` is a :class:`GFunction`, or ``_LOGISTIC`` on the symmetric
+    diagonal.  Roots are bracketed between the ends of [lo, hi] and the
+    stationary points that still separate a pair: a max above zero, a min
+    below it.  A stationary value past zero has lost its pair; within the
+    tangency scale of zero it is the double root, reported once, flagged.
+    """
     if a == 0.0:
         return [b], [False]
 
     def phi(u: float) -> float:
-        return u - b - a * gf.value(u)
+        return u - b - a * curve.value(u)
 
     def dphi(u: float) -> float:
-        _, g1, _ = gf.eval(u)
-        return 1.0 - a * g1
+        return 1.0 - a * curve.eval(u)[1]
 
     lo, hi = (b, b + a) if a > 0.0 else (b + a, b)
     flo, fhi = phi(lo), phi(hi)
@@ -272,45 +316,23 @@ def _solve_u_roots(a: float, b: float, gf: GFunction,
     if fhi <= 0.0:
         fhi = 5e-324
     target = max(1e-15, min(5e-13, 5e-13 * abs(a)))
-
-    ac = a * c
-    stationary: list[float] = []
-    if ac > 0.0:
-        u_peak = gf.inflection()
-        shape = gf.slope_shape  # g'(u)/c; phi' = 1 - ac*shape(u)
-        if ac * shape(u_peak) > 1.0:
-            def excess(u: float) -> float:
-                return ac * shape(u) - 1.0
-
-            left = _expand_until(lambda u: excess(u) < 0.0, u_peak, -1.0)
-            right = _expand_until(lambda u: excess(u) < 0.0, u_peak, +1.0)
-            u_lo = bisect(excess, left, u_peak, excess(left), excess(u_peak))
-            u_hi = bisect(excess, u_peak, right, excess(u_peak), excess(right))
-            stationary = [u for u in (u_lo, u_hi) if lo < u < hi]
-
-    knots = [lo] + stationary + [hi]
-    values = [flo] + [phi(u) for u in stationary] + [fhi]
-    roots: list[float] = []
-    flags: list[bool] = []
     tang_tol = TANGENCY_DETECT_TOL * max(1.0, abs(a))
-    for k in range(len(knots) - 1):
-        va, vb = values[k], values[k + 1]
-        if va == 0.0 and k > 0:  # tangency exactly at a stationary knot
-            continue
+
+    found: list[tuple[float, bool]] = []
+    knots = [(lo, flo)]
+    for u_s, v_s, is_max in _extrema(a, b, curve):
+        if v_s > 0.0 if is_max else v_s < 0.0:
+            knots.append((u_s, v_s))
+        elif abs(v_s) <= tang_tol:
+            found.append((u_s, True))
+    knots.append((hi, fhi))
+    for (ua, va), (ub, vb) in zip(knots, knots[1:]):
         if (va > 0.0) != (vb > 0.0):
-            roots.append(_refine_root(phi, dphi, knots[k], knots[k + 1],
-                                      va, vb, target))
-            flags.append(False)
-    # A stationary value within tolerance of zero and not next to a found
-    # simple root is a tangency: report the double root once, flagged.
-    for u_s, v_s in zip(stationary, values[1:-1]):
-        if abs(v_s) <= tang_tol:
-            if not any(abs(u_s - r) <= 1e-6 * max(1.0, abs(u_s)) for r in roots):
-                roots.append(u_s)
-                flags.append(True)
-    order = sorted(range(len(roots)), key=lambda i: roots[i])
-    roots = [roots[i] for i in order]
-    flags = [flags[i] for i in order]
+            found.append((_refine_root(phi, dphi, ua, ub, va, vb, target),
+                          False))
+    found.sort()
+    roots = [u for u, _ in found]
+    flags = [flag for _, flag in found]
     # Near-tangency pairs: keep both roots but flag them.
     for i in range(len(roots) - 1):
         if roots[i + 1] - roots[i] < TANGENCY_PAIR_TOL:
@@ -325,13 +347,15 @@ def find_rest_points(coeffs: ReducedCoefficients,
     Roots are bracketed on the monotone segments of the defect function
     (delimited by the at-most-two solutions of ``a*g'(u) = 1``), refined by
     safeguarded Newton to ``|u - b - a*g(u)| < ~1e-12*|a|``, and back-
-    substituted through ``v = d + c*sigma(u)``.  Stability comes from the
-    eigenvalue closed form; with ``fd_check`` each point is also validated
-    against a finite-difference Jacobian (turn off only in bulk counting).
+    substituted through ``v = d + c*sigma(u)``.  The count is 1 or 3, or 2
+    at a fold: a stationary value that just lost its pair of roots is the
+    double root, returned once with ``degenerate_pair`` set.  Stability
+    comes from the eigenvalue closed form; with ``fd_check`` each point is
+    also validated against a finite-difference Jacobian (turn off only in
+    bulk counting).
     """
     a, b, c, d = coeffs.a, coeffs.b, coeffs.c, coeffs.d
-    gf = GFunction(c, d)
-    roots, flags = _solve_u_roots(a, b, gf, c)
+    roots, flags = _solve_u_roots(a, b, GFunction(c, d))
     points = []
     for u, degenerate in zip(roots, flags):
         v = d + c * sigmoid(u)
@@ -351,7 +375,7 @@ def find_rest_points(coeffs: ReducedCoefficients,
 def count_rest_points(coeffs: ReducedCoefficients) -> int:
     """Number of interior rest points (no stability work; for sweeps)."""
     roots, _ = _solve_u_roots(coeffs.a, coeffs.b,
-                              GFunction(coeffs.c, coeffs.d), coeffs.c)
+                              GFunction(coeffs.c, coeffs.d))
     return len(roots)
 
 
@@ -359,48 +383,13 @@ def solve_symmetric(a: float, b: float) -> list[float]:
     """Roots x in (0,1) of ``a*x + b = ln(x/(1-x))``, sorted ascending.
 
     This is the diagonal restriction (x = y, equal temperatures, symmetric
-    game) of the general rest-point equation; the same monotone-segment
-    bracketing applies with the response curve replaced by sigma itself.
-    At an exact tangency the double root is reported once (count 2).
+    game) of the general rest-point equation, solved by the same kernel
+    with the response curve replaced by sigma itself.  At a tangency the
+    double root is reported once (count 2).
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError("coefficients must be finite")
-
-    def phi(u: float) -> float:
-        return u - b - a * sigmoid(u)
-
-    def dphi(u: float) -> float:
-        return 1.0 - a * sigmoid_slope(u)
-
-    if a == 0.0:
-        return [sigmoid(b)]
-    lo, hi = (b, b + a) if a > 0.0 else (b + a, b)
-    flo, fhi = phi(lo), phi(hi)
-    if flo >= 0.0:  # analytic endpoint signs, as in the general solver
-        flo = -5e-324
-    if fhi <= 0.0:
-        fhi = 5e-324
-    target = max(1e-15, min(5e-13, 5e-13 * abs(a)))
-
-    stationary: list[float] = []
-    if a > 4.0:
-        u_c = 2.0 * math.acosh(0.5 * math.sqrt(a))  # sigma'(u) = 1/a
-        stationary = [u for u in (-u_c, u_c) if lo < u < hi]
-    knots = [lo] + stationary + [hi]
-    values = [flo] + [phi(u) for u in stationary] + [fhi]
-    roots: list[float] = []
-    tang_tol = TANGENCY_DETECT_TOL * max(1.0, abs(a))
-    for k in range(len(knots) - 1):
-        va, vb = values[k], values[k + 1]
-        if va == 0.0 and k > 0:
-            continue
-        if (va > 0.0) != (vb > 0.0):
-            roots.append(_refine_root(phi, dphi, knots[k], knots[k + 1],
-                                      va, vb, target))
-    for u_s, v_s in zip(stationary, values[1:-1]):
-        if abs(v_s) <= tang_tol:
-            if not any(abs(u_s - r) <= 1e-6 * max(1.0, abs(u_s)) for r in roots):
-                roots.append(u_s)
+    roots, _ = _solve_u_roots(a, b, _LOGISTIC)
     return sorted(sigmoid(u) for u in roots)
 
 
@@ -460,99 +449,3 @@ def tangency_conditions(coeffs: ReducedCoefficients) -> TangencyDiagnostics:
     return TangencyDiagnostics(ac=ac, bound_met=bool(ac >= 16.0),
                                logit_residual=logit_residual,
                                strategy_residual=strategy_residual)
-
-
-def _newton_2d(residual, seed, max_iter=60, tol=1e-11):
-    """Damped Newton on a 2-vector residual with FD Jacobian; returns the
-    solution or None."""
-    u, t = seed
-    r1, r2 = residual(u, t)
-    norm = max(abs(r1), abs(r2))
-    for _ in range(max_iter):
-        if norm < tol:
-            return u, t
-        hu = 1e-7 * max(1.0, abs(u))
-        ht = 1e-7 * max(1e-3, abs(t))
-        r1u, r2u = residual(u + hu, t)
-        r1t, r2t = residual(u, t + ht)
-        j11 = (r1u - r1) / hu
-        j21 = (r2u - r2) / hu
-        j12 = (r1t - r1) / ht
-        j22 = (r2t - r2) / ht
-        det = j11 * j22 - j12 * j21
-        if det == 0.0 or not math.isfinite(det):
-            return None
-        du = -(r1 * j22 - r2 * j12) / det
-        dt = -(j11 * r2 - j21 * r1) / det
-        lam = 1.0
-        for _ in range(12):
-            un, tn = u + lam * du, t + lam * dt
-            if tn > 0.0:
-                n1, n2 = residual(un, tn)
-                new_norm = max(abs(n1), abs(n2))
-                if math.isfinite(new_norm) and new_norm < norm:
-                    u, t, r1, r2, norm = un, tn, n1, n2, new_norm
-                    break
-            lam *= 0.5
-        else:
-            return None
-    return (u, t) if norm < tol else None
-
-
-def equal_temperature_criticals(game: Game) -> Optional[list[tuple[float, float]]]:
-    """Critical shared temperatures of a game run at tx = ty = T.
-
-    Solves the simultaneous pair {rest-point equation, line tangency} in
-    (u, T) by damped Newton from a coarse seed grid.  Each solution is a
-    saddle-node location on the T axis and is kept only if the rest-point
-    count actually flips across it.  Returns the sorted list of (T, u)
-    pairs, or ``None`` when the game's ratios fall outside the open unit
-    box (equal-temperature multiplicity is impossible there).
-    """
-    raw_a, raw_b, raw_c, raw_d = _raw_coefficients(game)
-    if raw_a == 0.0 or raw_c == 0.0 or raw_a * raw_c < 0.0:
-        return None
-    beta = raw_b / raw_a
-    delta = raw_d / raw_c
-    if not (-1.0 < beta < 0.0 and -1.0 < delta < 0.0):
-        return None
-
-    def residual(u: float, t: float):
-        gf = GFunction(raw_c / t, raw_d / t)
-        g, g1, _ = gf.eval(u)
-        return ((t * u - raw_b) / raw_a - g, (raw_a / t) * g1 - 1.0)
-
-    t_max = math.sqrt(raw_a * raw_c) / 4.0  # tangency impossible above this
-    seeds = []
-    for k in range(24):
-        t = t_max * math.exp(-0.35 * k)
-        a_t, b_t = raw_a / t, raw_b / t
-        u_lo, u_hi = sorted((b_t, b_t + a_t))
-        for m in range(1, 16):
-            seeds.append((u_lo + (u_hi - u_lo) * m / 16.0, t))
-
-    found: list[tuple[float, float]] = []
-    best_norm = math.inf
-    for seed in seeds:
-        sol = _newton_2d(residual, seed)
-        if sol is None:
-            r = residual(*seed)
-            best_norm = min(best_norm, max(abs(r[0]), abs(r[1])))
-            continue
-        u, t = sol
-        if not (0.0 < t <= t_max * (1.0 + 1e-9)):
-            continue
-        if any(abs(t - t0) <= 1e-6 * max(t, t0) for t0, _ in found):
-            continue
-        eps = max(1e-9, 1e-6 * t)
-        coeffs = ReducedCoefficients.from_values(
-            raw_a, raw_b, raw_c, raw_d).at_temperatures(t - eps, t - eps)
-        below = count_rest_points(coeffs)
-        above = count_rest_points(coeffs.at_temperatures(t + eps, t + eps))
-        if below != above:
-            found.append((t, u))
-    if not found:
-        raise NumericFailureError(
-            "tangency system did not converge from any seed",
-            residuals=best_norm)
-    return sorted(found)
