@@ -34,9 +34,8 @@ from .errors import DomainError, NotApplicableError, NumericFailureError
 from .games import (Game, GameRegionLabel, ReducedCoefficients, Temperatures,
                     _raw_coefficients, classify_region, reduce_payoffs)
 from .numerics import bisect, sigmoid
-from .restpoints import (TANGENCY_DETECT_TOL, GFunction, RestPoint, _extrema,
-                         count_rest_points, find_rest_points,
-                         symmetric_critical_offsets)
+from .restpoints import (_LOGISTIC, TANGENCY_DETECT_TOL, GFunction, RestPoint,
+                         _extrema, count_rest_points, find_rest_points)
 
 CONTINUOUS = "continuous"
 DISCONTINUOUS = "discontinuous"
@@ -314,28 +313,13 @@ def zero_exploration_window(b_over_a: float, d_over_c: float,
 def locate_cusp() -> tuple[float, float]:
     """Where the two symmetric saddle-node offset branches meet.
 
-    Bisects the branch separation ``b_plus(a) - b_minus(a)`` down to the
-    slope where the branches cease to exist; at the meeting point the
-    symmetric equation has a triple root.
+    The stationary points of ``u - b - a*sigma(u)`` merge at sigma's
+    inflection u0, so the triple root sits at ``a* = 1/sigma'(u0)`` and
+    ``b* = u0 - a* * sigma(u0)``.
     """
-    def separation(a: float) -> Optional[float]:
-        try:
-            b_lo, b_hi = symmetric_critical_offsets(a)
-        except NotApplicableError:
-            return None
-        return b_hi - b_lo
-
-    lo, hi = 2.0, 8.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        sep = separation(mid)
-        if sep is not None and sep >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    a_star = hi
-    b_lo, b_hi = symmetric_critical_offsets(a_star)
-    return a_star, 0.5 * (b_lo + b_hi)
+    u0 = _LOGISTIC.inflection()
+    a_star = 1.0 / _LOGISTIC.slope_shape(u0)
+    return a_star, u0 - a_star * _LOGISTIC.value(u0)
 
 
 @dataclass(frozen=True)

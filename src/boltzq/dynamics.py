@@ -29,10 +29,16 @@ from scipy.integrate import solve_ivp
 from scipy.special import expit
 
 from .errors import DomainError
-from .games import Game, PayoffMatrix, ReducedCoefficients, Temperatures
-from .numerics import logit, sigmoid
+from .games import (Game, PayoffMatrix, ReducedCoefficients, Temperatures,
+                    _require_temperature)
+from .numerics import logit, sigmoid, sigmoid_slope, softmax
 
 SIMPLEX_TOL = 1e-12
+#: step-control ceilings, tightened further by :func:`_solver_tols`
+_REL_TOL = 1e-9
+_ABS_TOL = 1e-11
+#: output strategies are clamped to [_BOUNDARY_CLAMP, 1 - _BOUNDARY_CLAMP]
+_BOUNDARY_CLAMP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -62,18 +68,17 @@ class LogitPoint:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-11
+    """Horizon (may be inf) and the logit-speed target that ends a run."""
+
     max_time: float = 1e4
     convergence_speed_tol: float = 1e-10
-    boundary_clamp: float = 1e-12
 
     def __post_init__(self):
-        if min(self.rel_tol, self.abs_tol, self.max_time,
-               self.convergence_speed_tol, self.boundary_clamp) <= 0.0:
-            raise ValueError("integrator tolerances must be positive")
-        if self.boundary_clamp > 1e-9:
-            raise ValueError("boundary_clamp must be <= 1e-9")
+        if not (self.max_time > 0.0 and self.convergence_speed_tol > 0.0
+                and math.isfinite(self.convergence_speed_tol)):
+            raise DomainError(
+                f"need max_time > 0 and a finite convergence_speed_tol > 0, "
+                f"got {self.max_time}, {self.convergence_speed_tol}")
 
 
 CONVERGED = "converged"
@@ -95,8 +100,8 @@ def _solver_tols(cfg: IntegratorConfig, coord_scale: float,
     """
     jac_scale = max(1.0, jac_scale)
     goal = cfg.convergence_speed_tol / (40.0 * jac_scale)
-    rtol = max(3e-14, min(cfg.rel_tol, goal / max(1e-6, coord_scale)))
-    atol = max(1e-300, min(cfg.abs_tol, goal))
+    rtol = max(3e-14, min(_REL_TOL, goal / max(1e-6, coord_scale)))
+    atol = max(1e-300, min(_ABS_TOL, goal))
     return rtol, atol
 
 
@@ -109,9 +114,8 @@ def _attractor_scales(coeffs: ReducedCoefficients) -> tuple[float, float]:
     from .restpoints import find_rest_points
     pts = find_rest_points(coeffs, fd_check=False)
     umax = max(max(abs(p.u), abs(p.v)) for p in pts)
-    slope = lambda w: sigmoid(w) * sigmoid(-w)
-    jnorm = max(1.0 + max(abs(coeffs.a) * slope(p.v),
-                          abs(coeffs.c) * slope(p.u)) for p in pts)
+    jnorm = max(1.0 + max(abs(coeffs.a) * sigmoid_slope(p.v),
+                          abs(coeffs.c) * sigmoid_slope(p.u)) for p in pts)
     return umax, jnorm
 
 
@@ -214,15 +218,8 @@ def log_ratio_field(game: Game, temps: Temperatures, w_x, w_y
     w_y = np.atleast_1d(np.asarray(w_y, dtype=float))
     A = np.asarray(game.payoff_x.entries, dtype=float)
     B = np.asarray(game.payoff_y.entries, dtype=float)
-
-    def simplex_from(w):
-        z = np.concatenate(([0.0], w))
-        z -= z.max()
-        e = np.exp(z)
-        return e / e.sum()
-
-    x = simplex_from(w_x)
-    y = simplex_from(w_y)
+    x = softmax(np.concatenate(([0.0], w_x)))
+    y = softmax(np.concatenate(([0.0], w_y)))
     ay = A @ y
     bx = B @ x
     dw_x = (ay[1:] - ay[0]) - temps.tx * w_x
@@ -269,12 +266,8 @@ def numerical_divergence(point, game: Game, temps: Temperatures,
 
 def gibbs_distribution(rewards, temp: float) -> np.ndarray:
     """exp(r_i/T) / sum_k exp(r_k/T), computed with a max shift."""
-    if temp <= 0.0:
-        raise DomainError("temperature must be positive")
-    z = np.asarray(rewards, dtype=float) / temp
-    z -= z.max()
-    e = np.exp(z)
-    return e / e.sum()
+    _require_temperature(temp)
+    return softmax(np.asarray(rewards, dtype=float) / temp)
 
 
 def free_energy(x, rewards, temp: float, allow_zero: bool = False) -> float:
@@ -285,8 +278,7 @@ def free_energy(x, rewards, temp: float, allow_zero: bool = False) -> float:
     Zero components are a domain error unless ``allow_zero`` enables the
     0*ln(0) = 0 convention.
     """
-    if temp <= 0.0:
-        raise DomainError("temperature must be positive")
+    _require_temperature(temp)
     x = np.asarray(x, dtype=float)
     r = np.asarray(rewards, dtype=float)
     if np.any(x < 0.0) or abs(float(x.sum()) - 1.0) > 1e-9:
@@ -309,8 +301,21 @@ def _terminal_reason(status: int) -> str:
     return STEP_FAILURE
 
 
-def _clamp(values: np.ndarray, clamp: float) -> np.ndarray:
-    return np.clip(values, clamp, 1.0 - clamp)
+def _clamp(values: np.ndarray) -> np.ndarray:
+    return np.clip(values, _BOUNDARY_CLAMP, 1.0 - _BOUNDARY_CLAMP)
+
+
+def _run_to_rest(rhs, speed, z0, coeffs: ReducedCoefficients,
+                 cfg: IntegratorConfig):
+    """The one ODE solve: RK45 from z0 until ``speed`` (the logit speed
+    minus its target) reaches zero or the horizon.  Returns the solve_ivp
+    result, or None when the start is already converged."""
+    if speed(0.0, z0) <= 0.0:
+        return None
+    speed.terminal = True
+    rtol, atol = _solver_tols(cfg, *_attractor_scales(coeffs))
+    return solve_ivp(rhs, (0.0, cfg.max_time), z0, method="RK45",
+                     rtol=rtol, atol=atol, events=speed)
 
 
 def integrate(start, coeffs: ReducedCoefficients,
@@ -319,16 +324,15 @@ def integrate(start, coeffs: ReducedCoefficients,
 
     Adaptive embedded Runge-Kutta (Dormand-Prince 5(4)) in logit
     coordinates; one sample per accepted step, mapped back to (x, y) and
-    clamped to [boundary_clamp, 1 - boundary_clamp].  Stops with reason
-    ``converged`` when the logit velocity max-norm drops below
-    ``convergence_speed_tol``, ``max_time`` at the horizon, or
-    ``step_failure`` if the stepper gives up (never an exception).
+    clamped to [1e-12, 1 - 1e-12].  Stops with reason ``converged`` when
+    the logit velocity max-norm drops below ``convergence_speed_tol``,
+    ``max_time`` at the horizon, or ``step_failure`` if the stepper gives
+    up (never an exception).
     """
     cfg = cfg or IntegratorConfig()
     x0, y0 = start
     _require_interior(x0, y0)
     a, b, c, d = coeffs.a, coeffs.b, coeffs.c, coeffs.d
-    z0 = (logit(x0), logit(y0))
 
     def rhs(t, z):
         u, v = z
@@ -338,17 +342,13 @@ def integrate(start, coeffs: ReducedCoefficients,
         du, dv = rhs(t, z)
         return max(abs(du), abs(dv)) - cfg.convergence_speed_tol
 
-    if speed(0.0, z0) <= 0.0:
-        lo, hi = cfg.boundary_clamp, 1.0 - cfg.boundary_clamp
+    sol = _run_to_rest(rhs, speed, (logit(x0), logit(y0)), coeffs, cfg)
+    if sol is None:
+        lo, hi = _BOUNDARY_CLAMP, 1.0 - _BOUNDARY_CLAMP
         return Trajectory((0.0,), (min(max(x0, lo), hi),),
                           (min(max(y0, lo), hi),), CONVERGED)
-
-    speed.terminal = True
-    rtol, atol = _solver_tols(cfg, *_attractor_scales(coeffs))
-    sol = solve_ivp(rhs, (0.0, cfg.max_time), z0, method="RK45",
-                    rtol=rtol, atol=atol, events=speed)
-    xs = _clamp(expit(sol.y[0]), cfg.boundary_clamp)
-    ys = _clamp(expit(sol.y[1]), cfg.boundary_clamp)
+    xs = _clamp(expit(sol.y[0]))
+    ys = _clamp(expit(sol.y[1]))
     return Trajectory(tuple(float(t) for t in sol.t),
                       tuple(float(v) for v in xs),
                       tuple(float(v) for v in ys),
@@ -368,8 +368,8 @@ def integrate_batch(starts, coeffs: ReducedCoefficients,
     pts = np.asarray(starts, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise DomainError("starts must be an (n, 2) array")
-    if np.any(pts <= 0.0) or np.any(pts >= 1.0):
-        raise DomainError("all starts must be interior")
+    for x0, y0 in pts:
+        _require_interior(x0, y0)
     n = pts.shape[0]
     z0 = np.concatenate([np.log(pts[:, 0] / (1 - pts[:, 0])),
                          np.log(pts[:, 1] / (1 - pts[:, 1]))])
@@ -382,20 +382,18 @@ def integrate_batch(starts, coeffs: ReducedCoefficients,
     def speed(t, z):
         return float(np.max(np.abs(rhs(t, z)))) - cfg.convergence_speed_tol
 
-    if speed(0.0, z0) <= 0.0:
+    sol = _run_to_rest(rhs, speed, z0, coeffs, cfg)
+    if sol is None:
         return pts.copy(), CONVERGED
-    speed.terminal = True
-    rtol, atol = _solver_tols(cfg, *_attractor_scales(coeffs))
-    sol = solve_ivp(rhs, (0.0, cfg.max_time), z0, method="RK45",
-                    rtol=rtol, atol=atol, events=speed)
-    finals = np.column_stack([_clamp(expit(sol.y[:n, -1]), cfg.boundary_clamp),
-                              _clamp(expit(sol.y[n:, -1]), cfg.boundary_clamp)])
+    finals = np.column_stack([_clamp(expit(sol.y[:n, -1])),
+                              _clamp(expit(sol.y[n:, -1]))])
     return finals, _terminal_reason(sol.status)
 
 
 @dataclass(frozen=True)
 class SimplexTrajectory:
-    """Single-agent run: times and simplex points, one row per step."""
+    """Single-agent run: times and simplex points, one row per halving of
+    the speed plus one at the stop time."""
 
     times: tuple[float, ...]
     points: np.ndarray  # shape (len(times), n)
@@ -411,39 +409,40 @@ def integrate_single_agent(rewards: Sequence[float], temp: float, start,
                            ) -> SimplexTrajectory:
     """Relax one agent's mixed strategy against a fixed reward vector.
 
-    In log-ratio coordinates the flow is linear,
-    ``dw_k/dt = (r_{k+1} - r_1) - T w_k``, and its unique attractor maps
-    back to the Gibbs distribution of the rewards at temperature T.
+    In log-ratio coordinates w_k = ln(x_{k+1}/x_1) the flow is linear,
+    ``dw_k/dt = (r_{k+1} - r_1) - T w_k``, so it is solved exactly:
+    ``w(t) = w* + (w0 - w*) e^{-Tt}`` with ``w* = (r_{k+1} - r_1)/T``, the
+    Gibbs distribution of the rewards at temperature T.  The speed
+    ``T max|w - w*|`` decays as e^{-Tt}, so it reaches
+    ``convergence_speed_tol`` at ``ln(speed0/tol)/T``; past ``max_time``
+    the run stops there instead.  Rows are taken every time the speed
+    halves (every ln 2/T) plus one at the stop time.
     """
-    if temp <= 0.0:
-        raise DomainError("temperature must be positive")
+    _require_temperature(temp)
     cfg = cfg or IntegratorConfig()
     r = np.asarray(rewards, dtype=float)
+    if not np.all(np.isfinite(r)):
+        raise DomainError("rewards must be finite")
     x0 = _check_simplex(start, "start")
     if x0.size != r.size:
         raise DomainError("start length must match rewards")
     w0 = np.log(x0[1:] / x0[0])
     gaps = r[1:] - r[0]
-
-    def rhs(t, w):
-        return gaps - temp * w
-
-    def speed(t, w):
-        return float(np.max(np.abs(rhs(t, w)))) - cfg.convergence_speed_tol
-
-    def to_simplex(w_col: np.ndarray) -> np.ndarray:
-        z = np.concatenate(([0.0], w_col))
-        z -= z.max()
-        e = np.exp(z)
-        return e / e.sum()
-
-    if speed(0.0, w0) <= 0.0:
+    speed0 = float(np.max(np.abs(gaps - temp * w0)))
+    if speed0 <= cfg.convergence_speed_tol:
         return SimplexTrajectory((0.0,), x0[None, :].copy(), CONVERGED)
-    speed.terminal = True
-    scale = max(float(np.max(np.abs(w0))), float(np.max(np.abs(gaps))) / temp)
-    rtol, atol = _solver_tols(cfg, scale, temp)
-    sol = solve_ivp(rhs, (0.0, cfg.max_time), w0, method="RK45",
-                    rtol=rtol, atol=atol, events=speed)
-    points = np.stack([to_simplex(sol.y[:, k]) for k in range(sol.t.size)])
-    return SimplexTrajectory(tuple(float(t) for t in sol.t), points,
-                             _terminal_reason(sol.status))
+    t_stop = (math.log(speed0) - math.log(cfg.convergence_speed_tol)) / temp
+    t_end = min(t_stop, cfg.max_time)
+    # k ln2 / T for k = 0 .. ceil(T t_end / ln2); at subnormal T the rows
+    # past k = 0 overflow to inf and are dropped
+    with np.errstate(over="ignore"):
+        grid = np.arange(math.ceil(temp * t_end / math.log(2.0)) + 1
+                         ) * math.log(2.0) / temp
+    times = np.append(grid[grid < t_end], t_end)
+    # w0 e^{-Tt} + gaps (1 - e^{-Tt})/T never forms w* = gaps/T, which
+    # overflows at tiny T while w(t) itself stays finite
+    ws = (np.outer(np.exp(-temp * times), w0)
+          - np.outer(np.expm1(-temp * times) / temp, gaps))
+    points = np.stack([softmax(np.concatenate(([0.0], w))) for w in ws])
+    return SimplexTrajectory(tuple(float(t) for t in times), points,
+                             CONVERGED if t_stop <= cfg.max_time else MAX_TIME)

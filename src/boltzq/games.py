@@ -121,6 +121,12 @@ def load_game(path) -> Game:
     return Game.from_dict(data)
 
 
+def _require_temperature(temp: float) -> None:
+    """The one exploration-rate check: finite and strictly positive."""
+    if not (temp > 0.0 and math.isfinite(temp)):
+        raise DomainError(f"temperature must be finite and > 0, got {temp}")
+
+
 @dataclass(frozen=True)
 class Temperatures:
     """Strictly positive exploration rates for the two players."""
@@ -129,10 +135,8 @@ class Temperatures:
     ty: float
 
     def __post_init__(self):
-        if not (self.tx > 0.0 and math.isfinite(self.tx)
-                and self.ty > 0.0 and math.isfinite(self.ty)):
-            raise DomainError(f"temperatures must be finite and > 0, got "
-                              f"({self.tx}, {self.ty})")
+        _require_temperature(self.tx)
+        _require_temperature(self.ty)
 
     @classmethod
     def equal(cls, t: float) -> "Temperatures":

@@ -1,13 +1,16 @@
 """Small scalar numerics shared by the solvers.
 
-Everything here is written against ``math`` rather than numpy: the root
-finders call these functions millions of times on scalars, where numpy
-dispatch overhead dominates the actual arithmetic.
+The scalar functions are written against ``math`` rather than numpy: the
+root finders call them millions of times on scalars, where numpy dispatch
+overhead dominates the actual arithmetic.  :func:`softmax` is the one
+vector helper.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 def sigmoid(z: float) -> float:
@@ -29,6 +32,12 @@ def sigmoid_slope(u: float) -> float:
     """sigma(u)*(1-sigma(u)), computed as sigma(u)*sigma(-u) to avoid the
     catastrophic cancellation of ``1 - sigma(u)`` for large u."""
     return sigmoid(u) * sigmoid(-u)
+
+
+def softmax(z: np.ndarray) -> np.ndarray:
+    """exp(z) / sum(exp(z)), shifted by max(z) so no term overflows."""
+    e = np.exp(z - z.max())
+    return e / e.sum()
 
 
 def bisect(f, lo: float, hi: float, f_lo: float, f_hi: float,

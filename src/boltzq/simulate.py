@@ -27,7 +27,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .games import Game, Temperatures
+from .games import Game, Temperatures, _require_temperature
+from .numerics import softmax
 
 GENERATOR_ID = "numpy.random.PCG64"
 
@@ -45,17 +46,13 @@ class AgentState:
             raise DomainError("q-values must be finite")
         if not 0.0 < self.alpha <= 1.0:
             raise DomainError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.temp <= 0.0:
-            raise DomainError("temperature must be positive")
+        _require_temperature(self.temp)
         object.__setattr__(self, "qvals", tuple(float(q) for q in self.qvals))
 
 
 def boltzmann_policy(state: AgentState) -> tuple[float, ...]:
     """Softmax of Q/T with a max shift so large values never overflow."""
-    q = np.asarray(state.qvals, dtype=float) / state.temp
-    q -= q.max()
-    e = np.exp(q)
-    return tuple(e / e.sum())
+    return tuple(softmax(np.asarray(state.qvals, dtype=float) / state.temp))
 
 
 def q_update(state: AgentState, action: int, mean_reward: float) -> AgentState:
@@ -129,12 +126,6 @@ def run_two_agents(game: Game, temps: Temperatures, cfg: SimConfig,
     trace_x = EmpiricalTrace(metadata=dict(meta))
     trace_y = EmpiricalTrace(metadata=dict(meta))
 
-    def softmax(q, t):
-        z = q / t
-        z = z - z.max()
-        e = np.exp(z)
-        return e / e.sum()
-
     def record(rnd, px, py):
         trace_x.samples.append((rnd, tuple(px)))
         trace_y.samples.append((rnd, tuple(py)))
@@ -143,8 +134,8 @@ def run_two_agents(game: Game, temps: Temperatures, cfg: SimConfig,
             trace_y.q_samples.append(tuple(qy))
 
     for rnd in range(cfg.rounds):
-        px = softmax(qx, temps.tx)
-        py = softmax(qy, temps.ty)
+        px = softmax(qx / temps.tx)
+        py = softmax(qy / temps.ty)
         if rnd % cfg.record_every == 0:
             record(rnd, px, py)
         # One multinomial draw over joint actions == `batch` paired samples.
@@ -162,5 +153,5 @@ def run_two_agents(game: Game, temps: Temperatures, cfg: SimConfig,
         qx = np.where(visited_x, qx + ax * (mean_rx - qx), qx)
         qy = np.where(visited_y, qy + ay_ * (mean_ry - qy), qy)
 
-    record(cfg.rounds, softmax(qx, temps.tx), softmax(qy, temps.ty))
+    record(cfg.rounds, softmax(qx / temps.tx), softmax(qy / temps.ty))
     return trace_x, trace_y

@@ -77,6 +77,11 @@ class TestLocateCusp:
         assert a_star == pytest.approx(4.0, abs=1e-3)
         assert b_star == pytest.approx(-2.0, abs=1e-3)
 
+    def test_fold_condition_is_exact(self):
+        a_star, b_star = bq.locate_cusp()
+        assert (a_star, b_star) == (4.0, -2.0)
+        assert bq.symmetric_critical_offsets(a_star) == (b_star, b_star)
+
     def test_branches_strictly_separated_above(self):
         for a in np.linspace(4.05, 30, 40):
             b_lo, b_hi = bq.symmetric_critical_offsets(float(a))

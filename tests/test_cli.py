@@ -71,6 +71,11 @@ class TestSimulateCommand:
                                               bq.Temperatures(1, 1)))))
         assert again == rows
 
+    def test_nan_horizon_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, "simulate", "--fixture", "stag_hunt",
+                               "--t-max", "nan")
+        assert code == 2 and "max_time" in err
+
     def test_start_at_rest_point_single_row(self, tmp_path, capsys):
         out = tmp_path / "traj.csv"
         code, _, _ = run_cli(capsys, "simulate", "--fixture",

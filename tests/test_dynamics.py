@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -351,3 +352,96 @@ class TestSingleAgentFlow:
             values = [bq.free_energy(p, r, t) for p in traj.points]
             drops = np.diff(values)
             assert np.all(drops <= 1e-10)
+
+    def test_closed_form_matches_solve_ivp(self, rng):
+        # scipy's RK45 on the linear log-ratio flow is the independent oracle
+        for _ in range(10):
+            n = int(rng.integers(2, 5))
+            r = rng.uniform(-2, 2, n)
+            t = float(rng.uniform(0.1, 10))
+            x0 = rng.dirichlet(np.ones(n) * 2)
+            traj = bq.integrate_single_agent(r, t, x0)
+            gaps = r[1:] - r[0]
+            sol = solve_ivp(lambda _, w: gaps - t * w, (0.0, traj.times[-1]),
+                            np.log(x0[1:] / x0[0]), t_eval=traj.times,
+                            rtol=1e-12, atol=1e-14)
+            for k, w in enumerate(sol.y.T):
+                ref = np.exp(np.concatenate(([0.0], w)))
+                assert np.max(np.abs(traj.points[k] - ref / ref.sum())) < 1e-9
+
+    def test_rows_every_speed_halving(self):
+        traj = bq.integrate_single_agent([1.0, 0.0, 0.5], 0.5, [0.2, 0.5, 0.3])
+        steps = np.diff(traj.times)
+        assert np.allclose(steps[:-1], math.log(2.0) / 0.5, rtol=1e-12)
+        assert 0.0 < steps[-1] <= math.log(2.0) / 0.5 * (1 + 1e-12)
+
+    def test_horizon_below_stop_time(self):
+        cfg = bq.IntegratorConfig(max_time=1.5)
+        traj = bq.integrate_single_agent([1.0, 0.0], 0.5, [0.1, 0.9], cfg)
+        assert traj.terminal_reason == "max_time"
+        assert traj.times[-1] == 1.5
+        assert np.all(np.diff(traj.times) > 0)
+
+    @pytest.mark.parametrize("temp", [5e-324, 1e-300, 1e300])
+    def test_extreme_temperatures_give_finite_rows(self, temp):
+        traj = bq.integrate_single_agent([1e10, 0.0], temp, [0.5, 0.5])
+        assert np.all(np.isfinite(traj.points))
+        assert np.array_equal(traj.points[0], [0.5, 0.5])
+        assert np.all(np.diff(traj.times) > 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_rewards(self, bad):
+        with pytest.raises(bq.DomainError):
+            bq.integrate_single_agent([bad, 0.0], 1.0, [0.5, 0.5])
+
+    def test_start_at_gibbs_is_one_converged_row(self):
+        r, t = [0.3, -1.0, 0.8], 0.7
+        gibbs = bq.gibbs_distribution(r, t)
+        traj = bq.integrate_single_agent(r, t, gibbs)
+        assert traj.terminal_reason == "converged"
+        assert traj.times == (0.0,)
+        assert np.array_equal(traj.final, gibbs)
+
+
+BAD_TEMPS = [0.0, -1.0, math.nan, math.inf]
+
+
+class TestTemperatureCheck:
+    @pytest.mark.parametrize("temp", BAD_TEMPS)
+    @pytest.mark.parametrize("call", [
+        lambda t: bq.gibbs_distribution([1.0, 0.0], t),
+        lambda t: bq.free_energy([0.5, 0.5], [1.0, 0.0], t),
+        lambda t: bq.integrate_single_agent([1.0, 0.0], t, [0.5, 0.5]),
+        lambda t: bq.AgentState((0.0, 0.0), t, 0.1),
+    ], ids=["gibbs", "free_energy", "single_agent", "agent_state"])
+    def test_rejects_non_positive_or_non_finite(self, call, temp):
+        with pytest.raises(bq.DomainError):
+            call(temp)
+
+
+class TestIntegratorConfig:
+    def test_has_only_horizon_and_speed_target(self):
+        assert [f.name for f in dataclasses.fields(bq.IntegratorConfig)] == [
+            "max_time", "convergence_speed_tol"]
+
+    @pytest.mark.parametrize("kwargs", [
+        {"max_time": math.nan}, {"max_time": 0.0}, {"max_time": -1.0},
+        {"convergence_speed_tol": math.nan},
+        {"convergence_speed_tol": math.inf},
+        {"convergence_speed_tol": 0.0},
+    ])
+    def test_rejects_bad_settings(self, kwargs):
+        with pytest.raises(bq.DomainError):
+            bq.IntegratorConfig(**kwargs)
+
+    def test_infinite_horizon_still_converges(self):
+        traj = bq.integrate((0.9, 0.1), mp_coeffs(),
+                            bq.IntegratorConfig(max_time=math.inf))
+        assert traj.terminal_reason == "converged"
+
+
+class TestBatchStarts:
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, 1.0])
+    def test_rejects_non_interior_start(self, bad):
+        with pytest.raises(bq.DomainError):
+            bq.integrate_batch([(0.3, 0.4), (bad, 0.5)], mp_coeffs())

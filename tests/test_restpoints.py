@@ -193,6 +193,7 @@ class TestFindRestPoints:
                 assert mx == pytest.approx(ox, abs=1e-9)
                 assert my == pytest.approx(oy, abs=1e-9)
 
+    @pytest.mark.slow
     def test_root_completeness_against_dense_scan(self, rng):
         """Solver roots == sign-scan roots over 10^4 random coefficient
         draws with a 10^6-point oracle grid (no missed, no spurious)."""
