@@ -9,15 +9,16 @@ rest points exist while its local max is above zero and its local min
 below), and at a *cusp* both vanish together.  Folds are bisected in T on
 the sign of those two values.
 
-At a fixed opposite temperature (the critical curve) the tangent line
-touching g at u has intercept::
+At a fixed opposite temperature (the critical curve) the same fold is
+written in the touching point: the tangent line touching g at u has
+intercept::
 
     delta(u) = g(u) - g'(u) * u
 
-and delta is stationary only at u = 0 and at g's single inflection point.
-Tangency therefore reduces to the scalar crossing problem
-``delta(u) = -b/a`` on at most three monotone pieces, which this module
-solves with plain bisection; the touching point's slope then converts to a
+and delta is stationary only at u = 0 and at g's single inflection point,
+and constant once sigma saturates.  Tangency therefore reduces to the
+scalar crossing problem ``delta(u) = -b/a``, bisected on the segments
+between those knots; the touching point's slope then converts to a
 critical temperature via ``tx = raw_a * g'(u)``.
 """
 
@@ -32,14 +33,19 @@ import numpy as np
 
 from .errors import DomainError, NotApplicableError, NumericFailureError
 from .games import (Game, GameRegionLabel, ReducedCoefficients, Temperatures,
-                    _raw_coefficients, classify_region, reduce_payoffs)
+                    _raw_coefficients, _require_temperature, classify_region,
+                    reduce_payoffs)
 from .numerics import bisect, sigmoid
 from .restpoints import (_LOGISTIC, TANGENCY_DETECT_TOL, GFunction, RestPoint,
-                         _extrema, count_rest_points, find_rest_points)
+                         _extrema, find_rest_points)
 
 CONTINUOUS = "continuous"
 DISCONTINUOUS = "discontinuous"
 NO_PITCHFORK = "none"
+
+#: e^-746 underflows to 0 in float64, so past |u| = 746 sigma(u) is exactly
+#: 0 or 1 and g'(u) is exactly 0
+_SATURATION = 746.0
 
 
 def tangent_intercept(gf: GFunction, u: float) -> float:
@@ -51,48 +57,18 @@ def tangent_intercept(gf: GFunction, u: float) -> float:
 def _delta_crossings(gf: GFunction, target: float) -> list[float]:
     """All u with tangent_intercept(gf, u) == target.
 
-    delta is monotone between its stationary points {0, inflection} and
-    approaches the curve's saturation values at +-infinity, so each of the
-    at-most-three pieces is bisected after expanding to a sign change.
+    delta is monotone between its stationary points {0, inflection}, and
+    past +-_SATURATION it equals the curve's tail value, so every crossing
+    is a sign change between consecutive knots, bisected there.
     """
     def h(u: float) -> float:
         return tangent_intercept(gf, u) - target
 
-    knots = sorted({0.0, gf.inflection()})
-    left_tail = sigmoid(gf.d) - target
-    right_tail = sigmoid(gf.d + gf.c) - target
-    crossings: list[float] = []
-
-    def open_piece(knot: float, direction: float, tail_sign: float) -> None:
-        v_knot = h(knot)
-        if v_knot == 0.0:
-            crossings.append(knot)
-            return
-        if tail_sign == 0.0 or (tail_sign > 0.0) == (v_knot > 0.0):
-            return
-        step = 1.0
-        probe = knot + direction * step
-        for _ in range(200):
-            v_probe = h(probe)
-            if (v_probe > 0.0) != (v_knot > 0.0):
-                lo, hi = sorted((knot, probe))
-                crossings.append(bisect(h, lo, hi, h(lo), h(hi)))
-                return
-            step *= 2.0
-            probe = knot + direction * step
-        # The sign flip lives beyond any float bracket: no usable crossing.
-
-    open_piece(knots[0], -1.0, left_tail)
-    if len(knots) == 2:
-        va, vb = h(knots[0]), h(knots[1])
-        if va == 0.0:
-            pass  # already appended by open_piece
-        elif vb == 0.0:
-            crossings.append(knots[1])
-        elif (va > 0.0) != (vb > 0.0):
-            crossings.append(bisect(h, knots[0], knots[1], va, vb))
-    open_piece(knots[-1], +1.0, right_tail)
-    return sorted(set(crossings))
+    knots = [(u, h(u)) for u in sorted({-_SATURATION, 0.0, gf.inflection(),
+                                        _SATURATION})]
+    return sorted({bisect(h, ua, ub, va, vb)
+                   for (ua, va), (ub, vb) in zip(knots, knots[1:])
+                   if va == 0.0 or (va > 0.0) != (vb > 0.0)})
 
 
 @dataclass(frozen=True)
@@ -184,7 +160,8 @@ class CriticalCurve:
     diagnostics: list[str] = field(default_factory=list)
 
 
-def _normalized_raws(game: Game) -> tuple[float, float, float, float]:
+def _normalized_base(game: Game) -> ReducedCoefficients:
+    """The game's raw coefficients (at tx = ty = 1), relabelled so raw_a > 0."""
     raw_a, raw_b, raw_c, raw_d = _raw_coefficients(game)
     if raw_a * raw_c <= 0.0:
         raise NotApplicableError(
@@ -195,33 +172,30 @@ def _normalized_raws(game: Game) -> tuple[float, float, float, float]:
         # slopes' signs and leaves every temperature window unchanged.
         raw_a, raw_b = -raw_a, -raw_b
         raw_c, raw_d = -raw_c, raw_c + raw_d
-    return raw_a, raw_b, raw_c, raw_d
+    return ReducedCoefficients.from_values(raw_a, raw_b, raw_c, raw_d)
 
 
-def _window_for_ty(raws: tuple[float, float, float, float],
+def _window_for_ty(base: ReducedCoefficients,
                    ty: float) -> Optional[tuple[float, float]]:
-    """The tx interval with three rest points at fixed ty, if any."""
-    raw_a, raw_b, raw_c, raw_d = raws
-    gf = GFunction(raw_c / ty, raw_d / ty)
-    target = -raw_b / raw_a
-    candidates = sorted(raw_a * gf.eval(u)[1]
-                        for u in _delta_crossings(gf, target))
-    candidates = [t for t in candidates if t > 0.0]
-    if len(candidates) < 2:
-        return None
+    """The tx interval with three rest points at fixed ty, if any.
 
-    base = ReducedCoefficients.from_values(raw_a, raw_b, raw_c, raw_d)
+    Its ends are tangencies ``tx = raw_a*g'(u)`` at the crossings
+    ``delta(u) = -b/a``; a cell between consecutive tangencies belongs to
+    it when :func:`_pair` holds at the cell's geometric midpoint.
+    """
+    gf = GFunction(base.raw_c / ty, base.raw_d / ty)
+    tangencies = sorted(base.raw_a * gf.eval(u)[1] for u in
+                        _delta_crossings(gf, -base.raw_b / base.raw_a))
+    tangencies = [t for t in tangencies if t > 0.0]
+    windows = [(lo, hi) for lo, hi in zip(tangencies, tangencies[1:])
+               if _pair(base, math.sqrt(lo * hi), ty) is not None]
+    return (windows[0][0], windows[-1][1]) if windows else None
 
-    def count_at(tx: float) -> int:
-        return count_rest_points(base.at_temperatures(tx, ty))
 
-    windows = []
-    for t_lo, t_hi in zip(candidates, candidates[1:]):
-        if count_at(math.sqrt(t_lo * t_hi)) == 3:
-            windows.append((t_lo, t_hi))
-    if not windows:
-        return None
-    return (min(w[0] for w in windows), max(w[1] for w in windows))
+def _merge_gap(base: ReducedCoefficients, ty: float) -> float:
+    """delta(u0) + b/a at g's inflection u0: zero where two tangencies merge."""
+    gf = GFunction(base.raw_c / ty, base.raw_d / ty)
+    return tangent_intercept(gf, gf.inflection()) + base.raw_b / base.raw_a
 
 
 def critical_curve(game: Game, fixed_values,
@@ -231,10 +205,20 @@ def critical_curve(game: Game, fixed_values,
     For ``tx_window_vs_ty`` each grid value fixes ty and the window in tx
     is found by solving the tangency system {rest-point equation,
     a*g'(u) = 1}: its solutions are the crossings ``delta(u) = -b/a``, and
-    each converts to a temperature ``tx = raw_a * g'(u)``.  Candidate
-    windows are verified by integer root counts at their midpoints.  The
-    closing temperature (where the window width reaches zero) is bisected
-    to 1e-6 when the grid brackets it.
+    each converts to a temperature ``tx = raw_a * g'(u)``.  Every fixed
+    value must be a valid temperature that keeps ``raw/ty`` finite,
+    else :class:`DomainError`.
+
+    The closing temperature is where the window's two tangencies merge.
+    Two tangencies never share a tx: the defect would then have two double
+    roots, more than the three roots it can have, so the window's ends keep
+    their order as ty moves.  A cell whose tangencies straddle u = 0 never
+    holds three rest points.  So a window bounded by two tangencies can
+    vanish only when its touching points merge at g's inflection u0, where
+    ``delta(u0) = -b/a``.  When the grid goes from a window at ``lo`` to
+    none at the next larger ``hi``, that equation is bisected in ty on
+    [lo, hi] to float resolution; if its sign does not change there the
+    closing temperature is ``None``.
     """
     if orientation == "ty_window_vs_tx":
         swapped = Game(game.name + "_swapped", game.payoff_y, game.payoff_x)
@@ -244,20 +228,21 @@ def critical_curve(game: Game, fixed_values,
     if orientation != "tx_window_vs_ty":
         raise DomainError(f"unknown orientation {orientation!r}")
 
-    raws = _normalized_raws(game)
+    base = _normalized_base(game)
     samples: list[tuple[float, Optional[float], Optional[float]]] = []
     diagnostics: list[str] = []
-    for ty in fixed_values:
+    for ty in map(float, fixed_values):
+        _require_temperature(ty)
+        if not (math.isfinite(base.raw_c / ty)
+                and math.isfinite(base.raw_d / ty)):
+            raise DomainError(
+                f"fixed temperature {ty} overflows the scaled payoffs")
         try:
-            window = _window_for_ty(raws, float(ty))
+            window = _window_for_ty(base, ty)
         except (NumericFailureError, OverflowError) as exc:
             diagnostics.append(f"ty={ty}: {exc}")
-            samples.append((float(ty), None, None))
-            continue
-        if window is None:
-            samples.append((float(ty), None, None))
-        else:
-            samples.append((float(ty), window[0], window[1]))
+            window = None
+        samples.append((ty, *(window or (None, None))))
 
     closing = None
     have = [s[0] for s in samples if s[1] is not None]
@@ -265,20 +250,10 @@ def critical_curve(game: Game, fixed_values,
     if have and lack and max(have) < max(lack):
         lo = max(have)
         hi = min(t for t in lack if t > lo)
-
-        def exists(ty: float) -> float:
-            try:
-                return 1.0 if _window_for_ty(raws, ty) is not None else -1.0
-            except (NumericFailureError, OverflowError):
-                return -1.0
-
-        while hi - lo > 1e-6:
-            mid = 0.5 * (lo + hi)
-            if exists(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        closing = 0.5 * (lo + hi)
+        m_lo, m_hi = _merge_gap(base, lo), _merge_gap(base, hi)
+        if (m_lo > 0.0) != (m_hi > 0.0):
+            closing = bisect(lambda ty: _merge_gap(base, ty), lo, hi,
+                             m_lo, m_hi)
     return CriticalCurve("tx_window_vs_ty", samples, closing, diagnostics)
 
 
@@ -338,10 +313,10 @@ class BifurcationDiagram:
 _SURVIVOR = {"max": 2, "min": 0, "both": 1}
 
 
-def _pair(base: ReducedCoefficients, t: float):
-    """The defect's ``(u, phi)`` at its local max and min at tx = ty = t,
-    or None unless three rest points exist (max above zero, min below)."""
-    co = base.at_temperatures(t, t)
+def _pair(base: ReducedCoefficients, tx: float, ty: float):
+    """The defect's ``(u, phi)`` at its local max and min at (tx, ty), or
+    None unless three rest points exist (max above zero, min below)."""
+    co = base.at_temperatures(tx, ty)
     ext = _extrema(co.a, co.b, GFunction(co.c, co.d))
     if len(ext) == 2 and ext[0][1] > 0.0 > ext[1][1]:
         return ext
@@ -357,16 +332,16 @@ def _fold(base: ReducedCoefficients, t_lo: float,
     ``"min"``, or ``"both"`` at a cusp (both within the tangency scale);
     ``u`` is where the line touches the curve.
     """
-    three_lo = _pair(base, t_lo) is not None
+    three_lo = _pair(base, t_lo, t_lo) is not None
     mid = 0.5 * (t_lo + t_hi)
     while t_lo < mid < t_hi:
-        if (_pair(base, mid) is not None) == three_lo:
+        if (_pair(base, mid, mid) is not None) == three_lo:
             t_lo = mid
         else:
             t_hi = mid
         mid = 0.5 * (t_lo + t_hi)
     t = t_lo if three_lo else t_hi
-    (u_max, v_max, _), (u_min, v_min, _) = _pair(base, t)
+    (u_max, v_max, _), (u_min, v_min, _) = _pair(base, t, t)
     lost = "max" if v_max < -v_min else "min"
     u = u_max if lost == "max" else u_min
     tang_tol = TANGENCY_DETECT_TOL * max(1.0, abs(base.raw_a) / t)
@@ -410,8 +385,9 @@ def sweep_equal_temperature(game: Game, t_min: float, t_max: float,
 
     Each grid cell where the count flips between 3 and 1 holds a fold,
     bisected to float resolution; its three-point end joins the diagram.
-    Branches are the low, middle and high roots.  The collapse at the
-    largest critical temperature is continuous exactly when it is a cusp.
+    Branches are the low, middle and high roots.  A pitchfork is labelled
+    only when the coldest row has three rest points, so that the top fold
+    collapses them: continuous exactly when it is a cusp.
     """
     if not (math.isfinite(t_min) and math.isfinite(t_max)
             and 0.0 < t_min < t_max):
@@ -426,7 +402,8 @@ def sweep_equal_temperature(game: Game, t_min: float, t_max: float,
         return find_rest_points(base.at_temperatures(temp, temp))
 
     solved = {t: solve(t) for t in grid}
-    folds = _folds(base, grid, [len(solved[t]) == 3 for t in grid])
+    three = [len(solved[t]) == 3 for t in grid]
+    folds = _folds(base, grid, three)
     for t_c, _, _ in folds:
         solved[t_c] = solve(t_c)
         # Near a fold the dying pair is smooth in s = sqrt|1 - T/t_c|, not
@@ -439,7 +416,7 @@ def sweep_equal_temperature(game: Game, t_min: float, t_max: float,
                 solved[t_s] = solve(t_s)
 
     kind = None
-    if folds:
+    if folds and three[0]:
         kind = CONTINUOUS if folds[-1][2] == "both" else DISCONTINUOUS
     return BifurcationDiagram(
         axis="equal_temperature", fixed_value=None,
@@ -464,13 +441,13 @@ def equal_temperature_criticals(game: Game) -> Optional[list[tuple[float, float]
         return None
     grid = [math.sqrt(raw_a * raw_c) / 4.0 * math.exp(-0.35 * k)
             for k in range(24)]
-    while _pair(base, grid[-1]) is None:
+    while _pair(base, grid[-1], grid[-1]) is None:
         if len(grid) == 200:
             raise NumericFailureError(
                 f"no three rest points down to T = {grid[-1]:.3e}")
         grid.append(grid[0] * math.exp(-0.35 * len(grid)))
     grid.reverse()
-    folds = _folds(base, grid, [_pair(base, t) is not None for t in grid])
+    folds = _folds(base, grid, [_pair(base, t, t) is not None for t in grid])
     return [(t, u) for t, u, _ in folds]
 
 

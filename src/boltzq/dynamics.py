@@ -264,10 +264,18 @@ def numerical_divergence(point, game: Game, temps: Temperatures,
     return float(div)
 
 
+def _finite_rewards(rewards) -> np.ndarray:
+    """The reward vector as floats; non-finite entries are a domain error."""
+    r = np.asarray(rewards, dtype=float)
+    if not np.all(np.isfinite(r)):
+        raise DomainError("rewards must be finite")
+    return r
+
+
 def gibbs_distribution(rewards, temp: float) -> np.ndarray:
     """exp(r_i/T) / sum_k exp(r_k/T), computed with a max shift."""
     _require_temperature(temp)
-    return softmax(np.asarray(rewards, dtype=float) / temp)
+    return softmax(_finite_rewards(rewards) / temp)
 
 
 def free_energy(x, rewards, temp: float, allow_zero: bool = False) -> float:
@@ -280,7 +288,7 @@ def free_energy(x, rewards, temp: float, allow_zero: bool = False) -> float:
     """
     _require_temperature(temp)
     x = np.asarray(x, dtype=float)
-    r = np.asarray(rewards, dtype=float)
+    r = _finite_rewards(rewards)
     if np.any(x < 0.0) or abs(float(x.sum()) - 1.0) > 1e-9:
         raise DomainError("x must be a probability vector")
     if np.any(x == 0.0):
@@ -420,9 +428,7 @@ def integrate_single_agent(rewards: Sequence[float], temp: float, start,
     """
     _require_temperature(temp)
     cfg = cfg or IntegratorConfig()
-    r = np.asarray(rewards, dtype=float)
-    if not np.all(np.isfinite(r)):
-        raise DomainError("rewards must be finite")
+    r = _finite_rewards(rewards)
     x0 = _check_simplex(start, "start")
     if x0.size != r.size:
         raise DomainError("start length must match rewards")

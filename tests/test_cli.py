@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -14,6 +18,19 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_process(*argv):
+    """Run the CLI in a child process, so a hang fails the test after 60 s
+    (subprocess.TimeoutExpired) instead of stalling the suite."""
+    src = str(pathlib.Path(bq.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-m", "boltzq.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    return done.returncode, done.stdout, done.stderr
 
 
 class TestClassifyCommand:
@@ -188,6 +205,13 @@ class TestCriticalCommand:
         assert last[1] == "" and last[2] == ""
         summary = json.loads(err.strip().splitlines()[-1])
         assert 0.9 < summary["closing_temperature"] < 1.1
+
+    def test_infinite_fixed_max_exits_2(self):
+        code, _, err = run_cli_process("critical", "--fixture",
+                                       "dominant_coordination",
+                                       "--fixed-max", "inf")
+        assert code == 2
+        assert "temperature must be finite and > 0" in err
 
 
 class TestPortraitCommand:

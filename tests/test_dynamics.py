@@ -419,6 +419,18 @@ class TestTemperatureCheck:
             call(temp)
 
 
+class TestRewardCheck:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("call", [
+        lambda r: bq.gibbs_distribution(r, 1.0),
+        lambda r: bq.free_energy([0.5, 0.5], r, 1.0),
+        lambda r: bq.integrate_single_agent(r, 1.0, [0.5, 0.5]),
+    ], ids=["gibbs", "free_energy", "single_agent"])
+    def test_rejects_non_finite_rewards(self, call, bad):
+        with pytest.raises(bq.DomainError, match="rewards must be finite"):
+            call([bad, 0.0])
+
+
 class TestIntegratorConfig:
     def test_has_only_horizon_and_speed_target(self):
         assert [f.name for f in dataclasses.fields(bq.IntegratorConfig)] == [

@@ -170,3 +170,91 @@ def test_single_root_continues_the_ordinal_the_fold_leaves(name, survivor):
 def test_bad_input_raises_domain_error(call):
     with pytest.raises(bq.DomainError):
         call()
+
+
+#: a one-equilibrium game whose diagonal meets a window of three rest points
+#: between folds at T ~ 0.05874 and 0.21821
+SINGLE_NE_WINDOW_GAME = bq.Game.from_matrices(
+    "single_ne_window", [[0.2, 1.6], [-0.8, 1.5]],
+    [[-1.0, -2.7], [-1.3, 1.2]])
+#: the benchmark's critical-curve grid
+CURVE_GRID = np.geomspace(1e-3, 2.0, 8).tolist()
+
+
+def random_curve_games(count, seed=20261018):
+    """Seeded random 2x2 games with a*c > 0 (critical curves apply)."""
+    rng = np.random.default_rng(seed)
+    games = []
+    while len(games) < count:
+        A, B = rng.uniform(-3.0, 3.0, (2, 2, 2)).tolist()
+        game = bq.Game.from_matrices(f"curve_{len(games)}", A, B)
+        co = bq.reduce_payoffs(game, bq.Temperatures(1.0, 1.0))
+        if co.raw_a * co.raw_c > 0.0:
+            games.append(game)
+    return games
+
+
+def has_window(game, ty):
+    return bq.critical_curve(game, [ty]).samples[0][1] is not None
+
+
+def not_three(co):
+    """One rest point, or the flagged double root the solver reports when a
+    stationary value of the defect is within its tangency tolerance."""
+    points = bq.find_rest_points(co, fd_check=False)
+    return len(points) == 1 or (
+        len(points) == 2 and any(p.degenerate_pair for p in points))
+
+
+def test_critical_windows_agree_with_counts_on_random_games():
+    windows = 0
+    for game in random_curve_games(120):
+        co = bq.reduce_payoffs(game, bq.Temperatures(1.0, 1.0))
+        for ty, t_lo, t_hi in bq.critical_curve(game, CURVE_GRID).samples:
+            if t_lo is None:
+                continue
+            windows += 1
+            mid = math.sqrt(t_lo * t_hi)
+            assert bq.count_rest_points(co.at_temperatures(mid, ty)) == 3
+            assert not_three(co.at_temperatures(t_lo * (1.0 - 1e-7), ty))
+            assert not_three(co.at_temperatures(t_hi * (1.0 + 1e-7), ty))
+    assert windows >= 20
+
+
+def test_closing_temperature_brackets_the_flip():
+    games = [bq.fixture("dominant_coordination")] + random_curve_games(80)
+    closings = 0
+    for game in games:
+        closing = bq.critical_curve(game, CURVE_GRID).closing_temperature
+        if closing is None:
+            continue
+        closings += 1
+        assert has_window(game, closing * (1.0 - 1e-7)), game.name
+        assert not has_window(game, closing * (1.0 + 1e-7)), game.name
+    assert closings >= 5
+
+
+def test_closing_temperature_does_not_depend_on_the_grid():
+    game = bq.fixture("dominant_coordination")
+    coarse = bq.critical_curve(game, np.geomspace(1e-3, 2.0, 12))
+    fine = bq.critical_curve(game, np.geomspace(1e-3, 5.0, 40))
+    assert coarse.closing_temperature is not None
+    assert coarse.closing_temperature == fine.closing_temperature
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, 1e-320])
+@pytest.mark.parametrize("orientation", ["tx_window_vs_ty",
+                                         "ty_window_vs_tx"])
+def test_critical_curve_rejects_bad_fixed_temperature(bad, orientation):
+    with pytest.raises(bq.DomainError):
+        bq.critical_curve(bq.fixture("dominant_coordination"), [bad, 0.5],
+                          orientation)
+
+
+def test_single_equilibrium_window_gets_no_pitchfork_label():
+    game = SINGLE_NE_WINDOW_GAME
+    assert count_at(game, 0.05) == 1 and count_at(game, 0.1) == 3
+    diagram = bq.sweep_equal_temperature(game, 0.05, 5.0, 80)
+    assert diagram.critical_temperatures == pytest.approx(
+        [0.05874, 0.21821], rel=1e-4)
+    assert (diagram.pitchfork_kind or "none") == bq.classify_pitchfork(game)
