@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -35,9 +34,9 @@ from .errors import DomainError, NotApplicableError, NumericFailureError
 from .games import (Game, GameRegionLabel, ReducedCoefficients, Temperatures,
                     _raw_coefficients, _require_temperature, classify_region,
                     reduce_payoffs)
-from .numerics import bisect, sigmoid
-from .restpoints import (_LOGISTIC, TANGENCY_DETECT_TOL, GFunction, RestPoint,
-                         _extrema, find_rest_points)
+from .numerics import bisect, sigmoid, sigmoid_slope
+from .restpoints import (_LOGISTIC, GFunction, RestPoint, _extrema,
+                         find_rest_points)
 
 CONTINUOUS = "continuous"
 DISCONTINUOUS = "discontinuous"
@@ -46,6 +45,8 @@ NO_PITCHFORK = "none"
 #: e^-746 underflows to 0 in float64, so past |u| = 746 sigma(u) is exactly
 #: 0 or 1 and g'(u) is exactly 0
 _SATURATION = 746.0
+#: both stationary values within this (times max(1, |a|)) of zero: a cusp
+TANGENCY_DETECT_TOL = 1e-9
 
 
 def tangent_intercept(gf: GFunction, u: float) -> float:
@@ -82,40 +83,53 @@ class InterceptProfile:
     """
 
     ratio: float
-    samples: list[tuple[float, float, float, float]]  # (ty, u0, delta(u0), delta(0))
+    extreme_at: Optional[tuple[float, float]]  # (ty, u) of a numeric extreme
     delta_min: Optional[float]
     delta_max: Optional[float]
     min_unbounded: bool = False
     max_unbounded: bool = False
 
 
-def intercept_extrema(raw_c: float, raw_d: float, ty_min: float = 1e-4,
-                      ty_max: float = 1e3, ty_steps: int = 121) -> InterceptProfile:
-    """Scan the tangent-intercept range of g over a log grid of ty.
+def _lowest_intercept(ratio: float) -> tuple[float, float, float]:
+    """``(delta, ty, u)`` at the lowest tangent intercept over u and every
+    ty > 0, for raw_c = 1 and r = d/c < -1.
 
-    The per-ty extrema sit at u = 0, at the inflection point, or at the
-    saturation tails, so only those candidates are evaluated.  The sign of
-    ``raw_c`` is normalized away by relabeling actions (ratio -> -1-ratio),
-    which leaves the intercept geometry unchanged.
+    With c = 1/ty, delta' = -u*g'', and g's inflection u0 is > 0 since
+    F(0) = c*tanh(c*(r+1/2)/2) < 0 (F of GFunction.inflection): delta(u0)
+    is the minimum at fixed ty.  As g''(u0) = 0, d delta(u0)/d ln ty =
+    c*g*(1-g)*Q(u0) with the ty-free Q(u) = -(r+s) + u*(s*(1-s) +
+    (r+s)*tanh(u/2)), s = sigma(u).  u0 falls from +inf to 0 as ty rises
+    (dF/du > 0; dF/dc = tanh(x) + x*sech^2(x) < 0 at x = c*(r+s)/2), and
+    Q(0) = -(r+1/2) > 0, Q(746) = 745*(r+1) < 0: the extreme is at Q's
+    root, where c solves c*tanh(c*k) + 2*sinh(u0) = 0, k = (r+s)/2, which
+    falls in c and is negative at c = 2*sinh(u0)/tanh(1) + 1/|k|.
     """
+    def q(u: float) -> float:
+        rs = (ratio + 1.0) - sigmoid(-u)  # r + s, cancel-free near r = -1
+        return -rs + u * (sigmoid_slope(u) + rs * math.tanh(0.5 * u))
+
+    u0 = bisect(q, 0.0, _SATURATION, q(0.0), q(_SATURATION))
+    k, lift = 0.5 * ((ratio + 1.0) - sigmoid(-u0)), 2.0 * math.sinh(u0)
+    c_hi = lift / math.tanh(1.0) + 1.0 / abs(k)
+    ty = 1.0 / bisect(lambda c: c * math.tanh(c * k) + lift, 0.0, c_hi, lift,
+                      c_hi * math.tanh(c_hi * k) + lift)
+    gf = GFunction(1.0 / ty, ratio / ty)
+    return tangent_intercept(gf, gf.inflection()), ty, u0
+
+
+def intercept_extrema(raw_c: float, raw_d: float) -> InterceptProfile:
+    """The tangent-intercept range of g over every u and ty > 0, exact
+    (:func:`_lowest_intercept`); above ratio 0 by the mirror
+    ``delta_max(r) = 1 - delta_min(-1-r)``, at (ty, -u).  The sign of
+    ``raw_c`` is normalized away by relabeling actions (ratio -> -1-ratio),
+    which leaves the intercept geometry unchanged."""
     if raw_c == 0.0:
         raise NotApplicableError("intercept profile needs c != 0")
     if raw_c < 0.0:
         raw_c, raw_d = -raw_c, raw_c + raw_d
     ratio = raw_d / raw_c
 
-    samples = []
-    num_min, num_max = math.inf, -math.inf
-    for ty in np.geomspace(ty_min, ty_max, ty_steps):
-        gf = GFunction(raw_c / ty, raw_d / ty)
-        u0 = gf.inflection()
-        d_u0 = tangent_intercept(gf, u0)
-        d_zero = tangent_intercept(gf, 0.0)
-        tails = (sigmoid(gf.d), sigmoid(gf.d + gf.c))
-        num_min = min(num_min, d_u0, d_zero, *tails)
-        num_max = max(num_max, d_u0, d_zero, *tails)
-        samples.append((float(ty), u0, d_u0, d_zero))
-
+    extreme_at = None
     min_unbounded = -1.0 <= ratio < -0.5
     max_unbounded = -0.5 < ratio <= 0.0
     if ratio == -0.5:
@@ -124,29 +138,25 @@ def intercept_extrema(raw_c: float, raw_d: float, ty_min: float = 1e-4,
         delta_min, delta_max = None, 1.0
     elif max_unbounded:
         delta_min, delta_max = 0.0, None
-    elif ratio < -1.0:
-        delta_min, delta_max = num_min, 0.5
-    else:  # ratio > 0
-        delta_min, delta_max = 0.5, num_max
-    return InterceptProfile(ratio=ratio, samples=samples,
+    else:  # ratio < -1, or its mirror ratio > 0
+        low, ty, u = _lowest_intercept(min(ratio, -1.0 - ratio))
+        delta_min, delta_max = (0.5, 1.0 - low) if ratio > 0.0 else (low, 0.5)
+        extreme_at = (raw_c * ty, -u if ratio > 0.0 else u)
+    return InterceptProfile(ratio=ratio, extreme_at=extreme_at,
                             delta_min=delta_min, delta_max=delta_max,
                             min_unbounded=min_unbounded,
                             max_unbounded=max_unbounded)
 
 
-@lru_cache(maxsize=256)
 def corner_boundary(ratio: float) -> float:
     """Lowest reachable tangent intercept for a ratio d/c <= -1.
 
-    This is the numeric boundary of the triple-rest-point region in the
-    corner quadrants of the ratio plane: triples exist there only while
-    ``-b/a`` exceeds this value.  Cached per ratio; the extremum always
-    lies at an interior ty, so a fixed log grid suffices.
+    This is the boundary of the triple-rest-point region in the corner
+    quadrants of the ratio plane: triples exist there only while ``-b/a``
+    exceeds this value, the infimum over every ty > 0.
     """
-    profile = intercept_extrema(1.0, ratio)
-    if profile.delta_min is None:
-        return -math.inf
-    return profile.delta_min
+    delta_min = intercept_extrema(1.0, ratio).delta_min
+    return -math.inf if delta_min is None else delta_min
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,8 @@ _REL_TOL = 1e-9
 _ABS_TOL = 1e-11
 #: output strategies are clamped to [_BOUNDARY_CLAMP, 1 - _BOUNDARY_CLAMP]
 _BOUNDARY_CLAMP = 1e-12
+#: central-difference step of :func:`numerical_divergence`
+_DIVERGENCE_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -234,8 +236,7 @@ def dissipation_rate(temps: Temperatures, n: int) -> float:
     return -(temps.tx + temps.ty) * (n - 1)
 
 
-def numerical_divergence(point, game: Game, temps: Temperatures,
-                         step: float = 1e-5) -> float:
+def numerical_divergence(point, game: Game, temps: Temperatures) -> float:
     """Divergence of the log-ratio field at a point, by central differences.
 
     ``point`` is a :class:`LogitPoint` (or (u, v) pair) for 2-action games,
@@ -251,16 +252,16 @@ def numerical_divergence(point, game: Game, temps: Temperatures,
     div = 0.0
     for idx in range(w_x.size):
         shift = np.zeros_like(w_x)
-        shift[idx] = step
+        shift[idx] = _DIVERGENCE_STEP
         fp, _ = log_ratio_field(game, temps, w_x + shift, w_y)
         fm, _ = log_ratio_field(game, temps, w_x - shift, w_y)
-        div += (fp[idx] - fm[idx]) / (2.0 * step)
+        div += (fp[idx] - fm[idx]) / (2.0 * _DIVERGENCE_STEP)
     for idx in range(w_y.size):
         shift = np.zeros_like(w_y)
-        shift[idx] = step
+        shift[idx] = _DIVERGENCE_STEP
         _, fp = log_ratio_field(game, temps, w_x, w_y + shift)
         _, fm = log_ratio_field(game, temps, w_x, w_y - shift)
-        div += (fp[idx] - fm[idx]) / (2.0 * step)
+        div += (fp[idx] - fm[idx]) / (2.0 * _DIVERGENCE_STEP)
     return float(div)
 
 

@@ -162,6 +162,13 @@ class ReducedCoefficients:
     tx: float
     ty: float
 
+    def __post_init__(self):
+        values = (self.a, self.b, self.c, self.d,
+                  self.raw_a, self.raw_b, self.raw_c, self.raw_d)
+        if not all(map(math.isfinite, values)):
+            raise DomainError("scaled coefficients must be finite (payoffs "
+                              "overflow at these temperatures)")
+
     @property
     def b_over_a(self) -> float:
         if abs(self.raw_a) < DEGENERACY_EPS:
@@ -376,8 +383,10 @@ def classify_region(coeffs: ReducedCoefficients) -> GameRegion:
       window of temperatures;
     * the corner quadrants ``beta >= 0, delta <= -1`` (and mirrored): the
       triple region's edge has no closed form; the boundary value of -b/a
-      is computed numerically from the extreme tangent intercepts of the
-      rest-point curve and attached to the result;
+      is the lowest tangent intercept of the rest-point curve over every
+      ty > 0, found exactly by two bisections
+      (:func:`boltzq.bifurcation.corner_boundary`), and attached to the
+      result;
     * everywhere else: a single rest point for all temperatures.
 
     Ratio values exactly on stripe edges are classified with the adjacent

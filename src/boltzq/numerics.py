@@ -40,19 +40,22 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def bisect(f, lo: float, hi: float, f_lo: float, f_hi: float,
-           xtol: float = 0.0, max_iter: int = 200) -> float:
-    """Plain bisection on a bracketed sign change; returns the midpoint of
-    the final bracket.  ``xtol = 0`` bisects down to float resolution."""
+#: the most halvings one bisection makes
+_BISECT_STEPS = 200
+
+
+def bisect(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    """Plain bisection on a bracketed sign change, down to float
+    resolution; returns the midpoint of the final bracket."""
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
         return hi
     if (f_lo > 0.0) == (f_hi > 0.0):
         raise ValueError("bisect requires a sign change on [lo, hi]")
-    for _ in range(max_iter):
+    for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi or (hi - lo) <= xtol:
+        if mid <= lo or mid >= hi:
             break
         f_mid = f(mid)
         if f_mid == 0.0:

@@ -34,10 +34,10 @@ from .numerics import bisect, logit, sigmoid, sigmoid_slope
 
 #: two roots closer than this in u are flagged as a tangency pair
 TANGENCY_PAIR_TOL = 1e-7
-#: |phi| at a stationary point below this (scaled by max(1,|a|)) is a tangency
-TANGENCY_DETECT_TOL = 1e-9
 #: eigenvalue formula must agree with the finite-difference Jacobian to this
 FD_EIGEN_TOL = 1e-6
+#: both rest-point bracket terms must be below this for stability_eigenvalues
+_REST_RESIDUAL_TOL = 1e-8
 
 STABLE_NODE = "stable_node"
 STABLE_SPIRAL = "stable_spiral"
@@ -184,12 +184,12 @@ def _check_fd_agreement(u, v, coeffs, eig_pair) -> None:
             f"by {err:.3e} at u={u}, v={v}", residuals=err)
 
 
-def stability_eigenvalues(point, coeffs: ReducedCoefficients,
-                          residual_tol: float = 1e-8) -> tuple[complex, complex]:
+def stability_eigenvalues(point, coeffs: ReducedCoefficients
+                          ) -> tuple[complex, complex]:
     """Jacobian eigenvalues ``-1 +- sqrt(a c x(1-x) y(1-y))`` at a rest point.
 
     ``point`` is an (x, y) pair that must already be a rest point (both
-    bracket terms below ``residual_tol``); otherwise :class:`DomainError`.
+    bracket terms below 1e-8); otherwise :class:`DomainError`.
     The closed form is cross-checked against a finite-difference Jacobian
     to 1e-6 on every call.
     """
@@ -199,10 +199,11 @@ def stability_eigenvalues(point, coeffs: ReducedCoefficients,
     u, v = logit(x), logit(y)
     bracket_x = coeffs.a * y + coeffs.b - u
     bracket_y = coeffs.c * x + coeffs.d - v
-    if max(abs(bracket_x), abs(bracket_y)) > residual_tol:
+    residual = max(abs(bracket_x), abs(bracket_y))
+    if residual > _REST_RESIDUAL_TOL:
         raise DomainError(
             f"point {point} is not a rest point: residual "
-            f"{max(abs(bracket_x), abs(bracket_y)):.3e} > {residual_tol}")
+            f"{residual:.3e} > {_REST_RESIDUAL_TOL}")
     lam1, lam2, _ = _eigenvalues_from_logit(u, v, coeffs)
     _check_fd_agreement(u, v, coeffs, (lam1, lam2))
     return (lam1, lam2)
@@ -295,7 +296,8 @@ def _solve_u_roots(a: float, b: float,
     diagonal.  Roots are bracketed between the ends of [lo, hi] and the
     stationary points that still separate a pair: a max above zero, a min
     below it.  A stationary value past zero has lost its pair; within the
-    tangency scale of zero it is the double root, reported once, flagged.
+    rounding of its own terms, ``8*eps*(|u| + |b| + |a|)``, it is the
+    double root, reported once, flagged.
     """
     if a == 0.0:
         return [b], [False]
@@ -316,14 +318,13 @@ def _solve_u_roots(a: float, b: float,
     if fhi <= 0.0:
         fhi = 5e-324
     target = max(1e-15, min(5e-13, 5e-13 * abs(a)))
-    tang_tol = TANGENCY_DETECT_TOL * max(1.0, abs(a))
 
     found: list[tuple[float, bool]] = []
     knots = [(lo, flo)]
     for u_s, v_s, is_max in _extrema(a, b, curve):
         if v_s > 0.0 if is_max else v_s < 0.0:
             knots.append((u_s, v_s))
-        elif abs(v_s) <= tang_tol:
+        elif abs(v_s) <= 8.0 * math.ulp(1.0) * (abs(u_s) + abs(b) + abs(a)):
             found.append((u_s, True))
     knots.append((hi, fhi))
     for (ua, va), (ub, vb) in zip(knots, knots[1:]):

@@ -73,9 +73,9 @@ class SimConfig:
 
     def __post_init__(self):
         if self.batch < 1 or self.rounds < 1 or self.record_every < 1:
-            raise ValueError("batch, rounds and record_every must be >= 1")
+            raise DomainError("batch, rounds and record_every must be >= 1")
         if not 0 <= int(self.seed) < 2 ** 64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+            raise DomainError("seed must fit in 64 unsigned bits")
 
 
 @dataclass

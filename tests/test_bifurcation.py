@@ -23,16 +23,23 @@ class TestInterceptExtrema:
     def test_symmetric_ratio_extremal_at_origin(self):
         # d = -c/2 puts the inflection at u = 0 for every temperature
         profile = bq.intercept_extrema(1.0, -0.5)
-        for _, u0, _, _ in profile.samples[::20]:
-            assert abs(u0) < 1e-9
+        for ty in np.geomspace(1e-4, 1e3, 121)[::20]:
+            assert abs(bq.GFunction(1.0 / ty, -0.5 / ty).inflection()) < 1e-9
         assert profile.delta_min == 0.0
         assert profile.delta_max == 1.0
+        assert profile.extreme_at is None
 
     def test_mirror_relation(self):
         # relabeling maps ratio r -> -1 - r and delta -> 1 - delta
         low = bq.intercept_extrema(1.0, -1.4)
         high = bq.intercept_extrema(1.0, 0.4)
         assert high.delta_max == pytest.approx(1.0 - low.delta_min, abs=1e-6)
+
+    def test_mirror_relation_is_exact(self):
+        low = bq.intercept_extrema(1.0, -1.4)
+        high = bq.intercept_extrema(1.0, 0.4)
+        assert high.delta_max == 1.0 - low.delta_min
+        assert high.extreme_at == (low.extreme_at[0], -low.extreme_at[1])
 
     def test_negative_c_normalized(self):
         profile = bq.intercept_extrema(-1.0, 0.3)
@@ -287,3 +294,52 @@ class TestCornerBoundaryCache:
                         for tx in grid for ty in grid)
         assert n_inside > 0
         assert n_outside == 0
+
+
+def inflection_intercept(ratio, ty):
+    """The lowest tangent intercept of g at one ty (raw_c = 1)."""
+    gf = bq.GFunction(1.0 / ty, ratio / ty)
+    return bq.tangent_intercept(gf, gf.inflection())
+
+
+#: the log grid of ty the corner bound used to be the minimum over
+SCAN_GRID = np.geomspace(1e-4, 1e3, 121)
+
+
+class TestCornerBoundaryExact:
+    @pytest.mark.slow
+    def test_bound_is_the_infimum_of_dense_ty_scans(self):
+        rng = np.random.default_rng(20261018)
+        ratios = (-1.0 - rng.exponential(2.0, 200)).tolist()
+        ratios += [-1.001, -1.01, -1.3, -2.0, -10.0]
+        for ratio in ratios:
+            bound = bq.corner_boundary(ratio)
+            ty_star, _ = bq.intercept_extrema(1.0, ratio).extreme_at
+            assert bound == inflection_intercept(ratio, ty_star), ratio
+            near = ty_star * np.exp(np.linspace(-0.5, 0.5, 4001))
+            scan = min(inflection_intercept(ratio, float(ty))
+                       for ty in np.concatenate([SCAN_GRID, near]))
+            assert bound <= scan + 1e-12 * abs(scan) + 1e-300, ratio
+
+    @pytest.mark.parametrize("a_rows, b_rows", [
+        ([[1.0211, 0.0211], [0, 0]], [[-0.3, 0], [0, 1.3]]),
+        ([[1.8226, 0.8226], [0, 0]], [[-0.001, 0], [0, 1.001]]),
+    ])
+    def test_corner_games_below_the_grid_bound_have_triples(self, a_rows,
+                                                           b_rows):
+        # -b/a lies between the exact bound and the old 121-point grid's
+        game = bq.Game.from_matrices("corner", a_rows, b_rows)
+        co = bq.reduce_payoffs(game, bq.Temperatures(1.0, 1.0))
+        assert bq.classify_region(co).triple_possible
+        ty, _ = bq.intercept_extrema(co.raw_c, co.raw_d).extreme_at
+        (_, t_lo, t_hi), = bq.critical_curve(game, [ty]).samples
+        mid = 0.5 * (t_lo + t_hi)
+        assert bq.count_rest_points(co.at_temperatures(mid, ty)) == 3
+
+    def test_extreme_sits_where_the_ty_slope_vanishes(self):
+        for ratio in (-1.001, -1.3, -2.0, -10.0):
+            ty, _ = bq.intercept_extrema(1.0, ratio).extreme_at
+            bound = bq.corner_boundary(ratio)
+            for step in (1e-3, 1e-2, 0.1):
+                assert inflection_intercept(ratio, ty * math.exp(step)) > bound
+                assert inflection_intercept(ratio, ty * math.exp(-step)) > bound

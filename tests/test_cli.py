@@ -66,6 +66,14 @@ class TestClassifyCommand:
         code, _, _ = run_cli(capsys, "classify", "--game", str(big))
         assert code == 2
 
+    def test_overflowing_payoffs_exit_2(self, tmp_path, capsys):
+        huge = tmp_path / "huge.json"
+        rows = [[1e308, -1e308], [-1e308, 1e308]]
+        huge.write_text(json.dumps({"name": "huge", "A": rows, "B": rows}))
+        code, _, err = run_cli(capsys, "classify", "--game", str(huge))
+        assert code == 2
+        assert "finite" in err
+
     def test_missing_game_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "classify")
         assert code == 2

@@ -199,11 +199,9 @@ def has_window(game, ty):
 
 
 def not_three(co):
-    """One rest point, or the flagged double root the solver reports when a
-    stationary value of the defect is within its tangency tolerance."""
-    points = bq.find_rest_points(co, fd_check=False)
-    return len(points) == 1 or (
-        len(points) == 2 and any(p.degenerate_pair for p in points))
+    """Exactly one rest point: 1e-7 outside a window no stationary value of
+    the defect is within rounding of zero."""
+    return len(bq.find_rest_points(co, fd_check=False)) == 1
 
 
 def test_critical_windows_agree_with_counts_on_random_games():
@@ -258,3 +256,20 @@ def test_single_equilibrium_window_gets_no_pitchfork_label():
     assert diagram.critical_temperatures == pytest.approx(
         [0.05874, 0.21821], rel=1e-4)
     assert (diagram.pitchfork_kind or "none") == bq.classify_pitchfork(game)
+
+
+def test_one_rest_point_just_outside_a_window_end():
+    # the defect's local min is +9.36e-10 at u = -0.0094 here: past zero by
+    # far more than its rounding, so not a double root
+    game = bq.Game.from_matrices(
+        "window_end",
+        [[-0.8431164904038608, -1.9319124696363745],
+         [-1.576420755274869, 1.0566709002449706]],
+        [[2.767796229656579, -0.2516370496561251],
+         [0.8764097947156766, 1.5684470542491367]])
+    ty = 0.02598526445218819
+    (_, t_lo, _), = bq.critical_curve(game, [ty]).samples
+    assert t_lo == pytest.approx(25.67076722381188, rel=1e-12)
+    co = bq.reduce_payoffs(game, bq.Temperatures(1.0, 1.0))
+    assert bq.count_rest_points(co.at_temperatures(t_lo * (1.0 - 1e-7),
+                                                   ty)) == 1

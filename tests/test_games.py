@@ -56,6 +56,30 @@ class TestReduce:
             assert co.b_over_a == pytest.approx(base.b_over_a, abs=1e-12)
             assert co.d_over_c == pytest.approx(base.d_over_c, abs=1e-12)
 
+    def test_overflowing_payoffs_raise_domain_error(self):
+        game = mk([[1e308, -1e308], [-1e308, 1e308]],
+                  [[1e308, -1e308], [-1e308, 1e308]])
+        with pytest.raises(bq.DomainError):
+            bq.reduce_payoffs(game, bq.Temperatures(1.0, 1.0))
+        with pytest.raises(bq.DomainError):
+            bq.sweep_equal_temperature(game, 0.1, 1.0, 5)
+
+    def test_overflowing_temperature_scaling_raises_domain_error(self):
+        game = bq.fixture("stag_hunt")
+        with pytest.raises(bq.DomainError):
+            bq.reduce_payoffs(game, bq.Temperatures(1e-320, 1e-320))
+        co = bq.reduce_payoffs(game, bq.Temperatures(1.0, 1.0))
+        with pytest.raises(bq.DomainError):
+            co.at_temperatures(1e-320, 1e-320)
+        with pytest.raises(bq.DomainError):
+            bq.ReducedCoefficients.from_values(1e300, 0.0, 1.0, 0.0,
+                                               tx=1e10)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_from_values_rejects_non_finite(self, bad):
+        with pytest.raises(bq.DomainError):
+            bq.ReducedCoefficients.from_values(1.0, bad, 1.0, 0.0)
+
     def test_rejects_wrong_dimension(self):
         g3 = mk(np.eye(3).tolist(), np.eye(3).tolist())
         with pytest.raises(bq.UnsupportedDimensionError):

@@ -118,6 +118,13 @@ class TestRunTwoAgents:
                               bq.SimConfig(batch=1, rounds=1, seed=0),
                               init=init)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"batch": 0}, {"rounds": 0}, {"record_every": 0},
+        {"seed": -1}, {"seed": 2 ** 64}])
+    def test_bad_config_raises_domain_error(self, kwargs):
+        with pytest.raises(bq.DomainError):
+            bq.SimConfig(**kwargs)
+
     def test_final_point_near_ode_rest_point(self):
         game = bq.fixture("prisoners_dilemma")
         temps = bq.Temperatures(1, 1)
