@@ -16,22 +16,28 @@ rest point.  Samples are mapped back to (x, y) on output.
 Convergence is declared on the logit-space velocity norm rather than point
 displacement, so slow transits near a saddle are not mistaken for arrival;
 since |dx/dt| <= |du/dt|/4 this also bounds the strategy-space velocity.
+
+Trajectories come from one in-house Dormand-Prince 5(4) stepper
+(:func:`_run_to_rest`; Hairer, Norsett & Wanner, *Solving ODEs I*,
+II.4-II.6) with scipy's RK45 error controller.  It runs on Python floats
+for one trajectory and on numpy rows sharing one step for a batch, and
+stops where the velocity norm crosses its target, located by bisection on
+the quartic dense output.  No scipy is imported at run time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.special import expit
 
 from .errors import DomainError
 from .games import (Game, PayoffMatrix, ReducedCoefficients, Temperatures,
                     _require_temperature)
-from .numerics import logit, sigmoid, sigmoid_slope, softmax
+from .numerics import (bisect, logit, sigmoid, sigmoid_array, sigmoid_slope,
+                       softmax)
 
 SIMPLEX_TOL = 1e-12
 #: step-control ceilings, tightened further by :func:`_solver_tols`
@@ -123,12 +129,15 @@ def _attractor_scales(coeffs: ReducedCoefficients) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Accepted integration steps plus why the run stopped."""
+    """Accepted integration steps, why the run stopped, and the stepper's
+    right-hand-side evaluations and rejected steps."""
 
     times: tuple[float, ...]
     xs: tuple[float, ...]
     ys: tuple[float, ...]
     terminal_reason: str
+    nfev: int = 0
+    rejected_steps: int = 0
 
     def __len__(self) -> int:
         return len(self.times)
@@ -302,66 +311,225 @@ def free_energy(x, rewards, temp: float, allow_zero: bool = False) -> float:
     return float(-(r @ x) + temp * entropy_part)
 
 
-def _terminal_reason(status: int) -> str:
-    if status == 1:
-        return CONVERGED
-    if status == 0:
-        return MAX_TIME
-    return STEP_FAILURE
-
-
 def _clamp(values: np.ndarray) -> np.ndarray:
     return np.clip(values, _BOUNDARY_CLAMP, 1.0 - _BOUNDARY_CLAMP)
 
 
-def _run_to_rest(rhs, speed, z0, coeffs: ReducedCoefficients,
-                 cfg: IntegratorConfig):
-    """The one ODE solve: RK45 from z0 until ``speed`` (the logit speed
-    minus its target) reaches zero or the horizon.  Returns the solve_ivp
-    result, or None when the start is already converged."""
-    if speed(0.0, z0) <= 0.0:
-        return None
-    speed.terminal = True
+# Dormand-Prince 5(4) for an autonomous flow: stage weights A, the
+# 5th-order weights B, the error weights E (5th minus embedded 4th order,
+# FSAL stage last) and the quartic dense-output matrix P with Shampine's
+# optimal c_6 (Hairer, Norsett & Wanner, Solving ODEs I, II.5-II.6; the
+# tableau of scipy's RK45)
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247,
+                                49 / 176, -5103 / 18656)
+_B1, _B3, _B4, _B5, _B6 = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784,
+                           11 / 84)
+_E1, _E3, _E4, _E5, _E6, _E7 = (-71 / 57600, 71 / 16695, -71 / 1920,
+                                17253 / 339200, -22 / 525, 1 / 40)
+_P = ((1, -8048581381 / 2820520608, 8663915743 / 2820520608,
+       -12715105075 / 11282082432),
+      (0, 0, 0, 0),
+      (0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+       87487479700 / 32700410799),
+      (0, -1754552775 / 470086768, 14199869525 / 1410260304,
+       -10690763975 / 1880347072),
+      (0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+       701980252875 / 199316789632),
+      (0, -282668133 / 205662961, 2019193451 / 616988883,
+       -1453857185 / 822651844),
+      (0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423))
+# RK45's step controller: error exponent -1/(4+1) of the embedded order,
+# safety factor and the clamp on the step factor (HNW II.4)
+_EXPONENT = -1 / 5
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10.0
+
+
+def _quartic(stages) -> list:
+    """Coefficients q of the dense output y(t + x*h) = y + h*x*(q0 + q1*x
+    + q2*x^2 + q3*x^3) from one coordinate's seven stage derivatives."""
+    return [sum(row[j] * k for row, k in zip(_P, stages)) for j in range(4)]
+
+
+class _Arith(NamedTuple):
+    """What the stepper needs beyond + and *: the logistic, the elementwise
+    max, and the max-norm and the sum of squares of one coordinate."""
+
+    sig: Callable
+    maximum: Callable
+    peak: Callable
+    sumsq: Callable
+
+
+#: one trajectory on Python floats
+_SCALAR = _Arith(sigmoid, max, abs, lambda e: e * e)
+#: numpy rows that share one step
+_ROWS = _Arith(sigmoid_array, np.maximum, lambda e: float(np.abs(e).max()),
+               lambda e: float(e @ e))
+
+
+@dataclass
+class _Run:
+    """Accepted rows (the start first) and the stepper's counts."""
+
+    times: list
+    us: list
+    vs: list
+    reason: str
+    nfev: int
+    rejected: int = 0
+
+
+def _run_to_rest(u, v, coeffs: ReducedCoefficients, cfg: IntegratorConfig,
+                 ops: _Arith) -> _Run:
+    """The one ODE solve: Dormand-Prince 5(4) in logit coordinates from
+    (u, v) until the logit speed reaches ``convergence_speed_tol`` or t
+    reaches ``max_time``.
+
+    u and v are floats, or numpy rows stepped together.  The controller
+    is scipy's RK45: RMS error norm over every coordinate, step factor
+    0.9*err^(-1/5) clamped to [0.2, 10] and capped at 1 right after a
+    rejection, scipy's initial-step rule (HNW II.4), and a minimum step of
+    10 ulp(t) below which the run ends as ``step_failure``.  The speed is
+    checked after each accepted step; once it is at or below target, its
+    crossing is bisected on the quartic dense output and the last row is
+    placed there.
+    """
+    sig, maximum, peak, sumsq = ops
+    a, b, c, d = coeffs.a, coeffs.b, coeffs.c, coeffs.d
+    tol, t_end = cfg.convergence_speed_tol, cfg.max_time
+    root_size = math.sqrt(2 * np.size(u))
+
+    def flow(p, q):
+        return a * sig(q) + b - p, c * sig(p) + d - q
+
+    def speed(du, dv):
+        return max(peak(du), peak(dv)) - tol
+
+    def rms(p, q):
+        return math.sqrt(sumsq(p) + sumsq(q)) / root_size
+
+    run = _Run([0.0], [u], [v], CONVERGED, nfev=1)
+    fu, fv = flow(u, v)
+    g = speed(fu, fv)
+    if g <= 0.0:
+        return run
     rtol, atol = _solver_tols(cfg, *_attractor_scales(coeffs))
-    return solve_ivp(rhs, (0.0, cfg.max_time), z0, method="RK45",
-                     rtol=rtol, atol=atol, events=speed)
+    su, sv = atol + abs(u) * rtol, atol + abs(v) * rtol
+    d0, d1 = rms(u / su, v / sv), rms(fu / su, fv / sv)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_end)
+    gu, gv = flow(u + h0 * fu, v + h0 * fv)
+    # h0 is 0 when d1 overflows; numpy's rule then divides to inf
+    d2 = rms((gu - fu) / su, (gv - fv) / sv) / h0 if h0 > 0.0 else math.inf
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h_abs = max(1e-6, h0 * 1e-3)
+    else:
+        h_abs = (0.01 / max(d1, d2)) ** (1 / 5)
+    h_abs = min(100.0 * h0, h_abs, t_end)
+    run.nfev += 1
+    t = 0.0
+    while True:
+        min_step = 10.0 * math.ulp(t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                run.reason = STEP_FAILURE
+                return run
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            h_abs = h
+            ku2, kv2 = flow(u + h * (_A21 * fu), v + h * (_A21 * fv))
+            ku3, kv3 = flow(u + h * (_A31 * fu + _A32 * ku2),
+                            v + h * (_A31 * fv + _A32 * kv2))
+            ku4, kv4 = flow(u + h * (_A41 * fu + _A42 * ku2 + _A43 * ku3),
+                            v + h * (_A41 * fv + _A42 * kv2 + _A43 * kv3))
+            ku5, kv5 = flow(
+                u + h * (_A51 * fu + _A52 * ku2 + _A53 * ku3 + _A54 * ku4),
+                v + h * (_A51 * fv + _A52 * kv2 + _A53 * kv3 + _A54 * kv4))
+            ku6, kv6 = flow(
+                u + h * (_A61 * fu + _A62 * ku2 + _A63 * ku3 + _A64 * ku4
+                         + _A65 * ku5),
+                v + h * (_A61 * fv + _A62 * kv2 + _A63 * kv3 + _A64 * kv4
+                         + _A65 * kv5))
+            u_new = u + h * (_B1 * fu + _B3 * ku3 + _B4 * ku4 + _B5 * ku5
+                             + _B6 * ku6)
+            v_new = v + h * (_B1 * fv + _B3 * kv3 + _B4 * kv4 + _B5 * kv5
+                             + _B6 * kv6)
+            ku7, kv7 = flow(u_new, v_new)
+            run.nfev += 6
+            eu = h * (_E1 * fu + _E3 * ku3 + _E4 * ku4 + _E5 * ku5
+                      + _E6 * ku6 + _E7 * ku7)
+            ev = h * (_E1 * fv + _E3 * kv3 + _E4 * kv4 + _E5 * kv5
+                      + _E6 * kv6 + _E7 * kv7)
+            err = rms(eu / (atol + maximum(abs(u), abs(u_new)) * rtol),
+                      ev / (atol + maximum(abs(v), abs(v_new)) * rtol))
+            if err < 1.0:
+                factor = (_MAX_FACTOR if err == 0.0
+                          else min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT))
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
+            rejected = True
+            run.rejected += 1
+        g_new = speed(ku7, kv7)
+        if g_new <= 0.0:
+            qu = _quartic((fu, ku2, ku3, ku4, ku5, ku6, ku7))
+            qv = _quartic((fv, kv2, kv3, kv4, kv5, kv6, kv7))
+
+            def dense(s):
+                x = (s - t) / h
+                return (u + h * x * (qu[0] + x * (qu[1] + x * (qu[2]
+                                                            + x * qu[3]))),
+                        v + h * x * (qv[0] + x * (qv[1] + x * (qv[2]
+                                                            + x * qv[3]))))
+
+            t_stop = bisect(lambda s: speed(*flow(*dense(s))), t, t_new,
+                            g, g_new)
+            u_stop, v_stop = dense(t_stop)
+            run.times.append(t_stop)
+            run.us.append(u_stop)
+            run.vs.append(v_stop)
+            return run
+        run.times.append(t_new)
+        run.us.append(u_new)
+        run.vs.append(v_new)
+        if t_new >= t_end:
+            run.reason = MAX_TIME
+            return run
+        t, u, v, fu, fv, g = t_new, u_new, v_new, ku7, kv7, g_new
 
 
 def integrate(start, coeffs: ReducedCoefficients,
               cfg: Optional[IntegratorConfig] = None) -> Trajectory:
     """Integrate the two-action flow from an interior start.
 
-    Adaptive embedded Runge-Kutta (Dormand-Prince 5(4)) in logit
-    coordinates; one sample per accepted step, mapped back to (x, y) and
-    clamped to [1e-12, 1 - 1e-12].  Stops with reason ``converged`` when
-    the logit velocity max-norm drops below ``convergence_speed_tol``,
-    ``max_time`` at the horizon, or ``step_failure`` if the stepper gives
-    up (never an exception).
+    The in-house Dormand-Prince 5(4) stepper of :func:`_run_to_rest` on
+    Python floats, in logit coordinates, with RK45's error controller; one
+    sample per accepted step, mapped back to (x, y) and clamped to
+    [1e-12, 1 - 1e-12].  Stops with reason ``converged`` when the logit
+    velocity max-norm drops below ``convergence_speed_tol`` (the last
+    sample sits at the crossing, located on the dense output),
+    ``max_time`` at the horizon, or ``step_failure`` if the step falls
+    below 10 ulp(t) (never an exception).  ``nfev`` counts the stepper's
+    right-hand-side evaluations, as solve_ivp does (the crossing search
+    is not included), and ``rejected_steps`` its rejected attempts.
     """
     cfg = cfg or IntegratorConfig()
     x0, y0 = start
     _require_interior(x0, y0)
-    a, b, c, d = coeffs.a, coeffs.b, coeffs.c, coeffs.d
-
-    def rhs(t, z):
-        u, v = z
-        return (a * sigmoid(v) + b - u, c * sigmoid(u) + d - v)
-
-    def speed(t, z):
-        du, dv = rhs(t, z)
-        return max(abs(du), abs(dv)) - cfg.convergence_speed_tol
-
-    sol = _run_to_rest(rhs, speed, (logit(x0), logit(y0)), coeffs, cfg)
-    if sol is None:
-        lo, hi = _BOUNDARY_CLAMP, 1.0 - _BOUNDARY_CLAMP
-        return Trajectory((0.0,), (min(max(x0, lo), hi),),
-                          (min(max(y0, lo), hi),), CONVERGED)
-    xs = _clamp(expit(sol.y[0]))
-    ys = _clamp(expit(sol.y[1]))
-    return Trajectory(tuple(float(t) for t in sol.t),
-                      tuple(float(v) for v in xs),
-                      tuple(float(v) for v in ys),
-                      _terminal_reason(sol.status))
+    run = _run_to_rest(logit(x0), logit(y0), coeffs, cfg, _SCALAR)
+    # the first sample is the start itself, the rest map back from logits
+    xs = _clamp(np.append(x0, sigmoid_array(np.array(run.us[1:]))))
+    ys = _clamp(np.append(y0, sigmoid_array(np.array(run.vs[1:]))))
+    return Trajectory(tuple(run.times), tuple(xs.tolist()),
+                      tuple(ys.tolist()), run.reason, run.nfev, run.rejected)
 
 
 def integrate_batch(starts, coeffs: ReducedCoefficients,
@@ -369,9 +537,13 @@ def integrate_batch(starts, coeffs: ReducedCoefficients,
                     ) -> tuple[np.ndarray, str]:
     """Integrate many starts as one stacked system (they share step control).
 
-    Stops when *every* trajectory's logit velocity is below tolerance.
-    Returns the (n, 2) array of final (x, y) points and the shared terminal
-    reason.  Meant for convergence studies where only endpoints matter.
+    The stepper of :func:`integrate` runs on the rows u, v of one (2, n)
+    logit array: one step size for all starts, set by the RMS error over
+    all 2n coordinates, and one stop, when *every* trajectory's logit
+    velocity is below tolerance (located on the dense output as in
+    :func:`integrate`).  Returns the (n, 2) array of final (x, y) points
+    and the shared terminal reason.  Meant for convergence studies where
+    only endpoints matter.
     """
     cfg = cfg or IntegratorConfig()
     pts = np.asarray(starts, dtype=float)
@@ -379,24 +551,13 @@ def integrate_batch(starts, coeffs: ReducedCoefficients,
         raise DomainError("starts must be an (n, 2) array")
     for x0, y0 in pts:
         _require_interior(x0, y0)
-    n = pts.shape[0]
-    z0 = np.concatenate([np.log(pts[:, 0] / (1 - pts[:, 0])),
-                         np.log(pts[:, 1] / (1 - pts[:, 1]))])
-    a, b, c, d = coeffs.a, coeffs.b, coeffs.c, coeffs.d
-
-    def rhs(t, z):
-        u, v = z[:n], z[n:]
-        return np.concatenate([a * expit(v) + b - u, c * expit(u) + d - v])
-
-    def speed(t, z):
-        return float(np.max(np.abs(rhs(t, z)))) - cfg.convergence_speed_tol
-
-    sol = _run_to_rest(rhs, speed, z0, coeffs, cfg)
-    if sol is None:
-        return pts.copy(), CONVERGED
-    finals = np.column_stack([_clamp(expit(sol.y[:n, -1])),
-                              _clamp(expit(sol.y[n:, -1]))])
-    return finals, _terminal_reason(sol.status)
+    u, v = np.log(pts / (1.0 - pts)).T
+    run = _run_to_rest(u, v, coeffs, cfg, _ROWS)
+    if len(run.times) == 1:
+        return pts.copy(), run.reason
+    finals = np.column_stack([_clamp(sigmoid_array(run.us[-1])),
+                              _clamp(sigmoid_array(run.vs[-1]))])
+    return finals, run.reason
 
 
 @dataclass(frozen=True)

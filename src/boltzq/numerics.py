@@ -2,8 +2,8 @@
 
 The scalar functions are written against ``math`` rather than numpy: the
 root finders call them millions of times on scalars, where numpy dispatch
-overhead dominates the actual arithmetic.  :func:`softmax` is the one
-vector helper.
+overhead dominates the actual arithmetic.  :func:`sigmoid_array` and
+:func:`softmax` are the vector helpers.
 """
 
 from __future__ import annotations
@@ -19,6 +19,15 @@ def sigmoid(z: float) -> float:
         return 1.0 / (1.0 + math.exp(-z))
     e = math.exp(z)
     return e / (1.0 + e)
+
+
+def sigmoid_array(z: np.ndarray) -> np.ndarray:
+    """Elementwise :func:`sigmoid` by the same two-branch formula: the
+    numerator ``exp(min(z, 0))`` is 1 for z >= 0 and ``exp(-|z|)`` below,
+    over ``1 + exp(-|z|)``.  So it rounds like the scalar version, up to
+    the ulp by which numpy's exp may differ from ``math.exp``, and never
+    to 0 for finite z above -745."""
+    return np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
 
 
 def logit(p: float) -> float:

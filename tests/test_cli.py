@@ -20,17 +20,22 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_cli_process(*argv):
-    """Run the CLI in a child process, so a hang fails the test after 60 s
-    (subprocess.TimeoutExpired) instead of stalling the suite."""
+def run_child(*args):
+    """Run Python in a child process that imports this boltzq, so a hang
+    fails the test after 60 s (subprocess.TimeoutExpired) instead of
+    stalling the suite."""
     src = str(pathlib.Path(bq.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(
                    filter(None, (src, os.environ.get("PYTHONPATH")))))
-    done = subprocess.run([sys.executable, "-m", "boltzq.cli", *argv],
+    done = subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env,
                           timeout=60)
     return done.returncode, done.stdout, done.stderr
+
+
+def run_cli_process(*argv):
+    return run_child("-m", "boltzq.cli", *argv)
 
 
 class TestClassifyCommand:
@@ -271,3 +276,25 @@ class TestExitCodes:
                      "--fixed-min", "0.1", "--fixed-max", "1.0",
                      "--fixed-steps", "3"])
         assert code == 2
+
+
+class TestRuntimeImports:
+    def test_import_and_restpoints_load_no_scipy(self):
+        # scipy is a test-only oracle; `import boltzq` and a CLI run in a
+        # fresh interpreter must not pull in any of its modules
+        script = (
+            "import runpy, sys\n"
+            "import boltzq\n"
+            "sys.argv = ['boltzq.cli', 'restpoints',\n"
+            "            '--fixture', 'stag_hunt']\n"
+            "try:\n"
+            "    runpy.run_module('boltzq.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    assert not exc.code, exc.code\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.partition('.')[0] == 'scipy'))\n")
+        code, out, err = run_child("-c", script)
+        assert code == 0, err
+        *report, loaded = out.splitlines()
+        assert json.loads("\n".join(report))  # the rest points
+        assert loaded == "[]"

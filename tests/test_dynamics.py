@@ -457,3 +457,146 @@ class TestBatchStarts:
     def test_rejects_non_interior_start(self, bad):
         with pytest.raises(bq.DomainError):
             bq.integrate_batch([(0.3, 0.4), (bad, 0.5)], mp_coeffs())
+
+
+def rk45_oracle(start, coeffs, cfg):
+    """scipy's RK45 on the logit flow at the library's tolerances, stopped
+    by the same speed event: the solve that integrate used to make."""
+    from scipy.special import expit
+    from boltzq.dynamics import _attractor_scales, _solver_tols
+    a, b, c, d = coeffs.a, coeffs.b, coeffs.c, coeffs.d
+
+    def rhs(_, z):
+        return (a * expit(z[1]) + b - z[0], c * expit(z[0]) + d - z[1])
+
+    def speed(t, z):
+        return float(np.max(np.abs(rhs(t, z)))) - cfg.convergence_speed_tol
+    speed.terminal = True
+    rtol, atol = _solver_tols(cfg, *_attractor_scales(coeffs))
+    x0, y0 = start
+    sol = solve_ivp(rhs, (0.0, cfg.max_time),
+                    (math.log(x0 / (1 - x0)), math.log(y0 / (1 - y0))),
+                    method="RK45", rtol=rtol, atol=atol, events=speed)
+    reason = {1: "converged", 0: "max_time"}.get(sol.status, "step_failure")
+    final = np.clip(expit(sol.y[:, -1]), 1e-12, 1 - 1e-12)
+    return sol, reason, final
+
+
+def final_gap(traj, final):
+    return max(abs(traj.final.x - final[0]), abs(traj.final.y - final[1]))
+
+
+PORTRAIT_STARTS = [(x, y) for x in (1 / 3, 2 / 3) for y in (1 / 3, 2 / 3)]
+
+
+def portrait_cases():
+    return [(name, t) for name in sorted(bq.FIXTURES) for t in (0.05, 0.5)]
+
+
+class TestAgainstScipyRK45:
+    """The in-house Dormand-Prince kernel against solve_ivp's RK45 (test-only
+    oracle) on every fixture at a cold and a warm temperature, from the
+    portrait's 2x2 start grid."""
+
+    @pytest.mark.parametrize("name,temp", portrait_cases())
+    def test_same_reason_endpoint_and_step_count(self, name, temp):
+        co = bq.reduce_payoffs(bq.fixture(name), bq.Temperatures(temp, temp))
+        cfg = bq.IntegratorConfig()
+        for start in PORTRAIT_STARTS:
+            traj = bq.integrate(start, co)
+            sol, reason, final = rk45_oracle(start, co, cfg)
+            assert traj.terminal_reason == reason == "converged"
+            assert final_gap(traj, final) <= 1e-12
+            steps, oracle_steps = len(traj) - 1, len(sol.t) - 1
+            assert abs(steps - oracle_steps) <= 0.01 * oracle_steps
+            assert abs(traj.nfev - sol.nfev) <= 0.01 * sol.nfev
+
+    @pytest.mark.parametrize("name,temp", portrait_cases())
+    @pytest.mark.parametrize("n", [4, 50])
+    def test_batch_finals_match_single_runs(self, name, temp, n):
+        co = bq.reduce_payoffs(bq.fixture(name), bq.Temperatures(temp, temp))
+        starts = (np.array(PORTRAIT_STARTS) if n == 4 else
+                  np.random.default_rng(5).uniform(0.02, 0.98, (n, 2)))
+        finals, reason = bq.integrate_batch(starts, co)
+        assert reason == "converged"
+        for start, final in zip(starts, finals):
+            single = bq.integrate(tuple(start), co).final
+            if np.max(np.abs(final - tuple(single))) <= 1e-10:
+                continue
+            # the two may part only from a start on a basin boundary (the
+            # saddle's stable manifold), where rounding picks the side:
+            # there, starts nudged by 1e-6 reach different rest points
+            ends = {tuple(np.round(tuple(bq.integrate(
+                        (start[0] + dx, start[1] + dy), co).final), 6))
+                    for dx, dy in ((1e-6, 0), (-1e-6, 0), (0, 1e-6),
+                                   (0, -1e-6))}
+            assert len(ends) > 1, (start, final, single)
+
+    def test_short_horizon_ends_at_max_time(self):
+        co = mp_coeffs(0.05)
+        cfg = bq.IntegratorConfig(max_time=0.75)
+        for start in PORTRAIT_STARTS:
+            traj = bq.integrate(start, co, cfg)
+            sol, reason, final = rk45_oracle(start, co, cfg)
+            assert traj.terminal_reason == reason == "max_time"
+            assert traj.times[-1] == sol.t[-1] == 0.75
+            assert len(traj) == len(sol.t)
+            assert final_gap(traj, final) <= 1e-12
+        _, reason = bq.integrate_batch(PORTRAIT_STARTS, co, cfg)
+        assert reason == "max_time"
+
+    def test_infinite_horizon_matches_oracle(self):
+        co = mp_coeffs(0.5)
+        cfg = bq.IntegratorConfig(max_time=math.inf)
+        for start in PORTRAIT_STARTS:
+            traj = bq.integrate(start, co, cfg)
+            sol, reason, final = rk45_oracle(start, co, cfg)
+            assert traj.terminal_reason == reason == "converged"
+            assert final_gap(traj, final) <= 1e-12
+        _, reason = bq.integrate_batch(PORTRAIT_STARTS, co, cfg)
+        assert reason == "converged"
+
+    def test_overflowing_first_derivative_still_integrates(self):
+        # the scaled derivative overflows the initial-step rule's norm, so
+        # its first step is 0 (raised to the 10 ulp minimum), as in scipy
+        co = bq.ReducedCoefficients.from_values(1e300, 0.0, 1e300, 0.0)
+        cfg = bq.IntegratorConfig()
+        traj = bq.integrate((0.3, 0.6), co)
+        with np.errstate(all="ignore"):
+            _, reason, final = rk45_oracle((0.3, 0.6), co, cfg)
+        assert traj.terminal_reason == reason == "max_time"
+        assert tuple(traj.final) == tuple(final)
+
+
+class TestTelemetry:
+    def test_counts_follow_the_steps(self):
+        # the initial derivative, the initial-step probe, then six
+        # evaluations per attempted step, accepted or rejected
+        for t in (0.05, 0.5):
+            traj = bq.integrate((0.9, 0.1), mp_coeffs(t))
+            assert traj.nfev == 2 + 6 * (len(traj) - 1 + traj.rejected_steps)
+        assert bq.integrate((0.9, 0.1), mp_coeffs(0.05)).rejected_steps > 0
+
+    def test_start_at_rest_costs_one_evaluation(self):
+        traj = bq.integrate((0.5, 0.5), mp_coeffs())
+        assert (traj.nfev, traj.rejected_steps) == (1, 0)
+
+    def test_existing_constructor_still_works(self):
+        traj = bq.Trajectory((0.0,), (0.5,), (0.5,), "converged")
+        assert (traj.nfev, traj.rejected_steps) == (0, 0)
+
+
+class TestSigmoidArray:
+    def test_matches_scalar_sigmoid(self):
+        from boltzq.numerics import sigmoid, sigmoid_array
+        z = np.concatenate([np.linspace(-745.0, 745.0, 20001),
+                            [-0.0, 0.0, 1e-300, -1e-300, 36.7, -36.7]])
+        np.testing.assert_array_max_ulp(
+            sigmoid_array(z), np.array([sigmoid(v) for v in z]), maxulp=1)
+
+    def test_deep_negative_tail_is_not_rounded_to_zero(self):
+        # 0.5*(1 + tanh(z/2)) returns 0 here
+        from boltzq.numerics import sigmoid_array
+        z = np.array([-40.0, -300.0, -700.0])
+        assert np.all(sigmoid_array(z) > 0.0)
+        np.testing.assert_allclose(sigmoid_array(z), np.exp(z), rtol=1e-15)
