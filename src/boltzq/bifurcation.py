@@ -9,31 +9,31 @@ rest points exist while its local max is above zero and its local min
 below), and at a *cusp* both vanish together.  Folds are bisected in T on
 the sign of those two values.
 
-At a fixed opposite temperature (the critical curve) the same fold is
-written in the touching point: the tangent line touching g at u has
-intercept::
-
-    delta(u) = g(u) - g'(u) * u
-
-and delta is stationary only at u = 0 and at g's single inflection point,
-and constant once sigma saturates.  Tangency therefore reduces to the
-scalar crossing problem ``delta(u) = -b/a``, bisected on the segments
-between those knots; the touching point's slope then converts to a
-critical temperature via ``tx = raw_a * g'(u)``.
+At a fixed ty (the critical curve) a tangency is where the intercept
+``delta(u) = g(u) - g'(u)*u`` of the tangent touching g at u equals -b/a,
+at ``tx = raw_a*g'(u)``; delta is stationary only at u = 0 and at g's
+inflection.  It is solved in Y's logit v = (raw_d + raw_c*sigma(u))/ty,
+which rises with u: with p = ty*v, ``raw_c*sigma(u) = p - raw_d`` and
+``raw_c*sigma(-u) = raw_c + raw_d - p``, so u and ``g' = (raw_c/ty)*
+sigma'(u)*sigma'(v)`` are products with no cancellation at any ty.  One
+rest point exists above the top tangency and each one flips the count
+between 1 and 3, so the windows in tx are the tangency pairs counted down
+from the top, plus (0, t_1) when the count is odd: exactly when -b/a
+(raw_a > 0) lies between g's tails sigma(raw_d/ty) and sigma((raw_c +
+raw_d)/ty), the level the line flattens to as tx -> 0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError, NotApplicableError, NumericFailureError
 from .games import (Game, GameRegionLabel, ReducedCoefficients, Temperatures,
-                    _raw_coefficients, _require_temperature, classify_region,
-                    reduce_payoffs)
+                    _raw_coefficients, classify_region, reduce_payoffs)
 from .numerics import bisect, sigmoid, sigmoid_slope
 from .restpoints import (_LOGISTIC, GFunction, RestPoint, _extrema,
                          find_rest_points)
@@ -43,7 +43,7 @@ DISCONTINUOUS = "discontinuous"
 NO_PITCHFORK = "none"
 
 #: e^-746 underflows to 0 in float64, so past |u| = 746 sigma(u) is exactly
-#: 0 or 1 and g'(u) is exactly 0
+#: 0 or 1 and sigma'(u) is exactly 0
 _SATURATION = 746.0
 #: both stationary values within this (times max(1, |a|)) of zero: a cusp
 TANGENCY_DETECT_TOL = 1e-9
@@ -53,23 +53,6 @@ def tangent_intercept(gf: GFunction, u: float) -> float:
     """Intercept of the line tangent to the response curve at u."""
     g, g1, _ = gf.eval(u)
     return g - g1 * u
-
-
-def _delta_crossings(gf: GFunction, target: float) -> list[float]:
-    """All u with tangent_intercept(gf, u) == target.
-
-    delta is monotone between its stationary points {0, inflection}, and
-    past +-_SATURATION it equals the curve's tail value, so every crossing
-    is a sign change between consecutive knots, bisected there.
-    """
-    def h(u: float) -> float:
-        return tangent_intercept(gf, u) - target
-
-    knots = [(u, h(u)) for u in sorted({-_SATURATION, 0.0, gf.inflection(),
-                                        _SATURATION})]
-    return sorted({bisect(h, ua, ub, va, vb)
-                   for (ua, va), (ub, vb) in zip(knots, knots[1:])
-                   if va == 0.0 or (va > 0.0) != (vb > 0.0)})
 
 
 @dataclass(frozen=True)
@@ -161,22 +144,21 @@ def corner_boundary(ratio: float) -> float:
 
 @dataclass(frozen=True)
 class CriticalCurve:
-    """Per fixed opposite-player temperature, the window of the swept
-    temperature carrying three rest points; empty entries mean no window."""
+    """Per fixed opposite-player temperature, one ``(fixed, lo, hi)`` row
+    per window of the swept temperature with three rest points (lo = 0.0:
+    open as it goes to 0), or a single ``(fixed, None, None)`` row."""
 
     orientation: str  # "tx_window_vs_ty" or "ty_window_vs_tx"
     samples: list[tuple[float, Optional[float], Optional[float]]]
     closing_temperature: Optional[float]
-    diagnostics: list[str] = field(default_factory=list)
 
 
 def _normalized_base(game: Game) -> ReducedCoefficients:
     """The game's raw coefficients (at tx = ty = 1), relabelled so raw_a > 0."""
     raw_a, raw_b, raw_c, raw_d = _raw_coefficients(game)
     if raw_a * raw_c <= 0.0:
-        raise NotApplicableError(
-            "critical windows require a*c > 0 (otherwise the rest point is "
-            "always unique)")
+        raise NotApplicableError("critical windows require a*c > 0 "
+                                 "(otherwise the rest point is always unique)")
     if raw_a < 0.0:
         # Relabel both players' view of X's actions: x -> 1-x flips the
         # slopes' signs and leaves every temperature window unchanged.
@@ -185,86 +167,103 @@ def _normalized_base(game: Game) -> ReducedCoefficients:
     return ReducedCoefficients.from_values(raw_a, raw_b, raw_c, raw_d)
 
 
-def _window_for_ty(base: ReducedCoefficients,
-                   ty: float) -> Optional[tuple[float, float]]:
-    """The tx interval with three rest points at fixed ty, if any.
+def _touch(base: ReducedCoefficients, ty: float,
+           v: float) -> tuple[float, float]:
+    """``(delta, g')`` where the tangent touches g at Y's logit v, from
+    ``lo = raw_c*sigma(u)`` and ``hi = raw_c*sigma(-u)`` (module
+    docstring); 0 past the ends of v's range, where g' = 0."""
+    p = ty * v
+    lo, hi = max(p - base.raw_d, 0.0), max(base.raw_c + base.raw_d - p, 0.0)
+    e = math.exp(-abs(v))
+    s = 1.0 / (1.0 + e)  # sigma(|v|)
+    slope = lo / ty * (hi / base.raw_c) * (e * s * s)
+    sig = s if v >= 0.0 else e * s
+    if slope == 0.0:
+        return sig, 0.0
+    ratio = lo / hi  # e^u, exactly unchanged when the payoffs and ty scale
+    u = math.log(ratio) if 0.0 < ratio < math.inf else (math.log(lo)
+                                                        - math.log(hi))
+    return sig - u * slope, slope
 
-    Its ends are tangencies ``tx = raw_a*g'(u)`` at the crossings
-    ``delta(u) = -b/a``; a cell between consecutive tangencies belongs to
-    it when :func:`_pair` holds at the cell's geometric midpoint.
-    """
-    gf = GFunction(base.raw_c / ty, base.raw_d / ty)
-    tangencies = sorted(base.raw_a * gf.eval(u)[1] for u in
-                        _delta_crossings(gf, -base.raw_b / base.raw_a))
-    tangencies = [t for t in tangencies if t > 0.0]
-    windows = [(lo, hi) for lo, hi in zip(tangencies, tangencies[1:])
-               if _pair(base, math.sqrt(lo * hi), ty) is not None]
-    return (windows[0][0], windows[-1][1]) if windows else None
+
+def _bend(base: ReducedCoefficients, ty: float, v: float) -> float:
+    """g''/g' = ``(1 - 2*sigma(u)) - tanh(v/2)*(raw_c/ty)*sigma'(u)`` at
+    Y's logit v, in the terms of :func:`_touch`."""
+    p = ty * v
+    lo, hi = max(p - base.raw_d, 0.0), max(base.raw_c + base.raw_d - p, 0.0)
+    return (hi - lo) / base.raw_c - math.tanh(0.5 * v) * (lo / ty
+                                                         * (hi / base.raw_c))
 
 
-def _merge_gap(base: ReducedCoefficients, ty: float) -> float:
-    """delta(u0) + b/a at g's inflection u0: zero where two tangencies merge."""
-    gf = GFunction(base.raw_c / ty, base.raw_d / ty)
-    return tangent_intercept(gf, gf.inflection()) + base.raw_b / base.raw_a
+def _knots(base: ReducedCoefficients, ty: float) -> list[float]:
+    """Y's logit at the ends of its range, at u = 0 and at g's inflection
+    (g'' falls through zero once), clipped to +-_SATURATION."""
+    v_lo, v_zero, v_hi = (min(max(v / ty, -_SATURATION), _SATURATION)
+                          for v in (base.raw_d, base.raw_d + 0.5 * base.raw_c,
+                                    base.raw_c + base.raw_d))
+    # an end already past the sign change is where the clipped zero sits
+    return [v_lo, v_zero, bisect(lambda v: _bend(base, ty, v), v_lo, v_hi,
+                                 max(_bend(base, ty, v_lo), 0.0),
+                                 min(_bend(base, ty, v_hi), 0.0)), v_hi]
+
+
+def _window_ends(base: ReducedCoefficients, ty: float) -> list[float]:
+    """The tangencies tx > 0 at fixed ty (sign changes of ``delta + b/a``
+    between knots), after a 0.0 if odd in number: pairs are the windows."""
+    def h(v: float) -> float:
+        return _touch(base, ty, v)[0] + base.raw_b / base.raw_a
+
+    knots = [(v, h(v)) for v in sorted(set(_knots(base, ty)))]
+    crossings = {bisect(h, va, vb, fa, fb)
+                 for (va, fa), (vb, fb) in zip(knots, knots[1:])
+                 if fa == 0.0 or (fa > 0.0) != (fb > 0.0)}
+    ends = sorted(t for t in (base.raw_a * _touch(base, ty, v)[1]
+                              for v in crossings) if t > 0.0)
+    return [0.0] * (len(ends) % 2) + ends
 
 
 def critical_curve(game: Game, fixed_values,
                    orientation: str = "tx_window_vs_ty") -> CriticalCurve:
-    """Trace the three-rest-point temperature window across a grid.
+    """Trace the three-rest-point temperature windows across a grid.
 
-    For ``tx_window_vs_ty`` each grid value fixes ty and the window in tx
-    is found by solving the tangency system {rest-point equation,
-    a*g'(u) = 1}: its solutions are the crossings ``delta(u) = -b/a``, and
-    each converts to a temperature ``tx = raw_a * g'(u)``.  Every fixed
-    value must be a valid temperature that keeps ``raw/ty`` finite,
-    else :class:`DomainError`.
-
-    The closing temperature is where the window's two tangencies merge.
-    Two tangencies never share a tx: the defect would then have two double
-    roots, more than the three roots it can have, so the window's ends keep
-    their order as ty moves.  A cell whose tangencies straddle u = 0 never
-    holds three rest points.  So a window bounded by two tangencies can
-    vanish only when its touching points merge at g's inflection u0, where
-    ``delta(u0) = -b/a``.  When the grid goes from a window at ``lo`` to
-    none at the next larger ``hi``, that equation is bisected in ty on
-    [lo, hi] to float resolution; if its sign does not change there the
-    closing temperature is ``None``.
+    For ``tx_window_vs_ty`` each grid value fixes ty (a temperature that
+    keeps ``raw/ty`` finite, else :class:`DomainError`), and the windows in
+    tx follow from the tangencies by parity (module docstring).  Two
+    tangencies never share a tx (the defect would have two double roots),
+    so a bounded window closes only where its touching points merge at
+    g's inflection u0, ``delta(u0) = -b/a``.  Between the last grid value
+    with a bounded window and the next without, that equation is bisected
+    in ty to float resolution: the closing temperature, or ``None`` if its
+    sign does not change there.
     """
     if orientation == "ty_window_vs_tx":
         swapped = Game(game.name + "_swapped", game.payoff_y, game.payoff_x)
-        inner = critical_curve(swapped, fixed_values, "tx_window_vs_ty")
-        return CriticalCurve("ty_window_vs_tx", inner.samples,
-                             inner.closing_temperature, inner.diagnostics)
+        return replace(critical_curve(swapped, fixed_values),
+                       orientation=orientation)
     if orientation != "tx_window_vs_ty":
         raise DomainError(f"unknown orientation {orientation!r}")
 
     base = _normalized_base(game)
     samples: list[tuple[float, Optional[float], Optional[float]]] = []
-    diagnostics: list[str] = []
     for ty in map(float, fixed_values):
-        _require_temperature(ty)
-        if not (math.isfinite(base.raw_c / ty)
-                and math.isfinite(base.raw_d / ty)):
-            raise DomainError(
-                f"fixed temperature {ty} overflows the scaled payoffs")
-        try:
-            window = _window_for_ty(base, ty)
-        except (NumericFailureError, OverflowError) as exc:
-            diagnostics.append(f"ty={ty}: {exc}")
-            window = None
-        samples.append((ty, *(window or (None, None))))
+        base.at_temperatures(1.0, ty)  # DomainError unless raw/ty is finite
+        ends = _window_ends(base, ty)
+        samples += ([(ty, lo, hi) for lo, hi in zip(ends[::2], ends[1::2])]
+                    or [(ty, None, None)])
 
+    def merge_gap(ty: float) -> float:
+        v_inflection = _knots(base, ty)[2]
+        return _touch(base, ty, v_inflection)[0] + base.raw_b / base.raw_a
+
+    have = [s[0] for s in samples if s[1]]
+    later = [s[0] for s in samples if have and s[0] > max(have)]
     closing = None
-    have = [s[0] for s in samples if s[1] is not None]
-    lack = [s[0] for s in samples if s[1] is None]
-    if have and lack and max(have) < max(lack):
-        lo = max(have)
-        hi = min(t for t in lack if t > lo)
-        m_lo, m_hi = _merge_gap(base, lo), _merge_gap(base, hi)
+    if later:
+        lo, hi = max(have), min(later)
+        m_lo, m_hi = merge_gap(lo), merge_gap(hi)
         if (m_lo > 0.0) != (m_hi > 0.0):
-            closing = bisect(lambda ty: _merge_gap(base, ty), lo, hi,
-                             m_lo, m_hi)
-    return CriticalCurve("tx_window_vs_ty", samples, closing, diagnostics)
+            closing = bisect(merge_gap, lo, hi, m_lo, m_hi)
+    return CriticalCurve(orientation, samples, closing)
 
 
 def zero_exploration_window(b_over_a: float, d_over_c: float,

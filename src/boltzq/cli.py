@@ -137,8 +137,7 @@ def cmd_critical(args) -> int:
     grid = np.geomspace(args.fixed_min, args.fixed_max, args.fixed_steps)
     curve = bifurcation.critical_curve(game, grid, orientation)
     fileio.write_text(args.out, fileio.critical_csv(curve))
-    summary = {"closing_temperature": curve.closing_temperature,
-               "diagnostics": curve.diagnostics}
+    summary = {"closing_temperature": curve.closing_temperature}
     print(json.dumps(summary), file=sys.stderr)
     return 0
 

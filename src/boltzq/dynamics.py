@@ -375,7 +375,8 @@ _ROWS = _Arith(sigmoid_array, np.maximum, lambda e: float(np.abs(e).max()),
 
 @dataclass
 class _Run:
-    """Accepted rows (the start first) and the stepper's counts."""
+    """Accepted rows (the start first) and the stepper's counts; without
+    ``history`` only the start and the latest row are kept."""
 
     times: list
     us: list
@@ -383,10 +384,18 @@ class _Run:
     reason: str
     nfev: int
     rejected: int = 0
+    history: bool = True
+
+    def keep(self, t, u, v) -> None:
+        if not self.history:
+            del self.times[1:], self.us[1:], self.vs[1:]
+        self.times.append(t)
+        self.us.append(u)
+        self.vs.append(v)
 
 
 def _run_to_rest(u, v, coeffs: ReducedCoefficients, cfg: IntegratorConfig,
-                 ops: _Arith) -> _Run:
+                 ops: _Arith, history: bool = True) -> _Run:
     """The one ODE solve: Dormand-Prince 5(4) in logit coordinates from
     (u, v) until the logit speed reaches ``convergence_speed_tol`` or t
     reaches ``max_time``.
@@ -414,7 +423,7 @@ def _run_to_rest(u, v, coeffs: ReducedCoefficients, cfg: IntegratorConfig,
     def rms(p, q):
         return math.sqrt(sumsq(p) + sumsq(q)) / root_size
 
-    run = _Run([0.0], [u], [v], CONVERGED, nfev=1)
+    run = _Run([0.0], [u], [v], CONVERGED, nfev=1, history=history)
     fu, fv = flow(u, v)
     g = speed(fu, fv)
     if g <= 0.0:
@@ -492,14 +501,9 @@ def _run_to_rest(u, v, coeffs: ReducedCoefficients, cfg: IntegratorConfig,
 
             t_stop = bisect(lambda s: speed(*flow(*dense(s))), t, t_new,
                             g, g_new)
-            u_stop, v_stop = dense(t_stop)
-            run.times.append(t_stop)
-            run.us.append(u_stop)
-            run.vs.append(v_stop)
+            run.keep(t_stop, *dense(t_stop))
             return run
-        run.times.append(t_new)
-        run.us.append(u_new)
-        run.vs.append(v_new)
+        run.keep(t_new, u_new, v_new)
         if t_new >= t_end:
             run.reason = MAX_TIME
             return run
@@ -543,7 +547,7 @@ def integrate_batch(starts, coeffs: ReducedCoefficients,
     velocity is below tolerance (located on the dense output as in
     :func:`integrate`).  Returns the (n, 2) array of final (x, y) points
     and the shared terminal reason.  Meant for convergence studies where
-    only endpoints matter.
+    only endpoints matter: only the start and the latest row are held.
     """
     cfg = cfg or IntegratorConfig()
     pts = np.asarray(starts, dtype=float)
@@ -552,7 +556,7 @@ def integrate_batch(starts, coeffs: ReducedCoefficients,
     for x0, y0 in pts:
         _require_interior(x0, y0)
     u, v = np.log(pts / (1.0 - pts)).T
-    run = _run_to_rest(u, v, coeffs, cfg, _ROWS)
+    run = _run_to_rest(u, v, coeffs, cfg, _ROWS, history=False)
     if len(run.times) == 1:
         return pts.copy(), run.reason
     finals = np.column_stack([_clamp(sigmoid_array(run.us[-1])),

@@ -25,12 +25,16 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import DomainError, NotApplicableError, NumericFailureError
 from .games import ReducedCoefficients
 from .numerics import bisect, logit, sigmoid, sigmoid_slope
+
+#: sinh(u) and e^u stay finite for |u| up to ln(max float), about 709.78
+_LOG_MAX = math.log(sys.float_info.max)
 
 #: two roots closer than this in u are flagged as a tangency pair
 TANGENCY_PAIR_TOL = 1e-7
@@ -83,14 +87,16 @@ class GFunction:
 
         g'' vanishes with ``F(u) = c*tanh(d/2 + (c/2)*sigma(u)) + 2*sinh(u)``,
         which is strictly increasing, so plain bisection is safe.  The zero
-        lies within |u| <= asinh(|c|/2) + 1 where the sinh term dominates.
+        has |2*sinh(u)| <= |c|, so |u| <= asinh(|c|/2) <= _LOG_MAX: the span
+        asinh(|c|/2) + 1, capped at _LOG_MAX so that sinh stays finite,
+        brackets it.
         """
         c, d = self.c, self.d
 
         def f(u: float) -> float:
             return c * math.tanh(0.5 * d + 0.5 * c * sigmoid(u)) + 2.0 * math.sinh(u)
 
-        span = math.asinh(0.5 * abs(c)) + 1.0
+        span = min(math.asinh(0.5 * abs(c)) + 1.0, _LOG_MAX)
         return bisect(f, -span, span, f(-span), f(span))
 
 
@@ -121,6 +127,8 @@ def _eigenvalues_from_logit(u: float, v: float,
     xq = sigmoid_slope(u)
     yq = sigmoid_slope(v)
     rad = coeffs.a * coeffs.c * xq * yq
+    if math.isnan(rad):  # a*c overflowed against a zero slope: pair them
+        rad = (coeffs.a * xq) * (coeffs.c * yq)
     root = cmath.sqrt(rad)
     return (-1.0 + root, -1.0 - root, rad)
 
@@ -213,10 +221,11 @@ def _refine_root(f: Callable[[float], float], df: Callable[[float], float],
                  lo: float, hi: float, flo: float, fhi: float,
                  target: float) -> float:
     """Bracketed Newton with bisection fallback; converges to |f| <= target
-    or to the bracket's float resolution."""
-    u = 0.5 * (lo + hi)
+    or to the bracket's float resolution, which 2100 halvings reach from
+    any finite bracket (2^1024 / 2^-1074)."""
+    u = 0.5 * lo + 0.5 * hi  # = 0.5*(lo + hi), without overflowing
     fu = f(u)
-    for _ in range(120):
+    for _ in range(2100):
         if abs(fu) <= target:
             return u
         if (fu > 0.0) == (fhi > 0.0):
@@ -233,7 +242,7 @@ def _refine_root(f: Callable[[float], float], df: Callable[[float], float],
             if lo < un < hi:
                 u, step_ok = un, True
         if not step_ok:
-            u = 0.5 * (lo + hi)
+            u = 0.5 * lo + 0.5 * hi
         fu = f(u)
     return u
 
@@ -341,6 +350,15 @@ def _solve_u_roots(a: float, b: float,
     return roots, flags
 
 
+def _response_curve(coeffs: ReducedCoefficients) -> GFunction:
+    """g for these coefficients, or :class:`DomainError` when an end of the
+    root brackets, b + a or d + c, overflows."""
+    if not (math.isfinite(coeffs.b + coeffs.a)
+            and math.isfinite(coeffs.d + coeffs.c)):
+        raise DomainError("coefficients too large: b + a or d + c overflows")
+    return GFunction(coeffs.c, coeffs.d)
+
+
 def find_rest_points(coeffs: ReducedCoefficients,
                      fd_check: bool = True) -> list[RestPoint]:
     """All interior rest points at the given coefficients, sorted by u.
@@ -353,10 +371,11 @@ def find_rest_points(coeffs: ReducedCoefficients,
     double root, returned once with ``degenerate_pair`` set.  Stability
     comes from the eigenvalue closed form; with ``fd_check`` each point is
     also validated against a finite-difference Jacobian (turn off only in
-    bulk counting).
+    bulk counting).  Coefficients where b + a or d + c overflows raise
+    :class:`DomainError`.
     """
     a, b, c, d = coeffs.a, coeffs.b, coeffs.c, coeffs.d
-    roots, flags = _solve_u_roots(a, b, GFunction(c, d))
+    roots, flags = _solve_u_roots(a, b, _response_curve(coeffs))
     points = []
     for u, degenerate in zip(roots, flags):
         v = d + c * sigmoid(u)
@@ -375,8 +394,7 @@ def find_rest_points(coeffs: ReducedCoefficients,
 
 def count_rest_points(coeffs: ReducedCoefficients) -> int:
     """Number of interior rest points (no stability work; for sweeps)."""
-    roots, _ = _solve_u_roots(coeffs.a, coeffs.b,
-                              GFunction(coeffs.c, coeffs.d))
+    roots, _ = _solve_u_roots(coeffs.a, coeffs.b, _response_curve(coeffs))
     return len(roots)
 
 

@@ -107,6 +107,16 @@ class TestCriticalCurve:
         assert abs(t_lo - ref_lo) / ref_lo < 0.01
         assert abs(t_hi - ref_hi) / ref_hi < 0.01
 
+    @pytest.mark.parametrize("ty", [1e-14, 1e-16, 1e-100, 1e-300])
+    def test_window_reaches_the_zero_noise_limit(self, ty):
+        # the tangencies are solved in Y's logit, so nothing cancels as the
+        # opponent's temperature goes to 0
+        game = bq.fixture("dominant_coordination")
+        (_, t_lo, t_hi), = bq.critical_curve(game, [ty]).samples
+        _, ref_lo, ref_hi = bq.zero_exploration_window(0.1, -0.8, 10.0)
+        assert t_lo == pytest.approx(ref_lo, rel=1e-9)
+        assert t_hi == pytest.approx(ref_hi, rel=1e-9)
+
     def test_window_closes_at_finite_temperature(self):
         game = bq.fixture("dominant_coordination")
         curve = bq.critical_curve(game, [0.5, 0.9, 1.1, 1.5])

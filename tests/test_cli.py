@@ -219,6 +219,15 @@ class TestCriticalCommand:
         summary = json.loads(err.strip().splitlines()[-1])
         assert 0.9 < summary["closing_temperature"] < 1.1
 
+    def test_open_windows_print_zero_lower_end(self, capsys):
+        # stag hunt has three rest points all the way down to tx -> 0
+        code, out, _ = run_cli(capsys, "critical", "--fixture", "stag_hunt")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert len(rows) == 12
+        for _, lo, hi in rows:
+            assert lo == "0" and float(hi) > 0.0
+
     def test_infinite_fixed_max_exits_2(self):
         code, _, err = run_cli_process("critical", "--fixture",
                                        "dominant_coordination",

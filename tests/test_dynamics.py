@@ -7,6 +7,8 @@ from scipy.integrate import solve_ivp
 
 import boltzq as bq
 
+from test_cli import run_child
+
 
 def mp_coeffs(t=1.0):
     return bq.reduce_payoffs(bq.fixture("matching_pennies"),
@@ -457,6 +459,25 @@ class TestBatchStarts:
     def test_rejects_non_interior_start(self, bad):
         with pytest.raises(bq.DomainError):
             bq.integrate_batch([(0.3, 0.4), (bad, 0.5)], mp_coeffs())
+
+    def test_memory_does_not_grow_with_the_step_count(self):
+        # matching pennies at T = 0.05 takes thousands of shared steps; a
+        # copy of every (2, 500) row would add about 40 MB of peak RSS
+        code, out, err = run_child("-c", """
+import resource
+import numpy as np
+import boltzq as bq
+co = bq.reduce_payoffs(bq.fixture("matching_pennies"),
+                       bq.Temperatures(0.05, 0.05))
+starts = np.random.default_rng(7).uniform(0.05, 0.95, (500, 2))
+bq.integrate_batch(starts[:2], co)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+finals, reason = bq.integrate_batch(starts, co)
+assert reason == "converged" and finals.shape == (500, 2)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+""")
+        assert code == 0, err
+        assert int(out) < 10 * 1024  # ru_maxrss is in KiB on Linux
 
 
 def rk45_oracle(start, coeffs, cfg):

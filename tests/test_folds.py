@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import boltzq as bq
 from boltzq.numerics import sigmoid
@@ -195,7 +196,8 @@ def random_curve_games(count, seed=20261018):
 
 
 def has_window(game, ty):
-    return bq.critical_curve(game, [ty]).samples[0][1] is not None
+    """A window bounded by two tangencies at ty (open ones do not close)."""
+    return any(lo for _, lo, _ in bq.critical_curve(game, [ty]).samples)
 
 
 def not_three(co):
@@ -205,18 +207,129 @@ def not_three(co):
 
 
 def test_critical_windows_agree_with_counts_on_random_games():
-    windows = 0
+    windows = opened = 0
     for game in random_curve_games(120):
         co = bq.reduce_payoffs(game, bq.Temperatures(1.0, 1.0))
         for ty, t_lo, t_hi in bq.critical_curve(game, CURVE_GRID).samples:
             if t_lo is None:
                 continue
             windows += 1
-            mid = math.sqrt(t_lo * t_hi)
-            assert bq.count_rest_points(co.at_temperatures(mid, ty)) == 3
-            assert not_three(co.at_temperatures(t_lo * (1.0 - 1e-7), ty))
+            if t_lo == 0.0:  # open at tx -> 0
+                opened += 1
+                inside = [0.5 * t_hi, 1e-3 * t_hi]
+            else:
+                inside = [math.sqrt(t_lo * t_hi)]
+                assert not_three(co.at_temperatures(t_lo * (1.0 - 1e-7), ty))
+            for tx in inside:
+                assert bq.count_rest_points(co.at_temperatures(tx, ty)) == 3
             assert not_three(co.at_temperatures(t_hi * (1.0 + 1e-7), ty))
     assert windows >= 20
+    assert opened >= 20
+
+
+def normalized_raw(game):
+    """(raw_a, raw_b, raw_c, raw_d) relabelled so that raw_a > 0."""
+    co = bq.reduce_payoffs(game, bq.Temperatures(1.0, 1.0))
+    raw_a, raw_b, raw_c, raw_d = co.raw_a, co.raw_b, co.raw_c, co.raw_d
+    if raw_a < 0.0:
+        return -raw_a, -raw_b, -raw_c, raw_c + raw_d
+    return raw_a, raw_b, raw_c, raw_d
+
+
+def test_open_window_exactly_when_the_cold_limit_has_three_points():
+    # as tx -> 0 the line flattens to -b/a, which meets g three times
+    # exactly when it lies strictly between g's tails
+    opened = 0
+    games = random_curve_games(120) + [bq.fixture(n) for n in COORDINATION]
+    for game in games:
+        raw_a, raw_b, raw_c, raw_d = normalized_raw(game)
+        for ty in CURVE_GRID:
+            rows = bq.critical_curve(game, [ty]).samples
+            level = -raw_b / raw_a
+            cold_three = (sigmoid(raw_d / ty) < level
+                          < sigmoid((raw_c + raw_d) / ty))
+            assert any(lo == 0.0 for _, lo, _ in rows) == cold_three, (
+                game.name, ty)
+            opened += cold_three
+    assert opened >= 20
+
+
+@pytest.mark.parametrize("name", COORDINATION)
+@pytest.mark.parametrize("orientation", ["tx_window_vs_ty",
+                                         "ty_window_vs_tx"])
+def test_coordination_fixtures_have_open_windows(name, orientation):
+    grid = np.geomspace(1e-3, 2.0, 12)
+    rows = bq.critical_curve(bq.fixture(name), grid, orientation).samples
+    assert [fixed for fixed, lo, _ in rows if lo == 0.0] == grid.tolist()
+
+
+#: a game whose tx axis at ty = 0.228 holds two windows: (0, 0.5746) and
+#: (1.0512, 1.1902)
+TWO_WINDOW_GAME = bq.Game.from_matrices(
+    "two_windows", [[-2.4, 2.44], [-2.04, 0.61]],
+    [[-0.23, 2.36], [0.59, 0.83]])
+
+
+def test_two_windows_at_one_fixed_temperature():
+    ty = 0.228
+    (_, lo1, hi1), (_, lo2, hi2) = bq.critical_curve(TWO_WINDOW_GAME,
+                                                     [ty]).samples
+    assert lo1 == 0.0
+    assert hi1 == pytest.approx(0.5745759474964096, rel=1e-9)
+    assert (lo2, hi2) == pytest.approx((1.0511710173064324,
+                                        1.1902262835544875), rel=1e-9)
+    co = bq.reduce_payoffs(TWO_WINDOW_GAME, bq.Temperatures(1.0, 1.0))
+
+    def count(tx):
+        return bq.count_rest_points(co.at_temperatures(tx, ty))
+
+    for tx in (1e-3 * hi1, 0.5 * hi1, math.sqrt(lo2 * hi2)):
+        assert count(tx) == 3
+    for tx in (hi1 * (1.0 + 1e-7), math.sqrt(hi1 * lo2),
+               lo2 * (1.0 - 1e-7), hi2 * (1.0 + 1e-7), 2.0 * hi2):
+        assert count(tx) == 1
+
+
+@st.composite
+def scaled_curve_case(draw):
+    entries = st.floats(-3.0, 3.0, allow_nan=False)
+    a_rows = [[draw(entries), draw(entries)] for _ in range(2)]
+    b_rows = [[draw(entries), draw(entries)] for _ in range(2)]
+    # log-uniform over every positive float
+    ty = math.ldexp(draw(st.floats(1.0, 2.0, exclude_max=True)),
+                    draw(st.integers(-1074, 1023)))
+    return a_rows, b_rows, ty, 2.0 ** draw(st.integers(-16, 16))
+
+
+def _curve_or_refusal(a_rows, b_rows, ty, orientation):
+    game = bq.Game.from_matrices("g", a_rows, b_rows)
+    try:
+        return bq.critical_curve(game, [ty], orientation).samples
+    except (bq.DomainError, bq.NotApplicableError):
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(scaled_curve_case(), st.sampled_from(["tx_window_vs_ty",
+                                             "ty_window_vs_tx"]))
+def test_critical_curve_property(case, orientation):
+    # only the documented refusals may raise, and scaling every payoff and
+    # the fixed temperature by a power of two scales each window exactly
+    a_rows, b_rows, ty, s = case
+    rows = _curve_or_refusal(a_rows, b_rows, ty, orientation)
+    scaled = _curve_or_refusal([[s * x for x in r] for r in a_rows],
+                               [[s * x for x in r] for r in b_rows],
+                               s * ty, orientation)
+    values = [abs(x) for x in (ty, s * ty, *a_rows[0], *a_rows[1],
+                               *b_rows[0], *b_rows[1]) if x]
+    if rows is None or scaled is None or not all(
+            1e-290 < x < 1e290 for x in values):
+        return
+    ends = [x for _, lo, hi in rows for x in (lo, hi) if x]
+    if all(1e-290 < x < 1e290 for x in ends):
+        assert scaled == [(s * f, None if lo is None else s * lo,
+                           None if hi is None else s * hi)
+                          for f, lo, hi in rows]
 
 
 def test_closing_temperature_brackets_the_flip():
@@ -268,7 +381,8 @@ def test_one_rest_point_just_outside_a_window_end():
         [[2.767796229656579, -0.2516370496561251],
          [0.8764097947156766, 1.5684470542491367]])
     ty = 0.02598526445218819
-    (_, t_lo, _), = bq.critical_curve(game, [ty]).samples
+    (_, t_open, _), (_, t_lo, _) = bq.critical_curve(game, [ty]).samples
+    assert t_open == 0.0
     assert t_lo == pytest.approx(25.67076722381188, rel=1e-12)
     co = bq.reduce_payoffs(game, bq.Temperatures(1.0, 1.0))
     assert bq.count_rest_points(co.at_temperatures(t_lo * (1.0 - 1e-7),

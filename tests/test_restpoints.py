@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -227,6 +228,40 @@ class TestFindRestPoints:
                 three += 1
         assert checked > 9900
         assert three > 50  # the sampler must actually exercise 3-root games
+
+
+@pytest.mark.parametrize("values", [
+    (1.7e308, 0.0, 1.7e308, 0.0), (-1.7e308, 0.0, 1.7e308, 0.0),
+    (1.7e308, 0.0, -1.7e308, 0.0), (-1.7e308, 0.0, -1.7e308, 0.0),
+    (1.7e308, 1.7e308, 1.0, 0.0),
+], ids=["a_c", "neg_a", "neg_c", "neg_a_neg_c", "bracket_overflows"])
+@pytest.mark.parametrize("call", ["find", "count", "integrate"])
+def test_huge_coefficients_solve_or_refuse(values, call):
+    # either finite points within the residual contract, or DomainError
+    co = coeffs(*values)
+    try:
+        if call == "count":
+            assert bq.count_rest_points(co) in (1, 2, 3)
+        elif call == "integrate":
+            final = bq.integrate((0.3, 0.6), co).final
+            assert all(0.0 < z < 1.0 for z in final)
+        else:
+            points = bq.find_rest_points(co)
+            assert points
+    except bq.DomainError:
+        return
+    for p in points if call == "find" else []:
+        assert all(map(math.isfinite, (p.x, p.y, p.u, p.v, p.residual)))
+        assert all(map(cmath.isfinite, p.eigenvalues))
+        assert p.residual <= 1e-12 * max(1.0, abs(co.a))
+
+
+def test_root_at_the_end_of_a_huge_bracket():
+    # the bracket [b, b + a] is [0, 1e300] and the root sits at its lower
+    # end, u = 0: bisection must be allowed the ~1050 halvings to get there
+    (point,) = bq.find_rest_points(coeffs(1e300, 0.0, -1e6, 0.0))
+    assert point.x == pytest.approx(0.5, abs=1e-12)
+    assert point.residual < 1e-12
 
 
 def sample_three_root_coeffs(rng):
