@@ -6,8 +6,13 @@ curve ``g(u)``, so rest points appear or vanish exactly where the line is
 *tangent* to g.  Along tx = ty = T that is a *fold*: one of the two
 stationary values of the defect ``u - b - a*g(u)`` crosses zero (three
 rest points exist while its local max is above zero and its local min
-below), and at a *cusp* both vanish together.  Folds are bisected in T on
-the sign of those two values.
+below), and at a *cusp* both vanish together.  A fold is solved by Newton
+in T on the value being lost, ``G(T) = T*phi(u_s)``, whose T-derivative
+is free: phi'(u_s) = 0, so by the envelope theorem dG/dT is the partial
+derivative at fixed u_s.  Where the stationary pair itself disappears
+inside a grid cell, its merge at g's inflection (``a*c*shape = 1``, which
+crosses zero linearly, unlike the values) is solved first; a merged value
+within rounding is the cusp.
 
 At a fixed ty (the critical curve) a tangency is where the intercept
 ``delta(u) = g(u) - g'(u)*u`` of the tangent touching g at u equals -b/a,
@@ -20,7 +25,10 @@ rest point exists above the top tangency and each one flips the count
 between 1 and 3, so the windows in tx are the tangency pairs counted down
 from the top, plus (0, t_1) when the count is odd: exactly when -b/a
 (raw_a > 0) lies between g's tails sigma(raw_d/ty) and sigma((raw_c +
-raw_d)/ty), the level the line flattens to as tx -> 0.
+raw_d)/ty), the level the line flattens to as tx -> 0.  A bounded window
+closes where its touching points merge at the inflection, solved by the
+same Newton step in ty: delta' = -u*g'' vanishes there, so the slope of
+the merge gap is again the partial one at fixed u.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from .games import (Game, GameRegionLabel, ReducedCoefficients, Temperatures,
                     _raw_coefficients, classify_region, reduce_payoffs)
 from .numerics import bisect, sigmoid, sigmoid_slope
 from .restpoints import (_LOGISTIC, GFunction, RestPoint, _extrema,
-                         find_rest_points)
+                         _newton_or_halve, _refine_root, find_rest_points)
 
 CONTINUOUS = "continuous"
 DISCONTINUOUS = "discontinuous"
@@ -45,8 +53,6 @@ NO_PITCHFORK = "none"
 #: e^-746 underflows to 0 in float64, so past |u| = 746 sigma(u) is exactly
 #: 0 or 1 and sigma'(u) is exactly 0
 _SATURATION = 746.0
-#: both stationary values within this (times max(1, |a|)) of zero: a cusp
-TANGENCY_DETECT_TOL = 1e-9
 
 
 def tangent_intercept(gf: GFunction, u: float) -> float:
@@ -168,52 +174,83 @@ def _normalized_base(game: Game) -> ReducedCoefficients:
 
 
 def _touch(base: ReducedCoefficients, ty: float,
-           v: float) -> tuple[float, float]:
-    """``(delta, g')`` where the tangent touches g at Y's logit v, from
-    ``lo = raw_c*sigma(u)`` and ``hi = raw_c*sigma(-u)`` (module
-    docstring); 0 past the ends of v's range, where g' = 0."""
+           v: float) -> tuple[float, float, float]:
+    """``(delta, g', d delta/d ty)`` where the tangent touches g at Y's
+    logit v, from ``lo = raw_c*sigma(u)`` and ``hi = raw_c*sigma(-u)``
+    (module docstring); g' = 0 past the ends of v's range.  The ty-slope
+    is at fixed u, where v = (raw_d + raw_c*sigma(u))/ty scales as 1/ty:
+    ``dg/dty = -sigma'(v)*v/ty`` and ``dg'/dty = -g'*(1 + (1-2g)*v)/ty``.
+    """
     p = ty * v
     lo, hi = max(p - base.raw_d, 0.0), max(base.raw_c + base.raw_d - p, 0.0)
     e = math.exp(-abs(v))
     s = 1.0 / (1.0 + e)  # sigma(|v|)
     slope = lo / ty * (hi / base.raw_c) * (e * s * s)
     sig = s if v >= 0.0 else e * s
+    dsig = -(e * s * s) * v / ty
     if slope == 0.0:
-        return sig, 0.0
+        return sig, 0.0, dsig
     ratio = lo / hi  # e^u, exactly unchanged when the payoffs and ty scale
     u = math.log(ratio) if 0.0 < ratio < math.inf else (math.log(lo)
                                                         - math.log(hi))
-    return sig - u * slope, slope
+    return (sig - u * slope, slope,
+            dsig + u * slope * (1.0 + (1.0 - 2.0 * sig) * v) / ty)
 
 
-def _bend(base: ReducedCoefficients, ty: float, v: float) -> float:
+def _bend(base: ReducedCoefficients, ty: float,
+          v: float) -> tuple[float, float]:
     """g''/g' = ``(1 - 2*sigma(u)) - tanh(v/2)*(raw_c/ty)*sigma'(u)`` at
-    Y's logit v, in the terms of :func:`_touch`."""
+    Y's logit v, in the terms of :func:`_touch`, and its v-derivative
+    (``d lo/dv = ty = -d hi/dv``)."""
     p = ty * v
     lo, hi = max(p - base.raw_d, 0.0), max(base.raw_c + base.raw_d - p, 0.0)
-    return (hi - lo) / base.raw_c - math.tanh(0.5 * v) * (lo / ty
-                                                         * (hi / base.raw_c))
+    th = math.tanh(0.5 * v)
+    spread = lo / ty * (hi / base.raw_c)  # (raw_c/ty)*sigma'(u)
+    return ((hi - lo) / base.raw_c - th * spread,
+            -(2.0 * ty + th * (hi - lo)) / base.raw_c
+            - 0.5 * (1.0 - th * th) * spread)
+
+
+def _inflection(base: ReducedCoefficients, ty: float, v_lo: float,
+                v_hi: float) -> float:
+    """Y's logit at g's inflection within [v_lo, v_hi]: g''/g' falls
+    through zero once, so the bracketed Newton of
+    :func:`restpoints._refine_root` finds it; an end already past the sign
+    change is where the clipped zero sits.  Both terms of g''/g' are at
+    most 1 in size at the zero, so it is solved to a few ulps of 1."""
+    b_lo, _ = _bend(base, ty, v_lo)
+    b_hi, _ = _bend(base, ty, v_hi)
+    if b_lo <= 0.0 or b_hi >= 0.0:
+        return v_lo if b_lo <= 0.0 else v_hi
+    slope = 0.0
+
+    def bend(v: float) -> float:  # keeps the slope for the call below
+        nonlocal slope
+        value, slope = _bend(base, ty, v)
+        return value
+
+    return _refine_root(bend, lambda v: slope, v_lo, v_hi, b_lo, b_hi,
+                        4.0 * math.ulp(1.0))
 
 
 def _knots(base: ReducedCoefficients, ty: float) -> list[float]:
-    """Y's logit at the ends of its range, at u = 0 and at g's inflection
-    (g'' falls through zero once), clipped to +-_SATURATION."""
+    """Y's logit at the ends of its range, at u = 0 and at g's inflection,
+    clipped to +-_SATURATION."""
     v_lo, v_zero, v_hi = (min(max(v / ty, -_SATURATION), _SATURATION)
                           for v in (base.raw_d, base.raw_d + 0.5 * base.raw_c,
                                     base.raw_c + base.raw_d))
-    # an end already past the sign change is where the clipped zero sits
-    return [v_lo, v_zero, bisect(lambda v: _bend(base, ty, v), v_lo, v_hi,
-                                 max(_bend(base, ty, v_lo), 0.0),
-                                 min(_bend(base, ty, v_hi), 0.0)), v_hi]
+    return [v_lo, v_zero, _inflection(base, ty, v_lo, v_hi), v_hi]
 
 
-def _window_ends(base: ReducedCoefficients, ty: float) -> list[float]:
+def _window_ends(base: ReducedCoefficients, ty: float,
+                 knots: list[float]) -> list[float]:
     """The tangencies tx > 0 at fixed ty (sign changes of ``delta + b/a``
-    between knots), after a 0.0 if odd in number: pairs are the windows."""
+    between the :func:`_knots`), after a 0.0 if odd in number: pairs are
+    the windows."""
     def h(v: float) -> float:
         return _touch(base, ty, v)[0] + base.raw_b / base.raw_a
 
-    knots = [(v, h(v)) for v in sorted(set(_knots(base, ty)))]
+    knots = [(v, h(v)) for v in sorted(set(knots))]
     crossings = {bisect(h, va, vb, fa, fb)
                  for (va, fa), (vb, fb) in zip(knots, knots[1:])
                  if fa == 0.0 or (fa > 0.0) != (fb > 0.0)}
@@ -232,9 +269,10 @@ def critical_curve(game: Game, fixed_values,
     tangencies never share a tx (the defect would have two double roots),
     so a bounded window closes only where its touching points merge at
     g's inflection u0, ``delta(u0) = -b/a``.  Between the last grid value
-    with a bounded window and the next without, that equation is bisected
-    in ty to float resolution: the closing temperature, or ``None`` if its
-    sign does not change there.
+    with a bounded window and the next without, that equation is solved
+    by Newton in ty (its slope is the one at fixed u, as delta'(u0) = 0)
+    to the last float on the window's side: the closing temperature, or
+    ``None`` if its sign does not change there.
     """
     if orientation == "ty_window_vs_tx":
         swapped = Game(game.name + "_swapped", game.payoff_y, game.payoff_x)
@@ -245,24 +283,37 @@ def critical_curve(game: Game, fixed_values,
 
     base = _normalized_base(game)
     samples: list[tuple[float, Optional[float], Optional[float]]] = []
+    inflections = {}
     for ty in map(float, fixed_values):
         base.at_temperatures(1.0, ty)  # DomainError unless raw/ty is finite
-        ends = _window_ends(base, ty)
+        knots = _knots(base, ty)
+        inflections[ty] = knots[2]
+        ends = _window_ends(base, ty, knots)
         samples += ([(ty, lo, hi) for lo, hi in zip(ends[::2], ends[1::2])]
                     or [(ty, None, None)])
 
-    def merge_gap(ty: float) -> float:
-        v_inflection = _knots(base, ty)[2]
-        return _touch(base, ty, v_inflection)[0] + base.raw_b / base.raw_a
+    def merge_gap(ty: float, v: Optional[float] = None):
+        """``(gap, step)`` of ``delta(u0) + b/a`` at g's inflection u0: as
+        delta' = -u*g'' vanishes there, its ty-slope is the one at fixed u."""
+        gap, _, slope = _touch(base, ty, _knots(base, ty)[2] if v is None
+                               else v)
+        gap += base.raw_b / base.raw_a
+        return gap, -gap / slope if slope else None
 
     have = [s[0] for s in samples if s[1]]
     later = [s[0] for s in samples if have and s[0] > max(have)]
     closing = None
     if later:
         lo, hi = max(have), min(later)
-        m_lo, m_hi = merge_gap(lo), merge_gap(hi)
+        (m_lo, step_lo), (m_hi, step_hi) = (merge_gap(t, inflections[t])
+                                            for t in (lo, hi))
         if (m_lo > 0.0) != (m_hi > 0.0):
-            closing = bisect(merge_gap, lo, hi, m_lo, m_hi)
+            def probe(ty: float):
+                gap, step = merge_gap(ty)
+                return (gap > 0.0) == (m_lo > 0.0), step, None
+
+            (closing, _), _ = _flip(probe, (lo, (True, step_lo, None)),
+                                    (hi, (False, step_hi, None)))
     return CriticalCurve(orientation, samples, closing)
 
 
@@ -322,48 +373,139 @@ class BifurcationDiagram:
 _SURVIVOR = {"max": 2, "min": 0, "both": 1}
 
 
-def _pair(base: ReducedCoefficients, tx: float, ty: float):
-    """The defect's ``(u, phi)`` at its local max and min at (tx, ty), or
-    None unless three rest points exist (max above zero, min below)."""
-    co = base.at_temperatures(tx, ty)
-    ext = _extrema(co.a, co.b, GFunction(co.c, co.d))
-    if len(ext) == 2 and ext[0][1] > 0.0 > ext[1][1]:
-        return ext
-    return None
+def _stationary(base: ReducedCoefficients, t: float):
+    """The defect's stationary points ``(u, phi, is_max)`` at tx = ty = t."""
+    co = base.at_temperatures(t, t)
+    return _extrema(co.a, co.b, GFunction(co.c, co.d))
 
 
-def _fold(base: ReducedCoefficients, t_lo: float,
-          t_hi: float) -> tuple[float, float, str]:
-    """Bisect a fold to adjacent floats in a T-bracket whose ends disagree
-    on :func:`_pair`; ``(t, u, lost)`` at the end with three rest points.
+def _three(ext) -> bool:
+    """Three rest points: the defect's local max above zero, its min below."""
+    return len(ext) == 2 and ext[0][1] > 0.0 > ext[1][1]
+
+
+def _flip(probe, end_in, end_out):
+    """The adjacent floats ``(t_in, info), (t_out, info)`` across which
+    ``probe(t) = (inside, step, info)`` turns from inside to outside, from
+    one bracket end ``(t, probe(t))`` on each side.
+
+    ``step`` is the Newton step of a smooth function whose sign marks the
+    side, or None.  It is taken from the latest probe by the rule of
+    :func:`restpoints._refine_root` (halve unless it lands inside the
+    bracket).  A step below an ulp means that function is at its rounding,
+    which can hold over several floats: it probes 1, 2, 4, ... ulps toward
+    the other end instead, doubling while the side stays the same.
+    """
+    (t_in, p_in), (t_out, p_out) = end_in, end_out
+    steps = [(abs(p[1]), t, p[1]) for t, p in (end_in, end_out)
+             if p[1] is not None]
+    _, t, step = min(steps) if steps else (0.0, t_in, None)
+    creep = 0.0
+    while math.nextafter(t_in, t_out) != t_out:
+        lo, hi = sorted((t_in, t_out))
+        was_in = t == t_in
+        if step is not None and t + step == t:
+            creep = 2.0 * creep or 1.0
+            step = math.copysign(creep * math.ulp(t),
+                                 (t_out if was_in else t_in) - t)
+        else:
+            creep = 0.0
+        t = _newton_or_halve(t, step, lo, hi)
+        found = probe(t)
+        if found[0]:
+            t_in, p_in = t, found
+        else:
+            t_out, p_out = t, found
+        if found[0] != was_in:
+            creep = 0.0
+        step = found[1]
+    return (t_in, p_in[2]), (t_out, p_out[2])
+
+
+def _merge_probe(base: ReducedCoefficients, t: float):
+    """``(pair, step, (u0, co))`` for the stationary pair's merge condition
+    ``a*c*shape(u0) = 1`` at g's inflection u0, tx = ty = t.
+
+    ``pair`` is :func:`restpoints._extrema`'s own test, so it holds
+    exactly where that finds two stationary points.  As shape'(u0) = 0 the
+    T-derivative is the partial one at fixed u0: with h = d + c*sigma(u0)
+    and g = sigma(h), a*c*shape scales as ``T^-2 * g*(1-g)``, so it moves
+    by ``-(2 + (1 - 2g)*h)/T`` relative to itself.
+    """
+    co = base.at_temperatures(t, t)
+    gf = GFunction(co.c, co.d)
+    u0 = gf.inflection()
+    ac_shape = co.a * gf.c * gf.slope_shape(u0)
+    h = co.d + co.c * sigmoid(u0)
+    slope = -ac_shape * (2.0 + (1.0 - 2.0 * sigmoid(h)) * h) / t
+    step = -(ac_shape - 1.0) / slope if slope != 0.0 else None
+    return ac_shape > 1.0, step, (u0, co)
+
+
+def _fold(base: ReducedCoefficients, end3, end1) -> tuple[float, float, str]:
+    """The fold in a T-cell with three rest points at one end and not at
+    the other, each end given as ``(T, _stationary(base, T))``:
+    ``(t, u, lost)`` at the float on the three-point side of the flip.
 
     ``lost`` is the stationary value that reaches zero, ``"max"`` or
-    ``"min"``, or ``"both"`` at a cusp (both within the tangency scale);
-    ``u`` is where the line touches the curve.
+    ``"min"``; ``u`` is where the line touches the curve.  It is solved by
+    Newton in T on that value, ``G(T) = T*phi(u_s) = T*u_s - raw_b -
+    raw_a*sigma(v_s)`` with v_s = (raw_d + raw_c*sigma(u_s))/T, whose
+    derivative is free: phi'(u_s) = 0, so by the envelope theorem
+    ``dG/dT = u_s + raw_a*sigma'(v_s)*v_s/T``.
+
+    When the one-point end has no stationary pair, the pair merges inside
+    the cell, at g's inflection: that merge is solved first (its condition
+    crosses zero linearly, while the stationary values vanish like
+    (T_c - T)^(3/2)).  If the merged value is within its own rounding
+    there, the fold is a cusp: ``(t, u0, "both")`` at the first float
+    without the pair, u0 the inflection, where all three roots are one.
+    Otherwise the fold lies between the three-point end and the merge.
     """
-    three_lo = _pair(base, t_lo, t_lo) is not None
-    mid = 0.5 * (t_lo + t_hi)
-    while t_lo < mid < t_hi:
-        if (_pair(base, mid, mid) is not None) == three_lo:
-            t_lo = mid
-        else:
-            t_hi = mid
-        mid = 0.5 * (t_lo + t_hi)
-    t = t_lo if three_lo else t_hi
-    (u_max, v_max, _), (u_min, v_min, _) = _pair(base, t, t)
-    lost = "max" if v_max < -v_min else "min"
-    u = u_max if lost == "max" else u_min
-    tang_tol = TANGENCY_DETECT_TOL * max(1.0, abs(base.raw_a) / t)
-    if max(v_max, -v_min) <= tang_tol:
-        lost = "both"
-    return t, u, lost
+    (t3, e3), (t1, e1) = end3, end1
+    if len(e1) != 2:
+        pair1 = _merge_probe(base, t1)
+        if not pair1[0]:
+            (t_pair, _), (t1, (u0, co)) = _flip(
+                lambda t: _merge_probe(base, t), (t3, (True, None, None)),
+                (t1, pair1))
+            merged = u0 - co.b - co.a * GFunction(co.c, co.d).value(u0)
+            if abs(merged) <= 8.0 * math.ulp(1.0) * (abs(u0) + abs(co.b)
+                                                     + abs(co.a)):
+                return t1, u0, "both"
+            e_pair = _stationary(base, t_pair)
+            if _three(e_pair):
+                t3, e3 = t_pair, e_pair
+            else:
+                t1, e1 = t_pair, e_pair
+    if len(e1) == 2:  # the value past zero at the one-point end is lost
+        lost = 0 if e1[0][1] <= 0.0 else 1
+    else:  # else the one nearer zero at the three-point end
+        lost = 0 if e3[0][1] < -e3[1][1] else 1
+
+    def probe(t: float, ext=None):
+        ext = _stationary(base, t) if ext is None else ext
+        if len(ext) != 2:
+            return False, None, ext
+        u_s, phi_s, _ = ext[lost]
+        v_s = (base.raw_d + base.raw_c * sigmoid(u_s)) / t
+        slope = u_s + base.raw_a * sigmoid_slope(v_s) * v_s / t
+        return _three(ext), -t * phi_s / slope if slope else None, ext
+
+    (t, ext), _ = _flip(probe, (t3, probe(t3, e3)), (t1, probe(t1, e1)))
+    return t, ext[lost][0], ("max", "min")[lost]
 
 
-def _folds(base: ReducedCoefficients, grid: list[float],
-           three: list[bool]) -> list[tuple[float, float, str]]:
-    """Every fold in a grid cell whose ends disagree on three rest points."""
-    return [_fold(base, grid[k], grid[k + 1]) for k in range(len(grid) - 1)
-            if three[k] != three[k + 1]]
+def _folds(base: ReducedCoefficients, grid: list[float], three: list[bool],
+           states) -> list[tuple[float, float, str]]:
+    """Every fold in a grid cell whose ends disagree on three rest points,
+    from ``states[T] = _stationary(base, T)`` at those ends."""
+    folds = []
+    for k in range(len(grid) - 1):
+        if three[k] != three[k + 1]:
+            ends = [(t, states[t]) for t in grid[k:k + 2]]
+            folds.append(_fold(base, *(ends if three[k] else ends[::-1])))
+    return folds
 
 
 def _ordinal_branches(rows: list[tuple[float, list[RestPoint]]],
@@ -373,10 +515,14 @@ def _ordinal_branches(rows: list[tuple[float, list[RestPoint]]],
 
     A single root keeps the ordinal that the nearest fold below (else
     above) leaves over.  A two-point row's double root (a grid T on a
-    tangency) is the middle root merging with a neighbour.
+    tangency) is the middle root merging with a neighbour, and a cusp's
+    triple root is all three.
     """
     branches: list[list[tuple[float, RestPoint]]] = [[], [], []]
+    cusps = {t for t, _, lost in folds if lost == "both"}
     for t, points in rows:
+        if t in cusps:
+            points = points * 3
         slots = [0, 1, 2]
         if len(points) != 3:
             near = [f for f in folds if f[0] < t][-1:] or folds[:1]
@@ -393,10 +539,14 @@ def sweep_equal_temperature(game: Game, t_min: float, t_max: float,
     """Rest-point branches along tx = ty = T on a log-spaced grid.
 
     Each grid cell where the count flips between 3 and 1 holds a fold,
-    bisected to float resolution; its three-point end joins the diagram.
-    Branches are the low, middle and high roots.  A pitchfork is labelled
-    only when the coldest row has three rest points, so that the top fold
-    collapses them: continuous exactly when it is a cusp.
+    solved by Newton in T on the stationary value being lost (envelope
+    derivative, :func:`_fold`) to the last float with three rest points,
+    which joins the diagram.  A cusp is solved from the merge of the
+    stationary pair instead, and its row, the first float past the merge,
+    holds the single triple root that ends all three branches.  Branches
+    are the low, middle and high roots.  A pitchfork is labelled only when
+    the coldest row has three rest points, so that the top fold collapses
+    them: continuous exactly when it is a cusp.
     """
     if not (math.isfinite(t_min) and math.isfinite(t_max)
             and 0.0 < t_min < t_max):
@@ -412,7 +562,9 @@ def sweep_equal_temperature(game: Game, t_min: float, t_max: float,
 
     solved = {t: solve(t) for t in grid}
     three = [len(solved[t]) == 3 for t in grid]
-    folds = _folds(base, grid, three)
+    ends = {t for k in range(steps - 1) if three[k] != three[k + 1]
+            for t in grid[k:k + 2]}
+    folds = _folds(base, grid, three, {t: _stationary(base, t) for t in ends})
     for t_c, _, _ in folds:
         solved[t_c] = solve(t_c)
         # Near a fold the dying pair is smooth in s = sqrt|1 - T/t_c|, not
@@ -439,24 +591,29 @@ def equal_temperature_criticals(game: Game) -> Optional[list[tuple[float, float]
 
     These are the folds of :func:`sweep_equal_temperature`, bracketed on a
     log grid from ``sqrt(raw_a*raw_c)/4`` (no tangency above it) down at
-    least e^-8 and on until three rest points exist.  Returns the sorted
-    (T, u) pairs, u where the line touches the response curve, or ``None``
-    when the game's ratios fall outside the open unit box.
+    least e^-8 and on until three rest points exist, each grid temperature
+    solved once, and then solved as there (Newton in T on the value being
+    lost, or the exact merge at a cusp).  Returns the sorted (T, u) pairs,
+    u where the line touches the response curve (g's inflection at a
+    cusp), or ``None`` when the game's ratios fall outside the open unit
+    box.
     """
     base = reduce_payoffs(game, Temperatures.equal(1.0))
     raw_a, raw_b, raw_c, raw_d = base.raw_a, base.raw_b, base.raw_c, base.raw_d
     if raw_a * raw_c <= 0.0 or not (-1.0 < raw_b / raw_a < 0.0
                                     and -1.0 < raw_d / raw_c < 0.0):
         return None
-    grid = [math.sqrt(raw_a * raw_c) / 4.0 * math.exp(-0.35 * k)
-            for k in range(24)]
-    while _pair(base, grid[-1], grid[-1]) is None:
+    top = math.sqrt(raw_a * raw_c) / 4.0
+    grid: list[float] = []
+    states = {}
+    while len(grid) < 24 or not _three(states[grid[-1]]):
         if len(grid) == 200:
             raise NumericFailureError(
                 f"no three rest points down to T = {grid[-1]:.3e}")
-        grid.append(grid[0] * math.exp(-0.35 * len(grid)))
+        grid.append(top * math.exp(-0.35 * len(grid)))
+        states[grid[-1]] = _stationary(base, grid[-1])
     grid.reverse()
-    folds = _folds(base, grid, [_pair(base, t, t) is not None for t in grid])
+    folds = _folds(base, grid, [_three(states[t]) for t in grid], states)
     return [(t, u) for t, u, _ in folds]
 
 

@@ -236,15 +236,17 @@ def _refine_root(f: Callable[[float], float], df: Callable[[float], float],
         if width <= 8.0 * math.ulp(max(abs(lo), abs(hi), 1.0)):
             return u
         d = df(u)
-        step_ok = False
-        if d != 0.0:
-            un = u - fu / d
-            if lo < un < hi:
-                u, step_ok = un, True
-        if not step_ok:
-            u = 0.5 * lo + 0.5 * hi
+        u = _newton_or_halve(u, -fu / d if d != 0.0 else None, lo, hi)
         fu = f(u)
     return u
+
+
+def _newton_or_halve(u: float, step, lo: float, hi: float) -> float:
+    """The step of :func:`_refine_root`: ``u + step`` when that lands
+    strictly inside (lo, hi), else the midpoint (also when step is None)."""
+    if step is not None and lo < u + step < hi:
+        return u + step
+    return 0.5 * lo + 0.5 * hi  # = 0.5*(lo + hi), without overflowing
 
 
 class _Logistic:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import boltzq as bq
+from boltzq import bifurcation
 from boltzq.numerics import sigmoid
 
 COORDINATION = ("stag_hunt", "hawk_dove", "battle_coordination")
@@ -387,3 +388,124 @@ def test_one_rest_point_just_outside_a_window_end():
     co = bq.reduce_payoffs(game, bq.Temperatures(1.0, 1.0))
     assert bq.count_rest_points(co.at_temperatures(t_lo * (1.0 - 1e-7),
                                                    ty)) == 1
+
+
+FIXTURE_NAMES = ("stag_hunt", "hawk_dove", "battle_coordination",
+                 "matching_pennies", "prisoners_dilemma",
+                 "dominant_coordination")
+
+
+def fold_sweep_range(game):
+    """Log range of the benchmark's sweeps: every tangency lies below
+    sqrt(raw_a*raw_c)/4."""
+    co = bq.reduce_payoffs(game, bq.Temperatures(1.0, 1.0))
+    top = math.sqrt(abs(co.raw_a * co.raw_c)) / 4.0
+    return top / 200.0, 2.0 * top
+
+
+def test_stationary_solves_per_fold(monkeypatch):
+    # Newton in T on the stationary value being lost: a few solves per fold
+    calls = [0]
+    per_fold = {}
+    extrema, fold = bifurcation._extrema, bifurcation._fold
+
+    def counted(*args):
+        calls[0] += 1
+        return extrema(*args)
+
+    monkeypatch.setattr(bifurcation, "_extrema", counted)
+    for game in [bq.fixture(n) for n in FIXTURE_NAMES] + random_multi_games(40):
+        def timed(*args):
+            before = calls[0]
+            found = fold(*args)
+            per_fold.setdefault(game.name, []).append(calls[0] - before)
+            return found
+
+        monkeypatch.setattr(bifurcation, "_fold", timed)
+        bq.equal_temperature_criticals(game)
+        bq.sweep_equal_temperature(game, *fold_sweep_range(game), 40)
+    counts = [n for ns in per_fold.values() for n in ns]
+    assert len(counts) >= 80
+    assert np.median(counts) <= 12
+    for name in ("hawk_dove", "battle_coordination"):
+        assert max(per_fold[name]) <= 15, name
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: bq.equal_temperature_criticals(g),
+    lambda g: bq.sweep_equal_temperature(g, *fold_sweep_range(g), 40),
+], ids=["criticals", "sweep"])
+def test_no_temperature_is_solved_twice(monkeypatch, call):
+    seen = []
+    extrema = bifurcation._extrema
+
+    def recorded(a, b, curve):
+        seen.append((a, b, curve.c, curve.d))
+        return extrema(a, b, curve)
+
+    monkeypatch.setattr(bifurcation, "_extrema", recorded)
+    for game in [bq.fixture(n) for n in COORDINATION] + random_multi_games(20):
+        seen.clear()
+        call(game)
+        assert len(set(seen)) == len(seen), game.name
+
+
+@pytest.mark.parametrize("name", ("hawk_dove", "battle_coordination"))
+def test_cusp_is_the_exact_merge_of_the_stationary_pair(name):
+    t_exact = closed_form_pitchfork()
+    game = bq.fixture(name)
+    (t_sweep,) = sweep_criticals(game)
+    ((t_c, u_c),) = bq.equal_temperature_criticals(game)
+    assert abs(t_sweep - t_exact) <= 1e-13 * t_exact
+    assert abs(t_c - t_exact) <= 1e-13 * t_exact
+    co = bq.reduce_payoffs(game, bq.Temperatures(t_c, t_c))
+    assert abs(u_c - bq.GFunction(co.c, co.d).inflection()) <= 1e-12
+    # all three roots are one there: the merged point ends each branch
+    diagram = bq.sweep_equal_temperature(game, 0.2, 2.0, 60)
+    rows = [point for branch in diagram.branches for t, point in branch
+            if t == t_sweep]
+    assert len(rows) == 3 and rows[0] == rows[1] == rows[2]
+
+
+def test_non_cusp_folds_end_on_the_last_float_with_three_points():
+    for game in random_multi_games(40):
+        co = bq.reduce_payoffs(game, bq.Temperatures(1.0, 1.0))
+
+        def count(temp):
+            return bq.count_rest_points(co.at_temperatures(temp, temp))
+
+        crit = tangency_criticals(game)
+        sweep = bq.sweep_equal_temperature(
+            game, *fold_sweep_range(game), 40).critical_temperatures
+        assert len(sweep) == len(crit), game.name
+        for t_s, t_c in zip(sweep, crit):
+            assert abs(t_s - t_c) <= 1e-12 * t_c, game.name
+            beyond = math.inf if count(t_c * (1.0 + 1e-7)) != 3 else 0.0
+            assert count(t_c) == 3, game.name
+            assert count(math.nextafter(t_c, beyond)) != 3, game.name
+
+
+def test_pitchfork_label_matches_closed_form_on_many_games():
+    for game in random_multi_games(400, seed=11):
+        co = bq.reduce_payoffs(game, bq.Temperatures(1.0, 1.0))
+        t_top = math.sqrt(co.raw_a * co.raw_c) / 4.0
+        t_low = min(tangency_criticals(game))
+        diagram = bq.sweep_equal_temperature(game, 0.5 * t_low, 2.0 * t_top, 40)
+        assert (diagram.pitchfork_kind or "none") == bq.classify_pitchfork(
+            game), game.name
+
+
+def test_closing_temperature_work(monkeypatch):
+    # the closing is one Newton solve in ty on the merge at g's inflection,
+    # itself a Newton solve in v
+    calls = [0]
+    for name in ("_touch", "_bend"):
+        def counted(*args, _f=getattr(bifurcation, name)):
+            calls[0] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(bifurcation, name, counted)
+    curve = bq.critical_curve(bq.fixture("dominant_coordination"), CURVE_GRID)
+    assert curve.closing_temperature == pytest.approx(1.0127316365710728,
+                                                      rel=1e-12)
+    assert calls[0] <= 1500
