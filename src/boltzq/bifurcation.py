@@ -44,7 +44,8 @@ from .games import (Game, GameRegionLabel, ReducedCoefficients, Temperatures,
                     _raw_coefficients, classify_region, reduce_payoffs)
 from .numerics import bisect, sigmoid, sigmoid_slope
 from .restpoints import (_LOGISTIC, GFunction, RestPoint, _extrema,
-                         _newton_or_halve, _refine_root, find_rest_points)
+                         _is_double_root, _newton_or_halve, _peak,
+                         _refine_root, find_rest_points)
 
 CONTINUOUS = "continuous"
 DISCONTINUOUS = "discontinuous"
@@ -91,7 +92,8 @@ def _lowest_intercept(ratio: float) -> tuple[float, float, float]:
     (dF/du > 0; dF/dc = tanh(x) + x*sech^2(x) < 0 at x = c*(r+s)/2), and
     Q(0) = -(r+1/2) > 0, Q(746) = 745*(r+1) < 0: the extreme is at Q's
     root, where c solves c*tanh(c*k) + 2*sinh(u0) = 0, k = (r+s)/2, which
-    falls in c and is negative at c = 2*sinh(u0)/tanh(1) + 1/|k|.
+    falls in c and is negative at c = 2*sinh(u0)/tanh(1) + 1/|k|.  The
+    intercept there is ``sigma(h) - u0*c*sigma'(h)*sigma'(u0)``, h = 2*c*k.
     """
     def q(u: float) -> float:
         rs = (ratio + 1.0) - sigmoid(-u)  # r + s, cancel-free near r = -1
@@ -100,10 +102,11 @@ def _lowest_intercept(ratio: float) -> tuple[float, float, float]:
     u0 = bisect(q, 0.0, _SATURATION, q(0.0), q(_SATURATION))
     k, lift = 0.5 * ((ratio + 1.0) - sigmoid(-u0)), 2.0 * math.sinh(u0)
     c_hi = lift / math.tanh(1.0) + 1.0 / abs(k)
-    ty = 1.0 / bisect(lambda c: c * math.tanh(c * k) + lift, 0.0, c_hi, lift,
-                      c_hi * math.tanh(c_hi * k) + lift)
-    gf = GFunction(1.0 / ty, ratio / ty)
-    return tangent_intercept(gf, gf.inflection()), ty, u0
+    c = bisect(lambda c: c * math.tanh(c * k) + lift, 0.0, c_hi, lift,
+               c_hi * math.tanh(c_hi * k) + lift)
+    h = 2.0 * c * k
+    return (sigmoid(h) - u0 * c * sigmoid_slope(h) * sigmoid_slope(u0),
+            1.0 / c, u0)
 
 
 def intercept_extrema(raw_c: float, raw_d: float) -> InterceptProfile:
@@ -374,14 +377,14 @@ _SURVIVOR = {"max": 2, "min": 0, "both": 1}
 
 
 def _stationary(base: ReducedCoefficients, t: float):
-    """The defect's stationary points ``(u, phi, is_max)`` at tx = ty = t."""
+    """The defect's stationary points ``(u, phi, keeps)`` at tx = ty = t."""
     co = base.at_temperatures(t, t)
     return _extrema(co.a, co.b, GFunction(co.c, co.d))
 
 
 def _three(ext) -> bool:
-    """Three rest points: the defect's local max above zero, its min below."""
-    return len(ext) == 2 and ext[0][1] > 0.0 > ext[1][1]
+    """Three rest points: both stationary values keep their pair."""
+    return len(ext) == 2 and ext[0][2] and ext[1][2]
 
 
 def _flip(probe, end_in, end_out):
@@ -423,23 +426,23 @@ def _flip(probe, end_in, end_out):
 
 
 def _merge_probe(base: ReducedCoefficients, t: float):
-    """``(pair, step, (u0, co))`` for the stationary pair's merge condition
-    ``a*c*shape(u0) = 1`` at g's inflection u0, tx = ty = t.
+    """``(pair, step, (u0, co, curve))`` for the stationary pair's merge
+    condition ``a*c*shape(u0) = 1`` at g's inflection u0, tx = ty = t.
 
-    ``pair`` is :func:`restpoints._extrema`'s own test, so it holds
-    exactly where that finds two stationary points.  As shape'(u0) = 0 the
-    T-derivative is the partial one at fixed u0: with h = d + c*sigma(u0)
-    and g = sigma(h), a*c*shape scales as ``T^-2 * g*(1-g)``, so it moves
-    by ``-(2 + (1 - 2g)*h)/T`` relative to itself.
+    ``pair`` comes from :func:`restpoints._peak`, as in ``_extrema``, so
+    it holds exactly where that finds two stationary points.  As
+    shape'(u0) = 0 the T-derivative is the partial one at fixed u0: with
+    h = d + c*sigma(u0) and g = sigma(h), a*c*shape scales as
+    ``T^-2 * g*(1-g)``, so it moves by ``-(2 + (1 - 2g)*h)/T`` relative to
+    itself.
     """
     co = base.at_temperatures(t, t)
     gf = GFunction(co.c, co.d)
-    u0 = gf.inflection()
-    ac_shape = co.a * gf.c * gf.slope_shape(u0)
+    u0, ac_shape, paired = _peak(co.a, gf)
     h = co.d + co.c * sigmoid(u0)
     slope = -ac_shape * (2.0 + (1.0 - 2.0 * sigmoid(h)) * h) / t
     step = -(ac_shape - 1.0) / slope if slope != 0.0 else None
-    return ac_shape > 1.0, step, (u0, co)
+    return paired, step, (u0, co, gf)
 
 
 def _fold(base: ReducedCoefficients, end3, end1) -> tuple[float, float, str]:
@@ -457,29 +460,28 @@ def _fold(base: ReducedCoefficients, end3, end1) -> tuple[float, float, str]:
     When the one-point end has no stationary pair, the pair merges inside
     the cell, at g's inflection: that merge is solved first (its condition
     crosses zero linearly, while the stationary values vanish like
-    (T_c - T)^(3/2)).  If the merged value is within its own rounding
-    there, the fold is a cusp: ``(t, u0, "both")`` at the first float
-    without the pair, u0 the inflection, where all three roots are one.
+    (T_c - T)^(3/2)).  If the merged value is the double root there
+    (:func:`restpoints._is_double_root`), the fold is a cusp: ``(t, u0,
+    "both")`` at the first float without the pair, u0 the inflection,
+    where all three roots are one.
     Otherwise the fold lies between the three-point end and the merge.
     """
     (t3, e3), (t1, e1) = end3, end1
     if len(e1) != 2:
         pair1 = _merge_probe(base, t1)
         if not pair1[0]:
-            (t_pair, _), (t1, (u0, co)) = _flip(
+            (t_pair, _), (t1, (u0, co, gf)) = _flip(
                 lambda t: _merge_probe(base, t), (t3, (True, None, None)),
                 (t1, pair1))
-            merged = u0 - co.b - co.a * GFunction(co.c, co.d).value(u0)
-            if abs(merged) <= 8.0 * math.ulp(1.0) * (abs(u0) + abs(co.b)
-                                                     + abs(co.a)):
+            if _is_double_root(u0, co.a, co.b, gf):
                 return t1, u0, "both"
             e_pair = _stationary(base, t_pair)
             if _three(e_pair):
                 t3, e3 = t_pair, e_pair
             else:
                 t1, e1 = t_pair, e_pair
-    if len(e1) == 2:  # the value past zero at the one-point end is lost
-        lost = 0 if e1[0][1] <= 0.0 else 1
+    if len(e1) == 2:  # the value that lost its pair at the one-point end
+        lost = 1 if e1[0][2] else 0
     else:  # else the one nearer zero at the three-point end
         lost = 0 if e3[0][1] < -e3[1][1] else 1
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bifurcation, fileio, svg
 from .dynamics import IntegratorConfig, Trajectory, integrate, integrate_batch
-from .errors import BoltzqError, NumericFailureError
+from .errors import BoltzqError, DomainError, NumericFailureError
 from .fixtures import FIXTURES, fixture
 from .games import (Game, Temperatures, classify_region, load_game,
                     nash_equilibria, reduce_payoffs, risk_dominant_profile)
@@ -29,11 +29,22 @@ def _add_game_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--game", help="path to a game JSON file")
     parser.add_argument("--fixture", choices=sorted(FIXTURES),
                         help="name of a built-in game")
+    parser.add_argument("--out", help="output path (default: stdout)")
+
+
+def _add_temperature_args(parser: argparse.ArgumentParser) -> None:
+    """--tx and --ty, for the commands that run at fixed temperatures."""
     parser.add_argument("--tx", type=float, default=1.0,
                         help="exploration rate of player X (default 1)")
     parser.add_argument("--ty", type=float, default=1.0,
                         help="exploration rate of player Y (default 1)")
-    parser.add_argument("--out", help="output path (default: stdout)")
+
+
+def _require_count(value: int, flag: str) -> int:
+    """A count option must be at least 1, else :class:`DomainError`."""
+    if value < 1:
+        raise DomainError(f"{flag} must be >= 1, got {value}")
+    return value
 
 
 def _resolve_game(args) -> Game:
@@ -89,7 +100,8 @@ def cmd_simulate(args) -> int:
     cfg = _integrator_config(args)
     if args.starts is not None:
         rng = np.random.default_rng(args.seed)
-        starts = rng.uniform(0.02, 0.98, size=(args.starts, 2))
+        count = _require_count(args.starts, "--starts")
+        starts = rng.uniform(0.02, 0.98, size=(count, 2))
         finals, _reason = integrate_batch(starts, coeffs, cfg)
         fileio.write_text(args.out, fileio.terminal_points_csv(starts, finals))
     else:
@@ -134,7 +146,8 @@ def cmd_critical(args) -> int:
     game = _resolve_game(args)
     orientation = ("tx_window_vs_ty" if args.orientation == "tx"
                    else "ty_window_vs_tx")
-    grid = np.geomspace(args.fixed_min, args.fixed_max, args.fixed_steps)
+    grid = np.geomspace(args.fixed_min, args.fixed_max,
+                        _require_count(args.fixed_steps, "--fixed-steps"))
     curve = bifurcation.critical_curve(game, grid, orientation)
     fileio.write_text(args.out, fileio.critical_csv(curve))
     summary = {"closing_temperature": curve.closing_temperature}
@@ -147,8 +160,9 @@ def cmd_portrait(args) -> int:
     temps = Temperatures(args.tx, args.ty)
     coeffs = reduce_payoffs(game, temps)
     cfg = _integrator_config(args)
-    margin = 1.0 / (args.grid + 1.0)
-    axis = np.linspace(margin, 1.0 - margin, args.grid)
+    count = _require_count(args.grid, "--grid")
+    margin = 1.0 / (count + 1.0)
+    axis = np.linspace(margin, 1.0 - margin, count)
     trajectories: list[Trajectory] = []
     for x0 in axis:
         for y0 in axis:
@@ -171,10 +185,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="region, equilibria, risk dominance")
     _add_game_args(p)
+    _add_temperature_args(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("simulate", help="integrate the learning flow")
     _add_game_args(p)
+    _add_temperature_args(p)
     p.add_argument("--x0", type=float, default=0.5)
     p.add_argument("--y0", type=float, default=0.5)
     p.add_argument("--t-max", type=float, default=None)
@@ -185,6 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("agents", help="stochastic two-agent learning run")
     _add_game_args(p)
+    _add_temperature_args(p)
     p.add_argument("--alpha", type=float, default=0.01)
     p.add_argument("--batch", type=int, default=100)
     p.add_argument("--rounds", type=int, default=10_000)
@@ -194,6 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("restpoints", help="all interior rest points as JSON")
     _add_game_args(p)
+    _add_temperature_args(p)
     p.set_defaults(func=cmd_restpoints)
 
     p = sub.add_parser("sweep", help="equal-temperature bifurcation diagram")
@@ -214,6 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("portrait", help="phase portrait SVG from a start grid")
     _add_game_args(p)
+    _add_temperature_args(p)
     p.add_argument("--grid", type=int, default=7)
     p.add_argument("--t-max", type=float, default=None)
     p.add_argument("--csv", help="also write trajectories as CSV")

@@ -551,8 +551,8 @@ def integrate_batch(starts, coeffs: ReducedCoefficients,
     """
     cfg = cfg or IntegratorConfig()
     pts = np.asarray(starts, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise DomainError("starts must be an (n, 2) array")
+    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
+        raise DomainError("starts must be an (n, 2) array with n >= 1")
     for x0, y0 in pts:
         _require_interior(x0, y0)
     u, v = np.log(pts / (1.0 - pts)).T

@@ -232,16 +232,10 @@ class NashEquilibrium:
     kind: EquilibriumKind
 
 
-def _expected_x(game: Game, x: float, y: float) -> float:
-    A = game.payoff_x.entries
-    return (x * (y * A[0][0] + (1 - y) * A[0][1])
-            + (1 - x) * (y * A[1][0] + (1 - y) * A[1][1]))
-
-
-def _expected_y(game: Game, x: float, y: float) -> float:
-    B = game.payoff_y.entries
-    return (y * (x * B[0][0] + (1 - x) * B[0][1])
-            + (1 - y) * (x * B[1][0] + (1 - x) * B[1][1]))
+def _expected(M, own: float, opp: float) -> float:
+    """The owner's expected reward from payoff grid M (row = own action)."""
+    return (own * (opp * M[0][0] + (1 - opp) * M[0][1])
+            + (1 - own) * (opp * M[1][0] + (1 - opp) * M[1][1]))
 
 
 def _is_equilibrium(game: Game, x: float, y: float, tol: float = 1e-12) -> bool:
@@ -250,12 +244,9 @@ def _is_equilibrium(game: Game, x: float, y: float, tol: float = 1e-12) -> bool:
     Checking the two pure deviations per player suffices: expected reward is
     linear in each player's own mixture.
     """
-    base_x = _expected_x(game, x, y)
-    base_y = _expected_y(game, x, y)
-    return (base_x >= _expected_x(game, 1.0, y) - tol
-            and base_x >= _expected_x(game, 0.0, y) - tol
-            and base_y >= _expected_y(game, x, 1.0) - tol
-            and base_y >= _expected_y(game, x, 0.0) - tol)
+    A, B = game.payoff_x.entries, game.payoff_y.entries
+    return all(_expected(M, own, opp) >= _expected(M, dev, opp) - tol
+               for M, own, opp in ((A, x, y), (B, y, x)) for dev in (1.0, 0.0))
 
 
 def nash_equilibria(game: Game) -> list[NashEquilibrium]:
@@ -381,12 +372,12 @@ def classify_region(coeffs: ReducedCoefficients) -> GameRegion:
       ``beta <= -1, delta in (-1/2,0)``, ``delta >= 0, beta in (-1,-1/2)``,
       ``delta <= -1, beta in (-1/2,0)``: single NE but triples occur for a
       window of temperatures;
-    * the corner quadrants ``beta >= 0, delta <= -1`` (and mirrored): the
-      triple region's edge has no closed form; the boundary value of -b/a
-      is the lowest tangent intercept of the rest-point curve over every
-      ty > 0, found exactly by two bisections
-      (:func:`boltzq.bifurcation.corner_boundary`), and attached to the
-      result;
+    * the corner quadrants ``beta >= 0, delta <= -1`` (and the mirror,
+      where the players and so the ratios exchange roles): the triple
+      region's edge has no closed form; the boundary value of -b/a is the
+      lowest tangent intercept of the response curve over every ty > 0,
+      read off the second of two bisections
+      (:func:`boltzq.bifurcation.corner_boundary`) and attached;
     * everywhere else: a single rest point for all temperatures.
 
     Ratio values exactly on stripe edges are classified with the adjacent
@@ -400,11 +391,9 @@ def classify_region(coeffs: ReducedCoefficients) -> GameRegion:
             "a and c have opposite signs: one advantage curve rises while "
             "the other falls, so exactly one interior rest point exists")
 
-    beta = coeffs.b_over_a
-    delta = coeffs.d_over_c
     anti = coeffs.raw_a < 0.0
-    if anti:
-        delta = -1.0 - delta  # relabel to the a, c > 0 frame
+    beta = coeffs.b_over_a
+    delta = -1.0 - coeffs.d_over_c if anti else coeffs.d_over_c  # a, c > 0
     frame = " (anti-coordination sign frame)" if anti else ""
 
     if -1.0 < beta < 0.0 and -1.0 < delta < 0.0:
@@ -413,33 +402,27 @@ def classify_region(coeffs: ReducedCoefficients) -> GameRegion:
             "both ratios inside the open unit box: three Nash equilibria; "
             "up to three rest points at low exploration" + frame)
 
-    in_stripe = ((beta >= 0.0 and -1.0 < delta < -0.5)
-                 or (beta <= -1.0 and -0.5 < delta < 0.0)
-                 or (delta >= 0.0 and -1.0 < beta < -0.5)
-                 or (delta <= -1.0 and -0.5 < beta < 0.0))
-    if in_stripe:
+    if any((p >= 0.0 and -1.0 < q < -0.5) or (p <= -1.0 and -0.5 < q < 0.0)
+           for p, q in ((beta, delta), (delta, beta))):  # and mirrored
         return GameRegion(
             GameRegionLabel.SINGLE_NE_TRIPLE_POSSIBLE,
             "single Nash equilibrium, but a temperature window with three "
             "rest points exists" + frame)
 
+    mirrored = beta <= -1.0 and delta >= 0.0
+    if mirrored:  # players exchange roles
+        beta, delta = delta, beta
     if beta >= 0.0 and delta <= -1.0:
         from .bifurcation import corner_boundary
         bound = corner_boundary(delta)  # the lowest reachable tangent intercept
         return GameRegion(
             GameRegionLabel.NUMERIC_BOUNDARY,
-            "corner quadrant: triple rest points need both exploration "
-            "rates strictly positive and occur only while -b/a stays above "
-            "the numeric tangent-intercept bound" + frame,
+            ("mirrored corner quadrant (players exchange roles): numeric "
+             "tangent-intercept bound applies to -d/c" if mirrored else
+             "corner quadrant: triple rest points need both exploration "
+             "rates strictly positive and occur only while -b/a stays above "
+             "the numeric tangent-intercept bound") + frame,
             boundary=bound, triple_possible=bool(bound < -beta))
-    if beta <= -1.0 and delta >= 0.0:
-        from .bifurcation import corner_boundary
-        bound = corner_boundary(beta)  # players exchange roles
-        return GameRegion(
-            GameRegionLabel.NUMERIC_BOUNDARY,
-            "mirrored corner quadrant (players exchange roles): numeric "
-            "tangent-intercept bound applies to -d/c" + frame,
-            boundary=bound, triple_possible=bool(bound < -delta))
 
     return GameRegion(
         GameRegionLabel.SINGLE_REST_POINT_ONLY,

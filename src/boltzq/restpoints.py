@@ -36,8 +36,6 @@ from .numerics import bisect, logit, sigmoid, sigmoid_slope
 #: sinh(u) and e^u stay finite for |u| up to ln(max float), about 709.78
 _LOG_MAX = math.log(sys.float_info.max)
 
-#: two roots closer than this in u are flagged as a tangency pair
-TANGENCY_PAIR_TOL = 1e-7
 #: eigenvalue formula must agree with the finite-difference Jacobian to this
 FD_EIGEN_TOL = 1e-6
 #: both rest-point bracket terms must be below this for stability_eigenvalues
@@ -102,7 +100,8 @@ class GFunction:
 
 @dataclass(frozen=True)
 class RestPoint:
-    """An interior fixed point of the learning flow."""
+    """An interior fixed point of the learning flow; ``degenerate_pair``
+    marks only the double root of a tangency, reported once."""
 
     x: float
     y: float
@@ -271,21 +270,37 @@ class _Logistic:
 _LOGISTIC = _Logistic()
 
 
+def _peak(a: float, curve) -> tuple[float, float, bool]:
+    """``(u0, m, m > 1)``, m = a*c*shape(u0) at the curve's inflection u0:
+    phi has its pair of stationary points exactly when m > 1."""
+    u0 = curve.inflection()
+    margin = a * curve.c * curve.slope_shape(u0)
+    return u0, margin, margin > 1.0
+
+
+def _is_double_root(u_s: float, a: float, b: float, curve) -> bool:
+    """phi(u_s) is zero within its terms' rounding: at a stationary point
+    u_s, the double root of u - b - a*curve(u)."""
+    phi_s = u_s - b - a * curve.value(u_s)
+    return abs(phi_s) <= 8.0 * math.ulp(1.0) * (abs(u_s) + abs(b) + abs(a))
+
+
 def _extrema(a: float, b: float, curve) -> list[tuple[float, float, bool]]:
     """Stationary points of phi(u) = u - b - a*curve(u) inside the root
-    bracket, left to right, as ``(u, phi(u), is_max)``.
+    bracket, left to right, as ``(u, phi(u), keeps)``.
 
     ``phi' = 1 - a*c*shape(u)`` and shape is single-peaked (at the curve's
-    inflection), so phi has two stationary points or none, and falls
-    between them: the left one is the local max, the right one the min.
+    inflection), so phi has two stationary points (:func:`_peak`) or none
+    and falls between them: a max, then a min.  ``keeps`` says the value
+    still separates a pair of roots: the max above zero, the min below.
     """
     ac = a * curve.c
     if ac <= 0.0:
         return []
-    u_peak = curve.inflection()
-    shape = curve.slope_shape
-    if not ac * shape(u_peak) > 1.0:
+    u_peak, _, paired = _peak(a, curve)
+    if not paired:
         return []
+    shape = curve.slope_shape
 
     def excess(u: float) -> float:
         return ac * shape(u) - 1.0
@@ -295,8 +310,10 @@ def _extrema(a: float, b: float, curve) -> list[tuple[float, float, bool]]:
     u_max = bisect(excess, -span, u_peak, excess(-span), excess(u_peak))
     u_min = bisect(excess, u_peak, span, excess(u_peak), excess(span))
     lo, hi = sorted((b, b + a))
-    return [(u, u - b - a * curve.value(u), is_max)
-            for u, is_max in ((u_max, True), (u_min, False)) if lo < u < hi]
+    found = [(u, u - b - a * curve.value(u), is_max)
+             for u, is_max in ((u_max, True), (u_min, False)) if lo < u < hi]
+    return [(u, phi, phi > 0.0 if is_max else phi < 0.0)
+            for u, phi, is_max in found]
 
 
 def _solve_u_roots(a: float, b: float,
@@ -305,10 +322,9 @@ def _solve_u_roots(a: float, b: float,
 
     ``curve`` is a :class:`GFunction`, or ``_LOGISTIC`` on the symmetric
     diagonal.  Roots are bracketed between the ends of [lo, hi] and the
-    stationary points that still separate a pair: a max above zero, a min
-    below it.  A stationary value past zero has lost its pair; within the
-    rounding of its own terms, ``8*eps*(|u| + |b| + |a|)``, it is the
-    double root, reported once, flagged.
+    stationary points that still keep a pair (:func:`_extrema`).  A
+    stationary value that has lost its pair is, within its own rounding
+    (:func:`_is_double_root`), the double root: reported once, flagged.
     """
     if a == 0.0:
         return [b], [False]
@@ -332,10 +348,10 @@ def _solve_u_roots(a: float, b: float,
 
     found: list[tuple[float, bool]] = []
     knots = [(lo, flo)]
-    for u_s, v_s, is_max in _extrema(a, b, curve):
-        if v_s > 0.0 if is_max else v_s < 0.0:
+    for u_s, v_s, keeps in _extrema(a, b, curve):
+        if keeps:
             knots.append((u_s, v_s))
-        elif abs(v_s) <= 8.0 * math.ulp(1.0) * (abs(u_s) + abs(b) + abs(a)):
+        elif _is_double_root(u_s, a, b, curve):
             found.append((u_s, True))
     knots.append((hi, fhi))
     for (ua, va), (ub, vb) in zip(knots, knots[1:]):
@@ -343,13 +359,7 @@ def _solve_u_roots(a: float, b: float,
             found.append((_refine_root(phi, dphi, ua, ub, va, vb, target),
                           False))
     found.sort()
-    roots = [u for u, _ in found]
-    flags = [flag for _, flag in found]
-    # Near-tangency pairs: keep both roots but flag them.
-    for i in range(len(roots) - 1):
-        if roots[i + 1] - roots[i] < TANGENCY_PAIR_TOL:
-            flags[i] = flags[i + 1] = True
-    return roots, flags
+    return [u for u, _ in found], [flag for _, flag in found]
 
 
 def _response_curve(coeffs: ReducedCoefficients) -> GFunction:
@@ -370,7 +380,8 @@ def find_rest_points(coeffs: ReducedCoefficients,
     safeguarded Newton to ``|u - b - a*g(u)| < ~1e-12*|a|``, and back-
     substituted through ``v = d + c*sigma(u)``.  The count is 1 or 3, or 2
     at a fold: a stationary value that just lost its pair of roots is the
-    double root, returned once with ``degenerate_pair`` set.  Stability
+    double root, returned once with ``degenerate_pair`` set, the only
+    point so flagged.  Stability
     comes from the eigenvalue closed form; with ``fd_check`` each point is
     also validated against a finite-difference Jacobian (turn off only in
     bulk counting).  Coefficients where b + a or d + c overflows raise

@@ -312,6 +312,30 @@ def inflection_intercept(ratio, ty):
     return bq.tangent_intercept(gf, gf.inflection())
 
 
+def mp_intercept(ratio, c, u):
+    """``g - g'*u`` at (c = 1/ty, u) for raw_c = 1, in mpmath's precision."""
+    mpmath = pytest.importorskip("mpmath")
+    s = 1 / (1 + mpmath.exp(-u))
+    g = 1 / (1 + mpmath.exp(-c * (mpmath.mpf(ratio) + s)))
+    return g - c * g * (1 - g) * s * (1 - s) * u
+
+
+def mp_corner_bound(ratio):
+    """The lowest tangent intercept to 50 digits: the stationary point of
+    ``g - g'*u`` over (u, ln c), by mpmath's Newton from the float extreme."""
+    mpmath = pytest.importorskip("mpmath")
+    ty, u = bq.intercept_extrema(1.0, ratio).extreme_at
+    with mpmath.workdps(50):
+        def grad(u, lc):
+            return [mpmath.diff(lambda w: mp_intercept(ratio, mpmath.exp(lc),
+                                                       w), u),
+                    mpmath.diff(lambda w: mp_intercept(ratio, mpmath.exp(w),
+                                                       u), lc)]
+
+        u, lc = mpmath.findroot(grad, (mpmath.mpf(u), -mpmath.log(ty)))
+        return float(mp_intercept(ratio, mpmath.exp(lc), u))
+
+
 #: the log grid of ty the corner bound used to be the minimum over
 SCAN_GRID = np.geomspace(1e-4, 1e3, 121)
 
@@ -322,10 +346,14 @@ class TestCornerBoundaryExact:
         rng = np.random.default_rng(20261018)
         ratios = (-1.0 - rng.exponential(2.0, 200)).tolist()
         ratios += [-1.001, -1.01, -1.3, -2.0, -10.0]
+        mpmath = pytest.importorskip("mpmath")
         for ratio in ratios:
             bound = bq.corner_boundary(ratio)
-            ty_star, _ = bq.intercept_extrema(1.0, ratio).extreme_at
-            assert bound == inflection_intercept(ratio, ty_star), ratio
+            ty_star, u_star = bq.intercept_extrema(1.0, ratio).extreme_at
+            with mpmath.workdps(50):
+                exact = float(mp_intercept(ratio, 1 / mpmath.mpf(ty_star),
+                                           mpmath.mpf(u_star)))
+            assert abs(bound - exact) <= 1e-13 * abs(exact), ratio
             near = ty_star * np.exp(np.linspace(-0.5, 0.5, 4001))
             scan = min(inflection_intercept(ratio, float(ty))
                        for ty in np.concatenate([SCAN_GRID, near]))
@@ -345,6 +373,21 @@ class TestCornerBoundaryExact:
         (_, t_lo, t_hi), = bq.critical_curve(game, [ty]).samples
         mid = 0.5 * (t_lo + t_hi)
         assert bq.count_rest_points(co.at_temperatures(mid, ty)) == 3
+
+    def test_corner_game_next_to_ratio_minus_one_has_triples(self):
+        # d/c = -1 - 2^-52: the bound is -6.898..., below -b/a = -6.85
+        game = bq.Game.from_matrices("corner", [[7.85, 6.85], [0, 0]],
+                                     [[-2**-52, -1 - 2**-52], [0, 0]])
+        co = bq.reduce_payoffs(game, bq.Temperatures(1.0, 1.0))
+        assert bq.classify_region(co).triple_possible
+        ty, _ = bq.intercept_extrema(co.raw_c, co.raw_d).extreme_at
+        (_, t_lo, t_hi), = bq.critical_curve(game, [ty]).samples
+        assert 0.0 < t_lo < t_hi
+
+    @pytest.mark.parametrize("ratio", [-1 - 2**-52, -1 - 1e-12, -1 - 1e-9])
+    def test_bound_is_exact_next_to_ratio_minus_one(self, ratio):
+        exact = mp_corner_bound(ratio)
+        assert abs(bq.corner_boundary(ratio) - exact) <= 1e-14 * abs(exact)
 
     def test_extreme_sits_where_the_ty_slope_vanishes(self):
         for ratio in (-1.001, -1.3, -2.0, -10.0):

@@ -7,6 +7,7 @@ import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
+import pytest
 
 import boltzq as bq
 from boltzq import fileio
@@ -279,6 +280,28 @@ class TestExitCodes:
         code = cli.main(["classify", "--fixture", "matching_pennies"])
         assert code == 3
         assert "numeric failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("portrait", "--grid", "-1"), ("portrait", "--grid", "0"),
+        ("simulate", "--starts", "0"), ("simulate", "--starts", "-1"),
+        ("critical", "--fixed-steps", "-2"), ("critical", "--fixed-steps", "0"),
+    ])
+    def test_counts_below_one_exit_2(self, command, flag, value):
+        code, out, err = run_cli_process(command, "--fixture", "stag_hunt",
+                                         flag, value)
+        assert "Traceback" not in err
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} must be >= 1, got {value}\n"
+
+    @pytest.mark.parametrize("command", ["sweep", "critical"])
+    @pytest.mark.parametrize("flag", ["--tx", "--ty"])
+    def test_sweep_and_critical_take_no_temperatures(self, capsys, command,
+                                                     flag):
+        # they choose their own temperatures, so the flags would be ignored
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--fixture", "stag_hunt", flag, "0.3"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 0.3" in capsys.readouterr().err
 
     def test_not_applicable_maps_to_2(self, capsys):
         code = main(["critical", "--fixture", "matching_pennies",

@@ -460,6 +460,10 @@ class TestBatchStarts:
         with pytest.raises(bq.DomainError):
             bq.integrate_batch([(0.3, 0.4), (bad, 0.5)], mp_coeffs())
 
+    def test_rejects_an_empty_batch(self):
+        with pytest.raises(bq.DomainError, match="n >= 1"):
+            bq.integrate_batch(np.empty((0, 2)), mp_coeffs())
+
     def test_memory_does_not_grow_with_the_step_count(self):
         # matching pennies at T = 0.05 takes thousands of shared steps; a
         # copy of every (2, 500) row would add about 40 MB of peak RSS

@@ -264,6 +264,26 @@ def test_root_at_the_end_of_a_huge_bracket():
     assert point.residual < 1e-12
 
 
+def test_close_pair_of_a_triple_is_not_flagged():
+    # A steep response curve: at the last float of b with three rest points
+    # the pair about to merge lies under 1e-7 apart, yet neither root is the
+    # double root, so neither is flagged.  One float on, the pair is the
+    # double root, reported once and flagged.
+    def solve(b):
+        return bq.find_rest_points(coeffs(20.0, b, 2000.0, -1000.0))
+
+    lo, hi = -0.1, 0.0
+    assert len(solve(lo)) == 3 and len(solve(hi)) == 1
+    while math.nextafter(lo, hi) != hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if len(solve(mid)) == 3 else (lo, mid)
+    points = solve(lo)
+    u = [p.u for p in points]
+    assert len(points) == 3 and min(np.diff(u)) < 1e-7
+    assert not any(p.degenerate_pair for p in points)
+    assert [p.degenerate_pair for p in solve(hi)] == [True, False]
+
+
 def sample_three_root_coeffs(rng):
     """Random coefficients with three rest points (rejection sampling over
     regions where triples are possible)."""
