@@ -120,6 +120,9 @@ def intercept_extrema(raw_c: float, raw_d: float) -> InterceptProfile:
     if raw_c < 0.0:
         raw_c, raw_d = -raw_c, raw_c + raw_d
     ratio = raw_d / raw_c
+    if not (math.isfinite(raw_c) and math.isfinite(ratio)):
+        raise DomainError(f"intercept profile needs finite c and d/c, got "
+                          f"c = {raw_c}, d/c = {ratio}")
 
     extreme_at = None
     min_unbounded = -1.0 <= ratio < -0.5

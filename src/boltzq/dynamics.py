@@ -177,8 +177,8 @@ def _check_simplex(vec: np.ndarray, name: str) -> np.ndarray:
     vec = np.asarray(vec, dtype=float)
     if vec.ndim != 1 or vec.size < 2:
         raise DomainError(f"{name} must be a 1-d simplex vector with n >= 2")
-    if np.any(vec <= 0.0):
-        raise DomainError(f"{name} must be strictly positive")
+    if not np.all((vec > 0.0) & np.isfinite(vec)):
+        raise DomainError(f"{name} must be finite and strictly positive")
     if abs(float(vec.sum()) - 1.0) > SIMPLEX_TOL:
         raise DomainError(f"{name} must sum to 1 within {SIMPLEX_TOL}")
     return vec
@@ -299,7 +299,8 @@ def free_energy(x, rewards, temp: float, allow_zero: bool = False) -> float:
     _require_temperature(temp)
     x = np.asarray(x, dtype=float)
     r = _finite_rewards(rewards)
-    if np.any(x < 0.0) or abs(float(x.sum()) - 1.0) > 1e-9:
+    if (not np.all((x >= 0.0) & np.isfinite(x))
+            or abs(float(x.sum()) - 1.0) > 1e-9):
         raise DomainError("x must be a probability vector")
     if np.any(x == 0.0):
         if not allow_zero:

@@ -36,8 +36,10 @@ from .numerics import bisect, logit, sigmoid, sigmoid_slope
 #: sinh(u) and e^u stay finite for |u| up to ln(max float), about 709.78
 _LOG_MAX = math.log(sys.float_info.max)
 
-#: eigenvalue formula must agree with the finite-difference Jacobian to this
+#: eigenvalue formula must agree with the complex-step Jacobian to this
 FD_EIGEN_TOL = 1e-6
+#: a checked rest point must meet ``|a*sigma(v) + b - u| <= this*(1+|a|+|b|)``
+_RESIDUAL_BOUND = 1e-9
 #: both rest-point bracket terms must be below this for stability_eigenvalues
 _REST_RESIDUAL_TOL = 1e-8
 
@@ -132,62 +134,43 @@ def _eigenvalues_from_logit(u: float, v: float,
     return (-1.0 + root, -1.0 - root, rad)
 
 
-def _fd_jacobian(u: float, v: float, coeffs: ReducedCoefficients):
-    """Central finite-difference Jacobian of the flow at a rest point.
+def _complex_step_slope(w: float) -> float:
+    """sigma'(w) as ``Im sigma(w + ih)/h`` (complex step; Squire & Trapp
+    1998), by the two-branch formula of :func:`numerics.sigmoid`.
 
-    Differencing happens in logit coordinates, where the field
-    ``(a*sigma(v) + b - u, c*sigma(u) + d - v)`` is globally smooth; at a
-    rest point that Jacobian is diagonally similar to the strategy-space
-    one (similarity diag(x(1-x), y(1-y))), so both have identical
-    eigenvalues.  Steps balance rounding against curvature per column,
-    ``h ~ (eps/sigma'(w))**(1/3)``, which keeps the relative error of the
-    tiny cross entries under control even when a rest point sits
-    exponentially close to a simplex corner.  Returns None if a slope
-    underflows outright (no representable step).
+    No difference is taken, so nothing cancels and the step needs no
+    tuning: the truncation error is h^2/6 relative (|sigma^(3)/sigma'| <= 1),
+    below eps for h = 2^-26.  The exponent is never positive, so no w
+    overflows; the slope is exact to a few ulps while h*sigma'(w) is a
+    normal float (|w| < ~690) and reads 0 where sigma'(w) underflows.
     """
-    a, b, c, d = coeffs.a, coeffs.b, coeffs.c, coeffs.d
-
-    def field(uu: float, vv: float) -> tuple[float, float]:
-        return (a * sigmoid(vv) + b - uu, c * sigmoid(uu) + d - vv)
-
-    su = sigmoid_slope(u)
-    sv = sigmoid_slope(v)
-    if su == 0.0 or sv == 0.0:
-        return None
-    hu = min(0.05, max(1e-6, (6.6e-16 / su) ** (1.0 / 3.0)))
-    hv = min(0.05, max(1e-6, (6.6e-16 / sv) ** (1.0 / 3.0)))
-    f1p, f2p = field(u + hu, v)
-    f1m, f2m = field(u - hu, v)
-    j11 = (f1p - f1m) / (2.0 * hu)
-    j21 = (f2p - f2m) / (2.0 * hu)
-    f1p, f2p = field(u, v + hv)
-    f1m, f2m = field(u, v - hv)
-    j12 = (f1p - f1m) / (2.0 * hv)
-    j22 = (f2p - f2m) / (2.0 * hv)
-    return j11, j12, j21, j22
+    h = 2.0 ** -26
+    z = complex(w, h)
+    if w >= 0.0:
+        s = 1.0 / (1.0 + cmath.exp(-z))
+    else:
+        e = cmath.exp(z)
+        s = e / (1.0 + e)
+    return s.imag / h
 
 
-def _eig2(j11, j12, j21, j22) -> tuple[complex, complex]:
-    half_tr = 0.5 * (j11 + j22)
-    det = j11 * j22 - j12 * j21
-    root = cmath.sqrt(half_tr * half_tr - det)
-    return (half_tr + root, half_tr - root)
+def _check_eigenvalues(u: float, v: float, coeffs: ReducedCoefficients,
+                       eig_pair: tuple[complex, complex]) -> None:
+    """Raise unless the closed-form pair matches the Jacobian's to 1e-6.
 
-
-def _sorted_pair(pair):
-    return tuple(sorted(pair, key=lambda z: (z.real, z.imag)))
-
-
-def _check_fd_agreement(u, v, coeffs, eig_pair) -> None:
-    entries = _fd_jacobian(u, v, coeffs)
-    if entries is None:
-        return
-    fd_pair = _sorted_pair(_eig2(*entries))
-    an_pair = _sorted_pair(eig_pair)
-    err = max(abs(f - a) for f, a in zip(fd_pair, an_pair))
+    In logit coordinates the field ``(a*sigma(v) + b - u, c*sigma(u) + d
+    - v)`` has a complex-step Jacobian whose diagonal is exactly -1 and
+    whose off-diagonal entries are ``a*sigma'(v)`` and ``c*sigma'(u)``; at
+    a rest point it is diagonally similar to the strategy-space Jacobian
+    (similarity diag(x(1-x), y(1-y))).  Its eigenvalues are therefore
+    ``-1 +- sqrt((a*sigma'(v))*(c*sigma'(u)))``, in the closed form's order.
+    """
+    root = cmath.sqrt((coeffs.a * _complex_step_slope(v))
+                      * (coeffs.c * _complex_step_slope(u)))
+    err = max(abs(-1.0 + root - eig_pair[0]), abs(-1.0 - root - eig_pair[1]))
     if err > FD_EIGEN_TOL:
         raise NumericFailureError(
-            f"eigenvalue formula disagrees with finite-difference Jacobian "
+            f"eigenvalue formula disagrees with the complex-step Jacobian "
             f"by {err:.3e} at u={u}, v={v}", residuals=err)
 
 
@@ -197,7 +180,7 @@ def stability_eigenvalues(point, coeffs: ReducedCoefficients
 
     ``point`` is an (x, y) pair that must already be a rest point (both
     bracket terms below 1e-8); otherwise :class:`DomainError`.
-    The closed form is cross-checked against a finite-difference Jacobian
+    The closed form is cross-checked against the complex-step Jacobian
     to 1e-6 on every call.
     """
     x, y = point
@@ -212,7 +195,7 @@ def stability_eigenvalues(point, coeffs: ReducedCoefficients
             f"point {point} is not a rest point: residual "
             f"{residual:.3e} > {_REST_RESIDUAL_TOL}")
     lam1, lam2, _ = _eigenvalues_from_logit(u, v, coeffs)
-    _check_fd_agreement(u, v, coeffs, (lam1, lam2))
+    _check_eigenvalues(u, v, coeffs, (lam1, lam2))
     return (lam1, lam2)
 
 
@@ -382,10 +365,12 @@ def find_rest_points(coeffs: ReducedCoefficients,
     at a fold: a stationary value that just lost its pair of roots is the
     double root, returned once with ``degenerate_pair`` set, the only
     point so flagged.  Stability
-    comes from the eigenvalue closed form; with ``fd_check`` each point is
-    also validated against a finite-difference Jacobian (turn off only in
-    bulk counting).  Coefficients where b + a or d + c overflows raise
-    :class:`DomainError`.
+    comes from the eigenvalue closed form.  With ``fd_check`` (turn off
+    only in bulk counting) each point is also checked: it must meet its
+    own equation, ``|a*sigma(v) + b - u| <= 1e-9*(1 + |a| + |b|)``, and its
+    eigenvalues must match the complex-step Jacobian to 1e-6; otherwise
+    :class:`NumericFailureError`.  Coefficients where b + a or d + c
+    overflows raise :class:`DomainError`.
     """
     a, b, c, d = coeffs.a, coeffs.b, coeffs.c, coeffs.d
     roots, flags = _solve_u_roots(a, b, _response_curve(coeffs))
@@ -394,9 +379,13 @@ def find_rest_points(coeffs: ReducedCoefficients,
         v = d + c * sigmoid(u)
         x, y = sigmoid(u), sigmoid(v)
         lam1, lam2, rad = _eigenvalues_from_logit(u, v, coeffs)
-        if fd_check:
-            _check_fd_agreement(u, v, coeffs, (lam1, lam2))
         residual = abs(a * sigmoid(v) + b - u)
+        if fd_check:
+            if residual > _RESIDUAL_BOUND * (1.0 + abs(a) + abs(b)):
+                raise NumericFailureError(
+                    f"rest point at u={u}, v={v} misses its equation by "
+                    f"{residual:.3e}", residuals=residual)
+            _check_eigenvalues(u, v, coeffs, (lam1, lam2))
         points.append(RestPoint(x=x, y=y, u=u, v=v,
                                 eigenvalues=(lam1, lam2),
                                 stability=_classify(rad),
@@ -433,6 +422,8 @@ def symmetric_critical_offsets(a: float) -> tuple[float, float]:
     points are x = (1 +- sqrt(1 - 4/a))/2, which exist only for a >= 4.
     Both offsets equal -2 at a = 4 (the cusp).
     """
+    if not math.isfinite(a):
+        raise DomainError(f"slope must be finite, got a = {a}")
     if a < 4.0:
         raise NotApplicableError(
             f"three symmetric rest points require a >= 4, got a = {a}")

@@ -57,6 +57,19 @@ class TestInterceptExtrema:
                                                                 abs=1e-14)
 
 
+class TestClosedFormHelperInputs:
+    @pytest.mark.parametrize("call", [
+        lambda z: bq.symmetric_critical_offsets(z),
+        lambda z: bq.corner_boundary(z),
+        lambda z: bq.intercept_extrema(z, 1.0),
+        lambda z: bq.intercept_extrema(1.0, z),
+    ], ids=["offsets", "corner_boundary", "extrema_c", "extrema_d"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, call, bad):
+        with pytest.raises(bq.DomainError):
+            call(bad)
+
+
 class TestZeroExplorationWindow:
     def test_reference_values(self):
         u_step, t_lo, t_hi = bq.zero_exploration_window(0.1, -0.8, 10.0)
@@ -159,6 +172,22 @@ class TestSweep:
         assert len(diagram.critical_temperatures) == 1
         t_c = diagram.critical_temperatures[0]
         assert 0.7 < t_c < 0.75
+
+    def test_saturated_rest_points_do_not_fail_the_sweep(self):
+        # near T = 0.038 the high branch sits at y = 1 - 2e-15; the checked
+        # eigenvalues there must not stop the sweep
+        game = bq.Game.from_matrices(
+            "saturated",
+            [[0.02602310434056676, -2.6913866563308435],
+             [-0.007104978121875938, 2.0244971626565818]],
+            [[0.7760367787975255, 1.5033608257875803],
+             [-1.575187639218211, 2.750485647285167]])
+        diagram = bq.sweep_equal_temperature(
+            game, 0.005167295497287159, 2.0669181989148635, 40)
+        (t_c,) = diagram.critical_temperatures
+        assert t_c == pytest.approx(0.11962516, rel=1e-7)
+        assert diagram.pitchfork_kind == bq.classify_pitchfork(game)
+        assert diagram.pitchfork_kind == "discontinuous"
 
     def test_stag_hunt_survivor_is_risk_dominant_side(self):
         diagram = bq.sweep_equal_temperature(bq.fixture("stag_hunt"),

@@ -433,6 +433,26 @@ class TestRewardCheck:
             call([bad, 0.0])
 
 
+STAG = bq.fixture("stag_hunt")
+UNIT_TEMPS = bq.Temperatures(1.0, 1.0)
+
+
+class TestStrategyCheck:
+    @pytest.mark.parametrize("bad", [
+        [math.nan, math.nan], [math.nan, 1.0], [1.0, math.nan],
+        [math.inf, math.inf],
+    ], ids=["nan_nan", "nan_one", "one_nan", "inf_inf"])
+    @pytest.mark.parametrize("call", [
+        lambda s: bq.free_energy(s, [0.0, 0.0], 1.0),
+        lambda s: bq.replicator_velocity(s, [0.5, 0.5], STAG, UNIT_TEMPS),
+        lambda s: bq.replicator_velocity([0.5, 0.5], s, STAG, UNIT_TEMPS),
+        lambda s: bq.integrate_single_agent([0.0, 1.0], 1.0, s),
+    ], ids=["free_energy", "replicator_x", "replicator_y", "single_agent"])
+    def test_rejects_non_finite_strategies(self, call, bad):
+        with pytest.raises(bq.DomainError):
+            call(bad)
+
+
 class TestIntegratorConfig:
     def test_has_only_horizon_and_speed_target(self):
         assert [f.name for f in dataclasses.fields(bq.IntegratorConfig)] == [

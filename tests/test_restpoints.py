@@ -167,6 +167,21 @@ class TestFindRestPoints:
         assert p.u == 0.7
         assert p.v == pytest.approx(-1.0 + 3.0 * sigmoid(0.7), abs=1e-14)
 
+    def test_point_missing_its_equation_raises(self):
+        # the cold 1-D elimination parks v at -16384 with a logit residual
+        # of 3305; the checked path refuses it, the counting path keeps it
+        game = bq.Game.from_matrices(
+            "cold",
+            [[-1.8283927941227476, 1.3259191032788529],
+             [-0.6432761814880994, -1.0402473965570178]],
+            [[-0.757942939107159, -0.36391796145019306],
+             [-2.588384851341074, 2.5109542365053663]])
+        co = bq.reduce_payoffs(
+            game, bq.Temperatures(0.000715788336105145, 6.028838869082125e-20))
+        with pytest.raises(bq.NumericFailureError):
+            bq.find_rest_points(co)
+        assert len(bq.find_rest_points(co, fd_check=False)) == 1
+
     def test_residuals_within_contract(self, rng):
         for _ in range(300):
             a, b, c, d = rng.uniform(-20, 20, 4)
@@ -319,6 +334,38 @@ class TestStability:
     def test_rejects_boundary_point(self):
         with pytest.raises(bq.DomainError):
             bq.stability_eigenvalues((0.0, 0.5), coeffs(4, -2, -4, 2))
+
+    def test_wrong_closed_form_eigenvalues_raise(self, monkeypatch):
+        from boltzq import restpoints
+
+        exact = restpoints._eigenvalues_from_logit
+
+        def skewed(u, v, co):
+            rad = exact(u, v, co)[2] * (1.0 + 1e-3)
+            root = cmath.sqrt(rad)
+            return (-1.0 + root, -1.0 - root, rad)
+
+        co = bq.reduce_payoffs(bq.fixture("stag_hunt"),
+                               bq.Temperatures.equal(0.5))
+        assert len(bq.find_rest_points(co)) == 3
+        monkeypatch.setattr(restpoints, "_eigenvalues_from_logit", skewed)
+        with pytest.raises(bq.NumericFailureError):
+            bq.find_rest_points(co)
+
+    def test_complex_step_slope_matches_closed_form(self):
+        from boltzq.restpoints import _complex_step_slope
+
+        # a few ulps while h*sigma'(w) is a normal float; below that, the
+        # subnormal spacing 2^-1074 divided by the step h = 2^-26
+        grain = 2.0 ** -1074 / 2.0 ** -26
+        for w in np.linspace(-700.0, 700.0, 14_001):
+            w = float(w)
+            ref = bq.numerics.sigmoid_slope(w)
+            err = abs(_complex_step_slope(w) - ref)
+            assert err <= 4 * math.ulp(ref) + grain, w
+        for w in (-1e300, -800.0, -746.0, 746.0, 800.0, 1e300):
+            assert bq.numerics.sigmoid_slope(w) == 0.0
+            assert _complex_step_slope(w) == 0.0
 
     def test_symmetric_stability_rule(self):
         # symmetric game: stable exactly when a*x0*(1-x0) < 1
