@@ -1,10 +1,14 @@
-"""Print an md5 digest of every CLI output on the built-in fixtures.
+"""Print an md5 digest of every CLI output on the built-in fixtures, and
+of the rest-point kernel on seeded random inputs.
 
-Each line is ``md5  argv`` for one in-process run of ``boltzq.cli.main``;
-the digest covers the exit code, the captured stdout and stderr, and the
-file written by ``--csv``.  Two checkouts whose outputs are byte-identical
-print identical lines, so a refactor that must not change any output is
-checked by diffing this script's output on both::
+Each CLI line is ``md5  argv`` for one in-process run of
+``boltzq.cli.main``; the digest covers the exit code, the captured stdout
+and stderr, and the file written by ``--csv``.  Each library line is
+``md5  raised=N  name`` for one seeded batch of calls (:func:`batches`);
+the digest covers every returned field, exactly (``repr`` of each float),
+or the error type of a call that raised.  Two checkouts whose outputs are
+bit-identical print identical lines, so a refactor that must not change
+any output is checked by diffing this script's output on both::
 
     PYTHONPATH=<checkout>/src python tools/output_digests.py > digests.txt
 """
@@ -15,9 +19,12 @@ import contextlib
 import hashlib
 import io
 import os
+import random
 import sys
 import tempfile
 
+from boltzq import (Game, Temperatures, find_rest_points, reduce_payoffs,
+                    solve_symmetric)
 from boltzq.cli import main
 from boltzq.fixtures import FIXTURES
 
@@ -62,11 +69,57 @@ def digest(argv: list[str], tmp: str) -> str:
     return md5.hexdigest()
 
 
+def _rest_points(rng: random.Random, log_t: tuple[float, float]):
+    """One ``find_rest_points`` call: payoffs U[-3, 3], (tx, ty)
+    log-uniform on 10**log_t."""
+    payoffs = [[[rng.uniform(-3.0, 3.0) for _ in range(2)] for _ in range(2)]
+               for _ in range(2)]
+    tx, ty = (10.0 ** rng.uniform(*log_t) for _ in range(2))
+    coeffs = reduce_payoffs(Game.from_matrices("g", *payoffs),
+                            Temperatures(tx, ty))
+    return [(p.x, p.y, p.u, p.v, p.eigenvalues, p.residual, p.stability,
+             p.degenerate_pair) for p in find_rest_points(coeffs)]
+
+
+def _symmetric(rng: random.Random):
+    """One ``solve_symmetric`` call with a and b uniform on [-30, 30]."""
+    return solve_symmetric(rng.uniform(-30.0, 30.0), rng.uniform(-30.0, 30.0))
+
+
+def batches():
+    """``(name, seed, calls, call)`` of every library batch."""
+    return [
+        ("find_rest_points warm tx,ty in [1e-3, 10]", 1, 20000,
+         lambda rng: _rest_points(rng, (-3.0, 1.0))),
+        ("find_rest_points cold tx,ty in [1e-20, 1e-3]", 2, 2000,
+         lambda rng: _rest_points(rng, (-20.0, -3.0))),
+        ("solve_symmetric a,b in [-30, 30]", 3, 20000, _symmetric),
+    ]
+
+
+def library_digest(seed: int, calls: int, call) -> tuple[str, int]:
+    """md5 of ``calls`` seeded results (or error types), and the raises."""
+    rng = random.Random(seed)
+    md5 = hashlib.md5()
+    failed = 0
+    for _ in range(calls):
+        try:
+            result = repr(call(rng))
+        except Exception as exc:  # a raise is part of the output
+            result = type(exc).__name__
+            failed += 1
+        md5.update(result.encode() + b"\0")
+    return md5.hexdigest(), failed
+
+
 def main_digests() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for fixture in sorted(FIXTURES):
             for argv in runs(fixture):
                 print(f"{digest(argv, tmp)}  {' '.join(argv)}", flush=True)
+    for name, seed, calls, call in batches():
+        md5, failed = library_digest(seed, calls, call)
+        print(f"{md5}  raised={failed}  {name}", flush=True)
     return 0
 
 
