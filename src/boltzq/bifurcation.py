@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -42,10 +43,9 @@ import numpy as np
 from .errors import DomainError, NotApplicableError, NumericFailureError
 from .games import (Game, GameRegionLabel, ReducedCoefficients, Temperatures,
                     _raw_coefficients, classify_region, reduce_payoffs)
-from .numerics import bisect, sigmoid, sigmoid_slope
+from .numerics import _flip, _refine_root, bisect, sigmoid, sigmoid_slope
 from .restpoints import (_LOGISTIC, GFunction, RestPoint, _extrema,
-                         _is_double_root, _newton_or_halve, _peak,
-                         _refine_root, find_rest_points)
+                         _is_double_root, _peak, find_rest_points)
 
 CONTINUOUS = "continuous"
 DISCONTINUOUS = "discontinuous"
@@ -221,22 +221,14 @@ def _inflection(base: ReducedCoefficients, ty: float, v_lo: float,
                 v_hi: float) -> float:
     """Y's logit at g's inflection within [v_lo, v_hi]: g''/g' falls
     through zero once, so the bracketed Newton of
-    :func:`restpoints._refine_root` finds it; an end already past the sign
+    :func:`numerics._refine_root` finds it; an end already past the sign
     change is where the clipped zero sits.  Both terms of g''/g' are at
     most 1 in size at the zero, so it is solved to a few ulps of 1."""
-    b_lo, _ = _bend(base, ty, v_lo)
-    b_hi, _ = _bend(base, ty, v_hi)
+    bend = partial(_bend, base, ty)
+    (b_lo, _), (b_hi, _) = bend(v_lo), bend(v_hi)
     if b_lo <= 0.0 or b_hi >= 0.0:
         return v_lo if b_lo <= 0.0 else v_hi
-    slope = 0.0
-
-    def bend(v: float) -> float:  # keeps the slope for the call below
-        nonlocal slope
-        value, slope = _bend(base, ty, v)
-        return value
-
-    return _refine_root(bend, lambda v: slope, v_lo, v_hi, b_lo, b_hi,
-                        4.0 * math.ulp(1.0))
+    return _refine_root(bend, v_lo, v_hi, b_lo, b_hi, 4.0 * math.ulp(1.0))
 
 
 def _knots(base: ReducedCoefficients, ty: float) -> list[float]:
@@ -388,44 +380,6 @@ def _stationary(base: ReducedCoefficients, t: float):
 def _three(ext) -> bool:
     """Three rest points: both stationary values keep their pair."""
     return len(ext) == 2 and ext[0][2] and ext[1][2]
-
-
-def _flip(probe, end_in, end_out):
-    """The adjacent floats ``(t_in, info), (t_out, info)`` across which
-    ``probe(t) = (inside, step, info)`` turns from inside to outside, from
-    one bracket end ``(t, probe(t))`` on each side.
-
-    ``step`` is the Newton step of a smooth function whose sign marks the
-    side, or None.  It is taken from the latest probe by the rule of
-    :func:`restpoints._refine_root` (halve unless it lands inside the
-    bracket).  A step below an ulp means that function is at its rounding,
-    which can hold over several floats: it probes 1, 2, 4, ... ulps toward
-    the other end instead, doubling while the side stays the same.
-    """
-    (t_in, p_in), (t_out, p_out) = end_in, end_out
-    steps = [(abs(p[1]), t, p[1]) for t, p in (end_in, end_out)
-             if p[1] is not None]
-    _, t, step = min(steps) if steps else (0.0, t_in, None)
-    creep = 0.0
-    while math.nextafter(t_in, t_out) != t_out:
-        lo, hi = sorted((t_in, t_out))
-        was_in = t == t_in
-        if step is not None and t + step == t:
-            creep = 2.0 * creep or 1.0
-            step = math.copysign(creep * math.ulp(t),
-                                 (t_out if was_in else t_in) - t)
-        else:
-            creep = 0.0
-        t = _newton_or_halve(t, step, lo, hi)
-        found = probe(t)
-        if found[0]:
-            t_in, p_in = t, found
-        else:
-            t_out, p_out = t, found
-        if found[0] != was_in:
-            creep = 0.0
-        step = found[1]
-    return (t_in, p_in[2]), (t_out, p_out[2])
 
 
 def _merge_probe(base: ReducedCoefficients, t: float):

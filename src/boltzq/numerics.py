@@ -74,3 +74,72 @@ def bisect(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
         else:
             hi, f_hi = mid, f_mid
     return 0.5 * (lo + hi)
+
+
+def _newton_or_halve(u: float, step, lo: float, hi: float) -> float:
+    """The step of :func:`_refine_root` and :func:`_flip`: ``u + step``
+    when that lands strictly inside (lo, hi), else the midpoint (also when
+    step is None)."""
+    if step is not None and lo < u + step < hi:
+        return u + step
+    return 0.5 * lo + 0.5 * hi  # = 0.5*(lo + hi), without overflowing
+
+
+def _refine_root(f, lo: float, hi: float, flo: float, fhi: float,
+                 target: float) -> float:
+    """Bracketed Newton with bisection fallback on ``f(u) = (value,
+    slope)``; converges to |value| <= target or to the bracket's float
+    resolution, which 2100 halvings reach from any finite bracket
+    (2^1024 / 2^-1074)."""
+    u = 0.5 * lo + 0.5 * hi  # = 0.5*(lo + hi), without overflowing
+    fu, slope = f(u)
+    for _ in range(2100):
+        if abs(fu) <= target:
+            return u
+        if (fu > 0.0) == (fhi > 0.0):
+            hi, fhi = u, fu
+        else:
+            lo, flo = u, fu
+        if hi - lo <= 8.0 * math.ulp(max(abs(lo), abs(hi), 1.0)):
+            return u
+        u = _newton_or_halve(u, -fu / slope if slope != 0.0 else None, lo, hi)
+        fu, slope = f(u)
+    return u
+
+
+def _flip(probe, end_in, end_out):
+    """The adjacent floats ``(t_in, info), (t_out, info)`` across which
+    ``probe(t) = (inside, step, info)`` turns from inside to outside, from
+    one bracket end ``(t, probe(t))`` on each side.
+
+    ``step`` is the Newton step of a smooth function whose sign marks the
+    side, or None.  It is taken from the latest probe by the rule of
+    :func:`_refine_root` (halve unless it lands inside the bracket).  A
+    step below an ulp means that function is at its rounding, which can
+    hold over several floats: it probes 1, 2, 4, ... ulps toward the other
+    end instead, doubling while the side stays the same.
+    """
+    (t_in, p_in), (t_out, p_out) = end_in, end_out
+    steps = [(abs(p[1]), t, p[1]) for t, p in (end_in, end_out)
+             if p[1] is not None]
+    _, t, step = min(steps) if steps else (0.0, t_in, None)
+    creep = 0.0
+    while math.nextafter(t_in, t_out) != t_out:
+        lo, hi = sorted((t_in, t_out))
+        was_in = t == t_in
+        if step is not None and t + step == t:
+            creep = 2.0 * creep or 1.0
+            step = math.copysign(creep * math.ulp(t),
+                                 (t_out if was_in else t_in) - t)
+        else:
+            creep = 0.0
+        t = _newton_or_halve(t, step, lo, hi)
+        found = probe(t)
+        if found[0]:
+            t_in, p_in = t, found
+        else:
+            t_out, p_out = t, found
+        if found[0] != was_in:
+            creep = 0.0
+        step = found[1]
+    return (t_in, p_in[2]), (t_out, p_out[2])

@@ -31,7 +31,7 @@ from typing import Callable
 
 from .errors import DomainError, NotApplicableError, NumericFailureError
 from .games import ReducedCoefficients
-from .numerics import bisect, logit, sigmoid, sigmoid_slope
+from .numerics import _refine_root, bisect, logit, sigmoid, sigmoid_slope
 
 #: sinh(u) and e^u stay finite for |u| up to ln(max float), about 709.78
 _LOG_MAX = math.log(sys.float_info.max)
@@ -199,38 +199,6 @@ def stability_eigenvalues(point, coeffs: ReducedCoefficients
     return (lam1, lam2)
 
 
-def _refine_root(f: Callable[[float], float], df: Callable[[float], float],
-                 lo: float, hi: float, flo: float, fhi: float,
-                 target: float) -> float:
-    """Bracketed Newton with bisection fallback; converges to |f| <= target
-    or to the bracket's float resolution, which 2100 halvings reach from
-    any finite bracket (2^1024 / 2^-1074)."""
-    u = 0.5 * lo + 0.5 * hi  # = 0.5*(lo + hi), without overflowing
-    fu = f(u)
-    for _ in range(2100):
-        if abs(fu) <= target:
-            return u
-        if (fu > 0.0) == (fhi > 0.0):
-            hi, fhi = u, fu
-        else:
-            lo, flo = u, fu
-        width = hi - lo
-        if width <= 8.0 * math.ulp(max(abs(lo), abs(hi), 1.0)):
-            return u
-        d = df(u)
-        u = _newton_or_halve(u, -fu / d if d != 0.0 else None, lo, hi)
-        fu = f(u)
-    return u
-
-
-def _newton_or_halve(u: float, step, lo: float, hi: float) -> float:
-    """The step of :func:`_refine_root`: ``u + step`` when that lands
-    strictly inside (lo, hi), else the midpoint (also when step is None)."""
-    if step is not None and lo < u + step < hi:
-        return u + step
-    return 0.5 * lo + 0.5 * hi  # = 0.5*(lo + hi), without overflowing
-
-
 class _Logistic:
     """sigma itself as a response curve, with the interface of GFunction:
     on the diagonal x = y of a symmetric game at equal temperatures the
@@ -312,14 +280,12 @@ def _solve_u_roots(a: float, b: float,
     if a == 0.0:
         return [b], [False]
 
-    def phi(u: float) -> float:
-        return u - b - a * curve.value(u)
-
-    def dphi(u: float) -> float:
-        return 1.0 - a * curve.eval(u)[1]
+    def phi(u: float) -> tuple[float, float]:
+        g, slope, _ = curve.eval(u)
+        return u - b - a * g, 1.0 - a * slope
 
     lo, hi = (b, b + a) if a > 0.0 else (b + a, b)
-    flo, fhi = phi(lo), phi(hi)
+    (flo, _), (fhi, _) = phi(lo), phi(hi)
     # Analytically phi(lo) < 0 < phi(hi) always (g stays inside (0,1));
     # restore the sign when saturation rounding has destroyed it, which
     # parks the root at the endpoint to float resolution.
@@ -339,8 +305,7 @@ def _solve_u_roots(a: float, b: float,
     knots.append((hi, fhi))
     for (ua, va), (ub, vb) in zip(knots, knots[1:]):
         if (va > 0.0) != (vb > 0.0):
-            found.append((_refine_root(phi, dphi, ua, ub, va, vb, target),
-                          False))
+            found.append((_refine_root(phi, ua, ub, va, vb, target), False))
     found.sort()
     return [u for u, _ in found], [flag for _, flag in found]
 
@@ -379,7 +344,7 @@ def find_rest_points(coeffs: ReducedCoefficients,
         v = d + c * sigmoid(u)
         x, y = sigmoid(u), sigmoid(v)
         lam1, lam2, rad = _eigenvalues_from_logit(u, v, coeffs)
-        residual = abs(a * sigmoid(v) + b - u)
+        residual = abs(a * y + b - u)
         if fd_check:
             if residual > _RESIDUAL_BOUND * (1.0 + abs(a) + abs(b)):
                 raise NumericFailureError(
