@@ -90,7 +90,9 @@ def _refine_root(f, lo: float, hi: float, flo: float, fhi: float,
     """Bracketed Newton with bisection fallback on ``f(u) = (value,
     slope)``; converges to |value| <= target or to the bracket's float
     resolution, which 2100 halvings reach from any finite bracket
-    (2^1024 / 2^-1074)."""
+    (2^1024 / 2^-1074).  At float resolution, where rounding noise can
+    keep |value| above target, it returns the end with the smaller
+    |value|."""
     u = 0.5 * lo + 0.5 * hi  # = 0.5*(lo + hi), without overflowing
     fu, slope = f(u)
     for _ in range(2100):
@@ -101,7 +103,7 @@ def _refine_root(f, lo: float, hi: float, flo: float, fhi: float,
         else:
             lo, flo = u, fu
         if hi - lo <= 8.0 * math.ulp(max(abs(lo), abs(hi), 1.0)):
-            return u
+            return lo if abs(flo) <= abs(fhi) else hi
         u = _newton_or_halve(u, -fu / slope if slope != 0.0 else None, lo, hi)
         fu, slope = f(u)
     return u

@@ -385,19 +385,22 @@ def symmetric_critical_offsets(a: float) -> tuple[float, float]:
     On the symmetric diagonal the equation ``a*x + b = ln(x/(1-x))`` has
     three solutions exactly for ``b_minus < b < b_plus``; the tangency
     points are x = (1 +- sqrt(1 - 4/a))/2, which exist only for a >= 4.
-    Both offsets equal -2 at a = 4 (the cusp).
+    Both offsets equal -2 at a = 4 (the cusp).  With alpha = sqrt(a(a-4))
+    = a*sqrt(1 - 4/a) and a_pm = a +- alpha, ``b_plus = ln(a_minus/a_plus)
+    - a_minus/2`` and ``b_minus = ln(a_plus/a_minus) - a_plus/2``; every
+    term is formed so that nothing cancels or overflows for any finite a.
     """
     if not math.isfinite(a):
         raise DomainError(f"slope must be finite, got a = {a}")
     if a < 4.0:
         raise NotApplicableError(
             f"three symmetric rest points require a >= 4, got a = {a}")
-    alpha = math.sqrt(a * (a - 4.0))
-    a_plus = a + alpha
-    a_minus = 4.0 * a / a_plus  # = a - alpha without cancellation
-    ratio = math.log(a_minus / a_plus)
+    alpha = math.sqrt(a) * math.sqrt(a - 4.0)
+    a_minus = 4.0 / (1.0 + alpha / a)  # = a - alpha without cancellation
+    # ln(a_minus/a_plus) = -ln(1 + 2*alpha/a_minus), as a_plus - a_minus = 2*alpha
+    ratio = -math.log1p(alpha * (2.0 / a_minus))
     b_plus = ratio - 0.5 * a_minus
-    b_minus = -ratio - 0.5 * a_plus
+    b_minus = -ratio - 0.5 * a - 0.5 * alpha
     return b_minus, b_plus
 
 

@@ -1,12 +1,14 @@
 import cmath
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import expit
 
 import boltzq as bq
-from boltzq.numerics import sigmoid
+from boltzq.numerics import _refine_root, sigmoid
 
 from conftest import scan_symmetric_count
 
@@ -73,6 +75,20 @@ class TestCriticalOffsets:
         for a in (4.5, 5.0, 6.0, 8.0, 12.0, 40.0):
             b_lo, b_hi = bq.symmetric_critical_offsets(a)
             assert b_lo < b_hi
+
+    @pytest.mark.parametrize("a", [2e154, 1e300, sys.float_info.max])
+    def test_huge_slope_matches_high_precision(self, a):
+        # a*(a - 4) and a + alpha overflow here; the offsets must not
+        with mpmath.workdps(50):
+            m = mpmath.mpf(a)
+            alpha = mpmath.sqrt(m * (m - 4))
+            a_plus = m + alpha
+            a_minus = 4 * m / a_plus
+            ratio = mpmath.log(a_minus / a_plus)
+            ref = (-ratio - a_plus / 2, ratio - a_minus / 2)
+            for got, want in zip(bq.symmetric_critical_offsets(a), ref):
+                assert math.isfinite(got)
+                assert abs((got - want) / want) <= 1e-14
 
     def test_offsets_flip_root_count(self):
         # crossing either offset changes the symmetric root count 1 <-> 3
@@ -277,6 +293,41 @@ def test_root_at_the_end_of_a_huge_bracket():
     (point,) = bq.find_rest_points(coeffs(1e300, 0.0, -1e6, 0.0))
     assert point.x == pytest.approx(0.5, abs=1e-12)
     assert point.residual < 1e-12
+
+
+@pytest.mark.parametrize("root", [0.1, 0.25, 0.3, 2.0 / 3.0])
+@pytest.mark.parametrize("small_above", [True, False])
+def test_bracket_at_float_resolution_returns_its_better_end(root, small_above):
+    # The sign change lies inside a rounding plateau: |f| never meets the
+    # target, so the bracket closes to 8 ulps and the end with the smaller
+    # |f| is returned, whichever end the last probe was.
+    below, above = (-1e-9, 1e-12) if small_above else (-1e-12, 1e-9)
+
+    def f(u):
+        return (below if u < root else above), 0.0
+
+    u = _refine_root(f, 0.0, 1.0, below, above, 1e-15)
+    assert (u >= root) == small_above
+    assert abs(u - root) <= 8.0 * math.ulp(1.0)
+
+
+def test_cold_input_at_float_resolution_meets_its_equation():
+    # a region_atlas cold-slice input (|a| ~ 2e10) whose saddle root never
+    # meets the refine target: the bracket's better end meets the residual
+    # bound, where the last probe missed it
+    game = bq.Game.from_matrices(
+        "cold",
+        [[1.5968106928574066, -0.15906801061928455],
+         [-2.5572314043108153, 1.5232609917742632]],
+        [[2.323122497137386, 0.04965258459124211],
+         [-2.3964951385201694, 0.8651166309967797]])
+    co = bq.reduce_payoffs(game, bq.Temperatures(2.108000727371914e-10,
+                                                 1.6910972176896195e-09))
+    points = bq.find_rest_points(co)
+    assert len(points) == 3
+    for p in points:
+        residual = abs(co.a * sigmoid(p.v) + co.b - p.u)
+        assert residual <= 1e-9 * (1.0 + abs(co.a) + abs(co.b))
 
 
 def test_close_pair_of_a_triple_is_not_flagged():
