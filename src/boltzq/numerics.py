@@ -4,6 +4,16 @@ The scalar functions are written against ``math`` rather than numpy: the
 root finders call them millions of times on scalars, where numpy dispatch
 overhead dominates the actual arithmetic.  :func:`sigmoid_array` and
 :func:`softmax` are the vector helpers.
+
+Three bracketed solvers find a sign change, each stopping by its own rule:
+
+- :func:`bisect` halves until the midpoint equals an end (float
+  resolution; at most 200 halvings) and returns the final midpoint;
+- :func:`_refine_root` takes Newton steps that land inside the bracket and
+  halves otherwise, stopping at ``|f| <= target`` or once the bracket is 8
+  ulps of ``max(|lo|, |hi|, 1)`` wide;
+- :func:`_flip` takes the same steps on a side test and stops at adjacent
+  floats, creeping by ulps where the stepped function is at its rounding.
 """
 
 from __future__ import annotations

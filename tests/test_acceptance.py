@@ -160,7 +160,7 @@ def sample_three_root_coeffs(rng):
 def test_07_stability_law():
     """Across 10^4 random three-root games the middle root is the saddle,
     the outer two are attractors, and the eigenvalue closed form agrees
-    with finite-difference Jacobians to 1e-6 (checked on every point)."""
+    with complex-step Jacobians to 1e-6 (checked on every point)."""
     started = time.perf_counter()
     rng = np.random.default_rng(7)
     for _ in range(10_000):
