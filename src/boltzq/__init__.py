@@ -8,14 +8,15 @@ always settles at an interior rest point.  The library finds those rest
 points, classifies their stability, integrates trajectories, traces how
 the rest-point structure bifurcates as the temperatures vary, and checks
 everything against a discrete stochastic simulator.
+
+The trajectory (:mod:`boltzq.dynamics`) and simulator
+(:mod:`boltzq.simulate`) names are loaded on first use, and numpy with
+them: rest points, regions and bifurcations are scalar work and load no
+numpy.
 """
 
-from .dynamics import (IntegratorConfig, LogitPoint, StrategyPoint,
-                       Trajectory, dissipation_rate, free_energy,
-                       gibbs_distribution, integrate, integrate_batch,
-                       integrate_single_agent, log_ratio_field,
-                       logit_velocity, numerical_divergence, q_velocity,
-                       replicator_velocity, strategy_velocity)
+from importlib import import_module
+
 from .errors import (BoltzqError, DegenerateGameError, DomainError,
                      GameFormatError, NotApplicableError, NumericFailureError,
                      UnsupportedDimensionError)
@@ -33,8 +34,21 @@ from .restpoints import (GFunction, RestPoint, count_rest_points,
                          find_rest_points, solve_symmetric,
                          stability_eigenvalues, symmetric_critical_offsets,
                          tangency_conditions)
-from .simulate import (GENERATOR_ID, AgentState, EmpiricalTrace, SimConfig,
-                       boltzmann_policy, q_update, run_two_agents)
+
+#: the names resolved lazily by :func:`__getattr__`, by submodule
+_LAZY = {
+    **dict.fromkeys(
+        ("IntegratorConfig", "LogitPoint", "StrategyPoint", "Trajectory",
+         "dissipation_rate", "free_energy", "gibbs_distribution",
+         "integrate", "integrate_batch", "integrate_single_agent",
+         "log_ratio_field", "logit_velocity", "numerical_divergence",
+         "q_velocity", "replicator_velocity", "strategy_velocity"),
+        "dynamics"),
+    **dict.fromkeys(
+        ("GENERATOR_ID", "AgentState", "EmpiricalTrace", "SimConfig",
+         "boltzmann_policy", "q_update", "run_two_agents"),
+        "simulate"),
+}
 
 __version__ = "0.1.0"
 
@@ -59,3 +73,19 @@ __all__ = [
     "sweep_equal_temperature", "symmetric_critical_offsets",
     "tangency_conditions", "tangent_intercept", "zero_exploration_window",
 ]
+
+
+def __getattr__(name: str):
+    """Import the submodule behind a lazy name (PEP 562) and cache the name
+    in the package namespace, so later lookups do not come here."""
+    if name in ("dynamics", "simulate"):
+        return import_module(f".{name}", __name__)
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

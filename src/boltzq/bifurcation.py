@@ -38,12 +38,11 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Optional
 
-import numpy as np
-
 from .errors import DomainError, NotApplicableError, NumericFailureError
 from .games import (Game, GameRegionLabel, ReducedCoefficients, Temperatures,
                     _raw_coefficients, classify_region, reduce_payoffs)
-from .numerics import _flip, _refine_root, bisect, sigmoid, sigmoid_slope
+from .numerics import (_flip, _refine_root, bisect, geomspace, sigmoid,
+                       sigmoid_slope)
 from .restpoints import (_LOGISTIC, GFunction, RestPoint, _extrema,
                          _is_double_root, _peak, find_rest_points)
 
@@ -514,7 +513,7 @@ def sweep_equal_temperature(game: Game, t_min: float, t_max: float,
     if steps < 2:
         raise DomainError(f"need steps >= 2, got {steps}")
     base = reduce_payoffs(game, Temperatures.equal(1.0))
-    grid = np.geomspace(t_min, t_max, steps).tolist()
+    grid = geomspace(t_min, t_max, steps)
 
     def solve(temp: float) -> list[RestPoint]:
         return find_rest_points(base.at_temperatures(temp, temp))

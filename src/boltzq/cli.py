@@ -1,6 +1,9 @@
 """Command-line surface: classify | simulate | agents | restpoints | sweep
 | critical | portrait.
 
+Only ``simulate``, ``portrait`` and ``agents`` import numpy (through the
+trajectory and simulator modules); the other commands are scalar work.
+
 Games come from ``--game game.json`` (object with "name", "A", "B"; row =
 own action) or ``--fixture NAME``.  Exit codes: 0 success, 2 malformed
 input or inapplicable request, 3 numerical failure.
@@ -11,18 +14,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import bifurcation, fileio, svg
-from .dynamics import IntegratorConfig, Trajectory, integrate, integrate_batch
-from .errors import BoltzqError, DomainError, NumericFailureError
+from .errors import (BoltzqError, DomainError, NotApplicableError,
+                     NumericFailureError)
 from .fixtures import FIXTURES, fixture
 from .games import (Game, Temperatures, classify_region, load_game,
                     nash_equilibria, reduce_payoffs, risk_dominant_profile)
-from .errors import NotApplicableError
+from .numerics import geomspace
 from .restpoints import find_rest_points
-from .simulate import SimConfig, run_two_agents
+
+if TYPE_CHECKING:
+    from .dynamics import IntegratorConfig, Trajectory
 
 
 def _add_game_args(parser: argparse.ArgumentParser) -> None:
@@ -58,6 +62,7 @@ def _resolve_game(args) -> Game:
 
 
 def _integrator_config(args) -> IntegratorConfig:
+    from .dynamics import IntegratorConfig
     kwargs = {}
     if getattr(args, "t_max", None) is not None:
         kwargs["max_time"] = args.t_max
@@ -94,6 +99,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    import numpy as np
+
+    from .dynamics import integrate, integrate_batch
     game = _resolve_game(args)
     temps = Temperatures(args.tx, args.ty)
     coeffs = reduce_payoffs(game, temps)
@@ -111,6 +119,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_agents(args) -> int:
+    from .simulate import SimConfig, run_two_agents
     game = _resolve_game(args)
     temps = Temperatures(args.tx, args.ty)
     cfg = SimConfig(batch=args.batch, rounds=args.rounds, seed=args.seed,
@@ -146,8 +155,8 @@ def cmd_critical(args) -> int:
     game = _resolve_game(args)
     orientation = ("tx_window_vs_ty" if args.orientation == "tx"
                    else "ty_window_vs_tx")
-    grid = np.geomspace(args.fixed_min, args.fixed_max,
-                        _require_count(args.fixed_steps, "--fixed-steps"))
+    grid = geomspace(args.fixed_min, args.fixed_max,
+                     _require_count(args.fixed_steps, "--fixed-steps"))
     curve = bifurcation.critical_curve(game, grid, orientation)
     fileio.write_text(args.out, fileio.critical_csv(curve))
     summary = {"closing_temperature": curve.closing_temperature}
@@ -156,6 +165,9 @@ def cmd_critical(args) -> int:
 
 
 def cmd_portrait(args) -> int:
+    import numpy as np
+
+    from .dynamics import integrate
     game = _resolve_game(args)
     temps = Temperatures(args.tx, args.ty)
     coeffs = reduce_payoffs(game, temps)

@@ -36,8 +36,7 @@ import numpy as np
 from .errors import DomainError
 from .games import (Game, PayoffMatrix, ReducedCoefficients, Temperatures,
                     _require_temperature)
-from .numerics import (bisect, logit, sigmoid, sigmoid_array, sigmoid_slope,
-                       softmax)
+from .numerics import bisect, logit, sigmoid, sigmoid_slope
 
 SIMPLEX_TOL = 1e-12
 #: step-control ceilings, tightened further by :func:`_solver_tols`
@@ -171,6 +170,21 @@ def logit_velocity(point, coeffs: ReducedCoefficients) -> tuple[float, float]:
     du = coeffs.a * sigmoid(v) + coeffs.b - u
     dv = coeffs.c * sigmoid(u) + coeffs.d - v
     return du, dv
+
+
+def sigmoid_array(z: np.ndarray) -> np.ndarray:
+    """Elementwise :func:`~boltzq.numerics.sigmoid` by the same two-branch
+    formula: the numerator ``exp(min(z, 0))`` is 1 for z >= 0 and
+    ``exp(-|z|)`` below, over ``1 + exp(-|z|)``.  So it rounds like the
+    scalar version, up to the ulp by which numpy's exp may differ from
+    ``math.exp``, and never to 0 for finite z above -745."""
+    return np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
+
+
+def softmax(z: np.ndarray) -> np.ndarray:
+    """exp(z) / sum(exp(z)), shifted by max(z) so no term overflows."""
+    e = np.exp(z - z.max())
+    return e / e.sum()
 
 
 def _check_simplex(vec: np.ndarray, name: str) -> np.ndarray:

@@ -8,12 +8,14 @@ the values bit for bit, independent of locale.
 from __future__ import annotations
 
 import json
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .bifurcation import BifurcationDiagram, CriticalCurve
-from .dynamics import Trajectory
 from .restpoints import RestPoint
-from .simulate import EmpiricalTrace
+
+if TYPE_CHECKING:  # numpy-backed; only the trajectory and trace writers
+    from .dynamics import Trajectory
+    from .simulate import EmpiricalTrace
 
 
 def fmt(value: float) -> str:

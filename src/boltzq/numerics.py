@@ -1,9 +1,10 @@
 """Small scalar numerics shared by the solvers.
 
-The scalar functions are written against ``math`` rather than numpy: the
-root finders call them millions of times on scalars, where numpy dispatch
-overhead dominates the actual arithmetic.  :func:`sigmoid_array` and
-:func:`softmax` are the vector helpers.
+Everything here is scalar and pure Python, so importing it loads no
+numpy: the root finders call these functions millions of times on
+scalars, where numpy dispatch overhead dominates the arithmetic, and the
+rest-point, region and bifurcation layers never need an array.
+:func:`geomspace` builds the log-spaced temperature grids of the sweeps.
 
 Three bracketed solvers find a sign change, each stopping by its own rule:
 
@@ -19,8 +20,9 @@ Three bracketed solvers find a sign change, each stopping by its own rule:
 from __future__ import annotations
 
 import math
+from decimal import Context, Decimal
 
-import numpy as np
+from .errors import DomainError
 
 
 def sigmoid(z: float) -> float:
@@ -29,15 +31,6 @@ def sigmoid(z: float) -> float:
         return 1.0 / (1.0 + math.exp(-z))
     e = math.exp(z)
     return e / (1.0 + e)
-
-
-def sigmoid_array(z: np.ndarray) -> np.ndarray:
-    """Elementwise :func:`sigmoid` by the same two-branch formula: the
-    numerator ``exp(min(z, 0))`` is 1 for z >= 0 and ``exp(-|z|)`` below,
-    over ``1 + exp(-|z|)``.  So it rounds like the scalar version, up to
-    the ulp by which numpy's exp may differ from ``math.exp``, and never
-    to 0 for finite z above -745."""
-    return np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
 
 
 def logit(p: float) -> float:
@@ -53,10 +46,36 @@ def sigmoid_slope(u: float) -> float:
     return sigmoid(u) * sigmoid(-u)
 
 
-def softmax(z: np.ndarray) -> np.ndarray:
-    """exp(z) / sum(exp(z)), shifted by max(z) so no term overflows."""
-    e = np.exp(z - z.max())
-    return e / e.sum()
+#: 40 digits, so that rounding a decimal log10 to float is correct but
+#: for ties nearer than 1e-40
+_LOG10_CONTEXT = Context(prec=40)
+
+
+def _log10(x: float) -> float:
+    """log10 rounded correctly, as numpy's nearly always is; ``math.log10``
+    is an ulp off for about one x in seven between 0.1 and 10."""
+    return float(_LOG10_CONTEXT.log10(Decimal(x)))
+
+
+def geomspace(lo: float, hi: float, n: int) -> list[float]:
+    """n points from lo to hi evenly spaced in log10, by numpy.geomspace's
+    formula: the ends exactly, ``10.0 ** (k*step + log10(lo))`` between,
+    ``[lo]`` for n = 1; hi < lo gives a descending grid.  Interior points
+    may differ from numpy's by an ulp, where numpy's vector ``power``
+    rounds otherwise than ``math.pow``.  The grids are temperature grids,
+    so an end that is not finite and > 0 raises :class:`DomainError`."""
+    for end in (lo, hi):
+        if not (end > 0.0 and math.isfinite(end)):
+            raise DomainError(
+                f"temperature must be finite and > 0, got {end} as a grid end")
+    if n < 1:
+        raise DomainError(f"a grid needs n >= 1 points, got {n}")
+    if n == 1:
+        return [float(lo)]
+    start = _log10(lo)
+    step = (_log10(hi) - start) / (n - 1)
+    return ([float(lo)] + [10.0 ** (k * step + start) for k in range(1, n - 1)]
+            + [float(hi)])
 
 
 #: the most halvings one bisection makes

@@ -26,9 +26,9 @@ from typing import Optional
 
 import numpy as np
 
+from .dynamics import softmax
 from .errors import DomainError
 from .games import Game, Temperatures, _require_temperature
-from .numerics import softmax
 
 GENERATOR_ID = "numpy.random.PCG64"
 

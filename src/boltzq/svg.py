@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 SIZE = 640
 MARGIN = 60
 
@@ -12,6 +10,12 @@ _STABILITY_COLORS = {
     "stable_spiral": "#1f6feb",
     "saddle_unstable": "#cf222e",
 }
+
+
+def escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>`` for XML character data, as
+    ``xml.sax.saxutils.escape`` does (whose import pulls in urllib)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _px(x: float) -> float:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -236,6 +237,15 @@ class TestCriticalCommand:
         assert code == 2
         assert "temperature must be finite and > 0" in err
 
+    @pytest.mark.parametrize("flag", ["--fixed-min", "--fixed-max"])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_bad_grid_end_exits_2(self, flag, value):
+        code, out, err = run_cli_process("critical", "--fixture", "stag_hunt",
+                                         flag, value)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err and "Warning" not in err
+
 
 class TestPortraitCommand:
     def test_svg_parses_and_basins_split(self, tmp_path, capsys):
@@ -265,6 +275,31 @@ class TestPortraitCommand:
             assert min(dists) < 1e-4
             count[dists.index(min(dists))] += 1
         assert count[0] > 0 and count[1] > 0
+
+    @pytest.mark.parametrize("title", [
+        "plain", "a & b", "<tag>", "x<y>z&&", "&amp; stays escaped once",
+        "'single' and \"double\" quotes", "Nash–Gleichgewicht μ ≥ 0 ☃", ""])
+    def test_escape_matches_saxutils(self, title):
+        from xml.sax.saxutils import escape
+
+        from boltzq import svg
+        assert svg.escape(title) == escape(title)
+
+    # md5 of ``portrait --fixture NAME --grid 3`` as written while the
+    # title was escaped by xml.sax.saxutils
+    @pytest.mark.parametrize("name, md5", [
+        ("battle_coordination", "bb03275117d1f7393cd1aea1211e99e5"),
+        ("dominant_coordination", "0bab161108c74aaf16f4834509a9f24c"),
+        ("hawk_dove", "62a0dc1f4af011424d7f85e2c031c36a"),
+        ("matching_pennies", "73258f91bc81bf94bd9ced9c635efe29"),
+        ("prisoners_dilemma", "8868d686462ea54564256bf72c0125fc"),
+        ("stag_hunt", "277c29c00c127394d39af9d2817f2e35"),
+    ])
+    def test_fixture_svgs_unchanged(self, capsys, name, md5):
+        code, out, _ = run_cli(capsys, "portrait", "--fixture", name,
+                               "--grid", "3")
+        assert code == 0
+        assert hashlib.md5(out.encode()).hexdigest() == md5
 
 
 class TestExitCodes:
@@ -330,3 +365,64 @@ class TestRuntimeImports:
         *report, loaded = out.splitlines()
         assert json.loads("\n".join(report))  # the rest points
         assert loaded == "[]"
+
+    @pytest.mark.parametrize("argv", [
+        [], ["restpoints", "--fixture", "stag_hunt"],
+        ["classify", "--fixture", "stag_hunt"],
+        ["sweep", "--fixture", "stag_hunt"],
+        ["critical", "--fixture", "stag_hunt"],
+    ], ids=["import", "restpoints", "classify", "sweep", "critical"])
+    def test_scalar_commands_load_no_numpy(self, argv):
+        # `import boltzq` and the scalar commands, in a fresh interpreter,
+        # load no numpy and none of what xml.sax.saxutils pulls in; the
+        # modules the interpreter loaded before boltzq do not count
+        script = (
+            "import runpy, sys\n"
+            "before = set(sys.modules)\n"
+            "import boltzq\n"
+            f"argv = {argv!r}\n"
+            "if argv:\n"
+            "    sys.argv = ['boltzq.cli', *argv]\n"
+            "    try:\n"
+            "        runpy.run_module('boltzq.cli', run_name='__main__')\n"
+            "    except SystemExit as exc:\n"
+            "        assert not exc.code, exc.code\n"
+            "print(sorted(m for m in set(sys.modules) - before\n"
+            "             if m.partition('.')[0] in ('numpy', 'urllib')\n"
+            "             or m == 'xml.sax' or m.startswith('xml.sax.')))\n")
+        code, out, err = run_child("-c", script)
+        assert code == 0, err
+        assert out.splitlines()[-1] == "[]"
+
+    def test_integrate_loads_numpy_on_first_use(self):
+        script = (
+            "import sys\n"
+            "import boltzq as bq\n"
+            "assert 'numpy' not in sys.modules\n"
+            "assert 'integrate' not in vars(bq)\n"
+            "coeffs = bq.reduce_payoffs(bq.fixture('stag_hunt'),\n"
+            "                           bq.Temperatures(0.5, 0.5))\n"
+            "traj = bq.integrate((0.2, 0.7), coeffs)\n"
+            "assert 'numpy' in sys.modules\n"
+            "assert vars(bq)['integrate'] is bq.dynamics.integrate\n"
+            "assert 'boltzq.simulate' not in sys.modules\n"
+            "assert bq.simulate.run_two_agents is bq.run_two_agents\n"
+            "print(traj.terminal_reason)\n")
+        code, out, err = run_child("-c", script)
+        assert code == 0, err
+        assert out == "converged\n"
+
+    def test_every_public_name_resolves(self):
+        script = (
+            "import boltzq as bq\n"
+            "names = {}\n"
+            "exec('from boltzq import *', names)\n"
+            "assert set(bq.__all__) <= set(names), set(bq.__all__) - set(names)\n"
+            "assert all(names[n] is getattr(bq, n) for n in bq.__all__)\n"
+            "assert set(bq.__all__) <= set(dir(bq))\n"
+            "print(len(bq.__all__))\n")
+        code, out, err = run_child("-c", script)
+        assert code == 0, err
+        assert int(out) == len(bq.__all__)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            bq.no_such_name

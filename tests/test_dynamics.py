@@ -633,7 +633,8 @@ class TestTelemetry:
 
 class TestSigmoidArray:
     def test_matches_scalar_sigmoid(self):
-        from boltzq.numerics import sigmoid, sigmoid_array
+        from boltzq.dynamics import sigmoid_array
+        from boltzq.numerics import sigmoid
         z = np.concatenate([np.linspace(-745.0, 745.0, 20001),
                             [-0.0, 0.0, 1e-300, -1e-300, 36.7, -36.7]])
         np.testing.assert_array_max_ulp(
@@ -641,7 +642,7 @@ class TestSigmoidArray:
 
     def test_deep_negative_tail_is_not_rounded_to_zero(self):
         # 0.5*(1 + tanh(z/2)) returns 0 here
-        from boltzq.numerics import sigmoid_array
+        from boltzq.dynamics import sigmoid_array
         z = np.array([-40.0, -300.0, -700.0])
         assert np.all(sigmoid_array(z) > 0.0)
         np.testing.assert_allclose(sigmoid_array(z), np.exp(z), rtol=1e-15)
