@@ -12,7 +12,9 @@ is free: phi'(u_s) = 0, so by the envelope theorem dG/dT is the partial
 derivative at fixed u_s.  Where the stationary pair itself disappears
 inside a grid cell, its merge at g's inflection (``a*c*shape = 1``, which
 crosses zero linearly, unlike the values) is solved first; a merged value
-within rounding is the cusp.
+within rounding is the cusp.  That is also the one pitchfork rule: the
+three branches collapse continuously exactly when the top fold is a cusp,
+for the sweep and for :func:`classify_pitchfork` alike.
 
 At a fixed ty (the critical curve) a tangency is where the intercept
 ``delta(u) = g(u) - g'(u)*u`` of the tangent touching g at u equals -b/a,
@@ -401,6 +403,27 @@ def _merge_probe(base: ReducedCoefficients, t: float):
     return paired, step, (u0, co, gf)
 
 
+def _merge(base: ReducedCoefficients, end3, end1):
+    """Where the stationary pair, present at the three-point end of a
+    T-cell, merges inside it, each end given as ``(T, _stationary(base,
+    T))``: ``(t_pair, t_gone, u0, cusp)`` at the adjacent floats across
+    the merge at g's inflection u0, or ``None`` when the one-point end
+    still has the pair.  The merge condition crosses zero linearly
+    (:func:`_merge_probe`), so it is solved by the Newton flip, and
+    ``cusp`` says that the merged value is the double root
+    (:func:`restpoints._is_double_root`): all three roots are one there.
+    """
+    (t3, _), (t1, e1) = end3, end1
+    if len(e1) == 2:
+        return None
+    gone = _merge_probe(base, t1)
+    if gone[0]:
+        return None
+    (t_pair, _), (t_gone, (u0, co, gf)) = _flip(
+        lambda t: _merge_probe(base, t), (t3, (True, None, None)), (t1, gone))
+    return t_pair, t_gone, u0, _is_double_root(u0, co.a, co.b, gf)
+
+
 def _fold(base: ReducedCoefficients, end3, end1) -> tuple[float, float, str]:
     """The fold in a T-cell with three rest points at one end and not at
     the other, each end given as ``(T, _stationary(base, T))``:
@@ -414,28 +437,26 @@ def _fold(base: ReducedCoefficients, end3, end1) -> tuple[float, float, str]:
     ``dG/dT = u_s + raw_a*sigma'(v_s)*v_s/T``.
 
     When the one-point end has no stationary pair, the pair merges inside
-    the cell, at g's inflection: that merge is solved first (its condition
-    crosses zero linearly, while the stationary values vanish like
-    (T_c - T)^(3/2)).  If the merged value is the double root there
-    (:func:`restpoints._is_double_root`), the fold is a cusp: ``(t, u0,
-    "both")`` at the first float without the pair, u0 the inflection,
-    where all three roots are one.
-    Otherwise the fold lies between the three-point end and the merge.
+    the cell, at g's inflection: that merge is solved first
+    (:func:`_merge`; its condition crosses zero linearly, while the
+    stationary values vanish like (T_c - T)^(3/2)).  If the merged value
+    is the double root there, the fold is a cusp: ``(t, u0, "both")`` at
+    the first float without the pair, u0 the inflection, where all three
+    roots are one.  This is the one pitchfork rule: the collapse is
+    continuous exactly when the top fold is a cusp.  Otherwise the fold
+    lies between the three-point end and the merge.
     """
     (t3, e3), (t1, e1) = end3, end1
-    if len(e1) != 2:
-        pair1 = _merge_probe(base, t1)
-        if not pair1[0]:
-            (t_pair, _), (t1, (u0, co, gf)) = _flip(
-                lambda t: _merge_probe(base, t), (t3, (True, None, None)),
-                (t1, pair1))
-            if _is_double_root(u0, co.a, co.b, gf):
-                return t1, u0, "both"
-            e_pair = _stationary(base, t_pair)
-            if _three(e_pair):
-                t3, e3 = t_pair, e_pair
-            else:
-                t1, e1 = t_pair, e_pair
+    merged = _merge(base, end3, end1)
+    if merged:
+        t_pair, t1, u0, cusp = merged
+        if cusp:
+            return t1, u0, "both"
+        e_pair = _stationary(base, t_pair)
+        if _three(e_pair):
+            t3, e3 = t_pair, e_pair
+        else:
+            t1, e1 = t_pair, e_pair
     if len(e1) == 2:  # the value that lost its pair at the one-point end
         lost = 1 if e1[0][2] else 0
     else:  # else the one nearer zero at the three-point end
@@ -544,56 +565,64 @@ def sweep_equal_temperature(game: Game, t_min: float, t_max: float,
         pitchfork_kind=kind)
 
 
+def _descent(base: ReducedCoefficients):
+    """``(T, _stationary(base, T))`` down the log grid ``T_k =
+    sqrt(raw_a*raw_c)/4 * e^(-0.35k)``, from the temperature above which
+    no tangency exists; :class:`NumericFailureError` past 200 points."""
+    top = math.sqrt(base.raw_a * base.raw_c) / 4.0
+    for k in range(200):
+        t = top * math.exp(-0.35 * k)
+        yield t, _stationary(base, t)
+    raise NumericFailureError(f"no three rest points down to T = {t:.3e}")
+
+
 def equal_temperature_criticals(game: Game) -> Optional[list[tuple[float, float]]]:
     """Critical shared temperatures of a game run at tx = ty = T.
 
-    These are the folds of :func:`sweep_equal_temperature`, bracketed on a
-    log grid from ``sqrt(raw_a*raw_c)/4`` (no tangency above it) down at
-    least e^-8 and on until three rest points exist, each grid temperature
-    solved once, and then solved as there (Newton in T on the value being
-    lost, or the exact merge at a cusp).  Returns the sorted (T, u) pairs,
-    u where the line touches the response curve (g's inflection at a
-    cusp), or ``None`` when the game's ratios fall outside the open unit
-    box.
+    These are the folds of :func:`sweep_equal_temperature`, bracketed on
+    the grid of :func:`_descent` down at least e^-8 and on until three
+    rest points exist, each grid temperature solved once, and then solved
+    as there (Newton in T on the value being lost, or the exact merge at a
+    cusp).  A window of three rest points narrower than a grid cell is
+    missed.  Returns the sorted (T, u) pairs, u where the line touches the
+    response curve (g's inflection at a cusp), or ``None`` when the game's
+    ratios fall outside the open unit box.
     """
     base = reduce_payoffs(game, Temperatures.equal(1.0))
     raw_a, raw_b, raw_c, raw_d = base.raw_a, base.raw_b, base.raw_c, base.raw_d
     if raw_a * raw_c <= 0.0 or not (-1.0 < raw_b / raw_a < 0.0
                                     and -1.0 < raw_d / raw_c < 0.0):
         return None
-    top = math.sqrt(raw_a * raw_c) / 4.0
     grid: list[float] = []
     states = {}
-    while len(grid) < 24 or not _three(states[grid[-1]]):
-        if len(grid) == 200:
-            raise NumericFailureError(
-                f"no three rest points down to T = {grid[-1]:.3e}")
-        grid.append(top * math.exp(-0.35 * len(grid)))
-        states[grid[-1]] = _stationary(base, grid[-1])
+    for t, state in _descent(base):
+        grid.append(t)
+        states[t] = state
+        if len(grid) >= 24 and _three(state):
+            break
     grid.reverse()
     folds = _folds(base, grid, [_three(states[t]) for t in grid], states)
     return [(t, u) for t, u, _ in folds]
 
 
 def classify_pitchfork(game: Game) -> str:
-    """Closed-form pitchfork taxonomy for the equal-temperature sweep.
+    """How the three rest-point branches collapse along tx = ty = T.
 
-    The branch collapse is continuous exactly when the two raw slopes are
-    equal and the ratios satisfy the symmetric-collapse relation
-    (b/a + d/c = -1 for coordination games, b/a = d/c for
-    anti-coordination); other three-equilibrium games collapse
-    discontinuously, and games outside the unit ratio box never bifurcate
-    under a shared temperature.
+    Games outside ``MultiNE_TriplePossible`` have no pitchfork.  Otherwise
+    the rule is the sweep's: the collapse is continuous exactly when the
+    top fold is a cusp.  Walking down the grid of :func:`_descent` to the
+    first temperature with three rest points, the top fold lies in the
+    cell above it.  If the upper end still has the stationary pair the
+    fold is ordinary (discontinuous); else the pair merges inside the cell
+    (:func:`_merge`, the first step of :func:`_fold`), and the collapse is
+    continuous exactly when the merged value is the double root.
     """
     coeffs = reduce_payoffs(game, Temperatures.equal(1.0))
     if classify_region(coeffs).label != GameRegionLabel.MULTI_NE_TRIPLE_POSSIBLE:
         return NO_PITCHFORK
-    scale = max(1.0, abs(coeffs.raw_a), abs(coeffs.raw_c))
-    if abs(coeffs.raw_a - coeffs.raw_c) > 1e-9 * scale:
-        return DISCONTINUOUS
-    beta, delta = coeffs.b_over_a, coeffs.d_over_c
-    if coeffs.raw_a > 0.0:
-        symmetric = abs(beta + delta + 1.0) <= 1e-9
-    else:
-        symmetric = abs(beta - delta) <= 1e-9
-    return CONTINUOUS if symmetric else DISCONTINUOUS
+    above = None  # stays None only if the top itself rounds to three points
+    for end3 in _descent(coeffs):
+        if _three(end3[1]):
+            merged = above and _merge(coeffs, end3, above)
+            return CONTINUOUS if merged and merged[3] else DISCONTINUOUS
+        above = end3

@@ -165,7 +165,8 @@ def test_07_stability_law():
     rng = np.random.default_rng(7)
     for _ in range(10_000):
         co = sample_three_root_coeffs(rng)
-        points = bq.find_rest_points(co)  # raises if FD disagrees > 1e-6
+        # raises if the complex-step Jacobian disagrees by more than 1e-6
+        points = bq.find_rest_points(co)
         assert len(points) == 3
         assert points[1].stability == "saddle_unstable"
         for outer in (points[0], points[2]):

@@ -279,9 +279,50 @@ class TestClassifyPitchfork:
 
     def test_agrees_with_sweep_separation_criterion(self):
         for name in ("stag_hunt", "battle_coordination", "hawk_dove"):
-            closed_form = bq.classify_pitchfork(bq.fixture(name))
+            kind = bq.classify_pitchfork(bq.fixture(name))
             diagram = bq.sweep_equal_temperature(bq.fixture(name), 0.2, 2.0, 50)
-            assert diagram.pitchfork_kind == closed_form, name
+            assert diagram.pitchfork_kind == kind, name
+
+    @pytest.mark.parametrize("eps,kind", [(1e-14, "continuous"),
+                                          (1e-12, "discontinuous"),
+                                          (1e-10, "discontinuous"),
+                                          (1e-9, "discontinuous"),
+                                          (2e-9, "discontinuous")])
+    def test_perturbed_battle_follows_the_top_fold(self, eps, kind):
+        # A00 = 1 + eps breaks the cusp: the top fold is an ordinary one
+        # (0.7287654052750053 at eps = 1e-10, against the cusp at
+        # 0.728765477784689) unless eps is below the merge's rounding
+        game = bq.Game.from_matrices("battle_eps", [[1.0 + eps, 0.0],
+                                                    [0.0, 2.0]],
+                                     [[2.0, 0.0], [0.0, 1.0]])
+        diagram = bq.sweep_equal_temperature(game, 0.05, 5.0, 80)
+        assert diagram.pitchfork_kind == kind
+        assert bq.classify_pitchfork(game) == kind
+
+    def test_pure_coordination_cusp_at_the_top_of_the_grid(self):
+        # sqrt(raw_a*raw_c)/4 = 0.5 is the top of the criticals grid, and
+        # the cusp sits exactly there
+        game = bq.Game.from_matrices("pure", [[1.0, 0.0], [0.0, 1.0]],
+                                     [[1.0, 0.0], [0.0, 1.0]])
+        assert bq.equal_temperature_criticals(game) == [(0.5, 0.0)]
+        assert bq.classify_pitchfork(game) == "continuous"
+        assert bq.sweep_equal_temperature(
+            game, 0.05, 5.0, 80).pitchfork_kind == "continuous"
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the top of the criticals grid rounds to a "
+                              "stationary pair or to three points when the "
+                              "cusp sits exactly on it")
+    @pytest.mark.parametrize("stake", [1.0, 1.5])
+    def test_cusp_on_the_top_of_the_grid_with_unequal_stakes(self, stake):
+        # b/a = d/c = -1/2 puts the cusp exactly on sqrt(raw_a*raw_c)/4;
+        # with raw_a != raw_c that grid temperature rounds to a stationary
+        # pair (stake 1) or to three rest points (stake 1.5)
+        game = bq.Game.from_matrices("stakes", [[stake, 0.0], [0.0, stake]],
+                                     [[3.0, 0.0], [0.0, 3.0]])
+        assert bq.sweep_equal_temperature(
+            game, 0.05, 5.0, 80).pitchfork_kind == "continuous"
+        assert bq.classify_pitchfork(game) == "continuous"
 
     def test_continuous_point_is_inflection(self):
         # At the symmetric collapse the tangency point is also the response

@@ -485,6 +485,79 @@ def test_non_cusp_folds_end_on_the_last_float_with_three_points():
             assert count(math.nextafter(t_c, beyond)) != 3, game.name
 
 
+def top_fold(game):
+    """The top fold on the grid of ``equal_temperature_criticals``: in the
+    cell above the first temperature with three rest points."""
+    base = bq.reduce_payoffs(game, bq.Temperatures(1.0, 1.0))
+    above = None
+    for end in bifurcation._descent(base):
+        if bifurcation._three(end[1]):
+            return bifurcation._fold(base, end, above)
+        above = end
+
+
+def unequal_slopes_game(beta):
+    """Raw slopes 3 and 5, d/c = -0.4 and b/a = beta."""
+    return bq.Game.from_matrices("unequal_slopes",
+                                 [[3.0 + 3.0 * beta, 3.0 * beta], [0.0, 0.0]],
+                                 [[3.0, -2.0], [0.0, 0.0]])
+
+
+def test_cusp_off_the_symmetric_family_is_continuous():
+    # the diagonal meets a cusp on a codimension-1 set of games: here the
+    # top fold loses the min at one end of the beta bracket and the max at
+    # the other, and between them it is a cusp
+    lo, hi = -0.63, -0.6275
+    lost_lo = top_fold(unequal_slopes_game(lo))[2]
+    assert (lost_lo, top_fold(unequal_slopes_game(hi))[2]) == ("min", "max")
+    while True:
+        beta = 0.5 * (lo + hi)
+        assert lo < beta < hi
+        t_c, _, lost = top_fold(unequal_slopes_game(beta))
+        if lost == "both":
+            break
+        lo, hi = (beta, hi) if lost == lost_lo else (lo, beta)
+    assert beta == pytest.approx(-0.6289630822547132, abs=1e-12)
+    assert t_c == pytest.approx(0.9560515241531471, rel=1e-12)
+    game = unequal_slopes_game(beta)
+    assert bq.sweep_equal_temperature(
+        game, 0.05, 5.0, 80).pitchfork_kind == "continuous"
+    assert bq.classify_pitchfork(game) == "continuous"
+
+
+#: a three-equilibrium game whose diagonal holds a window of three rest
+#: points, (38.4527, 38.5358), above its main fold and narrower than a cell
+#: of the criticals grid or of the benchmark's 40-step sweep
+NARROW_WINDOW_GAME = bq.Game.from_matrices(
+    "narrow_window", [[0.15, -65.6], [0.0, 0.0]], [[297.0, -127.0], [0.0, 0.0]])
+NARROW_WINDOW_FOLDS = [28.30969201359419, 38.45274503411621,
+                       38.535788345581125]
+
+
+def test_narrow_diagonal_window_counts():
+    game = NARROW_WINDOW_GAME
+    co = bq.reduce_payoffs(game, bq.Temperatures(1.0, 1.0))
+    assert (bq.classify_region(co).label
+            is bq.GameRegionLabel.MULTI_NE_TRIPLE_POSSIBLE)
+    for temp, count in ((38.6, 1), (38.5, 3), (38.4, 1), (30.0, 1),
+                        (28.0, 3)):
+        assert count_at(game, temp) == count, temp
+    sweep_range = fold_sweep_range(game)
+    fine = bq.sweep_equal_temperature(game, *sweep_range, 3000)
+    assert fine.critical_temperatures == pytest.approx(NARROW_WINDOW_FOLDS,
+                                                       rel=1e-12)
+    coarse = bq.sweep_equal_temperature(game, *sweep_range, 40)
+    assert coarse.critical_temperatures == pytest.approx(
+        NARROW_WINDOW_FOLDS[:1], rel=1e-12)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a window narrower than a grid cell is missed")
+def test_criticals_find_the_narrow_diagonal_window():
+    assert tangency_criticals(NARROW_WINDOW_GAME) == pytest.approx(
+        NARROW_WINDOW_FOLDS, rel=1e-12)
+
+
 def test_pitchfork_label_matches_closed_form_on_many_games():
     for game in random_multi_games(400, seed=11):
         co = bq.reduce_payoffs(game, bq.Temperatures(1.0, 1.0))

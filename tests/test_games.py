@@ -222,6 +222,21 @@ class TestClassifyRegion:
         region = bq.classify_region(co)
         assert region.label is bq.GameRegionLabel.NUMERIC_BOUNDARY
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="_raw_coefficients forms raw_a as "
+                              "-(A10 + A01 - A00 - A11), which rounds "
+                              "b/a = -1 to -1 + 2**-52 after relabelling")
+    def test_relabelling_x_keeps_the_label_at_ratio_minus_one(self):
+        # b/a is exactly -1 here, on the edge of the unit ratio box;
+        # relabelling X's actions maps b/a -> -1 - b/a, which is -1 again
+        original = mk([[0.1, 0.1], [0.1, 0.2]], [[2.0, 0.0], [0.0, 1.0]])
+        relabelled = mk([[0.1, 0.2], [0.1, 0.1]], [[0.0, 2.0], [1.0, 0.0]])
+        labels = [bq.classify_region(
+            bq.reduce_payoffs(game, bq.Temperatures(1, 1))).label
+            for game in (original, relabelled)]
+        assert labels[0] is bq.GameRegionLabel.SINGLE_NE_TRIPLE_POSSIBLE
+        assert labels[1] is labels[0]
+
     def test_degenerate_raises(self):
         co = bq.ReducedCoefficients.from_values(0.0, 1.0, 2.0, -1.0)
         with pytest.raises(bq.DegenerateGameError):

@@ -1,5 +1,6 @@
 """Print an md5 digest of every CLI output on the built-in fixtures, and
-of the rest-point kernel on seeded random inputs.
+of the rest-point kernel and the diagonal bifurcation drivers on seeded
+random inputs.
 
 Each CLI line is ``md5  argv`` for one in-process run of
 ``boltzq.cli.main``; the digest covers the exit code, the captured stdout
@@ -23,8 +24,9 @@ import random
 import sys
 import tempfile
 
-from boltzq import (Game, Temperatures, find_rest_points, reduce_payoffs,
-                    solve_symmetric)
+from boltzq import (Game, Temperatures, classify_pitchfork,
+                    equal_temperature_criticals, find_rest_points,
+                    reduce_payoffs, solve_symmetric)
 from boltzq.cli import main
 from boltzq.fixtures import FIXTURES
 
@@ -69,14 +71,19 @@ def digest(argv: list[str], tmp: str) -> str:
     return md5.hexdigest()
 
 
+def _game(rng: random.Random) -> Game:
+    """A game with payoffs U[-3, 3]."""
+    payoffs = [[[rng.uniform(-3.0, 3.0) for _ in range(2)] for _ in range(2)]
+               for _ in range(2)]
+    return Game.from_matrices("g", *payoffs)
+
+
 def _rest_points(rng: random.Random, log_t: tuple[float, float]):
     """One ``find_rest_points`` call: payoffs U[-3, 3], (tx, ty)
     log-uniform on 10**log_t."""
-    payoffs = [[[rng.uniform(-3.0, 3.0) for _ in range(2)] for _ in range(2)]
-               for _ in range(2)]
+    game = _game(rng)
     tx, ty = (10.0 ** rng.uniform(*log_t) for _ in range(2))
-    coeffs = reduce_payoffs(Game.from_matrices("g", *payoffs),
-                            Temperatures(tx, ty))
+    coeffs = reduce_payoffs(game, Temperatures(tx, ty))
     return [(p.x, p.y, p.u, p.v, p.eigenvalues, p.residual, p.stability,
              p.degenerate_pair) for p in find_rest_points(coeffs)]
 
@@ -94,6 +101,10 @@ def batches():
         ("find_rest_points cold tx,ty in [1e-20, 1e-3]", 2, 2000,
          lambda rng: _rest_points(rng, (-20.0, -3.0))),
         ("solve_symmetric a,b in [-30, 30]", 3, 20000, _symmetric),
+        ("equal_temperature_criticals payoffs in [-3, 3]", 4, 400,
+         lambda rng: equal_temperature_criticals(_game(rng))),
+        ("classify_pitchfork payoffs in [-3, 3]", 4, 400,
+         lambda rng: classify_pitchfork(_game(rng))),
     ]
 
 
