@@ -282,20 +282,16 @@ def critical_curve(game: Game, fixed_values,
 
     base = _normalized_base(game)
     samples: list[tuple[float, Optional[float], Optional[float]]] = []
-    inflections = {}
     for ty in map(float, fixed_values):
         base.at_temperatures(1.0, ty)  # DomainError unless raw/ty is finite
-        knots = _knots(base, ty)
-        inflections[ty] = knots[2]
-        ends = _window_ends(base, ty, knots)
+        ends = _window_ends(base, ty, _knots(base, ty))
         samples += ([(ty, lo, hi) for lo, hi in zip(ends[::2], ends[1::2])]
                     or [(ty, None, None)])
 
-    def merge_gap(ty: float, v: Optional[float] = None):
+    def merge_gap(ty: float):
         """``(gap, step)`` of ``delta(u0) + b/a`` at g's inflection u0: as
         delta' = -u*g'' vanishes there, its ty-slope is the one at fixed u."""
-        gap, _, slope = _touch(base, ty, _knots(base, ty)[2] if v is None
-                               else v)
+        gap, _, slope = _touch(base, ty, _knots(base, ty)[2])
         gap += base.raw_b / base.raw_a
         return gap, -gap / slope if slope else None
 
@@ -304,8 +300,7 @@ def critical_curve(game: Game, fixed_values,
     closing = None
     if later:
         lo, hi = max(have), min(later)
-        (m_lo, step_lo), (m_hi, step_hi) = (merge_gap(t, inflections[t])
-                                            for t in (lo, hi))
+        (m_lo, step_lo), (m_hi, step_hi) = merge_gap(lo), merge_gap(hi)
         if (m_lo > 0.0) != (m_hi > 0.0):
             def probe(ty: float):
                 gap, step = merge_gap(ty)
@@ -567,11 +562,15 @@ def sweep_equal_temperature(game: Game, t_min: float, t_max: float,
 
 def _descent(base: ReducedCoefficients):
     """``(T, _stationary(base, T))`` down the log grid ``T_k =
-    sqrt(raw_a*raw_c)/4 * e^(-0.35k)``, from the temperature above which
-    no tangency exists; :class:`NumericFailureError` past 200 points."""
+    sqrt(raw_a*raw_c)/4 * e^(-0.35(k - 1/2))``; :class:`NumericFailureError`
+    past 200 points.  The grid is offset by half a step from the tangency
+    bound sqrt(raw_a*raw_c)/4: at its first point a*c = 16*e^-0.35 < 16,
+    so the defect has no stationary pair there (shape <= 1/16), and no
+    point lands on the bound, where the cusp of every game with b/a = d/c =
+    -1/2 sits."""
     top = math.sqrt(base.raw_a * base.raw_c) / 4.0
     for k in range(200):
-        t = top * math.exp(-0.35 * k)
+        t = top * math.exp(-0.35 * (k - 0.5))
         yield t, _stationary(base, t)
     raise NumericFailureError(f"no three rest points down to T = {t:.3e}")
 
@@ -580,11 +579,12 @@ def equal_temperature_criticals(game: Game) -> Optional[list[tuple[float, float]
     """Critical shared temperatures of a game run at tx = ty = T.
 
     These are the folds of :func:`sweep_equal_temperature`, bracketed on
-    the grid of :func:`_descent` down at least e^-8 and on until three
-    rest points exist, each grid temperature solved once, and then solved
-    as there (Newton in T on the value being lost, or the exact merge at a
-    cusp).  A window of three rest points narrower than a grid cell is
-    missed.  Returns the sorted (T, u) pairs, u where the line touches the
+    the offset grid of :func:`_descent`, from half a step above the
+    tangency bound down to at least e^-7.875 times it (24 points) and on
+    until three rest points exist, each grid temperature solved once, and
+    then solved as there (Newton in T on the value being lost, or the
+    exact merge at a cusp).  A window of three rest points narrower than a
+    grid cell is missed.  Returns the sorted (T, u) pairs, u where the line touches the
     response curve (g's inflection at a cusp), or ``None`` when the game's
     ratios fall outside the open unit box.
     """
@@ -610,8 +610,9 @@ def classify_pitchfork(game: Game) -> str:
 
     Games outside ``MultiNE_TriplePossible`` have no pitchfork.  Otherwise
     the rule is the sweep's: the collapse is continuous exactly when the
-    top fold is a cusp.  Walking down the grid of :func:`_descent` to the
-    first temperature with three rest points, the top fold lies in the
+    top fold is a cusp.  Walking down the grid of :func:`_descent`, whose
+    first point is above the tangency bound and has no stationary pair, to
+    the first temperature with three rest points, the top fold lies in the
     cell above it.  If the upper end still has the stationary pair the
     fold is ordinary (discontinuous); else the pair merges inside the cell
     (:func:`_merge`, the first step of :func:`_fold`), and the collapse is
@@ -620,9 +621,10 @@ def classify_pitchfork(game: Game) -> str:
     coeffs = reduce_payoffs(game, Temperatures.equal(1.0))
     if classify_region(coeffs).label != GameRegionLabel.MULTI_NE_TRIPLE_POSSIBLE:
         return NO_PITCHFORK
-    above = None  # stays None only if the top itself rounds to three points
-    for end3 in _descent(coeffs):
+    walk = _descent(coeffs)
+    above = next(walk)
+    for end3 in walk:
         if _three(end3[1]):
-            merged = above and _merge(coeffs, end3, above)
+            merged = _merge(coeffs, end3, above)
             return CONTINUOUS if merged and merged[3] else DISCONTINUOUS
         above = end3

@@ -273,18 +273,14 @@ def numerical_divergence(point, game: Game, temps: Temperatures) -> float:
     if np.isscalar(pu) or np.asarray(pu).ndim == 0:
         w_x, w_y = -w_x, -w_y
     div = 0.0
-    for idx in range(w_x.size):
-        shift = np.zeros_like(w_x)
-        shift[idx] = _DIVERGENCE_STEP
-        fp, _ = log_ratio_field(game, temps, w_x + shift, w_y)
-        fm, _ = log_ratio_field(game, temps, w_x - shift, w_y)
-        div += (fp[idx] - fm[idx]) / (2.0 * _DIVERGENCE_STEP)
-    for idx in range(w_y.size):
-        shift = np.zeros_like(w_y)
-        shift[idx] = _DIVERGENCE_STEP
-        _, fp = log_ratio_field(game, temps, w_x, w_y + shift)
-        _, fm = log_ratio_field(game, temps, w_x, w_y - shift)
-        div += (fp[idx] - fm[idx]) / (2.0 * _DIVERGENCE_STEP)
+    for player, w in enumerate((w_x, w_y)):
+        for idx in range(w.size):
+            shift = np.zeros_like(w)
+            shift[idx] = _DIVERGENCE_STEP
+            fp, fm = (log_ratio_field(game, temps,
+                                      *((m, w_y), (w_x, m))[player])[player]
+                      for m in (w + shift, w - shift))
+            div += (fp[idx] - fm[idx]) / (2.0 * _DIVERGENCE_STEP)
     return float(div)
 
 
@@ -316,13 +312,10 @@ def free_energy(x, rewards, temp: float, allow_zero: bool = False) -> float:
     if (not np.all((x >= 0.0) & np.isfinite(x))
             or abs(float(x.sum()) - 1.0) > 1e-9):
         raise DomainError("x must be a probability vector")
-    if np.any(x == 0.0):
-        if not allow_zero:
-            raise DomainError("zero component; pass allow_zero=True for the "
-                              "0*ln(0)=0 convention")
-        entropy_part = float(np.sum(np.where(x > 0.0, x * np.log(np.maximum(x, 1e-300)), 0.0)))
-    else:
-        entropy_part = float(np.sum(x * np.log(x)))
+    if not allow_zero and np.any(x == 0.0):
+        raise DomainError("zero component; pass allow_zero=True for the "
+                          "0*ln(0)=0 convention")
+    entropy_part = float(np.sum(x * np.log(np.where(x > 0.0, x, 1.0))))
     return float(-(r @ x) + temp * entropy_part)
 
 

@@ -19,6 +19,12 @@ through four scaled coefficients::
 against a mixed opponent y, in units of X's temperature; likewise c, d for
 Y.  The ratios b/a and d/c are temperature-free and determine the game's
 qualitative class.
+
+Every payoff decision is made once, from its own terms, with no absolute
+threshold: a payoff is compared with its deviation exactly, and a sum of
+payoffs is zero only within their rounding
+(:func:`boltzq.numerics.rounds_to_zero`).  So multiplying every payoff by
+a power of two, which is exact, changes no equilibrium and no region.
 """
 
 from __future__ import annotations
@@ -37,9 +43,7 @@ from .errors import (
     NumericFailureError,
     UnsupportedDimensionError,
 )
-
-#: |a| or |c| below this (in temperature-free units) counts as degenerate.
-DEGENERACY_EPS = 1e-12
+from .numerics import rounds_to_zero
 
 
 def _as_float_grid(entries) -> tuple[tuple[float, ...], ...]:
@@ -171,13 +175,13 @@ class ReducedCoefficients:
 
     @property
     def b_over_a(self) -> float:
-        if abs(self.raw_a) < DEGENERACY_EPS:
+        if self.raw_a == 0.0:
             raise DegenerateGameError("b/a undefined: a vanishes")
         return self.raw_b / self.raw_a
 
     @property
     def d_over_c(self) -> float:
-        if abs(self.raw_c) < DEGENERACY_EPS:
+        if self.raw_c == 0.0:
             raise DegenerateGameError("d/c undefined: c vanishes")
         return self.raw_d / self.raw_c
 
@@ -196,16 +200,22 @@ class ReducedCoefficients:
 
 
 def _raw_coefficients(game: Game) -> tuple[float, float, float, float]:
+    """``(raw_a, raw_b, raw_c, raw_d)`` from the payoffs.  raw_a and raw_c
+    are three additions, so they can be pure rounding: within the rounding
+    of their four payoffs they are exactly 0.0 (degenerate).  raw_b and
+    raw_d are single differences, exact when small, and are kept."""
     if game.n != 2:
         raise UnsupportedDimensionError(
             f"analytic operations need a 2x2 game, got {game.n}x{game.n}")
     A = game.payoff_x.entries
     B = game.payoff_y.entries
     raw_a = -(A[1][0] + A[0][1] - A[0][0] - A[1][1])
-    raw_b = A[0][1] - A[1][1]
     raw_c = -(B[1][0] + B[0][1] - B[0][0] - B[1][1])
-    raw_d = B[0][1] - B[1][1]
-    return raw_a, raw_b, raw_c, raw_d
+    if rounds_to_zero(raw_a, *A[0], *A[1]):
+        raw_a = 0.0
+    if rounds_to_zero(raw_c, *B[0], *B[1]):
+        raw_c = 0.0
+    return raw_a, A[0][1] - A[1][1], raw_c, B[0][1] - B[1][1]
 
 
 def reduce_payoffs(game: Game, temps: Temperatures) -> ReducedCoefficients:
@@ -238,31 +248,41 @@ def _expected(M, own: float, opp: float) -> float:
             + (1 - own) * (opp * M[1][0] + (1 - opp) * M[1][1]))
 
 
-def _is_equilibrium(game: Game, x: float, y: float, tol: float = 1e-12) -> bool:
-    """No pure unilateral deviation gains more than tol.
+def _is_equilibrium(game: Game, x: float, y: float) -> bool:
+    """No pure unilateral deviation gains more than the rounding of that
+    player's four payoffs (:func:`numerics.rounds_to_zero`).
 
     Checking the two pure deviations per player suffices: expected reward is
     linear in each player's own mixture.
     """
     A, B = game.payoff_x.entries, game.payoff_y.entries
-    return all(_expected(M, own, opp) >= _expected(M, dev, opp) - tol
-               for M, own, opp in ((A, x, y), (B, y, x)) for dev in (1.0, 0.0))
+    for M, own, opp in ((A, x, y), (B, y, x)):
+        for dev in (1.0, 0.0):
+            gain = _expected(M, dev, opp) - _expected(M, own, opp)
+            if gain > 0.0 and not rounds_to_zero(gain, *M[0], *M[1]):
+                return False
+    return True
 
 
 def nash_equilibria(game: Game) -> list[NashEquilibrium]:
     """All Nash equilibria of a 2x2 game: pure ones by best-response
     enumeration plus the interior mixed one when it exists.
 
-    The interior equilibrium sits where each player's indifference pins the
+    A pure profile is an equilibrium when each payoff is at least its
+    deviation's, compared exactly, so a tie is a weak equilibrium.  The
+    interior equilibrium sits where each player's indifference pins the
     *other* player's mixture: X is indifferent at y* = -b/a, Y at x* = -d/c.
+    It needs raw_a and raw_c nonzero, which :func:`_raw_coefficients`
+    decides from the rounding of the payoffs; so no answer depends on the
+    payoffs' scale.
 
     Raises :class:`DegenerateGameError` (with ``continuum=True``) when a
-    player is indifferent against every opponent strategy, in which case
-    equilibria form a continuum rather than a finite list.
+    player is indifferent against every opponent strategy (raw_a = raw_b =
+    0, or raw_c = raw_d = 0), in which case equilibria form a continuum
+    rather than a finite list.
     """
     raw_a, raw_b, raw_c, raw_d = _raw_coefficients(game)
-    if ((abs(raw_a) < DEGENERACY_EPS and abs(raw_b) < DEGENERACY_EPS)
-            or (abs(raw_c) < DEGENERACY_EPS and abs(raw_d) < DEGENERACY_EPS)):
+    if (raw_a == 0.0 and raw_b == 0.0) or (raw_c == 0.0 and raw_d == 0.0):
         raise DegenerateGameError(
             "a player is indifferent for every opponent strategy; "
             "equilibria form a continuum", continuum=True)
@@ -272,14 +292,13 @@ def nash_equilibria(game: Game) -> list[NashEquilibrium]:
     B = game.payoff_y.entries
     for i in (0, 1):
         for j in (0, 1):
-            if (A[i][j] >= A[1 - i][j] - 1e-12
-                    and B[j][i] >= B[1 - j][i] - 1e-12):
+            if A[i][j] >= A[1 - i][j] and B[j][i] >= B[1 - j][i]:
                 found.append(NashEquilibrium(
                     x=1.0 if i == 0 else 0.0,
                     y=1.0 if j == 0 else 0.0,
                     kind=EquilibriumKind.PURE))
 
-    if abs(raw_a) >= DEGENERACY_EPS and abs(raw_c) >= DEGENERACY_EPS:
+    if raw_a != 0.0 and raw_c != 0.0:
         y_star = -raw_b / raw_a
         x_star = -raw_d / raw_c
         if 0.0 < x_star < 1.0 and 0.0 < y_star < 1.0:
@@ -381,9 +400,13 @@ def classify_region(coeffs: ReducedCoefficients) -> GameRegion:
     * everywhere else: a single rest point for all temperatures.
 
     Ratio values exactly on stripe edges are classified with the adjacent
-    single-rest-point case, matching the strict inequalities above.
+    single-rest-point case, matching the strict inequalities above.  The
+    game is degenerate when raw_a or raw_c is 0.0: from payoffs, when it is
+    within their rounding (:func:`_raw_coefficients`), so the region is the
+    same at every payoff scale; from :meth:`ReducedCoefficients.from_values`,
+    only when it is exactly zero.
     """
-    if abs(coeffs.raw_a) < DEGENERACY_EPS or abs(coeffs.raw_c) < DEGENERACY_EPS:
+    if coeffs.raw_a == 0.0 or coeffs.raw_c == 0.0:
         raise DegenerateGameError("region undefined: a or c vanishes")
     if coeffs.raw_a * coeffs.raw_c < 0.0:
         return GameRegion(

@@ -15,6 +15,9 @@ Three bracketed solvers find a sign change, each stopping by its own rule:
   ulps of ``max(|lo|, |hi|, 1)`` wide;
 - :func:`_flip` takes the same steps on a side test and stops at adjacent
   floats, creeping by ulps where the stepped function is at its rounding.
+
+Whether a computed sum is zero is decided once, by :func:`rounds_to_zero`:
+within its terms' rounding, with no absolute threshold.
 """
 
 from __future__ import annotations
@@ -44,6 +47,23 @@ def sigmoid_slope(u: float) -> float:
     """sigma(u)*(1-sigma(u)), computed as sigma(u)*sigma(-u) to avoid the
     catastrophic cancellation of ``1 - sigma(u)`` for large u."""
     return sigmoid(u) * sigmoid(-u)
+
+
+#: 8 ulp(1) = 2^-49: a few roundings of each term of a sum
+_ROUNDING = 8.0 * math.ulp(1.0)
+
+
+def rounds_to_zero(total: float, *terms: float) -> bool:
+    """A sum is zero within its terms' rounding: ``|total| <= 8 ulp(1) *
+    sum(|term|)``.  Scaling every term by a power of two scales both sides
+    exactly, so the answer holds at every scale.  Each term is scaled
+    before the sum, the same float as scaling the sum wherever the scaled
+    terms are normal, so the bound never overflows: an infinite total is
+    never zero."""
+    bound = 0.0
+    for term in terms:
+        bound += _ROUNDING * abs(term)
+    return abs(total) <= bound
 
 
 #: 40 digits, so that rounding a decimal log10 to float is correct but

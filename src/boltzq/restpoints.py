@@ -31,7 +31,8 @@ from typing import Callable
 
 from .errors import DomainError, NotApplicableError, NumericFailureError
 from .games import ReducedCoefficients
-from .numerics import _refine_root, bisect, logit, sigmoid, sigmoid_slope
+from .numerics import (_refine_root, bisect, logit, rounds_to_zero, sigmoid,
+                       sigmoid_slope)
 
 #: sinh(u) and e^u stay finite for |u| up to ln(max float), about 709.78
 _LOG_MAX = math.log(sys.float_info.max)
@@ -231,9 +232,9 @@ def _peak(a: float, curve) -> tuple[float, float, bool]:
 
 def _is_double_root(u_s: float, a: float, b: float, curve) -> bool:
     """phi(u_s) is zero within its terms' rounding: at a stationary point
-    u_s, the double root of u - b - a*curve(u)."""
-    phi_s = u_s - b - a * curve.value(u_s)
-    return abs(phi_s) <= 8.0 * math.ulp(1.0) * (abs(u_s) + abs(b) + abs(a))
+    u_s, the double root of u - b - a*curve(u)
+    (:func:`numerics.rounds_to_zero`)."""
+    return rounds_to_zero(u_s - b - a * curve.value(u_s), u_s, b, a)
 
 
 def _extrema(a: float, b: float, curve) -> list[tuple[float, float, bool]]:

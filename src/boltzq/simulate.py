@@ -145,11 +145,8 @@ def run_two_agents(game: Game, temps: Temperatures, cfg: SimConfig,
         count_y = joint.sum(axis=0)          # Y's own-action visit counts
         visited_x = count_x > 0
         visited_y = count_y > 0
-        with np.errstate(invalid="ignore"):
-            mean_rx = np.where(visited_x, (A * joint).sum(axis=1)
-                               / np.maximum(count_x, 1), 0.0)
-            mean_ry = np.where(visited_y, (B * joint.T).sum(axis=1)
-                               / np.maximum(count_y, 1), 0.0)
+        mean_rx = (A * joint).sum(axis=1) / np.maximum(count_x, 1)
+        mean_ry = (B * joint.T).sum(axis=1) / np.maximum(count_y, 1)
         qx = np.where(visited_x, qx + ax * (mean_rx - qx), qx)
         qy = np.where(visited_y, qy + ay_ * (mean_ry - qy), qy)
 

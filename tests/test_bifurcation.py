@@ -309,17 +309,17 @@ class TestClassifyPitchfork:
         assert bq.sweep_equal_temperature(
             game, 0.05, 5.0, 80).pitchfork_kind == "continuous"
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="the top of the criticals grid rounds to a "
-                              "stationary pair or to three points when the "
-                              "cusp sits exactly on it")
     @pytest.mark.parametrize("stake", [1.0, 1.5])
     def test_cusp_on_the_top_of_the_grid_with_unequal_stakes(self, stake):
-        # b/a = d/c = -1/2 puts the cusp exactly on sqrt(raw_a*raw_c)/4;
-        # with raw_a != raw_c that grid temperature rounds to a stationary
-        # pair (stake 1) or to three rest points (stake 1.5)
+        # b/a = d/c = -1/2 puts the cusp exactly on sqrt(raw_a*raw_c)/4,
+        # where rounding gives a stationary pair (stake 1) or three rest
+        # points (stake 1.5); the criticals grid starts half a step above
         game = bq.Game.from_matrices("stakes", [[stake, 0.0], [0.0, stake]],
                                      [[3.0, 0.0], [0.0, 3.0]])
+        (t_c, u_c), = bq.equal_temperature_criticals(game)
+        assert t_c == pytest.approx(math.sqrt(2.0 * stake * 6.0) / 4.0,
+                                    rel=1e-15)
+        assert u_c == 0.0
         assert bq.sweep_equal_temperature(
             game, 0.05, 5.0, 80).pitchfork_kind == "continuous"
         assert bq.classify_pitchfork(game) == "continuous"

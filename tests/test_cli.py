@@ -58,6 +58,20 @@ class TestClassifyCommand:
         assert payload["region"]["label"] == "MultiNE_TriplePossible"
         assert payload["risk_dominant"] == {"x": 1.0, "y": 1.0}
 
+    def test_hawk_dove_times_two_to_the_fifteen(self, tmp_path):
+        # the payoffs' scale changes no equilibrium; the mixed one's
+        # deviation gains round at about 1e-11 here
+        payoffs = [[-65536.0, 65536.0], [0.0, 32768.0]]
+        path = tmp_path / "hawk_dove_2_15.json"
+        path.write_text(json.dumps({"name": "hawk_dove_2_15", "A": payoffs,
+                                    "B": payoffs}))
+        code, out, err = run_cli_process("classify", "--game", str(path))
+        assert code == 0, err
+        _, unit, _ = run_cli_process("classify", "--fixture", "hawk_dove")
+        found = json.loads(out)["nash_equilibria"]
+        assert len(found) == 3
+        assert found == json.loads(unit)["nash_equilibria"]
+
     def test_malformed_game_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")

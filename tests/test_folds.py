@@ -568,6 +568,26 @@ def test_pitchfork_label_matches_closed_form_on_many_games():
             game), game.name
 
 
+def test_criticals_are_window_ends_of_the_critical_curve():
+    # a fold on tx = ty = T_c is a tangency, so the critical curve at
+    # ty = T_c has a window end at tx = T_c.  A cusp's two tangencies
+    # coincide, and there the curve reports only one window end (for
+    # hawk_dove only (0, 0.638)), so a continuous game's top fold is left out
+    games = [bq.fixture(name) for name in sorted(bq.FIXTURES)]
+    checked = 0
+    for game in games + random_multi_games(200, seed=5):
+        temps = sorted(t for t, _ in bq.equal_temperature_criticals(game) or [])
+        if temps and bq.classify_pitchfork(game) == "continuous":
+            temps.pop()
+        for t_c in temps:
+            ends = [end for _, lo, hi in bq.critical_curve(game, [t_c]).samples
+                    for end in (lo, hi) if end]
+            assert min((abs(end / t_c - 1.0) for end in ends),
+                       default=math.inf) <= 1e-12, (game, t_c)
+            checked += 1
+    assert checked >= 200
+
+
 def test_closing_temperature_work(monkeypatch):
     # the closing is one Newton solve in ty on the merge at g's inflection,
     # itself a Newton solve in v

@@ -251,6 +251,113 @@ class TestClassifyRegion:
             assert label is bq.GameRegionLabel.SINGLE_REST_POINT_ONLY
 
 
+#: exponents k of the exact payoff scale 2**k
+SCALES = (-200, -100, -45, -40, -30, -1, 1, 10, 14, 20, 40, 100, 200)
+
+
+def scaled(game, k):
+    """The game with every payoff times 2**k, which is exact."""
+    factor = 2.0 ** k
+    return mk(*([[v * factor for v in row] for row in m.entries]
+                for m in (game.payoff_x, game.payoff_y)))
+
+
+def outcome(call, *args):
+    """What a call returns, or the type of the library error it raises."""
+    try:
+        return call(*args)
+    except bq.BoltzqError as exc:
+        return type(exc)
+
+
+def payoff_answers(game):
+    co = bq.reduce_payoffs(game, bq.Temperatures(1.0, 1.0))
+    return (outcome(bq.nash_equilibria, game), outcome(bq.classify_region, co),
+            outcome(bq.risk_dominant_profile, game))
+
+
+def cancelling_tenths(rng):
+    """Payoffs in tenths with A11 = A01 + A10 - A00 in decimal, so that
+    raw_a is zero exactly and often rounding noise in floats."""
+    k = rng.integers(-20, 21, (2, 2, 2))
+    k[0, 1, 1] = k[0, 0, 1] + k[0, 1, 0] - k[0, 0, 0]
+    return mk(*(k / 10.0).tolist())
+
+
+def seeded_games(rng, count):
+    """Payoffs U[-3, 3]; integers in [-2, 2] (ties and continua); and
+    :func:`cancelling_tenths`."""
+    return ([mk(*rng.uniform(-3.0, 3.0, (2, 2, 2)).tolist())
+             for _ in range(count)]
+            + [mk(*rng.integers(-2, 3, (2, 2, 2)).astype(float).tolist())
+               for _ in range(count)]
+            + [cancelling_tenths(rng) for _ in range(count)])
+
+
+class TestPayoffScale:
+    """Equilibria and regions depend on the payoffs only through b/a and
+    d/c, and the dynamics on payoff over temperature, so scaling every
+    payoff by a power of two changes no answer."""
+
+    def test_equilibria_regions_and_risk_dominance(self, rng):
+        games = seeded_games(rng, 150)
+        noise = [-(a10 + a01 - a00 - a11) for (a00, a01), (a10, a11)
+                 in (g.payoff_x.entries for g in games[300:])]
+        assert sum(total != 0.0 for total in noise) >= 30
+        assert all(_raw_coefficients(g)[0] == 0.0 for g in games[300:])
+        for game in games:
+            unit = payoff_answers(game)
+            for k in SCALES:
+                assert payoff_answers(scaled(game, k)) == unit, (game, k)
+
+    def test_pitchfork_and_criticals(self, rng):
+        games = []
+        while len(games) < 40:
+            game = mk(*rng.uniform(-3.0, 3.0, (2, 2, 2)).tolist())
+            if len(bq.nash_equilibria(game)) == 3:
+                games.append(game)
+        for game in games:
+            kind = bq.classify_pitchfork(game)
+            folds = bq.equal_temperature_criticals(game)
+            for k in (-200, -100, -40, 40, 100, 200):
+                game_k = scaled(game, k)
+                assert bq.classify_pitchfork(game_k) == kind, (game, k)
+                assert bq.equal_temperature_criticals(game_k) == [
+                    (2.0 ** k * t, u) for t, u in folds], (game, k)
+
+    @pytest.mark.parametrize("k", [-50, 15])
+    def test_fixtures(self, k):
+        # at 2**-50 the slopes were below an absolute 1e-12; at 2**15
+        # hawk_dove's mixed deviation gains round at about 1e-11
+        for name in sorted(bq.FIXTURES):
+            game = bq.fixture(name)
+            assert payoff_answers(scaled(game, k)) == payoff_answers(game)
+
+    def test_rounding_noise_is_degenerate(self):
+        # raw_a = -(0.2 + 0.1 - 0.0 - 0.3) is -5.6e-17 in floats, not 0
+        game = mk([[0.0, 0.1], [0.2, 0.3]], [[1.0, 0.0], [0.0, 1.0]])
+        assert _raw_coefficients(game)[0] == 0.0
+        with pytest.raises(bq.DegenerateGameError):
+            bq.classify_region(bq.reduce_payoffs(game, bq.Temperatures(1, 1)))
+        assert [(ne.x, ne.y) for ne in bq.nash_equilibria(game)] == [(0.0, 0.0)]
+
+    def test_small_exact_slope_is_not_degenerate(self):
+        # below the old absolute 1e-12 but far above its payoffs' rounding
+        game = mk([[1e-13, 0.0], [0.0, 1e-13]], [[1.0, 0.0], [0.0, 1.0]])
+        co = bq.reduce_payoffs(game, bq.Temperatures(1, 1))
+        assert co.raw_a == 2e-13
+        assert (bq.classify_region(co).label
+                is bq.GameRegionLabel.MULTI_NE_TRIPLE_POSSIBLE)
+        assert bq.ReducedCoefficients.from_values(1e-300, 0.0, 1.0,
+                                                  0.0).b_over_a == 0.0
+
+    def test_near_tie_is_not_a_weak_equilibrium(self):
+        # X's first action beats the second by 1e-13 against either column
+        game = mk([[1.0, 0.0], [1.0 - 1e-13, -1e-13]],
+                  [[1.0, 0.0], [0.0, 1.0]])
+        assert [(ne.x, ne.y) for ne in bq.nash_equilibria(game)] == [(1.0, 1.0)]
+
+
 class TestGameIO:
     def test_json_round_trip(self, tmp_path):
         game = bq.fixture("stag_hunt")

@@ -1,6 +1,6 @@
 """Print an md5 digest of every CLI output on the built-in fixtures, and
-of the rest-point kernel and the diagonal bifurcation drivers on seeded
-random inputs.
+of the payoff decisions, the rest-point kernel and the diagonal
+bifurcation drivers on seeded random inputs.
 
 Each CLI line is ``md5  argv`` for one in-process run of
 ``boltzq.cli.main``; the digest covers the exit code, the captured stdout
@@ -24,9 +24,10 @@ import random
 import sys
 import tempfile
 
-from boltzq import (Game, Temperatures, classify_pitchfork,
-                    equal_temperature_criticals, find_rest_points,
-                    reduce_payoffs, solve_symmetric)
+from boltzq import (BoltzqError, Game, Temperatures, classify_pitchfork,
+                    classify_region, equal_temperature_criticals,
+                    find_rest_points, nash_equilibria, reduce_payoffs,
+                    risk_dominant_profile, solve_symmetric)
 from boltzq.cli import main
 from boltzq.fixtures import FIXTURES
 
@@ -88,6 +89,26 @@ def _rest_points(rng: random.Random, log_t: tuple[float, float]):
              p.degenerate_pair) for p in find_rest_points(coeffs)]
 
 
+def _payoff_answers(rng: random.Random):
+    """``nash_equilibria``, ``classify_region`` and
+    ``risk_dominant_profile`` of one game with payoffs U[-3, 3], times
+    2**-100, 1 and 2**100 (exact scalings), each raise as its error type."""
+    game = _game(rng)
+    answers = []
+    for scale in (2.0 ** -100, 1.0, 2.0 ** 100):
+        scaled = Game.from_matrices(
+            "g", *([[v * scale for v in row] for row in m.entries]
+                   for m in (game.payoff_x, game.payoff_y)))
+        coeffs = reduce_payoffs(scaled, Temperatures(1.0, 1.0))
+        for call, arg in ((nash_equilibria, scaled), (classify_region, coeffs),
+                          (risk_dominant_profile, scaled)):
+            try:
+                answers.append(call(arg))
+            except BoltzqError as exc:
+                answers.append(type(exc).__name__)
+    return answers
+
+
 def _symmetric(rng: random.Random):
     """One ``solve_symmetric`` call with a and b uniform on [-30, 30]."""
     return solve_symmetric(rng.uniform(-30.0, 30.0), rng.uniform(-30.0, 30.0))
@@ -105,6 +126,8 @@ def batches():
          lambda rng: equal_temperature_criticals(_game(rng))),
         ("classify_pitchfork payoffs in [-3, 3]", 4, 400,
          lambda rng: classify_pitchfork(_game(rng))),
+        ("payoff decisions payoffs in [-3, 3] times 2**-100, 1, 2**100", 5,
+         400, _payoff_answers),
     ]
 
 
