@@ -1,6 +1,6 @@
 """Print an md5 digest of every CLI output on the built-in fixtures, and
-of the payoff decisions, the rest-point kernel and the diagonal
-bifurcation drivers on seeded random inputs.
+of the payoff decisions, the rest-point kernel, the diagonal
+bifurcation drivers and the critical curve on seeded random inputs.
 
 Each CLI line is ``md5  argv`` for one in-process run of
 ``boltzq.cli.main``; the digest covers the exit code, the captured stdout
@@ -25,11 +25,13 @@ import sys
 import tempfile
 
 from boltzq import (BoltzqError, Game, Temperatures, classify_pitchfork,
-                    classify_region, equal_temperature_criticals,
-                    find_rest_points, nash_equilibria, reduce_payoffs,
-                    risk_dominant_profile, solve_symmetric)
+                    classify_region, critical_curve,
+                    equal_temperature_criticals, find_rest_points,
+                    nash_equilibria, reduce_payoffs, risk_dominant_profile,
+                    solve_symmetric)
 from boltzq.cli import main
 from boltzq.fixtures import FIXTURES
+from boltzq.numerics import geomspace
 
 #: stands for the temporary directory in printed argv, so lines do not
 #: depend on where the files were written
@@ -114,6 +116,12 @@ def _symmetric(rng: random.Random):
     return solve_symmetric(rng.uniform(-30.0, 30.0), rng.uniform(-30.0, 30.0))
 
 
+def _critical_curve(rng: random.Random):
+    """One ``critical_curve`` call on a game with payoffs U[-3, 3], at ty
+    on ``geomspace(1e-3, 2, 8)``."""
+    return critical_curve(_game(rng), geomspace(1e-3, 2.0, 8))
+
+
 def batches():
     """``(name, seed, calls, call)`` of every library batch."""
     return [
@@ -128,6 +136,8 @@ def batches():
          lambda rng: classify_pitchfork(_game(rng))),
         ("payoff decisions payoffs in [-3, 3] times 2**-100, 1, 2**100", 5,
          400, _payoff_answers),
+        ("critical_curve payoffs in [-3, 3], ty on geomspace(1e-3, 2, 8)", 6,
+         4000, _critical_curve),
     ]
 
 
