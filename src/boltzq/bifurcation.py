@@ -22,7 +22,9 @@ at ``tx = raw_a*g'(u)``; delta is stationary only at u = 0 and at g's
 inflection.  It is solved in Y's logit v = (raw_d + raw_c*sigma(u))/ty,
 which rises with u: with p = ty*v, ``raw_c*sigma(u) = p - raw_d`` and
 ``raw_c*sigma(-u) = raw_c + raw_d - p``, so u and ``g' = (raw_c/ty)*
-sigma'(u)*sigma'(v)`` are products with no cancellation at any ty.  One
+sigma'(u)*sigma'(v)`` are products with no cancellation at any ty (the
+v-side methods of :class:`restpoints.GFunction`, which every driver here
+reads instead of forming g itself).  One
 rest point exists above the top tangency and each one flips the count
 between 1 and 3, so the windows in tx are the tangency pairs counted down
 from the top, plus (0, t_1) when the count is odd: exactly when -b/a
@@ -37,24 +39,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Optional
 
 from .errors import DomainError, NotApplicableError, NumericFailureError
 from .games import (Game, GameRegionLabel, ReducedCoefficients, Temperatures,
                     _raw_coefficients, classify_region, reduce_payoffs)
-from .numerics import (_flip, _refine_root, bisect, geomspace, sigmoid,
-                       sigmoid_slope)
-from .restpoints import (_LOGISTIC, GFunction, RestPoint, _extrema,
-                         _is_double_root, _peak, find_rest_points)
+from .numerics import _flip, bisect, geomspace, sigmoid, sigmoid_slope
+from .restpoints import (_LOGISTIC, _SATURATION, GFunction, RestPoint,
+                         _extrema, _is_double_root, _peak, find_rest_points)
 
 CONTINUOUS = "continuous"
 DISCONTINUOUS = "discontinuous"
 NO_PITCHFORK = "none"
-
-#: e^-746 underflows to 0 in float64, so past |u| = 746 sigma(u) is exactly
-#: 0 or 1 and sigma'(u) is exactly 0
-_SATURATION = 746.0
 
 
 def tangent_intercept(gf: GFunction, u: float) -> float:
@@ -96,12 +92,14 @@ def _lowest_intercept(ratio: float) -> tuple[float, float, float]:
     falls in c and is negative at c = 2*sinh(u0)/tanh(1) + 1/|k|.  The
     intercept there is ``sigma(h) - u0*c*sigma'(h)*sigma'(u0)``, h = 2*c*k.
     """
+    curve = GFunction(1.0, ratio)
+
     def q(u: float) -> float:
-        rs = (ratio + 1.0) - sigmoid(-u)  # r + s, cancel-free near r = -1
-        return -rs + u * (sigmoid_slope(u) + rs * math.tanh(0.5 * u))
+        s, s_neg, rs = curve._at(u)  # r + s, cancel-free near r = -1
+        return -rs + u * (s * s_neg + rs * math.tanh(0.5 * u))
 
     u0 = bisect(q, 0.0, _SATURATION, q(0.0), q(_SATURATION))
-    k, lift = 0.5 * ((ratio + 1.0) - sigmoid(-u0)), 2.0 * math.sinh(u0)
+    k, lift = 0.5 * curve._at(u0)[2], 2.0 * math.sinh(u0)
     c_hi = lift / math.tanh(1.0) + 1.0 / abs(k)
     c = bisect(lambda c: c * math.tanh(c * k) + lift, 0.0, c_hi, lift,
                c_hi * math.tanh(c_hi * k) + lift)
@@ -180,80 +178,18 @@ def _normalized_base(game: Game) -> ReducedCoefficients:
     return ReducedCoefficients.from_values(raw_a, raw_b, raw_c, raw_d)
 
 
-def _touch(base: ReducedCoefficients, ty: float,
-           v: float) -> tuple[float, float, float]:
-    """``(delta, g', d delta/d ty)`` where the tangent touches g at Y's
-    logit v, from ``lo = raw_c*sigma(u)`` and ``hi = raw_c*sigma(-u)``
-    (module docstring); g' = 0 past the ends of v's range.  The ty-slope
-    is at fixed u, where v = (raw_d + raw_c*sigma(u))/ty scales as 1/ty:
-    ``dg/dty = -sigma'(v)*v/ty`` and ``dg'/dty = -g'*(1 + (1-2g)*v)/ty``.
-    """
-    p = ty * v
-    lo, hi = max(p - base.raw_d, 0.0), max(base.raw_c + base.raw_d - p, 0.0)
-    e = math.exp(-abs(v))
-    s = 1.0 / (1.0 + e)  # sigma(|v|)
-    slope = lo / ty * (hi / base.raw_c) * (e * s * s)
-    sig = s if v >= 0.0 else e * s
-    dsig = -(e * s * s) * v / ty
-    if slope == 0.0:
-        return sig, 0.0, dsig
-    ratio = lo / hi  # e^u, exactly unchanged when the payoffs and ty scale
-    u = math.log(ratio) if 0.0 < ratio < math.inf else (math.log(lo)
-                                                        - math.log(hi))
-    return (sig - u * slope, slope,
-            dsig + u * slope * (1.0 + (1.0 - 2.0 * sig) * v) / ty)
-
-
-def _bend(base: ReducedCoefficients, ty: float,
-          v: float) -> tuple[float, float]:
-    """g''/g' = ``(1 - 2*sigma(u)) - tanh(v/2)*(raw_c/ty)*sigma'(u)`` at
-    Y's logit v, in the terms of :func:`_touch`, and its v-derivative
-    (``d lo/dv = ty = -d hi/dv``)."""
-    p = ty * v
-    lo, hi = max(p - base.raw_d, 0.0), max(base.raw_c + base.raw_d - p, 0.0)
-    th = math.tanh(0.5 * v)
-    spread = lo / ty * (hi / base.raw_c)  # (raw_c/ty)*sigma'(u)
-    return ((hi - lo) / base.raw_c - th * spread,
-            -(2.0 * ty + th * (hi - lo)) / base.raw_c
-            - 0.5 * (1.0 - th * th) * spread)
-
-
-def _inflection(base: ReducedCoefficients, ty: float, v_lo: float,
-                v_hi: float) -> float:
-    """Y's logit at g's inflection within [v_lo, v_hi]: g''/g' falls
-    through zero once, so the bracketed Newton of
-    :func:`numerics._refine_root` finds it; an end already past the sign
-    change is where the clipped zero sits.  Both terms of g''/g' are at
-    most 1 in size at the zero, so it is solved to a few ulps of 1."""
-    bend = partial(_bend, base, ty)
-    (b_lo, _), (b_hi, _) = bend(v_lo), bend(v_hi)
-    if b_lo <= 0.0 or b_hi >= 0.0:
-        return v_lo if b_lo <= 0.0 else v_hi
-    return _refine_root(bend, v_lo, v_hi, b_lo, b_hi, 4.0 * math.ulp(1.0))
-
-
-def _knots(base: ReducedCoefficients, ty: float) -> list[float]:
-    """Y's logit at the ends of its range, at u = 0 and at g's inflection,
-    clipped to +-_SATURATION."""
-    v_lo, v_zero, v_hi = (min(max(v / ty, -_SATURATION), _SATURATION)
-                          for v in (base.raw_d, base.raw_d + 0.5 * base.raw_c,
-                                    base.raw_c + base.raw_d))
-    return [v_lo, v_zero, _inflection(base, ty, v_lo, v_hi), v_hi]
-
-
-def _window_ends(base: ReducedCoefficients, ty: float,
-                 knots: list[float]) -> list[float]:
-    """The tangencies tx > 0 at fixed ty (sign changes of ``delta + b/a``
-    between the :func:`_knots`), after a 0.0 if odd in number: pairs are
-    the windows."""
+def _window_ends(base: ReducedCoefficients, curve: GFunction) -> list[float]:
+    """The tangencies tx > 0 on the curve at one ty (sign changes of
+    ``delta + b/a`` between its knots), after a 0.0 if odd in number:
+    pairs are the windows."""
     def h(v: float) -> float:
-        return _touch(base, ty, v)[0] + base.raw_b / base.raw_a
+        return curve._touch(v)[0] + base.raw_b / base.raw_a
 
-    knots = [(v, h(v)) for v in sorted(set(knots))]
+    knots = [(v, h(v)) for v in sorted(set(curve._knots()))]
     crossings = {bisect(h, va, vb, fa, fb)
                  for (va, fa), (vb, fb) in zip(knots, knots[1:])
                  if fa == 0.0 or (fa > 0.0) != (fb > 0.0)}
-    ends = sorted(t for t in (base.raw_a * _touch(base, ty, v)[1]
+    ends = sorted(t for t in (base.raw_a * curve._touch(v)[1]
                               for v in crossings) if t > 0.0)
     return [0.0] * (len(ends) % 2) + ends
 
@@ -284,14 +220,15 @@ def critical_curve(game: Game, fixed_values,
     samples: list[tuple[float, Optional[float], Optional[float]]] = []
     for ty in map(float, fixed_values):
         base.at_temperatures(1.0, ty)  # DomainError unless raw/ty is finite
-        ends = _window_ends(base, ty, _knots(base, ty))
+        ends = _window_ends(base, GFunction.of(base, ty))
         samples += ([(ty, lo, hi) for lo, hi in zip(ends[::2], ends[1::2])]
                     or [(ty, None, None)])
 
     def merge_gap(ty: float):
         """``(gap, step)`` of ``delta(u0) + b/a`` at g's inflection u0: as
         delta' = -u*g'' vanishes there, its ty-slope is the one at fixed u."""
-        gap, _, slope = _touch(base, ty, _knots(base, ty)[2])
+        curve = GFunction.of(base, ty)
+        gap, _, slope = curve._touch(curve._knots()[2])
         gap += base.raw_b / base.raw_a
         return gap, -gap / slope if slope else None
 
@@ -368,9 +305,10 @@ _SURVIVOR = {"max": 2, "min": 0, "both": 1}
 
 
 def _stationary(base: ReducedCoefficients, t: float):
-    """The defect's stationary points ``(u, phi, keeps)`` at tx = ty = t."""
+    """The defect's stationary points ``(u, phi, keeps, v)`` at tx = ty =
+    t (:func:`restpoints._extrema`)."""
     co = base.at_temperatures(t, t)
-    return _extrema(co.a, co.b, GFunction(co.c, co.d))
+    return _extrema(co.a, co.b, GFunction.of(base, t))
 
 
 def _three(ext) -> bool:
@@ -385,14 +323,14 @@ def _merge_probe(base: ReducedCoefficients, t: float):
     ``pair`` comes from :func:`restpoints._peak`, as in ``_extrema``, so
     it holds exactly where that finds two stationary points.  As
     shape'(u0) = 0 the T-derivative is the partial one at fixed u0: with
-    h = d + c*sigma(u0) and g = sigma(h), a*c*shape scales as
+    h = v(u0), Y's logit there, and g = sigma(h), a*c*shape scales as
     ``T^-2 * g*(1-g)``, so it moves by ``-(2 + (1 - 2g)*h)/T`` relative to
     itself.
     """
     co = base.at_temperatures(t, t)
-    gf = GFunction(co.c, co.d)
+    gf = GFunction.of(base, t)
     u0, ac_shape, paired = _peak(co.a, gf)
-    h = co.d + co.c * sigmoid(u0)
+    h = gf._at(u0)[2]
     slope = -ac_shape * (2.0 + (1.0 - 2.0 * sigmoid(h)) * h) / t
     step = -(ac_shape - 1.0) / slope if slope != 0.0 else None
     return paired, step, (u0, co, gf)
@@ -427,7 +365,7 @@ def _fold(base: ReducedCoefficients, end3, end1) -> tuple[float, float, str]:
     ``lost`` is the stationary value that reaches zero, ``"max"`` or
     ``"min"``; ``u`` is where the line touches the curve.  It is solved by
     Newton in T on that value, ``G(T) = T*phi(u_s) = T*u_s - raw_b -
-    raw_a*sigma(v_s)`` with v_s = (raw_d + raw_c*sigma(u_s))/T, whose
+    raw_a*sigma(v_s)``, v_s Y's logit at u_s (:func:`_stationary`), whose
     derivative is free: phi'(u_s) = 0, so by the envelope theorem
     ``dG/dT = u_s + raw_a*sigma'(v_s)*v_s/T``.
 
@@ -461,8 +399,7 @@ def _fold(base: ReducedCoefficients, end3, end1) -> tuple[float, float, str]:
         ext = _stationary(base, t) if ext is None else ext
         if len(ext) != 2:
             return False, None, ext
-        u_s, phi_s, _ = ext[lost]
-        v_s = (base.raw_d + base.raw_c * sigmoid(u_s)) / t
+        u_s, phi_s, _, v_s = ext[lost]
         slope = u_s + base.raw_a * sigmoid_slope(v_s) * v_s / t
         return _three(ext), -t * phi_s / slope if slope else None, ext
 
@@ -589,18 +526,15 @@ def equal_temperature_criticals(game: Game) -> Optional[list[tuple[float, float]
     ratios fall outside the open unit box.
     """
     base = reduce_payoffs(game, Temperatures.equal(1.0))
-    raw_a, raw_b, raw_c, raw_d = base.raw_a, base.raw_b, base.raw_c, base.raw_d
-    if raw_a * raw_c <= 0.0 or not (-1.0 < raw_b / raw_a < 0.0
-                                    and -1.0 < raw_d / raw_c < 0.0):
+    if base.raw_a * base.raw_c <= 0.0 or not (-1.0 < base.b_over_a < 0.0
+                                              and -1.0 < base.d_over_c < 0.0):
         return None
-    grid: list[float] = []
     states = {}
     for t, state in _descent(base):
-        grid.append(t)
         states[t] = state
-        if len(grid) >= 24 and _three(state):
+        if len(states) >= 24 and _three(state):
             break
-    grid.reverse()
+    grid = list(states)[::-1]
     folds = _folds(base, grid, [_three(states[t]) for t in grid], states)
     return [(t, u) for t, u, _ in folds]
 

@@ -311,6 +311,19 @@ def nash_equilibria(game: Game) -> list[NashEquilibrium]:
     return found
 
 
+def _product_order(x: float, y: float) -> tuple[int, int, float]:
+    """A key that orders x*y as the product does, without forming it: the
+    sign, then the binary exponent (negated below zero), then the mantissa
+    (:func:`math.frexp`).  Wherever x*y is a normal float its mantissa is
+    the same rounding, so keys order as the products do; elsewhere they
+    cannot overflow or underflow, so scaling every payoff by a power of two
+    keeps the order."""
+    (mx, ex), (my, ey) = math.frexp(x), math.frexp(y)
+    m, e = math.frexp(mx * my)
+    sign = (m > 0.0) - (m < 0.0)
+    return sign, sign * (e + ex + ey), m
+
+
 def risk_dominant_profile(game: Game) -> Optional[NashEquilibrium]:
     """The risk-dominant pure equilibrium of a coordination-type game.
 
@@ -323,7 +336,9 @@ def risk_dominant_profile(game: Game) -> Optional[NashEquilibrium]:
         (A11 - A21)(B11 - B21)  >  (A22 - A12)(B22 - B12)
 
     Equivalently, in a symmetric game the risk-dominant action earns more
-    against a uniformly mixing opponent.  Returns ``None`` on ties.
+    against a uniformly mixing opponent.  Returns ``None`` on ties.  The
+    products are compared without being formed (:func:`_product_order`),
+    so the answer is the same at every payoff scale.
     """
     pure = [ne for ne in nash_equilibria(game) if ne.kind is EquilibriumKind.PURE]
     if len(pure) != 2:
@@ -334,28 +349,19 @@ def risk_dominant_profile(game: Game) -> Optional[NashEquilibrium]:
     if not (p.x != q.x and p.y != q.y):
         raise NotApplicableError("pure equilibria are not in opposite cells")
 
-    A = game.payoff_x.entries
-    B = game.payoff_y.entries
-    diag = {(p.x, p.y), (q.x, q.y)}
-    if diag == {(1.0, 1.0), (0.0, 0.0)}:
-        flip_y = False
-    else:
+    A, B = game.payoff_x.entries, game.payoff_y.entries
+    flip_y = {(p.x, p.y), (q.x, q.y)} != {(1.0, 1.0), (0.0, 0.0)}
+    if flip_y:
         # Anti-coordination: relabel Y's actions (swap B's rows, A's columns).
         A = tuple((row[1], row[0]) for row in A)
         B = (B[1], B[0])
-        flip_y = True
 
-    loss_11 = (A[0][0] - A[1][0]) * (B[0][0] - B[1][0])
-    loss_22 = (A[1][1] - A[0][1]) * (B[1][1] - B[0][1])
-    if loss_11 > loss_22:
-        x, y = 1.0, 1.0
-    elif loss_22 > loss_11:
-        x, y = 0.0, 0.0
-    else:
+    loss_11 = _product_order(A[0][0] - A[1][0], B[0][0] - B[1][0])
+    loss_22 = _product_order(A[1][1] - A[0][1], B[1][1] - B[0][1])
+    if loss_11 == loss_22:
         return None
-    if flip_y:
-        y = 1.0 - y
-    return NashEquilibrium(x, y, EquilibriumKind.PURE)
+    x = 1.0 if loss_11 > loss_22 else 0.0
+    return NashEquilibrium(x, 1.0 - x if flip_y else x, EquilibriumKind.PURE)
 
 
 class GameRegionLabel(str, Enum):

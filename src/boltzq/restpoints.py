@@ -7,8 +7,10 @@ curve::
 
     g(u) = sigma(d + c * sigma(u))
 
-g is a sigmoid-of-sigmoid: strictly monotone (rising iff c > 0), bounded in
-(0, 1), with exactly one inflection point.  Consequently the defect
+(formed without cancellation by :class:`GFunction`, the one place that
+forms v from u or u from v).  g is a sigmoid-of-sigmoid: strictly
+monotone (rising iff c > 0), bounded in (0, 1), with exactly one
+inflection point.  Consequently the defect
 ``phi(u) = u - b - a*g(u)`` has at most two stationary points, so the flow
 has one, two (only at a tangency) or three interior rest points, and every
 root can be bracketed on a monotone segment.  That structure drives the
@@ -49,15 +51,65 @@ STABLE_SPIRAL = "stable_spiral"
 SADDLE_UNSTABLE = "saddle_unstable"
 
 
+#: e^-746 underflows to 0 in float64, so past |u| = 746 sigma(u) is exactly
+#: 0 or 1 and sigma'(u) is exactly 0
+_SATURATION = 746.0
+
+
 @dataclass(frozen=True)
 class GFunction:
-    """The response curve g(u) = sigma(d + c*sigma(u)) and its derivatives."""
+    """The response curve g(u) = sigma(v) and its derivatives, where Y's
+    logit is ``v = (raw_d + raw_c*sigma(u))/ty``.  ``GFunction(c, d)`` is
+    the curve at ty = 1; ``c = raw_c/ty`` and ``d = raw_d/ty`` either way.
 
-    c: float
-    d: float
+    This is the one place that forms v from u or u from v.  Both go
+    through p = ty*v and one identity: ``p = raw_d + raw_c*sigma(u)`` and
+    ``raw_c*sigma(-u) = raw_c + raw_d - p``.  For u <= 0, p is formed from
+    the first, exact in the tail u -> -inf (p -> raw_d); for u > 0 from
+    the second, exact in the tail u -> +inf (p -> raw_c + raw_d).  So
+    nothing cancels when d/c is near -1, where ``d + c*sigma(u)`` would
+    subtract two terms of size c.  The inverse is the ratio of the same
+    two tails, ``e^u = (p - raw_d)/(raw_c + raw_d - p)`` (:meth:`_touch`).
+
+    There are two inflection solvers: the u-bisection of
+    :meth:`inflection` for the root kernel, and the v-Newton of
+    :meth:`_inflection_v` for the critical curve, since at small ty u
+    cannot resolve v (v moves by raw_c/ty across sigma's range).  The
+    v-side methods (:meth:`_touch`, :meth:`_bend`, :meth:`_knots`) assume
+    raw_c > 0, as for a normalized base.
+    """
+
+    #: the largest slope_shape, sigma'(v)*sigma'(u) <= 1/4 * 1/4
+    shape_peak = 0.0625
+    raw_c: float
+    raw_d: float
+    ty: float = 1.0
+
+    def __post_init__(self):  # c, d and p's top end, derived, not fields
+        object.__setattr__(self, "c", self.raw_c / self.ty)
+        object.__setattr__(self, "d", self.raw_d / self.ty)
+        object.__setattr__(self, "_top", self.raw_c + self.raw_d)
+
+    @classmethod
+    def of(cls, coeffs: ReducedCoefficients, ty: float) -> "GFunction":
+        """Y's curve from these coefficients' raw_c and raw_d at ty.  Where
+        raw_c + raw_d overflows (for ty > 1 while c + d is finite) all three
+        are halved, which is exact and leaves every v as it was, so no v is
+        formed non-finite."""
+        half = 0.5 if math.isinf(coeffs.raw_c + coeffs.raw_d) else 1.0
+        return cls(half * coeffs.raw_c, half * coeffs.raw_d, half * ty)
+
+    def _at(self, u: float) -> tuple[float, float, float]:
+        """``(sigma(u), sigma(-u), v)`` from one exp, each sigma with the
+        bits of :func:`numerics.sigmoid`, v from the tail exact at u's end."""
+        e = math.exp(-u if u > 0.0 else u)
+        s, t = 1.0 / (1.0 + e), e / (1.0 + e)  # sigma(|u|), sigma(-|u|)
+        if u > 0.0:
+            return s, t, (self._top - self.raw_c * t) / self.ty
+        return t, s, (self.raw_d + self.raw_c * t) / self.ty
 
     def value(self, u: float) -> float:
-        return sigmoid(self.d + self.c * sigmoid(u))
+        return sigmoid(self._at(u)[2])
 
     def eval(self, u: float) -> tuple[float, float, float]:
         """(g, g', g'') at u, overflow-safe for any |u| the floats carry.
@@ -68,37 +120,94 @@ class GFunction:
             g'  = c * g(1-g) * s(1-s)
             g'' = g' * [c*(1-2g)*s*(1-s) + (1-2s)]      with s = sigma(u)
         """
-        s = sigmoid(u)
-        sq = s * sigmoid(-u)
-        h = self.d + self.c * s
-        g = sigmoid(h)
-        gq = g * sigmoid(-h)
+        s, s_neg, v = self._at(u)
+        g = sigmoid(v)
+        gq = g * sigmoid(-v)
+        sq = s * s_neg
         g1 = self.c * gq * sq
-        g2 = g1 * (self.c * (1.0 - 2.0 * g) * sq + (1.0 - 2.0 * s))
-        return g, g1, g2
+        return g, g1, g1 * (self.c * (1.0 - 2.0 * g) * sq + (1.0 - 2.0 * s))
 
     def slope_shape(self, u: float) -> float:
         """g(1-g)*s(1-s) = g'(u)/c; the quantity whose peak bounds tangency."""
-        s = sigmoid(u)
-        h = self.d + self.c * s
-        return sigmoid(h) * sigmoid(-h) * s * sigmoid(-u)
+        s, s_neg, v = self._at(u)
+        e = math.exp(-v if v > 0.0 else v)
+        return e / ((1.0 + e) * (1.0 + e)) * s * s_neg  # sigma'(v) = e/(1+e)^2
 
     def inflection(self) -> float:
         """The unique zero of g''.
 
-        g'' vanishes with ``F(u) = c*tanh(d/2 + (c/2)*sigma(u)) + 2*sinh(u)``,
-        which is strictly increasing, so plain bisection is safe.  The zero
-        has |2*sinh(u)| <= |c|, so |u| <= asinh(|c|/2) <= _LOG_MAX: the span
+        g'' vanishes with ``F(u) = c*tanh(v/2) + 2*sinh(u)``, which is
+        strictly increasing, so plain bisection is safe.  The zero has
+        |2*sinh(u)| <= |c|, so |u| <= asinh(|c|/2) <= _LOG_MAX: the span
         asinh(|c|/2) + 1, capped at _LOG_MAX so that sinh stays finite,
         brackets it.
         """
-        c, d = self.c, self.d
+        c, at, tanh, sinh = self.c, self._at, math.tanh, math.sinh
 
         def f(u: float) -> float:
-            return c * math.tanh(0.5 * d + 0.5 * c * sigmoid(u)) + 2.0 * math.sinh(u)
+            return c * tanh(0.5 * at(u)[2]) + 2.0 * sinh(u)
 
         span = min(math.asinh(0.5 * abs(c)) + 1.0, _LOG_MAX)
         return bisect(f, -span, span, f(-span), f(span))
+
+    def _tails(self, v: float) -> tuple[float, float]:
+        """``(raw_c*sigma(u), raw_c*sigma(-u))`` at Y's logit v, as ``p -
+        raw_d`` and ``raw_c + raw_d - p``, clipped at 0 past v's range."""
+        p = self.ty * v
+        return max(p - self.raw_d, 0.0), max(self._top - p, 0.0)
+
+    def _touch(self, v: float) -> tuple[float, float, float]:
+        """``(delta, g', d delta/d ty)`` where the tangent touches g at Y's
+        logit v, from the tails ``lo = raw_c*sigma(u)`` and ``hi =
+        raw_c*sigma(-u)``; g' = 0 past the ends of v's range.  The ty-slope
+        is at fixed u, where v scales as 1/ty: ``dg/dty = -sigma'(v)*v/ty``
+        and ``dg'/dty = -g'*(1 + (1-2g)*v)/ty``.
+        """
+        lo, hi = self._tails(v)
+        e = math.exp(-abs(v))
+        s = 1.0 / (1.0 + e)  # sigma(|v|)
+        slope = lo / self.ty * (hi / self.raw_c) * (e * s * s)
+        sig = s if v >= 0.0 else e * s
+        dsig = -(e * s * s) * v / self.ty
+        if slope == 0.0:
+            return sig, 0.0, dsig
+        ratio = lo / hi  # e^u, exactly unchanged when the payoffs and ty scale
+        u = math.log(ratio) if 0.0 < ratio < math.inf else (math.log(lo)
+                                                            - math.log(hi))
+        return (sig - u * slope, slope,
+                dsig + u * slope * (1.0 + (1.0 - 2.0 * sig) * v) / self.ty)
+
+    def _bend(self, v: float) -> tuple[float, float]:
+        """g''/g' = ``(1 - 2*sigma(u)) - tanh(v/2)*(raw_c/ty)*sigma'(u)`` at
+        Y's logit v, in the terms of :meth:`_touch`, and its v-derivative
+        (``d lo/dv = ty = -d hi/dv``)."""
+        lo, hi = self._tails(v)
+        th = math.tanh(0.5 * v)
+        spread = lo / self.ty * (hi / self.raw_c)  # (raw_c/ty)*sigma'(u)
+        return ((hi - lo) / self.raw_c - th * spread,
+                -(2.0 * self.ty + th * (hi - lo)) / self.raw_c
+                - 0.5 * (1.0 - th * th) * spread)
+
+    def _inflection_v(self, v_lo: float, v_hi: float) -> float:
+        """Y's logit at g's inflection within [v_lo, v_hi]: g''/g' falls
+        through zero once, so the bracketed Newton of
+        :func:`numerics._refine_root` finds it; an end already past the
+        sign change is where the clipped zero sits.  Both terms of g''/g'
+        are at most 1 in size at the zero, so it is solved to a few ulps
+        of 1."""
+        (b_lo, _), (b_hi, _) = self._bend(v_lo), self._bend(v_hi)
+        if b_lo <= 0.0 or b_hi >= 0.0:
+            return v_lo if b_lo <= 0.0 else v_hi
+        return _refine_root(self._bend, v_lo, v_hi, b_lo, b_hi,
+                            4.0 * math.ulp(1.0))
+
+    def _knots(self) -> list[float]:
+        """Y's logit at the ends of its range, at u = 0 and at g's
+        inflection, clipped to +-_SATURATION."""
+        v_lo, v_zero, v_hi = (min(max(v / self.ty, -_SATURATION), _SATURATION)
+                              for v in (self.raw_d, self.raw_d + 0.5 * self.raw_c,
+                                        self._top))
+        return [v_lo, v_zero, self._inflection_v(v_lo, v_hi), v_hi]
 
 
 @dataclass(frozen=True)
@@ -188,9 +297,8 @@ def stability_eigenvalues(point, coeffs: ReducedCoefficients
     if not (0.0 < x < 1.0 and 0.0 < y < 1.0):
         raise DomainError(f"rest point must be interior, got {point}")
     u, v = logit(x), logit(y)
-    bracket_x = coeffs.a * y + coeffs.b - u
-    bracket_y = coeffs.c * x + coeffs.d - v
-    residual = max(abs(bracket_x), abs(bracket_y))
+    residual = max(abs(coeffs.a * y + coeffs.b - u),
+                   abs(GFunction.of(coeffs, coeffs.ty)._at(u)[2] - v))
     if residual > _REST_RESIDUAL_TOL:
         raise DomainError(
             f"point {point} is not a rest point: residual "
@@ -201,22 +309,20 @@ def stability_eigenvalues(point, coeffs: ReducedCoefficients
 
 
 class _Logistic:
-    """sigma itself as a response curve, with the interface of GFunction:
-    on the diagonal x = y of a symmetric game at equal temperatures the
-    rest-point equation is ``u = b + a*sigma(u)``."""
+    """sigma itself as a response curve, with the interface of GFunction
+    (v = u): on the diagonal x = y of a symmetric game at equal
+    temperatures the rest-point equation is ``u = b + a*sigma(u)``."""
 
-    c = 1.0
+    c, shape_peak = 1.0, 0.25
     value = staticmethod(sigmoid)
     slope_shape = staticmethod(sigmoid_slope)
+    _at = staticmethod(lambda u: (sigmoid(u), sigmoid(-u), u))
+    inflection = staticmethod(lambda: 0.0)
 
     @staticmethod
     def eval(u: float) -> tuple[float, float, float]:
         s, s1 = sigmoid(u), sigmoid_slope(u)
         return s, s1, s1 * (1.0 - 2.0 * s)
-
-    @staticmethod
-    def inflection() -> float:
-        return 0.0
 
 
 _LOGISTIC = _Logistic()
@@ -237,17 +343,19 @@ def _is_double_root(u_s: float, a: float, b: float, curve) -> bool:
     return rounds_to_zero(u_s - b - a * curve.value(u_s), u_s, b, a)
 
 
-def _extrema(a: float, b: float, curve) -> list[tuple[float, float, bool]]:
+def _extrema(a: float, b: float, curve) -> list[tuple[float, float, bool, float]]:
     """Stationary points of phi(u) = u - b - a*curve(u) inside the root
-    bracket, left to right, as ``(u, phi(u), keeps)``.
+    bracket, left to right, as ``(u, phi(u), keeps, v)``, v Y's logit there.
 
     ``phi' = 1 - a*c*shape(u)`` and shape is single-peaked (at the curve's
     inflection), so phi has two stationary points (:func:`_peak`) or none
-    and falls between them: a max, then a min.  ``keeps`` says the value
+    and falls between them: a max, then a min.  Shape never exceeds the
+    curve's ``shape_peak``, so with ``a*c*shape_peak <= 1`` there are none
+    and the inflection is not solved.  ``keeps`` says the value
     still separates a pair of roots: the max above zero, the min below.
     """
     ac = a * curve.c
-    if ac <= 0.0:
+    if ac * curve.shape_peak <= 1.0:
         return []
     u_peak, _, paired = _peak(a, curve)
     if not paired:
@@ -262,10 +370,13 @@ def _extrema(a: float, b: float, curve) -> list[tuple[float, float, bool]]:
     u_max = bisect(excess, -span, u_peak, excess(-span), excess(u_peak))
     u_min = bisect(excess, u_peak, span, excess(u_peak), excess(span))
     lo, hi = sorted((b, b + a))
-    found = [(u, u - b - a * curve.value(u), is_max)
-             for u, is_max in ((u_max, True), (u_min, False)) if lo < u < hi]
-    return [(u, phi, phi > 0.0 if is_max else phi < 0.0)
-            for u, phi, is_max in found]
+    found = []
+    for u, is_max in ((u_max, True), (u_min, False)):
+        if lo < u < hi:
+            v = curve._at(u)[2]
+            phi = u - b - a * sigmoid(v)
+            found.append((u, phi, phi > 0.0 if is_max else phi < 0.0, v))
+    return found
 
 
 def _solve_u_roots(a: float, b: float,
@@ -290,17 +401,14 @@ def _solve_u_roots(a: float, b: float,
     # Analytically phi(lo) < 0 < phi(hi) always (g stays inside (0,1));
     # restore the sign when saturation rounding has destroyed it, which
     # parks the root at the endpoint to float resolution.
-    if flo >= 0.0:
-        flo = -5e-324
-    if fhi <= 0.0:
-        fhi = 5e-324
+    flo, fhi = min(flo, -5e-324), max(fhi, 5e-324)
     target = max(1e-15, min(5e-13, 5e-13 * abs(a)))
 
     found: list[tuple[float, bool]] = []
     knots = [(lo, flo)]
-    for u_s, v_s, keeps in _extrema(a, b, curve):
+    for u_s, phi_s, keeps, _ in _extrema(a, b, curve):
         if keeps:
-            knots.append((u_s, v_s))
+            knots.append((u_s, phi_s))
         elif _is_double_root(u_s, a, b, curve):
             found.append((u_s, True))
     knots.append((hi, fhi))
@@ -317,7 +425,7 @@ def _response_curve(coeffs: ReducedCoefficients) -> GFunction:
     if not (math.isfinite(coeffs.b + coeffs.a)
             and math.isfinite(coeffs.d + coeffs.c)):
         raise DomainError("coefficients too large: b + a or d + c overflows")
-    return GFunction(coeffs.c, coeffs.d)
+    return GFunction.of(coeffs, coeffs.ty)
 
 
 def find_rest_points(coeffs: ReducedCoefficients,
@@ -327,7 +435,7 @@ def find_rest_points(coeffs: ReducedCoefficients,
     Roots are bracketed on the monotone segments of the defect function
     (delimited by the at-most-two solutions of ``a*g'(u) = 1``), refined by
     safeguarded Newton to ``|u - b - a*g(u)| < ~1e-12*|a|``, and back-
-    substituted through ``v = d + c*sigma(u)``.  The count is 1 or 3, or 2
+    substituted through Y's logit v(u) of :class:`GFunction`.  The count is 1 or 3, or 2
     at a fold: a stationary value that just lost its pair of roots is the
     double root, returned once with ``degenerate_pair`` set, the only
     point so flagged.  Stability
@@ -338,12 +446,13 @@ def find_rest_points(coeffs: ReducedCoefficients,
     :class:`NumericFailureError`.  Coefficients where b + a or d + c
     overflows raise :class:`DomainError`.
     """
-    a, b, c, d = coeffs.a, coeffs.b, coeffs.c, coeffs.d
-    roots, flags = _solve_u_roots(a, b, _response_curve(coeffs))
+    a, b = coeffs.a, coeffs.b
+    curve = _response_curve(coeffs)
+    roots, flags = _solve_u_roots(a, b, curve)
     points = []
     for u, degenerate in zip(roots, flags):
-        v = d + c * sigmoid(u)
-        x, y = sigmoid(u), sigmoid(v)
+        x, _, v = curve._at(u)
+        y = sigmoid(v)
         lam1, lam2, rad = _eigenvalues_from_logit(u, v, coeffs)
         residual = abs(a * y + b - u)
         if fd_check:
@@ -424,19 +533,15 @@ def tangency_conditions(coeffs: ReducedCoefficients) -> TangencyDiagnostics:
     never exceeds 1/16, criticality needs ``ac >= 16``.
     """
     ac = coeffs.a * coeffs.c
-    gf = GFunction(coeffs.c, coeffs.d)
+    gf = GFunction.of(coeffs, coeffs.ty)
 
     def logit_residual(u: float) -> float:
         shape = gf.slope_shape(u)
-        if shape == 0.0:
-            return -math.inf
-        return ac - 1.0 / shape
+        return ac - 1.0 / shape if shape != 0.0 else -math.inf
 
     def strategy_residual(x: float, y: float) -> float:
         prod = x * (1.0 - x) * y * (1.0 - y)
-        if prod == 0.0:
-            return -math.inf
-        return ac - 1.0 / prod
+        return ac - 1.0 / prod if prod != 0.0 else -math.inf
 
     return TangencyDiagnostics(ac=ac, bound_met=bool(ac >= 16.0),
                                logit_residual=logit_residual,

@@ -453,6 +453,10 @@ class TestCornerBoundaryExact:
         ty, _ = bq.intercept_extrema(co.raw_c, co.raw_d).extreme_at
         (_, t_lo, t_hi), = bq.critical_curve(game, [ty]).samples
         assert 0.0 < t_lo < t_hi
+        # the root kernel sees the same triple inside the window
+        mid = bq.reduce_payoffs(game, bq.Temperatures(0.5 * (t_lo + t_hi), ty))
+        assert bq.count_rest_points(mid) == 3
+        assert len(bq.find_rest_points(mid)) == 3
 
     @pytest.mark.parametrize("ratio", [-1 - 2**-52, -1 - 1e-12, -1 - 1e-9])
     def test_bound_is_exact_next_to_ratio_minus_one(self, ratio):

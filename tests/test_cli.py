@@ -303,7 +303,7 @@ class TestPortraitCommand:
     # title was escaped by xml.sax.saxutils
     @pytest.mark.parametrize("name, md5", [
         ("battle_coordination", "bb03275117d1f7393cd1aea1211e99e5"),
-        ("dominant_coordination", "0bab161108c74aaf16f4834509a9f24c"),
+        ("dominant_coordination", "7487d13e91b90416bfce34e326e098f7"),
         ("hawk_dove", "62a0dc1f4af011424d7f85e2c031c36a"),
         ("matching_pennies", "73258f91bc81bf94bd9ced9c635efe29"),
         ("prisoners_dilemma", "8868d686462ea54564256bf72c0125fc"),

@@ -593,11 +593,11 @@ def test_closing_temperature_work(monkeypatch):
     # itself a Newton solve in v
     calls = [0]
     for name in ("_touch", "_bend"):
-        def counted(*args, _f=getattr(bifurcation, name)):
+        def counted(*args, _f=getattr(bq.GFunction, name)):
             calls[0] += 1
             return _f(*args)
 
-        monkeypatch.setattr(bifurcation, name, counted)
+        monkeypatch.setattr(bq.GFunction, name, counted)
     curve = bq.critical_curve(bq.fixture("dominant_coordination"), CURVE_GRID)
     assert curve.closing_temperature == pytest.approx(1.0127316365710728,
                                                       rel=1e-12)

@@ -333,6 +333,28 @@ class TestPayoffScale:
             game = bq.fixture(name)
             assert payoff_answers(scaled(game, k)) == payoff_answers(game)
 
+    @pytest.mark.parametrize("k", [900, -1000])
+    def test_risk_dominance_past_the_range_of_the_products(self, k):
+        # the deviation-loss products overflow to inf at 2**900 and
+        # underflow to 0 at 2**-1000, which read as a tie
+        game = scaled(bq.fixture("stag_hunt"), k)
+        assert bq.risk_dominant_profile(game) == bq.NashEquilibrium(
+            1.0, 1.0, bq.games.EquilibriumKind.PURE)
+
+    def test_risk_dominance_at_every_scale(self, rng):
+        for name in sorted(bq.FIXTURES):
+            game = bq.fixture(name)
+            unit = outcome(bq.risk_dominant_profile, game)
+            for k in range(-1000, 1001, 50):
+                assert outcome(bq.risk_dominant_profile,
+                               scaled(game, k)) == unit, (name, k)
+        for _ in range(1000):
+            game = mk(*rng.uniform(-3.0, 3.0, (2, 2, 2)).tolist())
+            unit = outcome(bq.risk_dominant_profile, game)
+            for k in (-900, -500, 500, 900):
+                assert outcome(bq.risk_dominant_profile,
+                               scaled(game, k)) == unit, (game, k)
+
     def test_rounding_noise_is_degenerate(self):
         # raw_a = -(0.2 + 0.1 - 0.0 - 0.3) is -5.6e-17 in floats, not 0
         game = mk([[0.0, 0.1], [0.2, 0.3]], [[1.0, 0.0], [0.0, 1.0]])

@@ -139,6 +139,17 @@ class TestGFunction:
             assert g1 == pytest.approx(g1_fd, abs=1e-6)
             assert g2 == pytest.approx(g2_fd, abs=1e-6)
 
+    @pytest.mark.parametrize("u", [31.0, 32.5, 34.0, 40.0])
+    def test_no_cancellation_next_to_ratio_minus_one(self, u):
+        # d/c = -1 - 2^-52 at ty = 4.6e-15: d + c*sigma(u) would subtract
+        # two terms of size 2e14 to leave a v of order 1
+        raw_d, ty = -1.0 - 2.0 ** -52, 4.602890630985924e-15
+        gf = bq.GFunction(1.0, raw_d, ty)
+        with mpmath.workdps(60):
+            v = (raw_d + 1 / (1 + mpmath.exp(-u))) / mpmath.mpf(ty)
+            exact = float(1 / (1 + mpmath.exp(-v)))
+        assert gf.value(u) == pytest.approx(exact, rel=1e-13)
+
     def test_inflection_is_unique_sign_change_of_curvature(self, rng):
         for _ in range(100):
             c, d = rng.uniform(-6, 6, 2)
@@ -328,6 +339,28 @@ def test_cold_input_at_float_resolution_meets_its_equation():
     for p in points:
         residual = abs(co.a * sigmoid(p.v) + co.b - p.u)
         assert residual <= 1e-9 * (1.0 + abs(co.a) + abs(co.b))
+
+
+def test_relabelling_x_keeps_the_rest_point_count(rng):
+    # x -> 1 - x (swap A's rows and B's columns) maps rest points one to one
+    for _ in range(2000):
+        A, B = rng.uniform(-3.0, 3.0, (2, 2, 2)).tolist()
+        temps = bq.Temperatures(*(10.0 ** rng.uniform(-12.0, 1.0, 2)))
+        game = bq.Game.from_matrices("g", A, B)
+        relabelled = bq.Game.from_matrices("h", A[::-1],
+                                           [row[::-1] for row in B])
+        assert (bq.count_rest_points(bq.reduce_payoffs(game, temps))
+                == bq.count_rest_points(bq.reduce_payoffs(relabelled, temps))
+                ), (A, B, temps)
+
+
+def test_raw_top_end_overflow_keeps_v_finite():
+    # raw_c + raw_d overflows at ty = 2 while c + d = 1.5e308 does not
+    co = bq.ReducedCoefficients.from_values(1.0, -0.5, 7.5e307, 7.5e307,
+                                            ty=2.0)
+    assert math.isinf(co.raw_c + co.raw_d)
+    (point,) = bq.find_rest_points(co, fd_check=False)
+    assert point.v == pytest.approx(7.5e307 * (1.0 + sigmoid(point.u)))
 
 
 def test_close_pair_of_a_triple_is_not_flagged():
