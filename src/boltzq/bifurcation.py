@@ -175,7 +175,7 @@ def _normalized_base(game: Game) -> ReducedCoefficients:
         # slopes' signs and leaves every temperature window unchanged.
         raw_a, raw_b = -raw_a, -raw_b
         raw_c, raw_d = -raw_c, raw_c + raw_d
-    return ReducedCoefficients.from_values(raw_a, raw_b, raw_c, raw_d)
+    return ReducedCoefficients(raw_a, raw_b, raw_c, raw_d, 1.0, 1.0)
 
 
 def _window_ends(base: ReducedCoefficients, curve: GFunction) -> list[float]:

@@ -20,8 +20,9 @@ from . import bifurcation, fileio, svg
 from .errors import (BoltzqError, DomainError, NotApplicableError,
                      NumericFailureError)
 from .fixtures import FIXTURES, fixture
-from .games import (Game, Temperatures, classify_region, load_game,
-                    nash_equilibria, reduce_payoffs, risk_dominant_profile)
+from .games import (Game, ReducedCoefficients, Temperatures, classify_region,
+                    load_game, nash_equilibria, reduce_payoffs,
+                    risk_dominant_profile)
 from .numerics import geomspace
 from .restpoints import find_rest_points
 
@@ -61,6 +62,12 @@ def _resolve_game(args) -> Game:
     raise BoltzqError("a game is required: pass --game PATH or --fixture NAME")
 
 
+def _resolve_coefficients(args) -> tuple[Game, ReducedCoefficients]:
+    """The game and its coefficients at --tx and --ty."""
+    game = _resolve_game(args)
+    return game, reduce_payoffs(game, Temperatures(args.tx, args.ty))
+
+
 def _integrator_config(args) -> IntegratorConfig:
     from .dynamics import IntegratorConfig
     kwargs = {}
@@ -70,9 +77,7 @@ def _integrator_config(args) -> IntegratorConfig:
 
 
 def cmd_classify(args) -> int:
-    game = _resolve_game(args)
-    temps = Temperatures(args.tx, args.ty)
-    coeffs = reduce_payoffs(game, temps)
+    game, coeffs = _resolve_coefficients(args)
     region = classify_region(coeffs)
     try:
         risk = risk_dominant_profile(game)
@@ -83,7 +88,7 @@ def cmd_classify(args) -> int:
         "game": game.name,
         "coefficients": {"a": coeffs.a, "b": coeffs.b,
                          "c": coeffs.c, "d": coeffs.d,
-                         "tx": temps.tx, "ty": temps.ty},
+                         "tx": coeffs.tx, "ty": coeffs.ty},
         "region": {
             "label": region.label.value,
             "detail": region.detail,
@@ -102,9 +107,7 @@ def cmd_simulate(args) -> int:
     import numpy as np
 
     from .dynamics import integrate, integrate_batch
-    game = _resolve_game(args)
-    temps = Temperatures(args.tx, args.ty)
-    coeffs = reduce_payoffs(game, temps)
+    _game, coeffs = _resolve_coefficients(args)
     cfg = _integrator_config(args)
     if args.starts is not None:
         rng = np.random.default_rng(args.seed)
@@ -133,8 +136,7 @@ def cmd_agents(args) -> int:
 
 
 def cmd_restpoints(args) -> int:
-    game = _resolve_game(args)
-    coeffs = reduce_payoffs(game, Temperatures(args.tx, args.ty))
+    _game, coeffs = _resolve_coefficients(args)
     points = find_rest_points(coeffs)
     fileio.write_text(args.out, fileio.rest_points_json(points))
     return 0
@@ -168,9 +170,7 @@ def cmd_portrait(args) -> int:
     import numpy as np
 
     from .dynamics import integrate
-    game = _resolve_game(args)
-    temps = Temperatures(args.tx, args.ty)
-    coeffs = reduce_payoffs(game, temps)
+    game, coeffs = _resolve_coefficients(args)
     cfg = _integrator_config(args)
     count = _require_count(args.grid, "--grid")
     margin = 1.0 / (count + 1.0)
@@ -180,7 +180,7 @@ def cmd_portrait(args) -> int:
         for y0 in axis:
             trajectories.append(integrate((float(x0), float(y0)), coeffs, cfg))
     points = find_rest_points(coeffs)
-    title = f"{game.name}  (tx={temps.tx:g}, ty={temps.ty:g})"
+    title = f"{game.name}  (tx={coeffs.tx:g}, ty={coeffs.ty:g})"
     fileio.write_text(args.out, svg.phase_portrait_svg(trajectories, points,
                                                        title))
     if args.csv is not None:

@@ -151,14 +151,14 @@ class Temperatures:
 class ReducedCoefficients:
     """Temperature-scaled advantage coefficients of a 2x2 game.
 
-    ``raw_*`` are the temperature-free numerators (raw_a = a*tx, ...), kept
-    so that sweeps can re-scale exactly instead of re-deriving from payoffs.
+    The record holds the temperature-free numerators ``raw_*`` and the
+    exploration rates, so that sweeps re-scale exactly instead of
+    re-deriving from payoffs.  The scaled coefficients ``a = raw_a/tx``,
+    ``b = raw_b/tx``, ``c = raw_c/ty`` and ``d = raw_d/ty`` are derived
+    once, after the temperatures pass :func:`_require_temperature`; they
+    are plain attributes, not fields, so no record can disagree with them.
     """
 
-    a: float
-    b: float
-    c: float
-    d: float
     raw_a: float
     raw_b: float
     raw_c: float
@@ -167,9 +167,15 @@ class ReducedCoefficients:
     ty: float
 
     def __post_init__(self):
-        values = (self.a, self.b, self.c, self.d,
-                  self.raw_a, self.raw_b, self.raw_c, self.raw_d)
-        if not all(map(math.isfinite, values)):
+        _require_temperature(self.tx)
+        _require_temperature(self.ty)
+        object.__setattr__(self, "a", self.raw_a / self.tx)
+        object.__setattr__(self, "b", self.raw_b / self.tx)
+        object.__setattr__(self, "c", self.raw_c / self.ty)
+        object.__setattr__(self, "d", self.raw_d / self.ty)
+        # raw/t is finite exactly when raw is and the division does not
+        # overflow, so the scaled values alone decide
+        if not all(map(math.isfinite, (self.a, self.b, self.c, self.d))):
             raise DomainError("scaled coefficients must be finite (payoffs "
                               "overflow at these temperatures)")
 
@@ -187,16 +193,12 @@ class ReducedCoefficients:
 
     def at_temperatures(self, tx: float, ty: float) -> "ReducedCoefficients":
         """Same game, different exploration rates."""
-        temps = Temperatures(tx, ty)
-        return replace(self,
-                       a=self.raw_a / temps.tx, b=self.raw_b / temps.tx,
-                       c=self.raw_c / temps.ty, d=self.raw_d / temps.ty,
-                       tx=temps.tx, ty=temps.ty)
+        return replace(self, tx=tx, ty=ty)
 
     @classmethod
     def from_values(cls, a, b, c, d, tx=1.0, ty=1.0) -> "ReducedCoefficients":
-        """Build directly from scaled values (raw_* = value * temperature)."""
-        return cls(a, b, c, d, a * tx, b * tx, c * ty, d * ty, tx, ty)
+        """Build from scaled values: raw_a = a*tx, ..., and a = raw_a/tx."""
+        return cls(a * tx, b * tx, c * ty, d * ty, tx, ty)
 
 
 def _raw_coefficients(game: Game) -> tuple[float, float, float, float]:
@@ -220,12 +222,7 @@ def _raw_coefficients(game: Game) -> tuple[float, float, float, float]:
 
 def reduce_payoffs(game: Game, temps: Temperatures) -> ReducedCoefficients:
     """Scaled coefficients (a, b, c, d) of a 2x2 game at given temperatures."""
-    raw_a, raw_b, raw_c, raw_d = _raw_coefficients(game)
-    return ReducedCoefficients(
-        a=raw_a / temps.tx, b=raw_b / temps.tx,
-        c=raw_c / temps.ty, d=raw_d / temps.ty,
-        raw_a=raw_a, raw_b=raw_b, raw_c=raw_c, raw_d=raw_d,
-        tx=temps.tx, ty=temps.ty)
+    return ReducedCoefficients(*_raw_coefficients(game), temps.tx, temps.ty)
 
 
 class EquilibriumKind(str, Enum):

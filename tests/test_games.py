@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -79,6 +80,41 @@ class TestReduce:
     def test_from_values_rejects_non_finite(self, bad):
         with pytest.raises(bq.DomainError):
             bq.ReducedCoefficients.from_values(1.0, bad, 1.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, math.nan, math.inf])
+    def test_invalid_temperature_raises_domain_error(self, bad):
+        co = bq.ReducedCoefficients.from_values(1.0, -0.5, 2.0, -1.0)
+        for tx, ty in ((bad, 1.0), (1.0, bad)):
+            routes = (
+                lambda: bq.ReducedCoefficients.from_values(1.0, -0.5, 2.0,
+                                                           -1.0, tx, ty),
+                lambda: bq.ReducedCoefficients(1.0, -0.5, 2.0, -1.0, tx, ty),
+                lambda: co.at_temperatures(tx, ty),
+                lambda: dataclasses.replace(co, tx=tx, ty=ty),
+            )
+            for route in routes:
+                with pytest.raises(bq.DomainError):
+                    route()
+
+    def test_scaled_values_are_derived_from_raw_values(self, rng):
+        def exact(co):
+            scaled = (co.raw_a / co.tx, co.raw_b / co.tx,
+                      co.raw_c / co.ty, co.raw_d / co.ty)
+            return ([v.hex() for v in (co.a, co.b, co.c, co.d)]
+                    == [v.hex() for v in scaled])
+
+        for _ in range(200):
+            entries = rng.uniform(-10, 10, (2, 2, 2))
+            game = mk(entries[0].tolist(), entries[1].tolist())
+            tx, ty, tx2, ty2 = map(float, 10.0 ** rng.uniform(-6, 3, 4))
+            co = bq.reduce_payoffs(game, bq.Temperatures(tx, ty))
+            assert exact(co)
+            assert exact(co.at_temperatures(tx2, ty2))
+            assert exact(dataclasses.replace(co, ty=ty2))
+        with pytest.raises(TypeError):
+            bq.ReducedCoefficients(1.0, -0.5, 2.0, -1.0, 1.0, 1.0, a=99.0)
+        with pytest.raises(TypeError):
+            dataclasses.replace(co, a=99.0)
 
     def test_rejects_wrong_dimension(self):
         g3 = mk(np.eye(3).tolist(), np.eye(3).tolist())
