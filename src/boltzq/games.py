@@ -125,22 +125,35 @@ def load_game(path) -> Game:
     return Game.from_dict(data)
 
 
-def _require_temperature(temp: float) -> None:
-    """The one exploration-rate check: finite and strictly positive."""
+def _as_float(value, what: str) -> float:
+    """``float(value)``, so that numpy scalars become Python floats, or
+    :class:`DomainError` where ``float`` refuses the value."""
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{what} must be a number, got {value!r}") from exc
+
+
+def _require_temperature(temp) -> float:
+    """The one exploration-rate check: a number, finite and strictly
+    positive; returns it as a Python float."""
+    temp = _as_float(temp, "temperature")
     if not (temp > 0.0 and math.isfinite(temp)):
         raise DomainError(f"temperature must be finite and > 0, got {temp}")
+    return temp
 
 
 @dataclass(frozen=True)
 class Temperatures:
-    """Strictly positive exploration rates for the two players."""
+    """Strictly positive exploration rates for the two players, stored as
+    Python floats."""
 
     tx: float
     ty: float
 
     def __post_init__(self):
-        _require_temperature(self.tx)
-        _require_temperature(self.ty)
+        object.__setattr__(self, "tx", _require_temperature(self.tx))
+        object.__setattr__(self, "ty", _require_temperature(self.ty))
 
     @classmethod
     def equal(cls, t: float) -> "Temperatures":
@@ -153,10 +166,13 @@ class ReducedCoefficients:
 
     The record holds the temperature-free numerators ``raw_*`` and the
     exploration rates, so that sweeps re-scale exactly instead of
-    re-deriving from payoffs.  The scaled coefficients ``a = raw_a/tx``,
-    ``b = raw_b/tx``, ``c = raw_c/ty`` and ``d = raw_d/ty`` are derived
-    once, after the temperatures pass :func:`_require_temperature`; they
-    are plain attributes, not fields, so no record can disagree with them.
+    re-deriving from payoffs.  All six are stored as Python floats (a
+    value that ``float`` refuses raises :class:`DomainError`), so numpy
+    scalars never reach the scalar kernel.  The scaled coefficients ``a =
+    raw_a/tx``, ``b = raw_b/tx``, ``c = raw_c/ty`` and ``d = raw_d/ty``
+    are derived once, after the temperatures pass
+    :func:`_require_temperature`; they are plain attributes, not fields,
+    so no record can disagree with them.
     """
 
     raw_a: float
@@ -167,8 +183,10 @@ class ReducedCoefficients:
     ty: float
 
     def __post_init__(self):
-        _require_temperature(self.tx)
-        _require_temperature(self.ty)
+        for name in ("raw_a", "raw_b", "raw_c", "raw_d"):
+            object.__setattr__(self, name, _as_float(getattr(self, name), name))
+        object.__setattr__(self, "tx", _require_temperature(self.tx))
+        object.__setattr__(self, "ty", _require_temperature(self.ty))
         object.__setattr__(self, "a", self.raw_a / self.tx)
         object.__setattr__(self, "b", self.raw_b / self.tx)
         object.__setattr__(self, "c", self.raw_c / self.ty)

@@ -8,8 +8,12 @@ rest-point, region and bifurcation layers never need an array.
 
 Three bracketed solvers find a sign change, each stopping by its own rule:
 
-- :func:`bisect` halves until the midpoint equals an end (float
-  resolution; at most 200 halvings) and returns the final midpoint;
+- :func:`bisect` closes the bracket until the midpoint equals an end
+  (float resolution; at most 200 probes) and returns the final midpoint.
+  Given a slope it takes the Newton steps of the other two where they
+  land inside the bracket and shrink fast enough, and halves otherwise;
+  its stop rule and its sides, decided by the sign of the value alone,
+  stay those of plain halving;
 - :func:`_refine_root` takes Newton steps that land inside the bracket and
   halves otherwise, stopping at ``|f| <= target`` or once the bracket is 8
   ulps of ``max(|lo|, |hi|, 1)`` wide;
@@ -102,26 +106,65 @@ def geomspace(lo: float, hi: float, n: int) -> list[float]:
 _BISECT_STEPS = 200
 
 
-def bisect(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
-    """Plain bisection on a bracketed sign change, down to float
-    resolution; returns the midpoint of the final bracket."""
+def bisect(f, lo: float, hi: float, f_lo: float, f_hi: float, *,
+           newton: bool = False) -> float:
+    """Bisection on a bracketed sign change, down to float resolution;
+    returns the midpoint of the final bracket, or a probe where f is 0.
+
+    With ``newton``, ``f(u)`` returns ``(value, slope)`` (``f_lo`` and
+    ``f_hi`` are still values), the first probe is the midpoint and each
+    later one is the Newton step from the latest probe where that lands
+    strictly inside the bracket, else the midpoint (:func:`_newton_or_halve`).
+    Two guards keep the steps from crawling where the slope is no guide:
+
+    - a step longer than half the probe's move before last is dropped for
+      the midpoint, so the bracket at least halves every other probe;
+    - a step that no longer moves the probe means the sign change is an
+      ulp or two away or f is at its rounding: it probes 1, 2, 4, ... ulps
+      toward the other end instead, as :func:`_flip` does.
+
+    A side is decided by the sign of the value alone and the loop stops
+    only where the midpoint equals an end, as without ``newton``, so the
+    answer is still a sign change of f at float resolution; only the
+    probes that reach it are fewer.
+    """
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
         return hi
     if (f_lo > 0.0) == (f_hi > 0.0):
         raise ValueError("bisect requires a sign change on [lo, hi]")
+    rising = f_hi > 0.0
+    u = step = None
+    moved = before = hi - lo  # the probe's last move and the one before
+    creep = 0.0
     for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
+        if step is not None and u + step == u:
+            creep = 2.0 * creep or 1.0
+            step = math.copysign(creep * math.ulp(u),
+                                 (hi if u == lo else lo) - u)
         else:
-            hi, f_hi = mid, f_mid
+            creep = 0.0
+            if step is not None and abs(step) > 0.5 * before:
+                step = None
+        new = mid if step is None else _newton_or_halve(u, step, lo, hi)
+        if u is not None:
+            before, moved = moved, abs(new - u)
+        u = new
+        if newton:
+            f_u, slope = f(u)
+            step = -f_u / slope if slope != 0.0 else None
+        else:
+            f_u = f(u)
+        if f_u == 0.0:
+            return u
+        if (f_u > 0.0) == rising:
+            hi = u
+        else:
+            lo = u
     return 0.5 * (lo + hi)
 
 

@@ -71,7 +71,7 @@ class GFunction:
     subtract two terms of size c.  The inverse is the ratio of the same
     two tails, ``e^u = (p - raw_d)/(raw_c + raw_d - p)`` (:meth:`_touch`).
 
-    There are two inflection solvers: the u-bisection of
+    There are two inflection solvers: the Newton-stepped u-bisection of
     :meth:`inflection` for the root kernel, and the v-Newton of
     :meth:`_inflection_v` for the critical curve, since at small ty u
     cannot resolve v (v moves by raw_c/ty across sigma's range).  The
@@ -129,26 +129,45 @@ class GFunction:
 
     def slope_shape(self, u: float) -> float:
         """g(1-g)*s(1-s) = g'(u)/c; the quantity whose peak bounds tangency."""
+        return self._shape_and_bend(u)[0]
+
+    def _shape_and_bend(self, u: float) -> tuple[float, float]:
+        """``(g'/c, g''/c)`` at u from one :meth:`_at`: the slope shape
+        ``sigma'(v)*sigma'(u)`` and its u-derivative ``shape*((1 -
+        2*sigma(v))*c*sigma'(u) + (1 - 2*sigma(u)))``."""
         s, s_neg, v = self._at(u)
         e = math.exp(-v if v > 0.0 else v)
-        return e / ((1.0 + e) * (1.0 + e)) * s * s_neg  # sigma'(v) = e/(1+e)^2
+        sq = s * s_neg
+        shape = e / ((1.0 + e) * (1.0 + e)) * s * s_neg  # sigma'(v) = e/(1+e)^2
+        tilt = math.copysign((1.0 - e) / (1.0 + e), -v)  # 1 - 2*sigma(v)
+        return shape, shape * (self.c * tilt * sq + (s_neg - s))
 
     def inflection(self) -> float:
         """The unique zero of g''.
 
         g'' vanishes with ``F(u) = c*tanh(v/2) + 2*sinh(u)``, which is
-        strictly increasing, so plain bisection is safe.  The zero has
-        |2*sinh(u)| <= |c|, so |u| <= asinh(|c|/2) <= _LOG_MAX: the span
-        asinh(|c|/2) + 1, capped at _LOG_MAX so that sinh stays finite,
-        brackets it.
+        strictly increasing, with ``F' = c^2*sigma'(u)*(1 - tanh(v/2)^2)/2
+        + 2*cosh(u)`` from the same :meth:`_at`.  So
+        :func:`numerics.bisect` may step by Newton: F is monotone on every
+        bracket, a step is taken only where it lands strictly inside the
+        shrinking bracket, and each side is decided by the sign of F
+        alone, so the sign change is never lost and the answer is F's
+        sign change at float resolution.  The zero has |2*sinh(u)| <= |c|,
+        so |u| <= asinh(|c|/2) <= _LOG_MAX: the span asinh(|c|/2) + 1,
+        capped at _LOG_MAX so that sinh stays finite, brackets it.
         """
-        c, at, tanh, sinh = self.c, self._at, math.tanh, math.sinh
+        c, at, tanh, sinh, cosh = (self.c, self._at, math.tanh, math.sinh,
+                                   math.cosh)
 
-        def f(u: float) -> float:
-            return c * tanh(0.5 * at(u)[2]) + 2.0 * sinh(u)
+        def f(u: float) -> tuple[float, float]:
+            s, s_neg, v = at(u)
+            th = tanh(0.5 * v)
+            return (c * th + 2.0 * sinh(u),
+                    0.5 * c * (c * (s * s_neg)) * (1.0 - th * th)
+                    + 2.0 * cosh(u))
 
         span = min(math.asinh(0.5 * abs(c)) + 1.0, _LOG_MAX)
-        return bisect(f, -span, span, f(-span), f(span))
+        return bisect(f, -span, span, f(-span)[0], f(span)[0], newton=True)
 
     def _tails(self, v: float) -> tuple[float, float]:
         """``(raw_c*sigma(u), raw_c*sigma(-u))`` at Y's logit v, as ``p -
@@ -320,6 +339,13 @@ class _Logistic:
     inflection = staticmethod(lambda: 0.0)
 
     @staticmethod
+    def _shape_and_bend(u: float) -> tuple[float, float]:
+        """``(sigma'(u), sigma''(u))``, the first as :func:`sigmoid_slope`."""
+        s, s_neg = sigmoid(u), sigmoid(-u)
+        shape = s * s_neg
+        return shape, shape * (s_neg - s)
+
+    @staticmethod
     def eval(u: float) -> tuple[float, float, float]:
         s, s1 = sigmoid(u), sigmoid_slope(u)
         return s, s1, s1 * (1.0 - 2.0 * s)
@@ -353,22 +379,33 @@ def _extrema(a: float, b: float, curve) -> list[tuple[float, float, bool, float]
     curve's ``shape_peak``, so with ``a*c*shape_peak <= 1`` there are none
     and the inflection is not solved.  ``keeps`` says the value
     still separates a pair of roots: the max above zero, the min below.
+
+    Each point is the sign change of ``excess = a*c*shape - 1`` on one
+    side of the peak, found by :func:`numerics.bisect` with Newton steps
+    on its u-slope a*g'' (:meth:`GFunction._shape_and_bend`, from the same
+    curve evaluation).  excess is monotone on each bracket (rising up to
+    the peak, falling after it), a step is taken only where it lands
+    strictly inside the shrinking bracket, and each side is decided by
+    the sign of excess alone, so the sign change is never lost and each
+    point is excess's sign change at float resolution.
     """
     ac = a * curve.c
     if ac * curve.shape_peak <= 1.0:
         return []
-    u_peak, _, paired = _peak(a, curve)
+    u_peak, margin, paired = _peak(a, curve)
     if not paired:
         return []
-    shape = curve.slope_shape
+    shape = curve._shape_and_bend
 
-    def excess(u: float) -> float:
-        return ac * shape(u) - 1.0
+    def excess(u: float) -> tuple[float, float]:
+        sh, bend = shape(u)
+        return ac * sh - 1.0, ac * bend
 
     # shape(u) <= sigma(u)*sigma(-u) < e^-|u|, so excess < 0 beyond span
     span = math.log(ac) + 1.0
-    u_max = bisect(excess, -span, u_peak, excess(-span), excess(u_peak))
-    u_min = bisect(excess, u_peak, span, excess(u_peak), excess(span))
+    top = margin - 1.0  # = excess(u_peak), the same float
+    u_max = bisect(excess, -span, u_peak, excess(-span)[0], top, newton=True)
+    u_min = bisect(excess, u_peak, span, top, excess(span)[0], newton=True)
     lo, hi = sorted((b, b + a))
     found = []
     for u, is_max in ((u_max, True), (u_min, False)):

@@ -5,6 +5,8 @@ by dense sign-change scans, so solver results are checked against an
 independent path.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -36,6 +38,16 @@ def scan_symmetric_count(a, b, n=1_000_000):
     f = np.log(x) - np.log1p(-x) - a * x - b
     sign = np.signbit(f)
     return int(np.count_nonzero(sign[1:] != sign[:-1]))
+
+
+def sign_change_at(f, u):
+    """f is 0 at u, or changes sign between u and a float neighbour: u is
+    a sign change of f, as computed, at float resolution."""
+    fu = f(u)
+    return fu == 0.0 or any(
+        (fn > 0.0 > fu) or (fn < 0.0 < fu)
+        for fn in map(f, (math.nextafter(u, -math.inf),
+                          math.nextafter(u, math.inf))))
 
 
 @pytest.fixture

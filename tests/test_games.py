@@ -96,6 +96,32 @@ class TestReduce:
                 with pytest.raises(bq.DomainError):
                     route()
 
+    def test_numpy_scalars_are_stored_as_python_floats(self):
+        co = bq.ReducedCoefficients.from_values(
+            *map(np.float64, (3.0, -1.2, 0.3, -0.17)), tx=np.float64(0.1),
+            ty=np.float32(0.1))
+        temps = bq.Temperatures(np.float64(0.5), np.int64(2))
+        for value in (*dataclasses.astuple(co), co.a, co.b, co.c, co.d,
+                      *dataclasses.astuple(temps)):
+            assert type(value) is float
+        for point in bq.find_rest_points(co):
+            assert all(type(v) is float for v in (point.x, point.y, point.u,
+                                                  point.v, point.residual))
+        # raw/t overflows as a Python float: DomainError, no numpy warning
+        with pytest.raises(bq.DomainError):
+            bq.ReducedCoefficients(np.float64(1e300), 0.0, 1.0, 0.0,
+                                   np.float64(1e-10), 1.0)
+
+    @pytest.mark.parametrize("bad", ["x", None, [1.0], 1j, object()])
+    def test_non_numeric_input_raises_domain_error(self, bad):
+        fields = [1.0, -0.5, 2.0, -1.0, 1.0, 1.0]
+        for k in range(6):
+            with pytest.raises(bq.DomainError):
+                bq.ReducedCoefficients(*fields[:k], bad, *fields[k + 1:])
+        for temps in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(bq.DomainError):
+                bq.Temperatures(*temps)
+
     def test_scaled_values_are_derived_from_raw_values(self, rng):
         def exact(co):
             scaled = (co.raw_a / co.tx, co.raw_b / co.tx,

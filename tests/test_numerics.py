@@ -1,8 +1,13 @@
+import math
+import random
+
 import numpy as np
 import pytest
 
 from boltzq.errors import DomainError
-from boltzq.numerics import geomspace
+from boltzq.numerics import bisect, geomspace
+
+from conftest import sign_change_at
 
 
 class TestGeomspace:
@@ -55,3 +60,61 @@ class TestGeomspace:
     def test_no_points_raises(self, n):
         with pytest.raises(DomainError, match="n >= 1"):
             geomspace(1.0, 2.0, n)
+
+
+def _counted(f):
+    """f, and a list whose length is the number of calls made to it."""
+    calls = []
+
+    def wrapped(u):
+        calls.append(u)
+        return f(u)
+    return wrapped, calls
+
+
+class TestBisect:
+    def test_newton_steps_keep_the_answer_and_save_calls(self):
+        rng = random.Random(5)
+        plain_calls = newton_calls = 0
+        for _ in range(500):
+            k = 10.0 ** rng.uniform(-3.0, 3.0)
+
+            def f(u):
+                return math.exp(u) - k
+
+            plain, calls = _counted(f)
+            u_plain = bisect(plain, -8.0, 8.0, f(-8.0), f(8.0))
+            plain_calls += len(calls)
+            sloped, calls = _counted(lambda u: (f(u), math.exp(u)))
+            u_newton = bisect(sloped, -8.0, 8.0, f(-8.0), f(8.0), newton=True)
+            newton_calls += len(calls)
+            # near u = 0, exp(u) - k is flat across floats of u, so the
+            # two may stop at different sign changes, each at resolution
+            for u in (u_plain, u_newton):
+                assert sign_change_at(f, u), k
+        assert newton_calls < 0.25 * plain_calls
+
+    @pytest.mark.parametrize("slope", [1e-3, 1.0, 1e15])
+    def test_a_wrong_slope_still_reaches_float_resolution(self, slope):
+        # a staircase with steps of 2^-10 changes sign exactly at
+        # k/1024; the slope it reports is no guide, so Newton crawls or
+        # overshoots, and halving must close the bracket all the same
+        for k in range(-40, 41, 7):
+            def f(u):
+                return math.floor(u * 1024.0) + 0.5 - k
+
+            edge = k / 1024.0
+            plain, calls = _counted(f)
+            bisect(plain, -1.0, 1.0, f(-1.0), f(1.0))
+            sloped, newton_calls = _counted(lambda u: (f(u), slope))
+            u = bisect(sloped, -1.0, 1.0, f(-1.0), f(1.0), newton=True)
+            assert u in (edge, math.nextafter(edge, -math.inf))
+            assert len(newton_calls) <= 2 * len(calls)
+
+    def test_a_zero_probe_is_returned(self):
+        assert bisect(lambda u: (u - 0.25, 1.0), -1.0, 1.0, -1.25, 0.75,
+                      newton=True) == 0.25
+
+    def test_requires_a_sign_change(self):
+        with pytest.raises(ValueError):
+            bisect(lambda u: (u, 1.0), 1.0, 2.0, 1.0, 2.0, newton=True)

@@ -1,6 +1,9 @@
 import cmath
+import importlib.util
 import math
+import random
 import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -8,9 +11,10 @@ import pytest
 from scipy.special import expit
 
 import boltzq as bq
-from boltzq.numerics import _refine_root, sigmoid
+from boltzq.numerics import _refine_root, sigmoid, sigmoid_slope
+from boltzq.restpoints import _LOGISTIC, GFunction, _extrema
 
-from conftest import scan_symmetric_count
+from conftest import scan_symmetric_count, sign_change_at
 
 
 def coeffs(a, b, c, d):
@@ -138,6 +142,20 @@ class TestGFunction:
             g2_fd = (gf.eval(u + h)[1] - gf.eval(u - h)[1]) / (2 * h)
             assert g1 == pytest.approx(g1_fd, abs=1e-6)
             assert g2 == pytest.approx(g2_fd, abs=1e-6)
+
+    def test_shape_and_bend_are_g1_and_g2_over_c(self, rng):
+        for _ in range(1000):
+            c, d = rng.uniform(-8, 8, 2)
+            u = rng.uniform(-10, 10)
+            gf = bq.GFunction(c, d)
+            _, g1, g2 = gf.eval(u)
+            shape, bend = gf._shape_and_bend(u)
+            assert shape == gf.slope_shape(u)
+            assert c * shape == pytest.approx(g1, rel=1e-12, abs=1e-300)
+            assert c * bend == pytest.approx(g2, rel=1e-9, abs=1e-15)
+            _, s1, s2 = _LOGISTIC.eval(u)
+            assert _LOGISTIC._shape_and_bend(u) == pytest.approx(
+                (s1, s2), rel=1e-12, abs=1e-300)
 
     @pytest.mark.parametrize("u", [31.0, 32.5, 34.0, 40.0])
     def test_no_cancellation_next_to_ratio_minus_one(self, u):
@@ -381,6 +399,66 @@ def test_close_pair_of_a_triple_is_not_flagged():
     assert len(points) == 3 and min(np.diff(u)) < 1e-7
     assert not any(p.degenerate_pair for p in points)
     assert [p.degenerate_pair for p in solve(hi)] == [True, False]
+
+
+def _seeded_curves(seed, log_t, n=2000):
+    """``(a, b, curve)`` of n games with payoffs U[-3, 3] and (tx, ty)
+    log-uniform on 10**log_t."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        raw = [rng.uniform(-3.0, 3.0) for _ in range(4)]
+        tx, ty = (10.0 ** rng.uniform(*log_t) for _ in range(2))
+        co = bq.ReducedCoefficients(*raw, tx, ty)
+        yield co.a, co.b, GFunction.of(co, co.ty)
+
+
+@pytest.mark.parametrize("seed, log_t", [(21, (-3.0, 1.0)),
+                                         (22, (-20.0, -3.0))],
+                         ids=["warm", "cold"])
+def test_inflection_and_stationary_points_at_float_resolution(seed, log_t):
+    # each answer is a sign change of its function, as computed, between
+    # adjacent floats: neither 8 ulps nor a target on |F| would do
+    stationary = 0
+    for a, b, curve in _seeded_curves(seed, log_t):
+        def f(u):  # F of GFunction.inflection
+            return curve.c * math.tanh(0.5 * curve._at(u)[2]) + 2.0 * math.sinh(u)
+
+        def excess(u):  # excess of _extrema
+            return a * curve.c * curve.slope_shape(u) - 1.0
+
+        assert sign_change_at(f, curve.inflection()), (a, b, curve)
+        for u, *_ in _extrema(a, b, curve):
+            stationary += 1
+            assert sign_change_at(excess, u), (a, b, curve)
+    assert stationary > 100
+
+
+def test_logistic_stationary_points_at_float_resolution():
+    rng = random.Random(23)
+    for _ in range(2000):
+        a = rng.uniform(4.01, 60.0)
+        points = _extrema(a, -0.5 * a, _LOGISTIC)
+        assert len(points) == 2
+        for u, *_ in points:
+            assert sign_change_at(lambda u: a * sigmoid_slope(u) - 1.0, u), a
+
+
+def _kernel_counts():
+    """``tools/kernel_counts.py``, loaded as a module."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "kernel_counts.py"
+    spec = importlib.util.spec_from_file_location("kernel_counts", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_kernel_evaluation_budget():
+    # curve evaluations per find_rest_points call on 4000 warm games; with
+    # plain bisection for the inflection and the stationary points a
+    # three-root solve made 223.0 and a one-root solve 57.4
+    counts = _kernel_counts().count()
+    assert sum(counts[3][1].values()) <= 115.0
+    assert sum(counts[1][1].values()) <= 33.0
 
 
 def sample_three_root_coeffs(rng):
