@@ -122,6 +122,30 @@ def _critical_curve(rng: random.Random):
     return critical_curve(_game(rng), geomspace(1e-3, 2.0, 8))
 
 
+def _scaled_fixture_calls():
+    """One call at a time: ``equal_temperature_criticals``,
+    ``classify_pitchfork`` and ``critical_curve`` (ty on
+    ``geomspace(1e-3, 2, 8)`` times the scale) on each fixture with every
+    payoff times 2**-540 and 2**520, where raw_a*raw_c leaves the float
+    range."""
+    calls = iter([(driver, scale, FIXTURES[name])
+                  for scale in (2.0 ** -540, 2.0 ** 520)
+                  for name in sorted(FIXTURES)
+                  for driver in (equal_temperature_criticals,
+                                 classify_pitchfork, critical_curve)])
+
+    def call(rng: random.Random):
+        driver, scale, game = next(calls)
+        game = Game.from_matrices(
+            "g", *([[v * scale for v in row] for row in m.entries]
+                   for m in (game.payoff_x, game.payoff_y)))
+        if driver is critical_curve:
+            return critical_curve(game, [scale * t for t in
+                                         geomspace(1e-3, 2.0, 8)])
+        return driver(game)
+    return call
+
+
 def batches():
     """``(name, seed, calls, call)`` of every library batch."""
     return [
@@ -138,6 +162,8 @@ def batches():
          400, _payoff_answers),
         ("critical_curve payoffs in [-3, 3], ty on geomspace(1e-3, 2, 8)", 6,
          4000, _critical_curve),
+        ("bifurcation drivers on the fixtures times 2**-540, 2**520", 0, 36,
+         _scaled_fixture_calls()),
     ]
 
 
