@@ -44,7 +44,7 @@ from typing import Optional
 from .errors import DomainError, NotApplicableError, NumericFailureError
 from .games import (Game, GameRegionLabel, ReducedCoefficients, Temperatures,
                     _raw_coefficients, classify_region, reduce_payoffs)
-from .numerics import _flip, bisect, geomspace, sigmoid, sigmoid_slope
+from .numerics import _close, bisect, geomspace, sigmoid, sigmoid_slope
 from .restpoints import (_LOGISTIC, _SATURATION, GFunction, RestPoint,
                          _extrema, _is_double_root, _peak, find_rest_points)
 
@@ -94,15 +94,15 @@ def _lowest_intercept(ratio: float) -> tuple[float, float, float]:
     """
     curve = GFunction(1.0, ratio)
 
-    def q(u: float) -> float:
+    def q(u: float) -> tuple[float, None]:
         s, s_neg, rs = curve._at(u)  # r + s, cancel-free near r = -1
-        return -rs + u * (s * s_neg + rs * math.tanh(0.5 * u))
+        return -rs + u * (s * s_neg + rs * math.tanh(0.5 * u)), None
 
-    u0 = bisect(q, 0.0, _SATURATION, q(0.0), q(_SATURATION))
+    u0 = bisect(q, 0.0, _SATURATION, q(0.0)[0], q(_SATURATION)[0])
     k, lift = 0.5 * curve._at(u0)[2], 2.0 * math.sinh(u0)
     c_hi = lift / math.tanh(1.0) + 1.0 / abs(k)
-    c = bisect(lambda c: c * math.tanh(c * k) + lift, 0.0, c_hi, lift,
-               c_hi * math.tanh(c_hi * k) + lift)
+    c = bisect(lambda c: (c * math.tanh(c * k) + lift, None), 0.0, c_hi,
+               lift, c_hi * math.tanh(c_hi * k) + lift)
     h = 2.0 * c * k
     return (sigmoid(h) - u0 * c * sigmoid_slope(h) * sigmoid_slope(u0),
             1.0 / c, u0)
@@ -182,10 +182,10 @@ def _window_ends(base: ReducedCoefficients, curve: GFunction) -> list[float]:
     """The tangencies tx > 0 on the curve at one ty (sign changes of
     ``delta + b/a`` between its knots), after a 0.0 if odd in number:
     pairs are the windows."""
-    def h(v: float) -> float:
-        return curve._touch(v)[0] + base.raw_b / base.raw_a
+    def h(v: float) -> tuple[float, None]:
+        return curve._touch(v)[0] + base.raw_b / base.raw_a, None
 
-    knots = [(v, h(v)) for v in sorted(set(curve._knots()))]
+    knots = [(v, h(v)[0]) for v in sorted(set(curve._knots()))]
     crossings = {bisect(h, va, vb, fa, fb)
                  for (va, fa), (vb, fb) in zip(knots, knots[1:])
                  if fa == 0.0 or (fa > 0.0) != (fb > 0.0)}
@@ -225,26 +225,23 @@ def critical_curve(game: Game, fixed_values,
                     or [(ty, None, None)])
 
     def merge_gap(ty: float):
-        """``(gap, step)`` of ``delta(u0) + b/a`` at g's inflection u0: as
-        delta' = -u*g'' vanishes there, its ty-slope is the one at fixed u."""
+        """``(side, step)`` of the gap ``delta(u0) + b/a`` at g's
+        inflection u0: side 1.0 where the gap is > 0, else -1.0 (an
+        exactly zero gap, which rounding can give on either side of the
+        sign change, is not a stop), and the Newton step on it: as delta'
+        = -u*g'' vanishes at u0, its ty-slope is the one at fixed u."""
         curve = GFunction.of(base, ty)
         gap, _, slope = curve._touch(curve._knots()[2])
         gap += base.raw_b / base.raw_a
-        return gap, -gap / slope if slope else None
+        return 1.0 if gap > 0.0 else -1.0, -gap / slope if slope else None
 
     have = [s[0] for s in samples if s[1]]
     later = [s[0] for s in samples if have and s[0] > max(have)]
     closing = None
     if later:
-        lo, hi = max(have), min(later)
-        (m_lo, step_lo), (m_hi, step_hi) = merge_gap(lo), merge_gap(hi)
-        if (m_lo > 0.0) != (m_hi > 0.0):
-            def probe(ty: float):
-                gap, step = merge_gap(ty)
-                return (gap > 0.0) == (m_lo > 0.0), step, None
-
-            (closing, _), _ = _flip(probe, (lo, (True, step_lo, None)),
-                                    (hi, (False, step_hi, None)))
+        end_lo, end_hi = ((t, merge_gap(t)) for t in (max(have), min(later)))
+        if (end_lo[1][0] > 0.0) != (end_hi[1][0] > 0.0):
+            (closing, _), _ = _close(merge_gap, end_lo, end_hi)
     return CriticalCurve(orientation, samples, closing)
 
 
@@ -317,10 +314,12 @@ def _three(ext) -> bool:
 
 
 def _merge_probe(base: ReducedCoefficients, t: float):
-    """``(pair, step, (u0, co, curve))`` for the stationary pair's merge
-    condition ``a*c*shape(u0) = 1`` at g's inflection u0, tx = ty = t.
+    """``(side, step, (u0, co, curve))`` for the stationary pair's merge
+    condition ``a*c*shape(u0) = 1`` at g's inflection u0, tx = ty = t:
+    side 1.0 with the pair, -1.0 without, and the Newton step on the
+    condition, as :func:`numerics._close` takes them.
 
-    ``pair`` comes from :func:`restpoints._peak`, as in ``_extrema``, so
+    The pair comes from :func:`restpoints._peak`, as in ``_extrema``, so
     it holds exactly where that finds two stationary points.  As
     shape'(u0) = 0 the T-derivative is the partial one at fixed u0: with
     h = v(u0), Y's logit there, and g = sigma(h), a*c*shape scales as
@@ -333,7 +332,7 @@ def _merge_probe(base: ReducedCoefficients, t: float):
     h = gf._at(u0)[2]
     slope = -ac_shape * (2.0 + (1.0 - 2.0 * sigmoid(h)) * h) / t
     step = -(ac_shape - 1.0) / slope if slope != 0.0 else None
-    return paired, step, (u0, co, gf)
+    return 1.0 if paired else -1.0, step, (u0, co, gf)
 
 
 def _merge(base: ReducedCoefficients, end3, end1):
@@ -342,7 +341,8 @@ def _merge(base: ReducedCoefficients, end3, end1):
     T))``: ``(t_pair, t_gone, u0, cusp)`` at the adjacent floats across
     the merge at g's inflection u0, or ``None`` when the one-point end
     still has the pair.  The merge condition crosses zero linearly
-    (:func:`_merge_probe`), so it is solved by the Newton flip, and
+    (:func:`_merge_probe`), so it is solved by Newton steps to adjacent
+    floats (:func:`numerics._close`), and
     ``cusp`` says that the merged value is the double root
     (:func:`restpoints._is_double_root`): all three roots are one there.
     """
@@ -350,10 +350,10 @@ def _merge(base: ReducedCoefficients, end3, end1):
     if len(e1) == 2:
         return None
     gone = _merge_probe(base, t1)
-    if gone[0]:
+    if gone[0] > 0.0:
         return None
-    (t_pair, _), (t_gone, (u0, co, gf)) = _flip(
-        lambda t: _merge_probe(base, t), (t3, (True, None, None)), (t1, gone))
+    (t_pair, _), (t_gone, (_, _, (u0, co, gf))) = _close(
+        lambda t: _merge_probe(base, t), (t3, (1.0, None)), (t1, gone))
     return t_pair, t_gone, u0, _is_double_root(u0, co.a, co.b, gf)
 
 
@@ -398,12 +398,14 @@ def _fold(base: ReducedCoefficients, end3, end1) -> tuple[float, float, str]:
     def probe(t: float, ext=None):
         ext = _stationary(base, t) if ext is None else ext
         if len(ext) != 2:
-            return False, None, ext
+            return -1.0, None, ext
         u_s, phi_s, _, v_s = ext[lost]
         slope = u_s + base.raw_a * sigmoid_slope(v_s) * v_s / t
-        return _three(ext), -t * phi_s / slope if slope else None, ext
+        return (1.0 if _three(ext) else -1.0,
+                -t * phi_s / slope if slope else None, ext)
 
-    (t, ext), _ = _flip(probe, (t3, probe(t3, e3)), (t1, probe(t1, e1)))
+    (t, (_, _, ext)), _ = _close(probe, (t3, probe(t3, e3)),
+                                 (t1, probe(t1, e1)))
     return t, ext[lost][0], ("max", "min")[lost]
 
 

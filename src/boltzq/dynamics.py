@@ -507,8 +507,8 @@ def _run_to_rest(u, v, coeffs: ReducedCoefficients, cfg: IntegratorConfig,
                         v + h * x * (qv[0] + x * (qv[1] + x * (qv[2]
                                                             + x * qv[3]))))
 
-            t_stop = bisect(lambda s: speed(*flow(*dense(s))), t, t_new,
-                            g, g_new)
+            t_stop = bisect(lambda s: (speed(*flow(*dense(s))), None),
+                            t, t_new, g, g_new)
             run.keep(t_stop, *dense(t_stop))
             return run
         run.keep(t_new, u_new, v_new)

@@ -6,19 +6,19 @@ scalars, where numpy dispatch overhead dominates the arithmetic, and the
 rest-point, region and bifurcation layers never need an array.
 :func:`geomspace` builds the log-spaced temperature grids of the sweeps.
 
-Three bracketed solvers find a sign change, each stopping by its own rule:
+Two bracketed solvers find a sign change, each stopping by its own rule:
 
-- :func:`bisect` closes the bracket until the midpoint equals an end
-  (float resolution; at most 200 probes) and returns the final midpoint.
-  Given a slope it takes the Newton steps of the other two where they
-  land inside the bracket and shrink fast enough, and halves otherwise;
-  its stop rule and its sides, decided by the sign of the value alone,
-  stay those of plain halving;
+- :func:`bisect` runs one loop, :func:`_close`, on ``probe(t) = (value,
+  step, ...)``: it takes the Newton ``step`` where that lands inside the
+  bracket and shrinks fast enough, and halves otherwise, creeping by ulps
+  where the value is at its rounding; the sign of the value alone picks
+  the side, and it stops at adjacent floats (at most 200 probes).  It
+  serves g's inflection, the defect's stationary points, the dense-output
+  stop of the integrator, and the folds, merges and closing temperatures
+  of the bifurcation drivers, whose probes carry a +-1.0 side test;
 - :func:`_refine_root` takes Newton steps that land inside the bracket and
   halves otherwise, stopping at ``|f| <= target`` or once the bracket is 8
-  ulps of ``max(|lo|, |hi|, 1)`` wide;
-- :func:`_flip` takes the same steps on a side test and stops at adjacent
-  floats, creeping by ulps where the stepped function is at its rounding.
+  ulps of ``max(|lo|, |hi|, 1)`` wide.
 
 Whether a computed sum is zero is decided once, by :func:`rounds_to_zero`:
 within its terms' rounding, with no absolute threshold.
@@ -102,44 +102,69 @@ def geomspace(lo: float, hi: float, n: int) -> list[float]:
             + [float(hi)])
 
 
-#: the most halvings one bisection makes
-_BISECT_STEPS = 200
+#: the most probes one bracket search makes (:func:`_close`)
+_BISECT_STEPS = 2200
 
 
-def bisect(f, lo: float, hi: float, f_lo: float, f_hi: float, *,
-           newton: bool = False) -> float:
-    """Bisection on a bracketed sign change, down to float resolution;
-    returns the midpoint of the final bracket, or a probe where f is 0.
-
-    With ``newton``, ``f(u)`` returns ``(value, slope)`` (``f_lo`` and
-    ``f_hi`` are still values), the first probe is the midpoint and each
-    later one is the Newton step from the latest probe where that lands
-    strictly inside the bracket, else the midpoint (:func:`_newton_or_halve`).
-    Two guards keep the steps from crawling where the slope is no guide:
-
-    - a step longer than half the probe's move before last is dropped for
-      the midpoint, so the bracket at least halves every other probe;
-    - a step that no longer moves the probe means the sign change is an
-      ulp or two away or f is at its rounding: it probes 1, 2, 4, ... ulps
-      toward the other end instead, as :func:`_flip` does.
-
-    A side is decided by the sign of the value alone and the loop stops
-    only where the midpoint equals an end, as without ``newton``, so the
-    answer is still a sign change of f at float resolution; only the
-    probes that reach it are fewer.
-    """
+def bisect(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    """A sign change of ``f(u) = (value, step, ...)`` on [lo, hi], given
+    the values at the ends, to float resolution (:func:`_close`): the
+    midpoint of the final bracket, or a point where the value is 0."""
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
         return hi
-    if (f_lo > 0.0) == (f_hi > 0.0):
-        raise ValueError("bisect requires a sign change on [lo, hi]")
-    rising = f_hi > 0.0
-    u = step = None
+    (lo, _), (hi, _) = _close(f, (lo, (f_lo, None)), (hi, (f_hi, None)))
+    return 0.5 * (lo + hi)
+
+
+def _close(probe, end_a, end_b):
+    """The adjacent floats ``(t, probe(t))`` across which the sign of
+    ``probe(t) = (value, step, ...)`` changes, from one bracket end ``(t,
+    probe(t))`` on each side, given in either order and returned in that
+    order; ``(u, p), (u, p)`` if a probe ``p`` at u has value 0.  A zero
+    end value counts as negative; ends of one sign raise ValueError.
+
+    ``step`` is a Newton step toward a zero of the value, or None.  The
+    first probe is the step from the end with the shorter one (the
+    midpoint if neither has one), each later one the step from the latest
+    probe where it lands strictly inside the bracket, else the midpoint
+    (:func:`_newton_or_halve`).  Two guards keep the steps from crawling
+    where the slope is no guide:
+
+    - a step longer than half the probe's move before last is dropped for
+      the midpoint, so a run of steps at least halves its moves every
+      other probe;
+    - a step that no longer moves the probe means the sign change is an
+      ulp or two away or the value is at its rounding, which can hold over
+      several floats: it probes 1, 2, 4, ... ulps toward the other end
+      instead.
+
+    A side is decided by the sign of the value alone and the loop stops
+    only where the midpoint equals an end, so the answer is a sign change
+    at float resolution whatever the steps.  The cap of 2200 probes is a
+    backstop, not a stop rule: halving alone closes any bracket of finite
+    floats in 2099 probes (2^1025 wide down to an ulp of 2^-1074), and a
+    run of steps ends, by a halving, a creep or the stop, within twice
+    the halvings from its first move down to an ulp.  Brackets that span
+    few binades close in tens of probes (the root kernel's, a grid
+    cell's); a grid cell spanning 10^300 takes about a thousand, mostly
+    halvings.
+    """
+    (a, p_a), (b, p_b) = end_a, end_b
+    (lo, p_lo), (hi, p_hi) = (end_a, end_b) if a < b else (end_b, end_a)
+    rising = p_hi[0] > 0.0
+    if (p_lo[0] > 0.0) == rising:
+        raise ValueError("a bracket needs a sign change")
+    u, step = a, p_a[1]
+    if p_b[1] is not None and (step is None or abs(p_b[1]) < abs(step)):
+        u, step = b, p_b[1]
+    elif step is None:
+        u = None  # the first probe is the midpoint, with no probe before
     moved = before = hi - lo  # the probe's last move and the one before
     creep = 0.0
     for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi  # = 0.5*(lo + hi), without overflowing
         if mid <= lo or mid >= hi:
             break
         if step is not None and u + step == u:
@@ -154,22 +179,19 @@ def bisect(f, lo: float, hi: float, f_lo: float, f_hi: float, *,
         if u is not None:
             before, moved = moved, abs(new - u)
         u = new
-        if newton:
-            f_u, slope = f(u)
-            step = -f_u / slope if slope != 0.0 else None
+        p = probe(u)
+        if p[0] == 0.0:
+            return (u, p), (u, p)
+        if (p[0] > 0.0) == rising:
+            hi, p_hi = u, p
         else:
-            f_u = f(u)
-        if f_u == 0.0:
-            return u
-        if (f_u > 0.0) == rising:
-            hi = u
-        else:
-            lo = u
-    return 0.5 * (lo + hi)
+            lo, p_lo = u, p
+        step = p[1]
+    return ((lo, p_lo), (hi, p_hi)) if a < b else ((hi, p_hi), (lo, p_lo))
 
 
 def _newton_or_halve(u: float, step, lo: float, hi: float) -> float:
-    """The step of :func:`_refine_root` and :func:`_flip`: ``u + step``
+    """The step of :func:`_refine_root` and :func:`_close`: ``u + step``
     when that lands strictly inside (lo, hi), else the midpoint (also when
     step is None)."""
     if step is not None and lo < u + step < hi:
@@ -199,41 +221,3 @@ def _refine_root(f, lo: float, hi: float, flo: float, fhi: float,
         u = _newton_or_halve(u, -fu / slope if slope != 0.0 else None, lo, hi)
         fu, slope = f(u)
     return u
-
-
-def _flip(probe, end_in, end_out):
-    """The adjacent floats ``(t_in, info), (t_out, info)`` across which
-    ``probe(t) = (inside, step, info)`` turns from inside to outside, from
-    one bracket end ``(t, probe(t))`` on each side.
-
-    ``step`` is the Newton step of a smooth function whose sign marks the
-    side, or None.  It is taken from the latest probe by the rule of
-    :func:`_refine_root` (halve unless it lands inside the bracket).  A
-    step below an ulp means that function is at its rounding, which can
-    hold over several floats: it probes 1, 2, 4, ... ulps toward the other
-    end instead, doubling while the side stays the same.
-    """
-    (t_in, p_in), (t_out, p_out) = end_in, end_out
-    steps = [(abs(p[1]), t, p[1]) for t, p in (end_in, end_out)
-             if p[1] is not None]
-    _, t, step = min(steps) if steps else (0.0, t_in, None)
-    creep = 0.0
-    while math.nextafter(t_in, t_out) != t_out:
-        lo, hi = sorted((t_in, t_out))
-        was_in = t == t_in
-        if step is not None and t + step == t:
-            creep = 2.0 * creep or 1.0
-            step = math.copysign(creep * math.ulp(t),
-                                 (t_out if was_in else t_in) - t)
-        else:
-            creep = 0.0
-        t = _newton_or_halve(t, step, lo, hi)
-        found = probe(t)
-        if found[0]:
-            t_in, p_in = t, found
-        else:
-            t_out, p_out = t, found
-        if found[0] != was_in:
-            creep = 0.0
-        step = found[1]
-    return (t_in, p_in[2]), (t_out, p_out[2])

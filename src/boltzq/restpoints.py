@@ -147,8 +147,8 @@ class GFunction:
 
         g'' vanishes with ``F(u) = c*tanh(v/2) + 2*sinh(u)``, which is
         strictly increasing, with ``F' = c^2*sigma'(u)*(1 - tanh(v/2)^2)/2
-        + 2*cosh(u)`` from the same :meth:`_at`.  So
-        :func:`numerics.bisect` may step by Newton: F is monotone on every
+        + 2*cosh(u)`` from the same :meth:`_at`.  So the probe gives
+        :func:`numerics.bisect` the Newton step -F/F': F is monotone on every
         bracket, a step is taken only where it lands strictly inside the
         shrinking bracket, and each side is decided by the sign of F
         alone, so the sign change is never lost and the answer is F's
@@ -159,15 +159,15 @@ class GFunction:
         c, at, tanh, sinh, cosh = (self.c, self._at, math.tanh, math.sinh,
                                    math.cosh)
 
-        def f(u: float) -> tuple[float, float]:
+        def f(u: float) -> tuple[float, float]:  # (F, Newton step)
             s, s_neg, v = at(u)
             th = tanh(0.5 * v)
-            return (c * th + 2.0 * sinh(u),
-                    0.5 * c * (c * (s * s_neg)) * (1.0 - th * th)
-                    + 2.0 * cosh(u))
+            value = c * th + 2.0 * sinh(u)
+            return value, -value / (0.5 * c * (c * (s * s_neg))
+                                    * (1.0 - th * th) + 2.0 * cosh(u))
 
         span = min(math.asinh(0.5 * abs(c)) + 1.0, _LOG_MAX)
-        return bisect(f, -span, span, f(-span)[0], f(span)[0], newton=True)
+        return bisect(f, -span, span, f(-span)[0], f(span)[0])
 
     def _tails(self, v: float) -> tuple[float, float]:
         """``(raw_c*sigma(u), raw_c*sigma(-u))`` at Y's logit v, as ``p -
@@ -381,9 +381,9 @@ def _extrema(a: float, b: float, curve) -> list[tuple[float, float, bool, float]
     still separates a pair of roots: the max above zero, the min below.
 
     Each point is the sign change of ``excess = a*c*shape - 1`` on one
-    side of the peak, found by :func:`numerics.bisect` with Newton steps
-    on its u-slope a*g'' (:meth:`GFunction._shape_and_bend`, from the same
-    curve evaluation).  excess is monotone on each bracket (rising up to
+    side of the peak, found by :func:`numerics.bisect` with the Newton
+    step on its u-slope a*g'' (:meth:`GFunction._shape_and_bend`, from the
+    same curve evaluation; None where that is 0).  excess is monotone on each bracket (rising up to
     the peak, falling after it), a step is taken only where it lands
     strictly inside the shrinking bracket, and each side is decided by
     the sign of excess alone, so the sign change is never lost and each
@@ -397,15 +397,16 @@ def _extrema(a: float, b: float, curve) -> list[tuple[float, float, bool, float]
         return []
     shape = curve._shape_and_bend
 
-    def excess(u: float) -> tuple[float, float]:
+    def excess(u: float) -> tuple[float, float | None]:
         sh, bend = shape(u)
-        return ac * sh - 1.0, ac * bend
+        value = ac * sh - 1.0
+        return value, -value / (ac * bend) if bend else None
 
     # shape(u) <= sigma(u)*sigma(-u) < e^-|u|, so excess < 0 beyond span
     span = math.log(ac) + 1.0
     top = margin - 1.0  # = excess(u_peak), the same float
-    u_max = bisect(excess, -span, u_peak, excess(-span)[0], top, newton=True)
-    u_min = bisect(excess, u_peak, span, top, excess(span)[0], newton=True)
+    u_max = bisect(excess, -span, u_peak, excess(-span)[0], top)
+    u_min = bisect(excess, u_peak, span, top, excess(span)[0])
     lo, hi = sorted((b, b + a))
     found = []
     for u, is_max in ((u_max, True), (u_min, False)):

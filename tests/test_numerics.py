@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from boltzq.errors import DomainError
-from boltzq.numerics import bisect, geomspace
+from boltzq.numerics import _close, bisect, geomspace
 
 from conftest import sign_change_at
 
@@ -82,11 +82,11 @@ class TestBisect:
             def f(u):
                 return math.exp(u) - k
 
-            plain, calls = _counted(f)
+            plain, calls = _counted(lambda u: (f(u), None))
             u_plain = bisect(plain, -8.0, 8.0, f(-8.0), f(8.0))
             plain_calls += len(calls)
-            sloped, calls = _counted(lambda u: (f(u), math.exp(u)))
-            u_newton = bisect(sloped, -8.0, 8.0, f(-8.0), f(8.0), newton=True)
+            sloped, calls = _counted(lambda u: (f(u), -f(u) / math.exp(u)))
+            u_newton = bisect(sloped, -8.0, 8.0, f(-8.0), f(8.0))
             newton_calls += len(calls)
             # near u = 0, exp(u) - k is flat across floats of u, so the
             # two may stop at different sign changes, each at resolution
@@ -104,17 +104,82 @@ class TestBisect:
                 return math.floor(u * 1024.0) + 0.5 - k
 
             edge = k / 1024.0
-            plain, calls = _counted(f)
+            plain, calls = _counted(lambda u: (f(u), None))
             bisect(plain, -1.0, 1.0, f(-1.0), f(1.0))
-            sloped, newton_calls = _counted(lambda u: (f(u), slope))
-            u = bisect(sloped, -1.0, 1.0, f(-1.0), f(1.0), newton=True)
+            sloped, newton_calls = _counted(lambda u: (f(u), -f(u) / slope))
+            u = bisect(sloped, -1.0, 1.0, f(-1.0), f(1.0))
             assert u in (edge, math.nextafter(edge, -math.inf))
             assert len(newton_calls) <= 2 * len(calls)
 
     def test_a_zero_probe_is_returned(self):
-        assert bisect(lambda u: (u - 0.25, 1.0), -1.0, 1.0, -1.25, 0.75,
-                      newton=True) == 0.25
+        assert bisect(lambda u: (u - 0.25, 0.25 - u), -1.0, 1.0, -1.25,
+                      0.75) == 0.25
 
     def test_requires_a_sign_change(self):
         with pytest.raises(ValueError):
-            bisect(lambda u: (u, 1.0), 1.0, 2.0, 1.0, 2.0, newton=True)
+            bisect(lambda u: (u, -u), 1.0, 2.0, 1.0, 2.0)
+
+
+def _side(edge: float, step):
+    """A probe that is +1.0 below ``edge`` and -1.0 from it on, with
+    ``step(u)`` as its step and u itself as the trailing result."""
+    def probe(u):
+        return (1.0 if u < edge else -1.0), step(u), u
+    return probe
+
+
+class TestClose:
+    """The bracket loop behind :func:`bisect`, on probes ``(value, step,
+    ...)`` whose sign alone picks the side."""
+
+    def test_ends_high_to_low_come_back_in_that_order(self):
+        probe = _side(0.3, lambda u: None)
+        below = math.nextafter(0.3, 0.0)
+        assert _close(probe, (1.0, probe(1.0)), (0.0, probe(0.0))) == (
+            (0.3, probe(0.3)), (below, probe(below)))
+
+    def test_a_signed_side_with_a_step(self):
+        # the step is the exact distance to the edge, so the first probe
+        # lands on it and the next ones close the last ulp
+        edge = 0.3
+        probe, calls = _counted(_side(edge, lambda u: edge - u))
+        (t_in, _), (t_out, _) = _close(probe, (0.0, probe(0.0)),
+                                       (1.0, probe(1.0)))
+        assert (t_in, t_out) == (math.nextafter(edge, 0.0), edge)
+        assert len(calls) - 2 <= 3
+
+    def test_a_step_that_stops_moving_creeps_by_doubling_ulps(self):
+        # a step far below an ulp never moves the probe: it creeps 1, 2,
+        # 4, ... ulps toward the other end instead
+        edge = 0.25 + 100 * math.ulp(0.25)
+        probe, calls = _counted(_side(edge, lambda u: 1e-300))
+        (t_in, _), (t_out, _) = _close(probe, (0.25, probe(0.25)),
+                                       (1.0, probe(1.0)))
+        assert (t_in, t_out) == (math.nextafter(edge, 0.0), edge)
+        ulps = [(t - 0.25) / math.ulp(0.25) for t in calls[2:9]]
+        assert ulps == [1.0, 3.0, 7.0, 15.0, 31.0, 63.0, 127.0]
+        assert len(calls) - 2 < 30
+
+    def test_each_end_comes_back_with_its_probe_result(self):
+        probe = _side(0.3, lambda u: None)
+        ends = _close(probe, (0.0, (1.0, None, "lo end")),
+                      (1.0, (-1.0, None, "hi end")))
+        for t, found in ends:
+            assert found == probe(t)
+        # an end that no probe replaced keeps the result it came with
+        probe = _side(0.5 * math.ulp(1.0) + 1.0, lambda u: None)
+        (t_in, found_in), (t_out, found_out) = _close(
+            probe, (1.0, (1.0, None, "given")),
+            (1.0 + 2.0 * math.ulp(1.0), probe(1.0 + 2.0 * math.ulp(1.0))))
+        assert (t_in, found_in) == (1.0, (1.0, None, "given"))
+        assert found_out == probe(t_out)
+
+    def test_a_zero_value_ends_the_search_there(self):
+        ends = _close(lambda u: (u - 0.5, None), (0.0, (-0.5, None)),
+                      (1.0, (0.5, None)))
+        assert ends == ((0.5, (0.0, None)), (0.5, (0.0, None)))
+
+    def test_requires_a_sign_change(self):
+        with pytest.raises(ValueError):
+            _close(lambda u: (1.0, None), (0.0, (1.0, None)),
+                   (1.0, (2.0, None)))
