@@ -43,7 +43,8 @@ from typing import Optional
 
 from .errors import DomainError, NotApplicableError, NumericFailureError
 from .games import (Game, GameRegionLabel, ReducedCoefficients, Temperatures,
-                    _raw_coefficients, classify_region, reduce_payoffs)
+                    _raw_coefficients, _same_sign, classify_region,
+                    reduce_payoffs)
 from .numerics import _close, bisect, geomspace, sigmoid, sigmoid_slope
 from .restpoints import (_LOGISTIC, _SATURATION, GFunction, RestPoint,
                          _extrema, _is_double_root, _peak, find_rest_points)
@@ -167,7 +168,7 @@ class CriticalCurve:
 def _normalized_base(game: Game) -> ReducedCoefficients:
     """The game's raw coefficients (at tx = ty = 1), relabelled so raw_a > 0."""
     raw_a, raw_b, raw_c, raw_d = _raw_coefficients(game)
-    if raw_a * raw_c <= 0.0:
+    if not _same_sign(raw_a, raw_c):
         raise NotApplicableError("critical windows require a*c > 0 "
                                  "(otherwise the rest point is always unique)")
     if raw_a < 0.0:
@@ -218,8 +219,9 @@ def critical_curve(game: Game, fixed_values,
 
     base = _normalized_base(game)
     samples: list[tuple[float, Optional[float], Optional[float]]] = []
-    for ty in map(float, fixed_values):
-        base.at_temperatures(1.0, ty)  # DomainError unless raw/ty is finite
+    for ty in fixed_values:
+        # a float ty > 0 that keeps raw/ty finite, else DomainError
+        ty = base.at_temperatures(1.0, ty).ty
         ends = _window_ends(base, GFunction.of(base, ty))
         samples += ([(ty, lo, hi) for lo, hi in zip(ends[::2], ends[1::2])]
                     or [(ty, None, None)])
@@ -239,9 +241,10 @@ def critical_curve(game: Game, fixed_values,
     later = [s[0] for s in samples if have and s[0] > max(have)]
     closing = None
     if later:
-        end_lo, end_hi = ((t, merge_gap(t)) for t in (max(have), min(later)))
-        if (end_lo[1][0] > 0.0) != (end_hi[1][0] > 0.0):
-            (closing, _), _ = _close(merge_gap, end_lo, end_hi)
+        lo, hi = max(have), min(later)
+        m_lo, m_hi = merge_gap(lo), merge_gap(hi)
+        if m_lo[0] != m_hi[0]:  # the gap's sign changes in (lo, hi)
+            closing = _close(merge_gap, lo, m_lo, hi, m_hi)[0]
     return CriticalCurve(orientation, samples, closing)
 
 
@@ -260,6 +263,9 @@ def zero_exploration_window(b_over_a: float, d_over_c: float,
     b/a < -1 with -1/2 < d/c < 0 (handled by relabeling both players'
     actions, which maps ratios r -> -1 - r and keeps raw_a).
     """
+    if not all(map(math.isfinite, (b_over_a, d_over_c, raw_a))):
+        raise DomainError(f"zero-noise window needs finite b/a, d/c and "
+                          f"raw slope, got {b_over_a}, {d_over_c}, {raw_a}")
     if raw_a <= 0.0:
         raise NotApplicableError("raw slope must be positive; relabel first")
     beta, ratio = b_over_a, d_over_c
@@ -352,8 +358,8 @@ def _merge(base: ReducedCoefficients, end3, end1):
     gone = _merge_probe(base, t1)
     if gone[0] > 0.0:
         return None
-    (t_pair, _), (t_gone, (_, _, (u0, co, gf))) = _close(
-        lambda t: _merge_probe(base, t), (t3, (1.0, None)), (t1, gone))
+    t_pair, _, t_gone, (_, _, (u0, co, gf)) = _close(
+        lambda t: _merge_probe(base, t), t3, (1.0, None), t1, gone)
     return t_pair, t_gone, u0, _is_double_root(u0, co.a, co.b, gf)
 
 
@@ -404,8 +410,8 @@ def _fold(base: ReducedCoefficients, end3, end1) -> tuple[float, float, str]:
         return (1.0 if _three(ext) else -1.0,
                 -t * phi_s / slope if slope else None, ext)
 
-    (t, (_, _, ext)), _ = _close(probe, (t3, probe(t3, e3)),
-                                 (t1, probe(t1, e1)))
+    t, (_, _, ext), _, _ = _close(probe, t3, probe(t3, e3), t1,
+                                  probe(t1, e1))
     return t, ext[lost][0], ("max", "min")[lost]
 
 
@@ -506,8 +512,12 @@ def _descent(base: ReducedCoefficients):
     bound sqrt(raw_a*raw_c)/4: at its first point a*c = 16*e^-0.35 < 16,
     so the defect has no stationary pair there (shape <= 1/16), and no
     point lands on the bound, where the cusp of every game with b/a = d/c =
-    -1/2 sits."""
-    top = math.sqrt(base.raw_a * base.raw_c) / 4.0
+    -1/2 sits.  The product is formed from the mantissas and the exponents
+    apart (:func:`math.frexp`), exactly as the float product wherever that
+    is normal, so the grid scales with the payoffs at every scale."""
+    (m_a, e_a), (m_c, e_c) = math.frexp(base.raw_a), math.frexp(base.raw_c)
+    e = e_a + e_c  # sqrt(m * 2^e) = sqrt(m * 2^(e % 2)) * 2^(e // 2)
+    top = math.ldexp(math.sqrt(m_a * m_c * (1 + e % 2)), e // 2 - 2)
     for k in range(200):
         t = top * math.exp(-0.35 * (k - 0.5))
         yield t, _stationary(base, t)
@@ -528,8 +538,8 @@ def equal_temperature_criticals(game: Game) -> Optional[list[tuple[float, float]
     ratios fall outside the open unit box.
     """
     base = reduce_payoffs(game, Temperatures.equal(1.0))
-    if base.raw_a * base.raw_c <= 0.0 or not (-1.0 < base.b_over_a < 0.0
-                                              and -1.0 < base.d_over_c < 0.0):
+    if not _same_sign(base.raw_a, base.raw_c) or not (
+            -1.0 < base.b_over_a < 0.0 and -1.0 < base.d_over_c < 0.0):
         return None
     states = {}
     for t, state in _descent(base):

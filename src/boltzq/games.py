@@ -238,6 +238,13 @@ def _raw_coefficients(game: Game) -> tuple[float, float, float, float]:
     return raw_a, A[0][1] - A[1][1], raw_c, B[0][1] - B[1][1]
 
 
+def _same_sign(raw_a: float, raw_c: float) -> bool:
+    """raw_a*raw_c > 0, decided from the two signs: the product itself
+    underflows to 0 or overflows once the payoffs are scaled past about
+    2^-537 or 2^512."""
+    return (raw_a > 0.0 and raw_c > 0.0) or (raw_a < 0.0 and raw_c < 0.0)
+
+
 def reduce_payoffs(game: Game, temps: Temperatures) -> ReducedCoefficients:
     """Scaled coefficients (a, b, c, d) of a 2x2 game at given temperatures."""
     return ReducedCoefficients(*_raw_coefficients(game), temps.tx, temps.ty)
@@ -429,7 +436,7 @@ def classify_region(coeffs: ReducedCoefficients) -> GameRegion:
     """
     if coeffs.raw_a == 0.0 or coeffs.raw_c == 0.0:
         raise DegenerateGameError("region undefined: a or c vanishes")
-    if coeffs.raw_a * coeffs.raw_c < 0.0:
+    if not _same_sign(coeffs.raw_a, coeffs.raw_c):
         return GameRegion(
             GameRegionLabel.SINGLE_REST_POINT_ONLY,
             "a and c have opposite signs: one advantage curve rises while "

@@ -12,13 +12,13 @@ Two bracketed solvers find a sign change, each stopping by its own rule:
   step, ...)``: it takes the Newton ``step`` where that lands inside the
   bracket and shrinks fast enough, and halves otherwise, creeping by ulps
   where the value is at its rounding; the sign of the value alone picks
-  the side, and it stops at adjacent floats (at most 200 probes).  It
-  serves g's inflection, the defect's stationary points, the dense-output
-  stop of the integrator, and the folds, merges and closing temperatures
-  of the bifurcation drivers, whose probes carry a +-1.0 side test;
-- :func:`_refine_root` takes Newton steps that land inside the bracket and
-  halves otherwise, stopping at ``|f| <= target`` or once the bracket is 8
-  ulps of ``max(|lo|, |hi|, 1)`` wide.
+  the side, and it stops at adjacent floats.  It serves g's inflection,
+  the defect's stationary points, the dense-output stop of the
+  integrator, and the folds, merges and closing temperatures of the
+  bifurcation drivers, whose probes carry a +-1.0 side;
+- :func:`_refine_root` takes Newton steps that land inside the bracket,
+  with no guard, and halves otherwise, stopping at ``|f| <= target`` or
+  once the bracket is 8 ulps of ``max(|lo|, |hi|, 1)`` wide.
 
 Whether a computed sum is zero is decided once, by :func:`rounds_to_zero`:
 within its terms' rounding, with no absolute threshold.
@@ -27,6 +27,7 @@ within its terms' rounding, with no absolute threshold.
 from __future__ import annotations
 
 import math
+import numbers
 from decimal import Context, Decimal
 
 from .errors import DomainError
@@ -87,17 +88,18 @@ def geomspace(lo: float, hi: float, n: int) -> list[float]:
     ``[lo]`` for n = 1; hi < lo gives a descending grid.  Interior points
     may differ from numpy's by an ulp, where numpy's vector ``power``
     rounds otherwise than ``math.pow``.  The grids are temperature grids,
-    so an end that is not finite and > 0 raises :class:`DomainError`."""
+    so an end that is not finite and > 0 raises :class:`DomainError`, as
+    does an n that is not a whole number >= 1."""
     for end in (lo, hi):
         if not (end > 0.0 and math.isfinite(end)):
             raise DomainError(
                 f"temperature must be finite and > 0, got {end} as a grid end")
-    if n < 1:
-        raise DomainError(f"a grid needs n >= 1 points, got {n}")
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise DomainError(f"a grid needs a whole n >= 1 points, got {n!r}")
     if n == 1:
         return [float(lo)]
     start = _log10(lo)
-    step = (_log10(hi) - start) / (n - 1)
+    step = (_log10(hi) - start) / (int(n) - 1)  # a float step for numpy n
     return ([float(lo)] + [10.0 ** (k * step + start) for k in range(1, n - 1)]
             + [float(hi)])
 
@@ -114,23 +116,23 @@ def bisect(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
         return lo
     if f_hi == 0.0:
         return hi
-    (lo, _), (hi, _) = _close(f, (lo, (f_lo, None)), (hi, (f_hi, None)))
+    lo, _, hi, _ = _close(f, lo, (f_lo, None), hi, (f_hi, None))
     return 0.5 * (lo + hi)
 
 
-def _close(probe, end_a, end_b):
-    """The adjacent floats ``(t, probe(t))`` across which the sign of
-    ``probe(t) = (value, step, ...)`` changes, from one bracket end ``(t,
-    probe(t))`` on each side, given in either order and returned in that
-    order; ``(u, p), (u, p)`` if a probe ``p`` at u has value 0.  A zero
-    end value counts as negative; ends of one sign raise ValueError.
+def _close(probe, a, p_a, b, p_b):
+    """The adjacent floats ``t_a, p_a, t_b, p_b`` across which the sign
+    of ``probe(t) = (value, step, ...)`` changes, each with its probe
+    result, from one bracket end ``a, p_a = probe(a)`` on each side, given
+    in either order and returned in that order; ``u, p, u, p`` if a probe
+    p at u has value 0.  A zero end value counts as negative; ends of one
+    sign raise ValueError.
 
     ``step`` is a Newton step toward a zero of the value, or None.  The
     first probe is the step from the end with the shorter one (the
     midpoint if neither has one), each later one the step from the latest
-    probe where it lands strictly inside the bracket, else the midpoint
-    (:func:`_newton_or_halve`).  Two guards keep the steps from crawling
-    where the slope is no guide:
+    probe where it lands strictly inside the bracket, else the midpoint.
+    Two guards keep the steps from crawling where the slope is no guide:
 
     - a step longer than half the probe's move before last is dropped for
       the midpoint, so a run of steps at least halves its moves every
@@ -141,8 +143,8 @@ def _close(probe, end_a, end_b):
       instead.
 
     A side is decided by the sign of the value alone and the loop stops
-    only where the midpoint equals an end, so the answer is a sign change
-    at float resolution whatever the steps.  The cap of 2200 probes is a
+    only where the midpoint equals an end or at a zero, so the answer is a
+    sign change at float resolution whatever the steps.  The cap of 2200 probes is a
     backstop, not a stop rule: halving alone closes any bracket of finite
     floats in 2099 probes (2^1025 wide down to an ulp of 2^-1074), and a
     run of steps ends, by a halving, a creep or the stop, within twice
@@ -151,8 +153,7 @@ def _close(probe, end_a, end_b):
     cell's); a grid cell spanning 10^300 takes about a thousand, mostly
     halvings.
     """
-    (a, p_a), (b, p_b) = end_a, end_b
-    (lo, p_lo), (hi, p_hi) = (end_a, end_b) if a < b else (end_b, end_a)
+    lo, p_lo, hi, p_hi = (a, p_a, b, p_b) if a < b else (b, p_b, a, p_a)
     rising = p_hi[0] > 0.0
     if (p_lo[0] > 0.0) == rising:
         raise ValueError("a bracket needs a sign change")
@@ -167,36 +168,33 @@ def _close(probe, end_a, end_b):
         mid = 0.5 * lo + 0.5 * hi  # = 0.5*(lo + hi), without overflowing
         if mid <= lo or mid >= hi:
             break
-        if step is not None and u + step == u:
-            creep = 2.0 * creep or 1.0
-            step = math.copysign(creep * math.ulp(u),
-                                 (hi if u == lo else lo) - u)
+        if step is None:
+            creep, new = 0.0, mid
         else:
-            creep = 0.0
-            if step is not None and abs(step) > 0.5 * before:
-                step = None
-        new = mid if step is None else _newton_or_halve(u, step, lo, hi)
+            new = u + step
+            if new == u:
+                creep = 2.0 * creep or 1.0
+                new = u + math.copysign(creep * math.ulp(u),
+                                        (hi if u == lo else lo) - u)
+            else:
+                creep = 0.0
+                if abs(step) > 0.5 * before:
+                    new = mid
+            if not lo < new < hi:
+                new = mid
         if u is not None:
             before, moved = moved, abs(new - u)
         u = new
         p = probe(u)
-        if p[0] == 0.0:
-            return (u, p), (u, p)
-        if (p[0] > 0.0) == rising:
+        value = p[0]
+        if value == 0.0:
+            return u, p, u, p
+        if (value > 0.0) == rising:
             hi, p_hi = u, p
         else:
             lo, p_lo = u, p
         step = p[1]
-    return ((lo, p_lo), (hi, p_hi)) if a < b else ((hi, p_hi), (lo, p_lo))
-
-
-def _newton_or_halve(u: float, step, lo: float, hi: float) -> float:
-    """The step of :func:`_refine_root` and :func:`_close`: ``u + step``
-    when that lands strictly inside (lo, hi), else the midpoint (also when
-    step is None)."""
-    if step is not None and lo < u + step < hi:
-        return u + step
-    return 0.5 * lo + 0.5 * hi  # = 0.5*(lo + hi), without overflowing
+    return (lo, p_lo, hi, p_hi) if a < b else (hi, p_hi, lo, p_lo)
 
 
 def _refine_root(f, lo: float, hi: float, flo: float, fhi: float,
@@ -218,6 +216,7 @@ def _refine_root(f, lo: float, hi: float, flo: float, fhi: float,
             lo, flo = u, fu
         if hi - lo <= 8.0 * math.ulp(max(abs(lo), abs(hi), 1.0)):
             return lo if abs(flo) <= abs(fhi) else hi
-        u = _newton_or_halve(u, -fu / slope if slope != 0.0 else None, lo, hi)
+        t = u - fu / slope if slope != 0.0 else lo  # Newton, where inside
+        u = t if lo < t < hi else 0.5 * lo + 0.5 * hi
         fu, slope = f(u)
     return u

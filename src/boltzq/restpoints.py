@@ -86,6 +86,9 @@ class GFunction:
     ty: float = 1.0
 
     def __post_init__(self):  # c, d and p's top end, derived, not fields
+        if not 0.0 < self.ty < math.inf:
+            raise DomainError(
+                f"temperature must be finite and > 0, got {self.ty}")
         object.__setattr__(self, "c", self.raw_c / self.ty)
         object.__setattr__(self, "d", self.raw_d / self.ty)
         object.__setattr__(self, "_top", self.raw_c + self.raw_d)
@@ -148,13 +151,14 @@ class GFunction:
         g'' vanishes with ``F(u) = c*tanh(v/2) + 2*sinh(u)``, which is
         strictly increasing, with ``F' = c^2*sigma'(u)*(1 - tanh(v/2)^2)/2
         + 2*cosh(u)`` from the same :meth:`_at`.  So the probe gives
-        :func:`numerics.bisect` the Newton step -F/F': F is monotone on every
-        bracket, a step is taken only where it lands strictly inside the
-        shrinking bracket, and each side is decided by the sign of F
-        alone, so the sign change is never lost and the answer is F's
-        sign change at float resolution.  The zero has |2*sinh(u)| <= |c|,
-        so |u| <= asinh(|c|/2) <= _LOG_MAX: the span asinh(|c|/2) + 1,
-        capped at _LOG_MAX so that sinh stays finite, brackets it.
+        :func:`numerics.bisect` the Newton step -F/F' (F' >= 2): F is
+        monotone on every bracket, a step is taken only where it lands
+        strictly inside the shrinking bracket, and each side is decided
+        by the sign of F alone, so the sign change is never lost and the
+        answer is F's sign change at float resolution.  The zero has
+        |2*sinh(u)| <= |c|, so |u| <= asinh(|c|/2) <= _LOG_MAX: the span
+        asinh(|c|/2) + 1, capped at _LOG_MAX so that sinh stays finite,
+        brackets it.
         """
         c, at, tanh, sinh, cosh = (self.c, self._at, math.tanh, math.sinh,
                                    math.cosh)
@@ -383,11 +387,12 @@ def _extrema(a: float, b: float, curve) -> list[tuple[float, float, bool, float]
     Each point is the sign change of ``excess = a*c*shape - 1`` on one
     side of the peak, found by :func:`numerics.bisect` with the Newton
     step on its u-slope a*g'' (:meth:`GFunction._shape_and_bend`, from the
-    same curve evaluation; None where that is 0).  excess is monotone on each bracket (rising up to
-    the peak, falling after it), a step is taken only where it lands
-    strictly inside the shrinking bracket, and each side is decided by
-    the sign of excess alone, so the sign change is never lost and each
-    point is excess's sign change at float resolution.
+    same curve evaluation; None where that is 0).  excess is monotone on
+    each bracket (rising up to the peak, falling after it), a step is
+    taken only where it lands strictly inside the shrinking bracket, and
+    each side is decided by the sign of excess alone, so the sign change
+    is never lost and each point is excess's sign change at float
+    resolution.
     """
     ac = a * curve.c
     if ac * curve.shape_peak <= 1.0:

@@ -166,9 +166,23 @@ def test_single_root_continues_the_ordinal_the_fold_leaves(name, survivor):
     lambda: bq.Temperatures(0.0, 1.0),
     lambda: bq.Temperatures(1.0, math.inf),
     lambda: bq.Temperatures(math.nan, 1.0),
+    # non-finite or mistyped values that would reach the arithmetic
+    lambda: bq.zero_exploration_window(0.5, -0.7, math.nan),
+    lambda: bq.zero_exploration_window(math.inf, -0.7, 10.0),
+    lambda: bq.zero_exploration_window(0.5, -0.7, math.inf),
+    lambda: bq.GFunction(1.0, -0.5, -1.0),
+    lambda: bq.GFunction(1.0, -0.5, math.nan),
+    lambda: bq.GFunction(1.0, -0.5, math.inf),
+    lambda: bq.GFunction(1.0, -0.5, 0.0),
+    lambda: bq.sweep_equal_temperature(bq.fixture("stag_hunt"), 0.1, 1, 2.5),
+    lambda: bq.numerics.geomspace(1.0, 2.0, 3.0),
+    lambda: bq.critical_curve(bq.fixture("stag_hunt"), ["a"]),
 ], ids=["t_max_inf", "t_min_nan", "t_min_neg_inf", "empty_range",
         "t_min_zero", "steps_negative", "steps_one", "orientation",
-        "tx_zero", "ty_inf", "tx_nan"])
+        "tx_zero", "ty_inf", "tx_nan", "window_raw_nan", "window_ratio_inf",
+        "window_raw_inf", "curve_ty_negative", "curve_ty_nan", "curve_ty_inf",
+        "curve_ty_zero", "sweep_float_steps", "geomspace_float_n",
+        "critical_curve_text_ty"])
 def test_bad_input_raises_domain_error(call):
     with pytest.raises(bq.DomainError):
         call()
@@ -344,6 +358,20 @@ def test_closing_temperature_brackets_the_flip():
         assert has_window(game, closing * (1.0 - 1e-7)), game.name
         assert not has_window(game, closing * (1.0 + 1e-7)), game.name
     assert closings >= 5
+
+
+@pytest.mark.parametrize("decades", [30, 100, 300])
+def test_folds_and_closings_in_a_grid_cell_of_many_decades(decades):
+    # the bracket loop's probe cap must not stop these short of adjacent
+    # floats: the cell is mostly halved down from 10**decades
+    fold = bq.sweep_equal_temperature(bq.fixture("stag_hunt"), 0.5, 10.0)
+    wide = bq.sweep_equal_temperature(bq.fixture("stag_hunt"), 0.5,
+                                      10.0 ** decades, 2)
+    assert wide.critical_temperatures == fold.critical_temperatures
+    game = bq.fixture("dominant_coordination")
+    closing = bq.critical_curve(game, CURVE_GRID).closing_temperature
+    wide = bq.critical_curve(game, [1e-3, 1e-2, 10.0 ** decades])
+    assert wide.closing_temperature == closing
 
 
 def test_closing_temperature_does_not_depend_on_the_grid():

@@ -387,6 +387,36 @@ class TestPayoffScale:
                 assert bq.equal_temperature_criticals(game_k) == [
                     (2.0 ** k * t, u) for t, u in folds], (game, k)
 
+    @pytest.mark.parametrize("k", [-600, -540, 520, 600])
+    def test_drivers_past_the_range_of_the_slope_product(self, k):
+        # raw_a*raw_c underflows to 0 past 2**-537 and overflows past
+        # 2**512, so only the two signs can decide the slope test
+        factor = 2.0 ** k
+        grid = bq.numerics.geomspace(1e-3, 2.0, 8)
+        games = [bq.fixture(name) for name in sorted(bq.FIXTURES)] + [
+            mk([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]),
+            mk([[1.0, 0.0], [0.0, 1.0]], [[-1.0, 0.0], [0.0, -0.5]])]
+        for game in games:
+            game_k = scaled(game, k)
+            assert (payoff_answers(game_k)[1]
+                    == payoff_answers(game)[1]), (game, k)
+            assert (bq.classify_pitchfork(game_k)
+                    == bq.classify_pitchfork(game)), (game, k)
+            folds = bq.equal_temperature_criticals(game)
+            assert bq.equal_temperature_criticals(game_k) == (
+                folds and [(factor * t, u) for t, u in folds]), (game, k)
+            curve = outcome(bq.critical_curve, game, grid)
+            curve_k = outcome(bq.critical_curve, game_k,
+                              [factor * t for t in grid])
+            if isinstance(curve, bq.CriticalCurve):
+                curve = dataclasses.replace(
+                    curve, samples=[tuple(None if t is None else factor * t
+                                          for t in row)
+                                    for row in curve.samples],
+                    closing_temperature=curve.closing_temperature
+                    and factor * curve.closing_temperature)
+            assert curve_k == curve, (game, k)
+
     @pytest.mark.parametrize("k", [-50, 15])
     def test_fixtures(self, k):
         # at 2**-50 the slopes were below an absolute 1e-12; at 2**15

@@ -135,26 +135,24 @@ class TestClose:
     def test_ends_high_to_low_come_back_in_that_order(self):
         probe = _side(0.3, lambda u: None)
         below = math.nextafter(0.3, 0.0)
-        assert _close(probe, (1.0, probe(1.0)), (0.0, probe(0.0))) == (
-            (0.3, probe(0.3)), (below, probe(below)))
+        assert _close(probe, 1.0, probe(1.0), 0.0, probe(0.0)) == (
+            0.3, probe(0.3), below, probe(below))
 
     def test_a_signed_side_with_a_step(self):
         # the step is the exact distance to the edge, so the first probe
-        # lands on it and the next ones close the last ulp
+        # lands on it and a creep of one ulp closes the bracket
         edge = 0.3
         probe, calls = _counted(_side(edge, lambda u: edge - u))
-        (t_in, _), (t_out, _) = _close(probe, (0.0, probe(0.0)),
-                                       (1.0, probe(1.0)))
+        t_in, _, t_out, _ = _close(probe, 0.0, probe(0.0), 1.0, probe(1.0))
         assert (t_in, t_out) == (math.nextafter(edge, 0.0), edge)
-        assert len(calls) - 2 <= 3
+        assert calls[2:] == [edge, math.nextafter(edge, 0.0)]
 
     def test_a_step_that_stops_moving_creeps_by_doubling_ulps(self):
         # a step far below an ulp never moves the probe: it creeps 1, 2,
         # 4, ... ulps toward the other end instead
         edge = 0.25 + 100 * math.ulp(0.25)
         probe, calls = _counted(_side(edge, lambda u: 1e-300))
-        (t_in, _), (t_out, _) = _close(probe, (0.25, probe(0.25)),
-                                       (1.0, probe(1.0)))
+        t_in, _, t_out, _ = _close(probe, 0.25, probe(0.25), 1.0, probe(1.0))
         assert (t_in, t_out) == (math.nextafter(edge, 0.0), edge)
         ulps = [(t - 0.25) / math.ulp(0.25) for t in calls[2:9]]
         assert ulps == [1.0, 3.0, 7.0, 15.0, 31.0, 63.0, 127.0]
@@ -162,24 +160,22 @@ class TestClose:
 
     def test_each_end_comes_back_with_its_probe_result(self):
         probe = _side(0.3, lambda u: None)
-        ends = _close(probe, (0.0, (1.0, None, "lo end")),
-                      (1.0, (-1.0, None, "hi end")))
-        for t, found in ends:
-            assert found == probe(t)
+        t_lo, p_lo, t_hi, p_hi = _close(probe, 0.0, (1.0, None, "lo end"),
+                                        1.0, (-1.0, None, "hi end"))
+        assert (p_lo, p_hi) == (probe(t_lo), probe(t_hi))
         # an end that no probe replaced keeps the result it came with
-        probe = _side(0.5 * math.ulp(1.0) + 1.0, lambda u: None)
-        (t_in, found_in), (t_out, found_out) = _close(
-            probe, (1.0, (1.0, None, "given")),
-            (1.0 + 2.0 * math.ulp(1.0), probe(1.0 + 2.0 * math.ulp(1.0))))
-        assert (t_in, found_in) == (1.0, (1.0, None, "given"))
-        assert found_out == probe(t_out)
+        top = 1.0 + 2.0 * math.ulp(1.0)
+        probe = _side(1.0 + 0.5 * math.ulp(1.0), lambda u: None)
+        t_in, p_in, t_out, p_out = _close(probe, 1.0, (1.0, None, "given"),
+                                          top, probe(top))
+        assert (t_in, p_in) == (1.0, (1.0, None, "given"))
+        assert p_out == probe(t_out)
 
     def test_a_zero_value_ends_the_search_there(self):
-        ends = _close(lambda u: (u - 0.5, None), (0.0, (-0.5, None)),
-                      (1.0, (0.5, None)))
-        assert ends == ((0.5, (0.0, None)), (0.5, (0.0, None)))
+        found = _close(lambda u: (u - 0.5, None), 0.0, (-0.5, None),
+                       1.0, (0.5, None))
+        assert found == (0.5, (0.0, None), 0.5, (0.0, None))
 
     def test_requires_a_sign_change(self):
         with pytest.raises(ValueError):
-            _close(lambda u: (1.0, None), (0.0, (1.0, None)),
-                   (1.0, (2.0, None)))
+            _close(lambda u: (1.0, None), 0.0, (1.0, None), 1.0, (2.0, None))
