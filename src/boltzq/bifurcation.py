@@ -341,28 +341,6 @@ def _merge_probe(base: ReducedCoefficients, t: float):
     return 1.0 if paired else -1.0, step, (u0, co, gf)
 
 
-def _merge(base: ReducedCoefficients, end3, end1):
-    """Where the stationary pair, present at the three-point end of a
-    T-cell, merges inside it, each end given as ``(T, _stationary(base,
-    T))``: ``(t_pair, t_gone, u0, cusp)`` at the adjacent floats across
-    the merge at g's inflection u0, or ``None`` when the one-point end
-    still has the pair.  The merge condition crosses zero linearly
-    (:func:`_merge_probe`), so it is solved by Newton steps to adjacent
-    floats (:func:`numerics._close`), and
-    ``cusp`` says that the merged value is the double root
-    (:func:`restpoints._is_double_root`): all three roots are one there.
-    """
-    (t3, _), (t1, e1) = end3, end1
-    if len(e1) == 2:
-        return None
-    gone = _merge_probe(base, t1)
-    if gone[0] > 0.0:
-        return None
-    t_pair, _, t_gone, (_, _, (u0, co, gf)) = _close(
-        lambda t: _merge_probe(base, t), t3, (1.0, None), t1, gone)
-    return t_pair, t_gone, u0, _is_double_root(u0, co.a, co.b, gf)
-
-
 def _fold(base: ReducedCoefficients, end3, end1) -> tuple[float, float, str]:
     """The fold in a T-cell with three rest points at one end and not at
     the other, each end given as ``(T, _stationary(base, T))``:
@@ -375,21 +353,22 @@ def _fold(base: ReducedCoefficients, end3, end1) -> tuple[float, float, str]:
     derivative is free: phi'(u_s) = 0, so by the envelope theorem
     ``dG/dT = u_s + raw_a*sigma'(v_s)*v_s/T``.
 
-    When the one-point end has no stationary pair, the pair merges inside
-    the cell, at g's inflection: that merge is solved first
-    (:func:`_merge`; its condition crosses zero linearly, while the
-    stationary values vanish like (T_c - T)^(3/2)).  If the merged value
-    is the double root there, the fold is a cusp: ``(t, u0, "both")`` at
-    the first float without the pair, u0 the inflection, where all three
-    roots are one.  This is the one pitchfork rule: the collapse is
-    continuous exactly when the top fold is a cusp.  Otherwise the fold
-    lies between the three-point end and the merge.
+    When the one-point end has no stationary pair (:func:`_merge_probe`),
+    the pair merges inside the cell, at g's inflection u0: that merge is
+    solved first, by Newton steps to the adjacent floats across it
+    (:func:`numerics._close`; its condition crosses zero linearly, while
+    the stationary values vanish like (T_c - T)^(3/2)).  If the merged
+    value is the double root there (:func:`restpoints._is_double_root`),
+    the fold is a cusp: ``(t, u0, "both")`` at the first float without
+    the pair, where all three roots are one.  This is the one pitchfork
+    rule: the collapse is continuous exactly when the top fold is a cusp.
+    Otherwise the fold lies between the three-point end and the merge.
     """
     (t3, e3), (t1, e1) = end3, end1
-    merged = _merge(base, end3, end1)
-    if merged:
-        t_pair, t1, u0, cusp = merged
-        if cusp:
+    if len(e1) != 2 and (gone := _merge_probe(base, t1))[0] < 0.0:
+        t_pair, _, t1, (_, _, (u0, co, gf)) = _close(
+            lambda t: _merge_probe(base, t), t3, (1.0, None), t1, gone)
+        if _is_double_root(u0, co.a, co.b, gf):
             return t1, u0, "both"
         e_pair = _stationary(base, t_pair)
         if _three(e_pair):
@@ -524,31 +503,41 @@ def _descent(base: ReducedCoefficients):
     raise NumericFailureError(f"no three rest points down to T = {t:.3e}")
 
 
+def _diagonal_cells(base: ReducedCoefficients):
+    """The cells of the :func:`_descent` grid whose ends disagree on three
+    rest points, top down, each as ``(end3, end1)``, the three-point end
+    first.  The walk covers at least 24 points (down to e^-7.875 times the
+    tangency bound) and stops at the first point with three rest points
+    after them; each grid temperature is solved once."""
+    walk = _descent(base)
+    above = next(walk)
+    for count, below in enumerate(walk, 2):
+        if _three(below[1]) != _three(above[1]):
+            yield (below, above) if _three(below[1]) else (above, below)
+        if count >= 24 and _three(below[1]):
+            return
+        above = below
+
+
 def equal_temperature_criticals(game: Game) -> Optional[list[tuple[float, float]]]:
     """Critical shared temperatures of a game run at tx = ty = T.
 
-    These are the folds of :func:`sweep_equal_temperature`, bracketed on
-    the offset grid of :func:`_descent`, from half a step above the
-    tangency bound down to at least e^-7.875 times it (24 points) and on
-    until three rest points exist, each grid temperature solved once, and
-    then solved as there (Newton in T on the value being lost, or the
-    exact merge at a cusp).  A window of three rest points narrower than a
-    grid cell is missed.  Returns the sorted (T, u) pairs, u where the line touches the
-    response curve (g's inflection at a cusp), or ``None`` when the game's
-    ratios fall outside the open unit box.
+    These are the folds of :func:`sweep_equal_temperature`, bracketed by
+    the cells of :func:`_diagonal_cells`, from half a step above the
+    tangency bound down to at least e^-7.875 times it and on until three
+    rest points exist, and solved as there (:func:`_fold`: Newton in T on
+    the value being lost, or the exact merge at a cusp).  A window of
+    three rest points narrower than a grid cell is missed.  Returns the
+    sorted (T, u) pairs, u where the line touches the response curve (g's
+    inflection at a cusp), or ``None`` when the game's ratios fall outside
+    the open unit box.
     """
     base = reduce_payoffs(game, Temperatures.equal(1.0))
     if not _same_sign(base.raw_a, base.raw_c) or not (
             -1.0 < base.b_over_a < 0.0 and -1.0 < base.d_over_c < 0.0):
         return None
-    states = {}
-    for t, state in _descent(base):
-        states[t] = state
-        if len(states) >= 24 and _three(state):
-            break
-    grid = list(states)[::-1]
-    folds = _folds(base, grid, [_three(states[t]) for t in grid], states)
-    return [(t, u) for t, u, _ in folds]
+    folds = [_fold(base, *cell)[:2] for cell in _diagonal_cells(base)]
+    return folds[::-1]
 
 
 def classify_pitchfork(game: Game) -> str:
@@ -556,21 +545,17 @@ def classify_pitchfork(game: Game) -> str:
 
     Games outside ``MultiNE_TriplePossible`` have no pitchfork.  Otherwise
     the rule is the sweep's: the collapse is continuous exactly when the
-    top fold is a cusp.  Walking down the grid of :func:`_descent`, whose
-    first point is above the tangency bound and has no stationary pair, to
-    the first temperature with three rest points, the top fold lies in the
-    cell above it.  If the upper end still has the stationary pair the
-    fold is ordinary (discontinuous); else the pair merges inside the cell
-    (:func:`_merge`, the first step of :func:`_fold`), and the collapse is
-    continuous exactly when the merged value is the double root.
+    top fold is a cusp.  The top fold lies in the first cell of
+    :func:`_diagonal_cells`, whose upper end is above the first
+    temperature with three rest points.  If that end still has the
+    stationary pair the fold is ordinary (discontinuous) and is not
+    solved; else the collapse is continuous exactly when :func:`_fold`
+    finds the cusp there.
     """
     coeffs = reduce_payoffs(game, Temperatures.equal(1.0))
     if classify_region(coeffs).label != GameRegionLabel.MULTI_NE_TRIPLE_POSSIBLE:
         return NO_PITCHFORK
-    walk = _descent(coeffs)
-    above = next(walk)
-    for end3 in walk:
-        if _three(end3[1]):
-            merged = _merge(coeffs, end3, above)
-            return CONTINUOUS if merged and merged[3] else DISCONTINUOUS
-        above = end3
+    end3, end1 = next(_diagonal_cells(coeffs))
+    if len(end1[1]) != 2 and _fold(coeffs, end3, end1)[2] == "both":
+        return CONTINUOUS
+    return DISCONTINUOUS
