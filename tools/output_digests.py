@@ -1,6 +1,7 @@
 """Print an md5 digest of every CLI output on the built-in fixtures, and
 of the payoff decisions, the rest-point kernel, the diagonal
-bifurcation drivers and the critical curve on seeded random inputs.
+bifurcation drivers and the critical curve on seeded random inputs and
+on fixed families next to the edges of the ratio plane.
 
 Each CLI line is ``md5  argv`` for one in-process run of
 ``boltzq.cli.main``; the digest covers the exit code, the captured stdout
@@ -27,7 +28,7 @@ import tempfile
 from boltzq import (BoltzqError, Game, Temperatures, classify_pitchfork,
                     classify_region, critical_curve,
                     equal_temperature_criticals, find_rest_points,
-                    nash_equilibria, reduce_payoffs, risk_dominant_profile,
+                    intercept_extrema, nash_equilibria, reduce_payoffs, risk_dominant_profile,
                     solve_symmetric)
 from boltzq.cli import main
 from boltzq.fixtures import FIXTURES
@@ -146,6 +147,40 @@ def _scaled_fixture_calls():
     return call
 
 
+#: the tails of the near-edge ratio families, from well inside the float
+#: resolution of 1 down to far below it
+_EDGE_TAILS = (1e-5, 1e-10, 1e-15, 3e-16, 1e-16, 2.0 ** -53, 2.0 ** -54,
+               2.0 ** -60, 1e-17, 1e-20, 1e-100, 1e-300)
+
+
+def _edge_ratio_calls():
+    """One call at a time, for each tail e: ``classify_region``,
+    ``equal_temperature_criticals`` and ``classify_pitchfork`` on the
+    anti-coordination game A = [[0, 1], [2, 0]], B = [[0, e], [1, 0]]
+    (d/c = -e/(1 + e)), ``classify_region`` on the corner game
+    A = [[0, -1], [2, 0]], B = [[0, -e], [1, 0]] (relabelled d/c = -1 -
+    e/(1 - e)), and ``intercept_extrema(1.0, e)``, the mirror of the
+    ratio -1 - e."""
+    def region(game):
+        return classify_region(reduce_payoffs(game, Temperatures(1.0, 1.0)))
+
+    calls = []
+    for e in _EDGE_TAILS:
+        anti = Game.from_matrices("anti", [[0.0, 1.0], [2.0, 0.0]],
+                                  [[0.0, e], [1.0, 0.0]])
+        corner = Game.from_matrices("corner", [[0.0, -1.0], [2.0, 0.0]],
+                                    [[0.0, -e], [1.0, 0.0]])
+        calls += [(region, anti), (equal_temperature_criticals, anti),
+                  (classify_pitchfork, anti), (region, corner),
+                  (lambda e: intercept_extrema(1.0, e), e)]
+    calls = iter(calls)
+
+    def call(rng: random.Random):
+        driver, arg = next(calls)
+        return driver(arg)
+    return call
+
+
 def batches():
     """``(name, seed, calls, call)`` of every library batch."""
     return [
@@ -164,6 +199,9 @@ def batches():
          4000, _critical_curve),
         ("bifurcation drivers on the fixtures times 2**-540, 2**520", 0, 36,
          _scaled_fixture_calls()),
+        ("region, criticals, pitchfork and intercept extrema at ratios "
+         "within 1e-5 .. 1e-300 of 0 and -1", 0, 5 * len(_EDGE_TAILS),
+         _edge_ratio_calls()),
     ]
 
 
