@@ -43,8 +43,8 @@ from typing import Optional
 
 from .errors import DomainError, NotApplicableError, NumericFailureError
 from .games import (Game, GameRegionLabel, ReducedCoefficients, Temperatures,
-                    _raw_coefficients, _same_sign, classify_region,
-                    reduce_payoffs)
+                    _raw_coefficients, _require_temperature, _same_sign,
+                    classify_region, reduce_payoffs)
 from .numerics import _close, bisect, geomspace, sigmoid, sigmoid_slope
 from .restpoints import (_LOGISTIC, _SATURATION, GFunction, RestPoint,
                          _extrema, _is_double_root, _peak, find_rest_points)
@@ -78,9 +78,12 @@ class InterceptProfile:
     max_unbounded: bool = False
 
 
-def _lowest_intercept(ratio: float) -> tuple[float, float, float]:
+def _lowest_intercept(top: float) -> tuple[float, float, float]:
     """``(delta, ty, u)`` at the lowest tangent intercept over u and every
-    ty > 0, for raw_c = 1 and r = d/c < -1.
+    ty > 0, for raw_c = 1 and r = d/c < -1, given as its tail ``top = r +
+    1 < 0``: a ratio formed as -1 - x rounds to -1.0 for 0 < x < 2^-53,
+    while x itself is the tail.  Only u >= 0 is evaluated, where ``r + s
+    = top - sigma(-u)`` adds two negative terms, so nothing cancels.
 
     With c = 1/ty, delta' = -u*g'', and g's inflection u0 is > 0 since
     F(0) = c*tanh(c*(r+1/2)/2) < 0 (F of GFunction.inflection): delta(u0)
@@ -93,14 +96,17 @@ def _lowest_intercept(ratio: float) -> tuple[float, float, float]:
     falls in c and is negative at c = 2*sinh(u0)/tanh(1) + 1/|k|.  The
     intercept there is ``sigma(h) - u0*c*sigma'(h)*sigma'(u0)``, h = 2*c*k.
     """
-    curve = GFunction(1.0, ratio)
+    def at(u: float) -> tuple[float, float, float]:  # (s, sigma(-u), r + s)
+        e = math.exp(-u)
+        s_neg = e / (1.0 + e)
+        return 1.0 / (1.0 + e), s_neg, top - s_neg
 
     def q(u: float) -> tuple[float, None]:
-        s, s_neg, rs = curve._at(u)  # r + s, cancel-free near r = -1
+        s, s_neg, rs = at(u)
         return -rs + u * (s * s_neg + rs * math.tanh(0.5 * u)), None
 
     u0 = bisect(q, 0.0, _SATURATION, q(0.0)[0], q(_SATURATION)[0])
-    k, lift = 0.5 * curve._at(u0)[2], 2.0 * math.sinh(u0)
+    k, lift = 0.5 * at(u0)[2], 2.0 * math.sinh(u0)
     c_hi = lift / math.tanh(1.0) + 1.0 / abs(k)
     c = bisect(lambda c: (c * math.tanh(c * k) + lift, None), 0.0, c_hi,
                lift, c_hi * math.tanh(c_hi * k) + lift)
@@ -134,7 +140,7 @@ def intercept_extrema(raw_c: float, raw_d: float) -> InterceptProfile:
     elif max_unbounded:
         delta_min, delta_max = 0.0, None
     else:  # ratio < -1, or its mirror ratio > 0
-        low, ty, u = _lowest_intercept(min(ratio, -1.0 - ratio))
+        low, ty, u = _lowest_intercept(-ratio if ratio > 0.0 else 1.0 + ratio)
         delta_min, delta_max = (0.5, 1.0 - low) if ratio > 0.0 else (low, 0.5)
         extreme_at = (raw_c * ty, -u if ratio > 0.0 else u)
     return InterceptProfile(ratio=ratio, extreme_at=extreme_at,
@@ -394,18 +400,6 @@ def _fold(base: ReducedCoefficients, end3, end1) -> tuple[float, float, str]:
     return t, ext[lost][0], ("max", "min")[lost]
 
 
-def _folds(base: ReducedCoefficients, grid: list[float], three: list[bool],
-           states) -> list[tuple[float, float, str]]:
-    """Every fold in a grid cell whose ends disagree on three rest points,
-    from ``states[T] = _stationary(base, T)`` at those ends."""
-    folds = []
-    for k in range(len(grid) - 1):
-        if three[k] != three[k + 1]:
-            ends = [(t, states[t]) for t in grid[k:k + 2]]
-            folds.append(_fold(base, *(ends if three[k] else ends[::-1])))
-    return folds
-
-
 def _ordinal_branches(rows: list[tuple[float, list[RestPoint]]],
                       folds: list[tuple[float, float, str]]
                       ) -> list[list[tuple[float, RestPoint]]]:
@@ -446,23 +440,25 @@ def sweep_equal_temperature(game: Game, t_min: float, t_max: float,
     the coldest row has three rest points, so that the top fold collapses
     them: continuous exactly when it is a cusp.
     """
-    if not (math.isfinite(t_min) and math.isfinite(t_max)
-            and 0.0 < t_min < t_max):
-        raise DomainError(
-            f"need finite 0 < t_min < t_max, got {t_min}, {t_max}")
+    t_min, t_max = _require_temperature(t_min), _require_temperature(t_max)
+    if not t_min < t_max:
+        raise DomainError(f"need t_min < t_max, got {t_min}, {t_max}")
+    grid = geomspace(t_min, t_max, steps)  # DomainError unless steps is whole
     if steps < 2:
         raise DomainError(f"need steps >= 2, got {steps}")
     base = reduce_payoffs(game, Temperatures.equal(1.0))
-    grid = geomspace(t_min, t_max, steps)
 
     def solve(temp: float) -> list[RestPoint]:
         return find_rest_points(base.at_temperatures(temp, temp))
 
     solved = {t: solve(t) for t in grid}
     three = [len(solved[t]) == 3 for t in grid]
-    ends = {t for k in range(steps - 1) if three[k] != three[k + 1]
-            for t in grid[k:k + 2]}
-    folds = _folds(base, grid, three, {t: _stationary(base, t) for t in ends})
+    cells = [k for k in range(steps - 1) if three[k] != three[k + 1]]
+    states = {t: _stationary(base, t) for k in cells for t in grid[k:k + 2]}
+    folds = []
+    for k in cells:  # each holds a fold; cells can share an end
+        ends = [(t, states[t]) for t in grid[k:k + 2]]
+        folds.append(_fold(base, *(ends if three[k] else ends[::-1])))
     for t_c, _, _ in folds:
         solved[t_c] = solve(t_c)
         # Near a fold the dying pair is smooth in s = sqrt|1 - T/t_c|, not

@@ -28,6 +28,7 @@ the quartic dense output.  No scipy is imported at run time.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -35,7 +36,7 @@ import numpy as np
 
 from .errors import DomainError
 from .games import (Game, PayoffMatrix, ReducedCoefficients, Temperatures,
-                    _require_temperature)
+                    _as_float, _require_temperature)
 from .numerics import bisect, logit, sigmoid, sigmoid_slope
 
 SIMPLEX_TOL = 1e-12
@@ -81,8 +82,9 @@ class IntegratorConfig:
     convergence_speed_tol: float = 1e-10
 
     def __post_init__(self):
-        if not (self.max_time > 0.0 and self.convergence_speed_tol > 0.0
-                and math.isfinite(self.convergence_speed_tol)):
+        max_time = _as_float(self.max_time, "max_time")
+        tol = _as_float(self.convergence_speed_tol, "convergence_speed_tol")
+        if not (max_time > 0.0 and tol > 0.0 and math.isfinite(tol)):
             raise DomainError(
                 f"need max_time > 0 and a finite convergence_speed_tol > 0, "
                 f"got {self.max_time}, {self.convergence_speed_tol}")
@@ -254,8 +256,8 @@ def log_ratio_field(game: Game, temps: Temperatures, w_x, w_y
 
 def dissipation_rate(temps: Temperatures, n: int) -> float:
     """Phase-space volume contraction rate, -(tx + ty)(n - 1)."""
-    if n < 2:
-        raise DomainError("need at least two actions")
+    if not isinstance(n, numbers.Integral) or n < 2:
+        raise DomainError(f"need a whole number n >= 2 of actions, got {n!r}")
     return -(temps.tx + temps.ty) * (n - 1)
 
 

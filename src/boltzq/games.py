@@ -443,11 +443,13 @@ def classify_region(coeffs: ReducedCoefficients) -> GameRegion:
             "the other falls, so exactly one interior rest point exists")
 
     anti = coeffs.raw_a < 0.0
-    beta = coeffs.b_over_a
-    delta = -1.0 - coeffs.d_over_c if anti else coeffs.d_over_c  # a, c > 0
+    beta, ratio = coeffs.b_over_a, coeffs.d_over_c
+    delta = -1.0 - ratio if anti else ratio  # a, c > 0
     frame = " (anti-coordination sign frame)" if anti else ""
 
-    if -1.0 < beta < 0.0 and -1.0 < delta < 0.0:
+    # the box is the same in both frames; -1 - d/c would round to -1.0
+    # for |d/c| < 2^-53
+    if -1.0 < beta < 0.0 and -1.0 < ratio < 0.0:
         return GameRegion(
             GameRegionLabel.MULTI_NE_TRIPLE_POSSIBLE,
             "both ratios inside the open unit box: three Nash equilibria; "
@@ -464,8 +466,12 @@ def classify_region(coeffs: ReducedCoefficients) -> GameRegion:
     if mirrored:  # players exchange roles
         beta, delta = delta, beta
     if beta >= 0.0 and delta <= -1.0:
-        from .bifurcation import corner_boundary
-        bound = corner_boundary(delta)  # the lowest reachable tangent intercept
+        from .bifurcation import _lowest_intercept, corner_boundary
+        # the lowest reachable tangent intercept; where delta = -1 - d/c,
+        # from its tail -d/c, which the rounded delta can lose
+        bound = (_lowest_intercept(-ratio)[0]
+                 if anti and not mirrored and 0.0 < ratio < math.inf
+                 else corner_boundary(delta))
         return GameRegion(
             GameRegionLabel.NUMERIC_BOUNDARY,
             ("mirrored corner quadrant (players exchange roles): numeric "

@@ -28,7 +28,7 @@ import numpy as np
 
 from .dynamics import softmax
 from .errors import DomainError
-from .games import Game, Temperatures, _require_temperature
+from .games import Game, Temperatures, _as_float, _require_temperature
 
 GENERATOR_ID = "numpy.random.PCG64"
 
@@ -44,7 +44,7 @@ class AgentState:
     def __post_init__(self):
         if not all(math.isfinite(q) for q in self.qvals):
             raise DomainError("q-values must be finite")
-        if not 0.0 < self.alpha <= 1.0:
+        if not 0.0 < _as_float(self.alpha, "alpha") <= 1.0:
             raise DomainError(f"alpha must be in (0, 1], got {self.alpha}")
         _require_temperature(self.temp)
         object.__setattr__(self, "qvals", tuple(float(q) for q in self.qvals))
@@ -74,7 +74,11 @@ class SimConfig:
     def __post_init__(self):
         if self.batch < 1 or self.rounds < 1 or self.record_every < 1:
             raise DomainError("batch, rounds and record_every must be >= 1")
-        if not 0 <= int(self.seed) < 2 ** 64:
+        try:
+            seed = int(self.seed)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"seed {self.seed!r} is not a number") from exc
+        if not 0 <= seed < 2 ** 64:
             raise DomainError("seed must fit in 64 unsigned bits")
 
 

@@ -390,20 +390,41 @@ def mp_intercept(ratio, c, u):
     return g - c * g * (1 - g) * s * (1 - s) * u
 
 
+def mp_extreme_intercept(ratio, ty, u):
+    """The stationary value of ``g - g'*u`` over (u, ln c), by mpmath's
+    Newton from a float extreme (ty, u) at its working precision, with
+    the Hessian as the Jacobian, until the gradient is below 1e-30."""
+    mpmath = pytest.importorskip("mpmath")
+
+    def diff(u, lc, order):
+        return mpmath.diff(lambda w, x: mp_intercept(ratio, mpmath.exp(x), w),
+                           (u, lc), order)
+
+    def hessian(u, lc):
+        cross = diff(u, lc, (1, 1))
+        return [[diff(u, lc, (2, 0)), cross], [cross, diff(u, lc, (0, 2))]]
+
+    u, lc = mpmath.findroot(
+        lambda u, lc: [diff(u, lc, (1, 0)), diff(u, lc, (0, 1))],
+        (mpmath.mpf(u), -mpmath.log(ty)), J=hessian, tol=mpmath.mpf(1e-60))
+    return float(mp_intercept(ratio, mpmath.exp(lc), u))
+
+
 def mp_corner_bound(ratio):
-    """The lowest tangent intercept to 50 digits: the stationary point of
-    ``g - g'*u`` over (u, ln c), by mpmath's Newton from the float extreme."""
+    """The lowest tangent intercept to 50 digits, from the float extreme."""
     mpmath = pytest.importorskip("mpmath")
     ty, u = bq.intercept_extrema(1.0, ratio).extreme_at
     with mpmath.workdps(50):
-        def grad(u, lc):
-            return [mpmath.diff(lambda w: mp_intercept(ratio, mpmath.exp(lc),
-                                                       w), u),
-                    mpmath.diff(lambda w: mp_intercept(ratio, mpmath.exp(w),
-                                                       u), lc)]
+        return mp_extreme_intercept(ratio, ty, u)
 
-        u, lc = mpmath.findroot(grad, (mpmath.mpf(u), -mpmath.log(ty)))
-        return float(mp_intercept(ratio, mpmath.exp(lc), u))
+
+def mp_tail_bound(tail, ty, u):
+    """The lowest tangent intercept at the ratio -1 - tail, which a float
+    cannot hold for tail < 2**-53, to 40 digits past the tail's, from the
+    float extreme (ty, u)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40 + round(-math.log10(tail))):
+        return mp_extreme_intercept(-1 - mpmath.mpf(tail), ty, u)
 
 
 #: the log grid of ty the corner bound used to be the minimum over
@@ -462,6 +483,27 @@ class TestCornerBoundaryExact:
     def test_bound_is_exact_next_to_ratio_minus_one(self, ratio):
         exact = mp_corner_bound(ratio)
         assert abs(bq.corner_boundary(ratio) - exact) <= 1e-14 * abs(exact)
+
+    @pytest.mark.parametrize("tail", [3e-16, 1e-16, 2.0 ** -60, 1e-300])
+    def test_mirror_is_exact_next_to_ratio_zero(self, tail):
+        # the mirror of r > 0 is -1 - r, which is -1.0 in floats for
+        # r < 2**-53: the bound is solved from the tail r itself
+        profile = bq.intercept_extrema(1.0, tail)
+        ty, u = profile.extreme_at
+        exact = 1.0 - mp_tail_bound(tail, ty, -u)
+        assert abs(profile.delta_max - exact) <= 1e-13 * exact
+
+    @pytest.mark.parametrize("eps", [1e-10, 1e-17, 1e-300])
+    def test_anti_coordination_corner_is_exact(self, eps):
+        # relabelled, d/c = -1 - eps/(1 - eps), which rounds toward -1.0
+        game = bq.Game.from_matrices("corner", [[0.0, -1.0], [2.0, 0.0]],
+                                     [[0.0, -eps], [1.0, 0.0]])
+        co = bq.reduce_payoffs(game, bq.Temperatures(1.0, 1.0))
+        region = bq.classify_region(co)
+        assert region.label is bq.GameRegionLabel.NUMERIC_BOUNDARY
+        ty, u = bq.intercept_extrema(1.0, co.d_over_c).extreme_at  # mirror
+        exact = mp_tail_bound(co.d_over_c, ty, -u)
+        assert abs(region.boundary - exact) <= 1e-13 * abs(exact)
 
     def test_extreme_sits_where_the_ty_slope_vanishes(self):
         for ratio in (-1.001, -1.3, -2.0, -10.0):

@@ -462,7 +462,7 @@ class TestIntegratorConfig:
         {"max_time": math.nan}, {"max_time": 0.0}, {"max_time": -1.0},
         {"convergence_speed_tol": math.nan},
         {"convergence_speed_tol": math.inf},
-        {"convergence_speed_tol": 0.0},
+        {"convergence_speed_tol": 0.0}, {"max_time": "x"},
     ])
     def test_rejects_bad_settings(self, kwargs):
         with pytest.raises(bq.DomainError):

@@ -177,12 +177,18 @@ def test_single_root_continues_the_ordinal_the_fold_leaves(name, survivor):
     lambda: bq.sweep_equal_temperature(bq.fixture("stag_hunt"), 0.1, 1, 2.5),
     lambda: bq.numerics.geomspace(1.0, 2.0, 3.0),
     lambda: bq.critical_curve(bq.fixture("stag_hunt"), ["a"]),
+    lambda: bq.sweep_equal_temperature(bq.fixture("stag_hunt"), "x", 1.0, 5),
+    lambda: bq.sweep_equal_temperature(bq.fixture("stag_hunt"), 0.1, None, 5),
+    lambda: bq.sweep_equal_temperature(bq.fixture("stag_hunt"), 0.1, 1.0, "x"),
+    lambda: bq.dissipation_rate(bq.Temperatures(1.0, 1.0), "x"),
+    lambda: bq.AgentState((0.0, 0.0), 1.0, "x"),
 ], ids=["t_max_inf", "t_min_nan", "t_min_neg_inf", "empty_range",
         "t_min_zero", "steps_negative", "steps_one", "orientation",
         "tx_zero", "ty_inf", "tx_nan", "window_raw_nan", "window_ratio_inf",
         "window_raw_inf", "curve_ty_negative", "curve_ty_nan", "curve_ty_inf",
         "curve_ty_zero", "sweep_float_steps", "geomspace_float_n",
-        "critical_curve_text_ty"])
+        "critical_curve_text_ty", "sweep_text_t_min", "sweep_none_t_max",
+        "sweep_text_steps", "dissipation_text_n", "agent_text_alpha"])
 def test_bad_input_raises_domain_error(call):
     with pytest.raises(bq.DomainError):
         call()

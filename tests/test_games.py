@@ -472,6 +472,35 @@ class TestPayoffScale:
         assert [(ne.x, ne.y) for ne in bq.nash_equilibria(game)] == [(1.0, 1.0)]
 
 
+class TestThreeEquilibria:
+    """Three Nash equilibria, the unit-box label, criticals and a pitchfork
+    answer one question: whether the ratios lie in the open unit box."""
+
+    def test_four_answers_agree(self, rng):
+        units = [mk(*rng.uniform(-3.0, 3.0, (2, 2, 2)).tolist())
+                 for _ in range(80)]
+        games = [scaled(game, k) for k in (-600, 0, 520) for game in units]
+        # anti-coordination, b/a = -1/3 and d/c = -eps/(1 + eps): in the
+        # a, c > 0 frame -1 - d/c rounds to -1.0 for eps < 2**-53
+        games += [mk([[0.0, 1.0], [2.0, 0.0]], [[0.0, eps], [1.0, 0.0]])
+                  for eps in (1e-5, 1e-17, 1e-20, 1e-100, 1e-300)]
+        multi = 0
+        for game in games:
+            try:
+                three = len(bq.nash_equilibria(game)) == 3
+                region = bq.classify_region(
+                    bq.reduce_payoffs(game, bq.Temperatures(1.0, 1.0)))
+            except bq.DegenerateGameError:
+                continue
+            answers = (three,
+                       region.label is bq.GameRegionLabel.MULTI_NE_TRIPLE_POSSIBLE,
+                       bq.equal_temperature_criticals(game) is not None,
+                       bq.classify_pitchfork(game) != "none")
+            assert answers in ((True,) * 4, (False,) * 4), (game, answers)
+            multi += three
+        assert multi >= 30
+
+
 class TestGameIO:
     def test_json_round_trip(self, tmp_path):
         game = bq.fixture("stag_hunt")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -120,7 +122,8 @@ class TestRunTwoAgents:
 
     @pytest.mark.parametrize("kwargs", [
         {"batch": 0}, {"rounds": 0}, {"record_every": 0},
-        {"seed": -1}, {"seed": 2 ** 64}])
+        {"seed": -1}, {"seed": 2 ** 64}, {"seed": math.nan},
+        {"seed": math.inf}])
     def test_bad_config_raises_domain_error(self, kwargs):
         with pytest.raises(bq.DomainError):
             bq.SimConfig(**kwargs)
