@@ -120,18 +120,22 @@ def intercept_extrema(raw_c: float, raw_d: float) -> InterceptProfile:
     (:func:`_lowest_intercept`); above ratio 0 by the mirror
     ``delta_max(r) = 1 - delta_min(-1-r)``, at (ty, -u).  The sign of
     ``raw_c`` is normalized away by relabeling actions (ratio -> -1-ratio),
-    which leaves the intercept geometry unchanged."""
+    which leaves the intercept geometry unchanged.  The side of -1 is
+    decided on the tail ratio + 1, which the relabelling gives exactly as
+    -d/c: -1 - d/c rounds to -1.0 for 0 < d/c < 2^-53."""
     if raw_c == 0.0:
         raise NotApplicableError("intercept profile needs c != 0")
-    if raw_c < 0.0:
-        raw_c, raw_d = -raw_c, raw_c + raw_d
     ratio = raw_d / raw_c
+    if raw_c < 0.0:
+        raw_c, ratio, tail = -raw_c, -1.0 - ratio, -ratio
+    else:
+        tail = 1.0 + ratio
     if not (math.isfinite(raw_c) and math.isfinite(ratio)):
         raise DomainError(f"intercept profile needs finite c and d/c, got "
                           f"c = {raw_c}, d/c = {ratio}")
 
     extreme_at = None
-    min_unbounded = -1.0 <= ratio < -0.5
+    min_unbounded = tail >= 0.0 and ratio < -0.5
     max_unbounded = -0.5 < ratio <= 0.0
     if ratio == -0.5:
         delta_min, delta_max = 0.0, 1.0
@@ -140,7 +144,7 @@ def intercept_extrema(raw_c: float, raw_d: float) -> InterceptProfile:
     elif max_unbounded:
         delta_min, delta_max = 0.0, None
     else:  # ratio < -1, or its mirror ratio > 0
-        low, ty, u = _lowest_intercept(-ratio if ratio > 0.0 else 1.0 + ratio)
+        low, ty, u = _lowest_intercept(-ratio if ratio > 0.0 else tail)
         delta_min, delta_max = (0.5, 1.0 - low) if ratio > 0.0 else (low, 0.5)
         extreme_at = (raw_c * ty, -u if ratio > 0.0 else u)
     return InterceptProfile(ratio=ratio, extreme_at=extreme_at,

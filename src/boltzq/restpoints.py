@@ -431,6 +431,14 @@ def _solve_u_roots(a: float, b: float,
     stationary points that still keep a pair (:func:`_extrema`).  A
     stationary value that has lost its pair is, within its own rounding
     (:func:`_is_double_root`), the double root: reported once, flagged.
+
+    Each bracket is refined by :func:`numerics._refine_root` to ``|phi|
+    <= target``, except where an end of [lo, hi] already meets that
+    target: ``phi(b) = -a*g(b)`` and ``phi(b + a) = a*(1 - g(b + a))``
+    are g's distance to its tails, so where the curve is saturated the
+    end is the root, returned with no probe (of both ends, the one with
+    the smaller |phi|).  Stationary points are never taken so: a kept
+    value within target bounds two brackets, which would both return it.
     """
     if a == 0.0:
         return [b], [False]
@@ -441,11 +449,13 @@ def _solve_u_roots(a: float, b: float,
 
     lo, hi = (b, b + a) if a > 0.0 else (b + a, b)
     (flo, _), (fhi, _) = phi(lo), phi(hi)
+    target = max(1e-15, min(5e-13, 5e-13 * abs(a)))
+    settled = {u: abs(f) for u, f in ((lo, flo), (hi, fhi))
+               if abs(f) <= target}
     # Analytically phi(lo) < 0 < phi(hi) always (g stays inside (0,1));
     # restore the sign when saturation rounding has destroyed it, which
     # parks the root at the endpoint to float resolution.
     flo, fhi = min(flo, -5e-324), max(fhi, 5e-324)
-    target = max(1e-15, min(5e-13, 5e-13 * abs(a)))
 
     found: list[tuple[float, bool]] = []
     knots = [(lo, flo)]
@@ -457,7 +467,9 @@ def _solve_u_roots(a: float, b: float,
     knots.append((hi, fhi))
     for (ua, va), (ub, vb) in zip(knots, knots[1:]):
         if (va > 0.0) != (vb > 0.0):
-            found.append((_refine_root(phi, ua, ub, va, vb, target), False))
+            ends = [u for u in (ua, ub) if u in settled]
+            found.append((min(ends, key=settled.get) if ends else
+                          _refine_root(phi, ua, ub, va, vb, target), False))
     found.sort()
     return [u for u, _ in found], [flag for _, flag in found]
 
@@ -478,7 +490,10 @@ def find_rest_points(coeffs: ReducedCoefficients,
     Roots are bracketed on the monotone segments of the defect function
     (delimited by the at-most-two solutions of ``a*g'(u) = 1``), refined by
     safeguarded Newton to ``|u - b - a*g(u)| < ~1e-12*|a|``, and back-
-    substituted through Y's logit v(u) of :class:`GFunction`.  The count is 1 or 3, or 2
+    substituted through Y's logit v(u) of :class:`GFunction`.  A root at
+    b or b + a, where g is saturated within that target, is the bracket's
+    end itself, taken with no refinement (:func:`_solve_u_roots`; never a
+    stationary point, which bounds two brackets).  The count is 1 or 3, or 2
     at a fold: a stationary value that just lost its pair of roots is the
     double root, returned once with ``degenerate_pair`` set, the only
     point so flagged.  Stability

@@ -21,6 +21,7 @@ function of its configuration, and equal seeds give bitwise-equal traces.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -72,8 +73,11 @@ class SimConfig:
     record_every: int = 100
 
     def __post_init__(self):
-        if self.batch < 1 or self.rounds < 1 or self.record_every < 1:
-            raise DomainError("batch, rounds and record_every must be >= 1")
+        for name in ("batch", "rounds", "record_every"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise DomainError(
+                    f"{name} must be a whole number >= 1, got {value!r}")
         try:
             seed = int(self.seed)
         except (TypeError, ValueError, OverflowError) as exc:

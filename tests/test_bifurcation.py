@@ -493,6 +493,18 @@ class TestCornerBoundaryExact:
         exact = 1.0 - mp_tail_bound(tail, ty, -u)
         assert abs(profile.delta_max - exact) <= 1e-13 * exact
 
+    @pytest.mark.parametrize("raw_d", [-1e-10, -1e-17, -1e-300])
+    def test_relabelled_ratio_keeps_its_tail(self, raw_d):
+        # raw_c < 0 relabels d/c to -1 - d/c, whose tail -d/c is kept
+        # exactly where -1 - d/c rounds to -1.0
+        profile = bq.intercept_extrema(-1.0, raw_d)
+        assert not profile.min_unbounded
+        ty, u = profile.extreme_at
+        exact = mp_tail_bound(-raw_d, ty, u)
+        assert abs(profile.delta_min - exact) <= 1e-13 * abs(exact)
+        mirror = bq.intercept_extrema(1.0, -raw_d)
+        assert profile.delta_min == 1.0 - mirror.delta_max
+
     @pytest.mark.parametrize("eps", [1e-10, 1e-17, 1e-300])
     def test_anti_coordination_corner_is_exact(self, eps):
         # relabelled, d/c = -1 - eps/(1 - eps), which rounds toward -1.0

@@ -11,6 +11,7 @@ import pytest
 from scipy.special import expit
 
 import boltzq as bq
+from boltzq import restpoints
 from boltzq.numerics import _refine_root, sigmoid, sigmoid_slope
 from boltzq.restpoints import _LOGISTIC, GFunction, _extrema
 
@@ -455,10 +456,71 @@ def _kernel_counts():
 def test_kernel_evaluation_budget():
     # curve evaluations per find_rest_points call on 4000 warm games; with
     # plain bisection for the inflection and the stationary points a
-    # three-root solve made 223.0 and a one-root solve 57.4
+    # three-root solve made 223.0 and a one-root solve 57.4, and 95.1 and
+    # 26.3 before roots at b or b + a were taken at the bracket end
     counts = _kernel_counts().count()
-    assert sum(counts[3][1].values()) <= 115.0
-    assert sum(counts[1][1].values()) <= 33.0
+    assert sum(counts[3][1].values()) <= 80.0
+    assert sum(counts[1][1].values()) <= 20.0
+
+
+def _kernel_target(a):
+    """The root kernel's stop target on |phi| for the slope a."""
+    return max(1e-15, min(5e-13, 5e-13 * abs(a)))
+
+
+def _mp_phi(u, a, b, curve):
+    """phi(u) = u - b - a*curve(u) in mpmath at the given floats."""
+    def expit(w):
+        return 1 / (1 + mpmath.exp(-w))
+
+    u = mpmath.mpf(u)
+    v = u if curve is _LOGISTIC else (
+        (mpmath.mpf(curve.raw_d) + curve.raw_c * expit(u)) / curve.ty)
+    return u - b - a * expit(v)
+
+
+@pytest.mark.parametrize("a, b, curve, end", [
+    (2.0, 0.0, GFunction(1.0, -60.0), "b"),
+    (-2.0, 0.0, GFunction(1.0, -60.0), "b"),
+    (2.0, 0.0, GFunction(1.0, 60.0), "b + a"),
+    (-2.0, 0.0, GFunction(1.0, 60.0), "b + a"),
+    (3.0, -40.0, _LOGISTIC, "b"),
+    (-3.0, -40.0, _LOGISTIC, "b"),
+    (3.0, 40.0, _LOGISTIC, "b + a"),
+    (-3.0, 40.0, _LOGISTIC, "b + a"),
+    # both ends within target: the one with the smaller |phi|
+    (1e-20, 0.0, GFunction(1.0, -3.0), "b"),
+    (1e-20, 0.0, GFunction(1.0, 2.0), "b + a"),
+])
+def test_saturated_root_is_its_bracket_end(monkeypatch, a, b, curve, end):
+    # where g is within target/|a| of its tail at b or b + a, that end is
+    # already a root and is returned with no refinement
+    calls = []
+    monkeypatch.setattr(restpoints, "_refine_root",
+                        lambda *args: calls.append(args) or _refine_root(*args))
+    roots, flags = restpoints._solve_u_roots(a, b, curve)
+    assert roots == [b if end == "b" else b + a] and flags == [False]
+    assert not calls
+    with mpmath.workdps(40):
+        assert abs(_mp_phi(roots[0], a, b, curve)) <= _kernel_target(a)
+
+
+def test_warm_roots_are_within_target_of_the_exact_roots():
+    # exact phi changes sign within the kernel's target of every root, on
+    # both sides of the end rule: roots at b or b + a and refined ones
+    ends = refined = 0
+    with mpmath.workdps(40):
+        for a, b, curve in _seeded_curves(24, (-3.0, 1.0), n=1000):
+            target = _kernel_target(a)
+            for u in restpoints._solve_u_roots(a, b, curve)[0]:
+                if u in (b, b + a):
+                    ends += 1
+                else:
+                    refined += 1
+                below = _mp_phi(mpmath.mpf(u) - target, a, b, curve)
+                above = _mp_phi(mpmath.mpf(u) + target, a, b, curve)
+                assert below * above <= 0, (a, b, curve, u)
+    assert ends > 100 and refined > 100
 
 
 def sample_three_root_coeffs(rng):

@@ -123,7 +123,8 @@ class TestRunTwoAgents:
     @pytest.mark.parametrize("kwargs", [
         {"batch": 0}, {"rounds": 0}, {"record_every": 0},
         {"seed": -1}, {"seed": 2 ** 64}, {"seed": math.nan},
-        {"seed": math.inf}])
+        {"seed": math.inf}, {"batch": "x"}, {"batch": 1.5}, {"rounds": None},
+        {"rounds": 10.0}, {"record_every": "1"}, {"record_every": 2.5}])
     def test_bad_config_raises_domain_error(self, kwargs):
         with pytest.raises(bq.DomainError):
             bq.SimConfig(**kwargs)

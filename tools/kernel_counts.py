@@ -1,9 +1,12 @@
 """Print the root kernel's curve evaluations per ``find_rest_points`` call.
 
 A curve evaluation is one call of ``GFunction._at``, the one place that
-forms Y's logit from X's.  The batch is 4000 warm games: payoffs U[-3, 3]
-and (tx, ty) log-uniform on [1e-3, 10], drawn from ``random.Random(3)``.
-The means are split by the number of rest points found and by phase:
+forms Y's logit from X's.  There are two batches of 4000 games, each with
+payoffs U[-3, 3] drawn from ``random.Random(3)``: warm, with (tx, ty)
+log-uniform on [1e-3, 10], and cold, log-uniform on [1e-20, 1e-3].  The
+points are not checked (``fd_check=False``), which evaluates no curve, so
+no cold call raises.  The means are split by the number of rest points
+found and by phase:
 
 - inflection: inside ``GFunction.inflection``;
 - stationary points: the rest of ``restpoints._extrema`` (the two
@@ -29,19 +32,23 @@ from boltzq import restpoints
 PHASES = ("inflection", "stationary points", "roots", "other")
 GAMES = 4000
 SEED = 3
+#: log10 of the ends of the (tx, ty) range of each batch
+WARM, COLD = (-3.0, 1.0), (-20.0, -3.0)
 
 
-def batch(rng: random.Random, games: int = GAMES):
+def batch(rng: random.Random, games: int = GAMES,
+          log_t: tuple[float, float] = WARM):
     """The coefficients of the batch's games, in draw order."""
     for _ in range(games):
         payoffs = [[[rng.uniform(-3.0, 3.0) for _ in range(2)]
                     for _ in range(2)] for _ in range(2)]
-        tx, ty = (10.0 ** rng.uniform(-3.0, 1.0) for _ in range(2))
+        tx, ty = (10.0 ** rng.uniform(*log_t) for _ in range(2))
         yield reduce_payoffs(Game.from_matrices("g", *payoffs),
                              Temperatures(tx, ty))
 
 
-def count(games: int = GAMES, seed: int = SEED
+def count(games: int = GAMES, seed: int = SEED,
+          log_t: tuple[float, float] = WARM
           ) -> dict[int, tuple[int, dict[str, float]]]:
     """``{roots: (solves, {phase: mean evaluations per solve})}``.
 
@@ -80,9 +87,9 @@ def count(games: int = GAMES, seed: int = SEED
     try:
         for owner, name, value in patches:
             setattr(owner, name, value)
-        for coeffs in batch(random.Random(seed), games):
+        for coeffs in batch(random.Random(seed), games, log_t):
             tally.clear()
-            roots = len(find_rest_points(coeffs))
+            roots = len(find_rest_points(coeffs, fd_check=False))
             solves[roots] += 1
             for name, calls in tally.items():
                 totals[roots][name] += calls
@@ -94,11 +101,16 @@ def count(games: int = GAMES, seed: int = SEED
 
 
 def main() -> int:
-    print(f"| solve | solves | {' | '.join(PHASES)} | total |")
-    print("| --- " * (len(PHASES) + 3) + "|")
-    for roots, (n, means) in count().items():
-        cells = " | ".join(f"{means[p]:.1f}" for p in PHASES)
-        print(f"| {roots}-root | {n} | {cells} | {sum(means.values()):.1f} |")
+    for name, log_t in (("warm", WARM), ("cold", COLD)):
+        lo, hi = (10.0 ** t for t in log_t)
+        print(f"{name}: tx, ty log-uniform on [{lo:g}, {hi:g}]\n")
+        print(f"| solve | solves | {' | '.join(PHASES)} | total |")
+        print("| --- " * (len(PHASES) + 3) + "|")
+        for roots, (n, means) in count(log_t=log_t).items():
+            cells = " | ".join(f"{means[p]:.1f}" for p in PHASES)
+            print(f"| {roots}-root | {n} | {cells} | "
+                  f"{sum(means.values()):.1f} |")
+        print()
     return 0
 
 
