@@ -19,10 +19,10 @@ since |dx/dt| <= |du/dt|/4 this also bounds the strategy-space velocity.
 
 Trajectories come from one in-house Dormand-Prince 5(4) stepper
 (:func:`_run_to_rest`; Hairer, Norsett & Wanner, *Solving ODEs I*,
-II.4-II.6) with scipy's RK45 error controller.  It runs on Python floats
-for one trajectory and on numpy rows sharing one step for a batch, and
-stops where the velocity norm crosses its target, located by bisection on
-the quartic dense output.  No scipy is imported at run time.
+II.4-II.6) with scipy's RK45 error controller.  It runs on Python floats,
+one trajectory at a time (a batch runs each start on its own), and stops
+where the velocity norm crosses its target, located by bisection on the
+quartic dense output.  No scipy is imported at run time.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -366,74 +366,45 @@ def _quartic(stages) -> list:
     return [sum(row[j] * k for row, k in zip(_P, stages)) for j in range(4)]
 
 
-class _Arith(NamedTuple):
-    """What the stepper needs beyond + and *: the logistic, the elementwise
-    max, and the max-norm and the sum of squares of one coordinate."""
-
-    sig: Callable
-    maximum: Callable
-    peak: Callable
-    sumsq: Callable
-
-
-#: one trajectory on Python floats
-_SCALAR = _Arith(sigmoid, max, abs, lambda e: e * e)
-#: numpy rows that share one step
-_ROWS = _Arith(sigmoid_array, np.maximum, lambda e: float(np.abs(e).max()),
-               lambda e: float(e @ e))
-
-
 @dataclass
 class _Run:
-    """Accepted rows (the start first) and the stepper's counts; without
-    ``history`` only the start and the latest row are kept."""
+    """Accepted points (t, u, v), the start first, and the stepper's
+    counts."""
 
-    times: list
-    us: list
-    vs: list
+    points: list
     reason: str
     nfev: int
     rejected: int = 0
-    history: bool = True
-
-    def keep(self, t, u, v) -> None:
-        if not self.history:
-            del self.times[1:], self.us[1:], self.vs[1:]
-        self.times.append(t)
-        self.us.append(u)
-        self.vs.append(v)
 
 
-def _run_to_rest(u, v, coeffs: ReducedCoefficients, cfg: IntegratorConfig,
-                 ops: _Arith, history: bool = True) -> _Run:
+def _run_to_rest(u: float, v: float, coeffs: ReducedCoefficients,
+                 cfg: IntegratorConfig) -> _Run:
     """The one ODE solve: Dormand-Prince 5(4) in logit coordinates from
     (u, v) until the logit speed reaches ``convergence_speed_tol`` or t
     reaches ``max_time``.
 
-    u and v are floats, or numpy rows stepped together.  The controller
-    is scipy's RK45: RMS error norm over every coordinate, step factor
-    0.9*err^(-1/5) clamped to [0.2, 10] and capped at 1 right after a
-    rejection, scipy's initial-step rule (HNW II.4), and a minimum step of
-    10 ulp(t) below which the run ends as ``step_failure``.  The speed is
-    checked after each accepted step; once it is at or below target, its
-    crossing is bisected on the quartic dense output and the last row is
-    placed there.
+    The controller is scipy's RK45: RMS error norm over both coordinates,
+    step factor 0.9*err^(-1/5) clamped to [0.2, 10] and capped at 1 right
+    after a rejection, scipy's initial-step rule (HNW II.4), and a minimum
+    step of 10 ulp(t) below which the run ends as ``step_failure``.  The
+    speed is checked after each accepted step; once it is at or below
+    target, its crossing is bisected on the quartic dense output and the
+    last point is placed there.
     """
-    sig, maximum, peak, sumsq = ops
     a, b, c, d = coeffs.a, coeffs.b, coeffs.c, coeffs.d
     tol, t_end = cfg.convergence_speed_tol, cfg.max_time
-    root_size = math.sqrt(2 * np.size(u))
+    root_size = math.sqrt(2)
 
     def flow(p, q):
-        return a * sig(q) + b - p, c * sig(p) + d - q
+        return a * sigmoid(q) + b - p, c * sigmoid(p) + d - q
 
     def speed(du, dv):
-        return max(peak(du), peak(dv)) - tol
+        return max(abs(du), abs(dv)) - tol
 
     def rms(p, q):
-        return math.sqrt(sumsq(p) + sumsq(q)) / root_size
+        return math.sqrt(p * p + q * q) / root_size
 
-    run = _Run([0.0], [u], [v], CONVERGED, nfev=1, history=history)
+    run = _Run([(0.0, u, v)], CONVERGED, nfev=1)
     fu, fv = flow(u, v)
     g = speed(fu, fv)
     if g <= 0.0:
@@ -487,8 +458,8 @@ def _run_to_rest(u, v, coeffs: ReducedCoefficients, cfg: IntegratorConfig,
                       + _E6 * ku6 + _E7 * ku7)
             ev = h * (_E1 * fv + _E3 * kv3 + _E4 * kv4 + _E5 * kv5
                       + _E6 * kv6 + _E7 * kv7)
-            err = rms(eu / (atol + maximum(abs(u), abs(u_new)) * rtol),
-                      ev / (atol + maximum(abs(v), abs(v_new)) * rtol))
+            err = rms(eu / (atol + max(abs(u), abs(u_new)) * rtol),
+                      ev / (atol + max(abs(v), abs(v_new)) * rtol))
             if err < 1.0:
                 factor = (_MAX_FACTOR if err == 0.0
                           else min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT))
@@ -511,9 +482,9 @@ def _run_to_rest(u, v, coeffs: ReducedCoefficients, cfg: IntegratorConfig,
 
             t_stop = bisect(lambda s: (speed(*flow(*dense(s))), None),
                             t, t_new, g, g_new)
-            run.keep(t_stop, *dense(t_stop))
+            run.points.append((t_stop, *dense(t_stop)))
             return run
-        run.keep(t_new, u_new, v_new)
+        run.points.append((t_new, u_new, v_new))
         if t_new >= t_end:
             run.reason = MAX_TIME
             return run
@@ -538,40 +509,39 @@ def integrate(start, coeffs: ReducedCoefficients,
     cfg = cfg or IntegratorConfig()
     x0, y0 = start
     _require_interior(x0, y0)
-    run = _run_to_rest(logit(x0), logit(y0), coeffs, cfg, _SCALAR)
+    run = _run_to_rest(logit(x0), logit(y0), coeffs, cfg)
+    times, us, vs = zip(*run.points)
     # the first sample is the start itself, the rest map back from logits
-    xs = _clamp(np.append(x0, sigmoid_array(np.array(run.us[1:]))))
-    ys = _clamp(np.append(y0, sigmoid_array(np.array(run.vs[1:]))))
-    return Trajectory(tuple(run.times), tuple(xs.tolist()),
-                      tuple(ys.tolist()), run.reason, run.nfev, run.rejected)
+    xs = _clamp(np.append(x0, sigmoid_array(np.array(us[1:]))))
+    ys = _clamp(np.append(y0, sigmoid_array(np.array(vs[1:]))))
+    return Trajectory(times, tuple(xs.tolist()), tuple(ys.tolist()),
+                      run.reason, run.nfev, run.rejected)
 
 
 def integrate_batch(starts, coeffs: ReducedCoefficients,
                     cfg: Optional[IntegratorConfig] = None
                     ) -> tuple[np.ndarray, str]:
-    """Integrate many starts as one stacked system (they share step control).
+    """Integrate each start on its own; keep only the endpoints.
 
-    The stepper of :func:`integrate` runs on the rows u, v of one (2, n)
-    logit array: one step size for all starts, set by the RMS error over
-    all 2n coordinates, and one stop, when *every* trajectory's logit
-    velocity is below tolerance (located on the dense output as in
-    :func:`integrate`).  Returns the (n, 2) array of final (x, y) points
-    and the shared terminal reason.  Meant for convergence studies where
-    only endpoints matter: only the start and the latest row are held.
+    Each start runs through :func:`integrate`, so its endpoint is
+    bit-equal to that run's ``final``: where this start's own logit speed
+    crossed its target, or where its run stopped.  Every start is checked
+    before any is run, and each run's samples are dropped once its
+    endpoint is read.  Returns the (n, 2) array of final (x, y) points and
+    one terminal reason: ``converged`` when every run converged, otherwise
+    the first other reason in start order.
     """
-    cfg = cfg or IntegratorConfig()
     pts = np.asarray(starts, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
         raise DomainError("starts must be an (n, 2) array with n >= 1")
     for x0, y0 in pts:
         _require_interior(x0, y0)
-    u, v = np.log(pts / (1.0 - pts)).T
-    run = _run_to_rest(u, v, coeffs, cfg, _ROWS, history=False)
-    if len(run.times) == 1:
-        return pts.copy(), run.reason
-    finals = np.column_stack([_clamp(sigmoid_array(run.us[-1])),
-                              _clamp(sigmoid_array(run.vs[-1]))])
-    return finals, run.reason
+    # a generator, so each run's samples go once its endpoint is read
+    runs = (integrate(start, coeffs, cfg) for start in pts.tolist())
+    finals, reasons = zip(*((tuple(run.final), run.terminal_reason)
+                            for run in runs))
+    return (np.array(finals),
+            next((r for r in reasons if r != CONVERGED), CONVERGED))
 
 
 @dataclass(frozen=True)

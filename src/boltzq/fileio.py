@@ -11,6 +11,7 @@ import json
 from typing import TYPE_CHECKING, Optional
 
 from .bifurcation import BifurcationDiagram, CriticalCurve
+from .errors import DomainError
 from .restpoints import RestPoint
 
 if TYPE_CHECKING:  # numpy-backed; only the trajectory and trace writers
@@ -29,10 +30,21 @@ def trajectory_csv(traj: Trajectory) -> str:
 
 
 def parse_trajectory_csv(text: str) -> list[tuple[float, float, float]]:
+    """The (t, x, y) rows of :func:`trajectory_csv`'s output; a missing
+    header, or a row that is not three floats, is a :class:`DomainError`
+    that names its line."""
     rows = text.strip().splitlines()
     if not rows or rows[0] != "t,x,y":
-        raise ValueError("not a trajectory CSV")
-    return [tuple(float(v) for v in line.split(",")) for line in rows[1:]]
+        raise DomainError("not a trajectory CSV: line 1 is not 't,x,y'")
+    parsed = []
+    for number, line in enumerate(rows[1:], start=2):
+        try:
+            t, x, y = (float(v) for v in line.split(","))
+        except ValueError:
+            raise DomainError(f"line {number} is not three floats: "
+                              f"{line!r}") from None
+        parsed.append((t, x, y))
+    return parsed
 
 
 def terminal_points_csv(starts, finals) -> str:

@@ -130,6 +130,16 @@ class TestSimulateCommand:
         assert code == 0
         assert len(fileio.parse_trajectory_csv(out.read_text())) == 1
 
+    @pytest.mark.parametrize("text,line", [
+        ("t,x,y\n1,2\n", 2),
+        ("t,x,y\n0,0.5,0.5\n1,2,3,4\n", 3),
+        ("t,x,y\n0,0.5,nope\n", 2),
+        ("x,y\n0,0.5\n", 1),
+    ])
+    def test_bad_trajectory_csv_names_the_line(self, text, line):
+        with pytest.raises(bq.DomainError, match=f"line {line} "):
+            fileio.parse_trajectory_csv(text)
+
     def test_multistart_terminals_identical(self, tmp_path, capsys):
         out = tmp_path / "terminals.csv"
         code, _, _ = run_cli(capsys, "simulate", "--fixture",

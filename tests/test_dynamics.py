@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import boltzq as bq
+from boltzq.numerics import sigmoid
 
 from test_cli import run_child
 
@@ -485,8 +486,9 @@ class TestBatchStarts:
             bq.integrate_batch(np.empty((0, 2)), mp_coeffs())
 
     def test_memory_does_not_grow_with_the_step_count(self):
-        # matching pennies at T = 0.05 takes thousands of shared steps; a
-        # copy of every (2, 500) row would add about 40 MB of peak RSS
+        # matching pennies at T = 0.05 takes thousands of steps per start;
+        # each start's samples are dropped once its endpoint is read, so
+        # keeping all 500 runs' samples would add far more than 10 MB
         code, out, err = run_child("-c", """
 import resource
 import numpy as np
@@ -566,16 +568,39 @@ class TestAgainstScipyRK45:
         assert reason == "converged"
         for start, final in zip(starts, finals):
             single = bq.integrate(tuple(start), co).final
-            if np.max(np.abs(final - tuple(single))) <= 1e-10:
-                continue
-            # the two may part only from a start on a basin boundary (the
-            # saddle's stable manifold), where rounding picks the side:
-            # there, starts nudged by 1e-6 reach different rest points
-            ends = {tuple(np.round(tuple(bq.integrate(
-                        (start[0] + dx, start[1] + dy), co).final), 6))
-                    for dx, dy in ((1e-6, 0), (-1e-6, 0), (0, 1e-6),
-                                   (0, -1e-6))}
-            assert len(ends) > 1, (start, final, single)
+            assert tuple(final.tolist()) == tuple(single), (start, final)
+
+    def test_battle_coordination_separatrix_starts_end_at_the_saddle(self):
+        # (1/3, 2/3) and (2/3, 1/3) lie on the saddle's stable manifold at
+        # T = 0.5, so each ends at the saddle, not at a node; at T = 0.05,
+        # (2/3, 1/3) lies in the basin of (0, 0)
+        game = bq.fixture("battle_coordination")
+        co = bq.reduce_payoffs(game, bq.Temperatures(0.5, 0.5))
+        saddle, = (p for p in bq.find_rest_points(co)
+                   if p.stability.startswith("saddle"))
+        finals, _ = bq.integrate_batch(PORTRAIT_STARTS, co)
+        for final in finals[1:3]:
+            assert np.max(np.abs(final - (saddle.x, saddle.y))) < 1e-6
+        co = bq.reduce_payoffs(game, bq.Temperatures(0.05, 0.05))
+        finals, _ = bq.integrate_batch(PORTRAIT_STARTS, co)
+        assert np.max(finals[2]) < 1e-6
+
+    def test_batch_reason_is_the_first_that_did_not_converge(self):
+        co = mp_coeffs(0.05)
+        cfg = bq.IntegratorConfig(max_time=0.75)
+        assert bq.integrate((0.5, 0.5), co, cfg).terminal_reason == "converged"
+        _, reason = bq.integrate_batch([(0.5, 0.5), (0.9, 0.1)], co, cfg)
+        assert reason == "max_time"
+
+    def test_batch_at_rest_returns_the_starts_clamped(self):
+        # a start already at rest is its own endpoint, clamped to
+        # [1e-12, 1 - 1e-12] as integrate clamps it
+        co = bq.ReducedCoefficients.from_values(0.0, -40.0, 0.0, 0.0)
+        start = (sigmoid(-40.0), 0.5)
+        finals, reason = bq.integrate_batch([start], co)
+        assert reason == "converged"
+        assert finals.tolist() == [[1e-12, 0.5]]
+        assert tuple(bq.integrate(start, co).final) == (1e-12, 0.5)
 
     def test_short_horizon_ends_at_max_time(self):
         co = mp_coeffs(0.05)
@@ -634,7 +659,6 @@ class TestTelemetry:
 class TestSigmoidArray:
     def test_matches_scalar_sigmoid(self):
         from boltzq.dynamics import sigmoid_array
-        from boltzq.numerics import sigmoid
         z = np.concatenate([np.linspace(-745.0, 745.0, 20001),
                             [-0.0, 0.0, 1e-300, -1e-300, 36.7, -36.7]])
         np.testing.assert_array_max_ulp(
