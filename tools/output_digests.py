@@ -29,7 +29,7 @@ from boltzq import (BoltzqError, Game, Temperatures, classify_pitchfork,
                     classify_region, critical_curve,
                     equal_temperature_criticals, find_rest_points,
                     intercept_extrema, nash_equilibria, reduce_payoffs, risk_dominant_profile,
-                    solve_symmetric)
+                    solve_symmetric, zero_exploration_window)
 from boltzq.cli import main
 from boltzq.fixtures import FIXTURES
 from boltzq.numerics import geomspace
@@ -181,6 +181,48 @@ def _edge_ratio_calls():
     return call
 
 
+#: the tails of the anti-coordination families, 1e-10 down to 1e-300
+_ANTI_TAILS = _EDGE_TAILS[1:]
+
+
+def _anti_games() -> list[Game]:
+    """For each tail e, the anti-coordination games (raw_a, raw_c < 0)
+    with X's payoffs [[0, 90], [10, 0]], [[0, -10], [110, 0]] or
+    [[0, 150], [-50, 0]] (b/a = -0.9, 0.1 or -1.5) against Y's [[e, e],
+    [1, 0]], [[-e, -e], [1, 0]] or [[0, 1 - e], [e, 0]] (d/c = -e, e or
+    -1 + e), and each of them with the players swapped, so that b/a
+    takes those values instead."""
+    xs = ([[0.0, 90.0], [10.0, 0.0]], [[0.0, -10.0], [110.0, 0.0]],
+          [[0.0, 150.0], [-50.0, 0.0]])
+    games = []
+    for e in _ANTI_TAILS:
+        for a in xs:
+            for b in ([[e, e], [1.0, 0.0]], [[-e, -e], [1.0, 0.0]],
+                      [[0.0, 1.0 - e], [e, 0.0]]):
+                games += [Game.from_matrices("anti", a, b),
+                          Game.from_matrices("anti", b, a)]
+    return games
+
+
+def _anti_calls(driver):
+    """One ``driver`` call at a time on each of :func:`_anti_games`."""
+    games = iter(_anti_games())
+    return lambda rng: driver(next(games))
+
+
+def _anti_windows():
+    """One ``zero_exploration_window(b/a, d/c, 1.0)`` call at a time, for
+    each tail e: d/c = -1 + e with b/a = 0.1, d/c = -e with b/a = -1.5,
+    and b/a = e or -1 - e with d/c = -0.8 and -0.2."""
+    calls = iter([(beta, ratio) for e in _ANTI_TAILS
+                  for beta, ratio in ((0.1, -1.0 + e), (-1.5, -e),
+                                      (e, -0.8), (-1.0 - e, -0.2))])
+
+    def call(rng: random.Random):
+        return zero_exploration_window(*next(calls), 1.0)
+    return call
+
+
 def batches():
     """``(name, seed, calls, call)`` of every library batch."""
     return [
@@ -202,6 +244,16 @@ def batches():
         ("region, criticals, pitchfork and intercept extrema at ratios "
          "within 1e-5 .. 1e-300 of 0 and -1", 0, 5 * len(_EDGE_TAILS),
          _edge_ratio_calls()),
+        ("critical_curve on anti-coordination games with d/c or b/a within "
+         "1e-10 .. 1e-300 of 0 or -1, ty on geomspace(1e-20, 1, 11)", 0,
+         len(_anti_games()),
+         _anti_calls(lambda g: critical_curve(g, geomspace(1e-20, 1.0, 11)))),
+        ("classify_region on anti-coordination games with d/c or b/a within "
+         "1e-10 .. 1e-300 of 0 or -1", 0, len(_anti_games()),
+         _anti_calls(lambda g: classify_region(
+             reduce_payoffs(g, Temperatures(1.0, 1.0))))),
+        ("zero_exploration_window at ratios within 1e-10 .. 1e-300 of 0 "
+         "and -1", 0, 4 * len(_ANTI_TAILS), _anti_windows()),
     ]
 
 
