@@ -20,16 +20,18 @@ At a fixed ty (the critical curve) a tangency is where the intercept
 ``delta(u) = g(u) - g'(u)*u`` of the tangent touching g at u equals -b/a,
 at ``tx = raw_a*g'(u)``; delta is stationary only at u = 0 and at g's
 inflection.  It is solved in Y's logit v = (raw_d + raw_c*sigma(u))/ty,
-which rises with u: with p = ty*v, ``raw_c*sigma(u) = p - raw_d`` and
+which is monotone in u: with p = ty*v, ``raw_c*sigma(u) = p - raw_d`` and
 ``raw_c*sigma(-u) = raw_c + raw_d - p``, so u and ``g' = (raw_c/ty)*
 sigma'(u)*sigma'(v)`` are products with no cancellation at any ty (the
 v-side methods of :class:`restpoints.GFunction`, which every driver here
-reads instead of forming g itself).  One
+reads instead of forming g itself).  Each game is read in the frame it is
+given, for either common sign of raw_a and raw_c: relabelling actions
+would leave every window unchanged, so no driver does it.  One
 rest point exists above the top tangency and each one flips the count
 between 1 and 3, so the windows in tx are the tangency pairs counted down
-from the top, plus (0, t_1) when the count is odd: exactly when -b/a
-(raw_a > 0) lies between g's tails sigma(raw_d/ty) and sigma((raw_c +
-raw_d)/ty), the level the line flattens to as tx -> 0.  A bounded window
+from the top, plus (0, t_1) when the count is odd: exactly when -b/a lies
+between g's tails sigma(raw_d/ty) and sigma((raw_c + raw_d)/ty), the
+level the line flattens to as tx -> 0.  A bounded window
 closes where its touching points merge at the inflection, solved by the
 same Newton step in ty: delta' = -u*g'' vanishes there, so the slope of
 the merge gap is again the partial one at fixed u.
@@ -43,8 +45,8 @@ from typing import Optional
 
 from .errors import DomainError, NotApplicableError, NumericFailureError
 from .games import (Game, GameRegionLabel, ReducedCoefficients, Temperatures,
-                    _raw_coefficients, _require_temperature, _same_sign,
-                    classify_region, reduce_payoffs)
+                    _require_temperature, _same_sign, classify_region,
+                    reduce_payoffs)
 from .numerics import _close, bisect, geomspace, sigmoid, sigmoid_slope
 from .restpoints import (_LOGISTIC, _SATURATION, GFunction, RestPoint,
                          _extrema, _is_double_root, _peak, find_rest_points)
@@ -118,36 +120,37 @@ def _lowest_intercept(top: float) -> tuple[float, float, float]:
 def intercept_extrema(raw_c: float, raw_d: float) -> InterceptProfile:
     """The tangent-intercept range of g over every u and ty > 0, exact
     (:func:`_lowest_intercept`); above ratio 0 by the mirror
-    ``delta_max(r) = 1 - delta_min(-1-r)``, at (ty, -u).  The sign of
-    ``raw_c`` is normalized away by relabeling actions (ratio -> -1-ratio),
-    which leaves the intercept geometry unchanged.  The side of -1 is
-    decided on the tail ratio + 1, which the relabelling gives exactly as
-    -d/c: -1 - d/c rounds to -1.0 for 0 < d/c < 2^-53."""
+    ``delta_max(r) = 1 - delta_min(-1-r)``, at (ty, -u).  Relabelling X's
+    actions (raw_c -> -raw_c, ratio -> -1 - ratio) leaves the intercept
+    geometry unchanged, so the profile is stated for raw_c > 0, but every
+    case is decided on the given d/c, in whose terms the relabelling only
+    exchanges the ranges [-1, -1/2) and (-1/2, 0] and the sides r < -1 and
+    r > 0.  The bound is solved from the tail of the side's edge, 1 + d/c
+    below -1 and -d/c above 0, which -1 - d/c would round away next to 0.
+    ``ratio`` reports d/c in the raw_c > 0 frame."""
     if raw_c == 0.0:
         raise NotApplicableError("intercept profile needs c != 0")
     ratio = raw_d / raw_c
-    if raw_c < 0.0:
-        raw_c, ratio, tail = -raw_c, -1.0 - ratio, -ratio
-    else:
-        tail = 1.0 + ratio
     if not (math.isfinite(raw_c) and math.isfinite(ratio)):
         raise DomainError(f"intercept profile needs finite c and d/c, got "
                           f"c = {raw_c}, d/c = {ratio}")
 
     extreme_at = None
-    min_unbounded = tail >= 0.0 and ratio < -0.5
-    max_unbounded = -0.5 < ratio <= 0.0
+    inner = (-1.0 <= ratio < -0.5, -0.5 < ratio <= 0.0)
+    min_unbounded, max_unbounded = inner[::-1] if raw_c < 0.0 else inner
     if ratio == -0.5:
         delta_min, delta_max = 0.0, 1.0
     elif min_unbounded:
         delta_min, delta_max = None, 1.0
     elif max_unbounded:
         delta_min, delta_max = 0.0, None
-    else:  # ratio < -1, or its mirror ratio > 0
-        low, ty, u = _lowest_intercept(-ratio if ratio > 0.0 else tail)
-        delta_min, delta_max = (0.5, 1.0 - low) if ratio > 0.0 else (low, 0.5)
-        extreme_at = (raw_c * ty, -u if ratio > 0.0 else u)
-    return InterceptProfile(ratio=ratio, extreme_at=extreme_at,
+    else:  # ratio < -1 or > 0: the mirror where the side matches raw_c's
+        low, ty, u = _lowest_intercept(1.0 + ratio if ratio < -1.0 else -ratio)
+        mirror = (ratio > 0.0) == (raw_c > 0.0)
+        delta_min, delta_max = (0.5, 1.0 - low) if mirror else (low, 0.5)
+        extreme_at = (abs(raw_c) * ty, -u if mirror else u)
+    return InterceptProfile(ratio=ratio if raw_c > 0.0 else -1.0 - ratio,
+                            extreme_at=extreme_at,
                             delta_min=delta_min, delta_max=delta_max,
                             min_unbounded=min_unbounded,
                             max_unbounded=max_unbounded)
@@ -173,20 +176,6 @@ class CriticalCurve:
     orientation: str  # "tx_window_vs_ty" or "ty_window_vs_tx"
     samples: list[tuple[float, Optional[float], Optional[float]]]
     closing_temperature: Optional[float]
-
-
-def _normalized_base(game: Game) -> ReducedCoefficients:
-    """The game's raw coefficients (at tx = ty = 1), relabelled so raw_a > 0."""
-    raw_a, raw_b, raw_c, raw_d = _raw_coefficients(game)
-    if not _same_sign(raw_a, raw_c):
-        raise NotApplicableError("critical windows require a*c > 0 "
-                                 "(otherwise the rest point is always unique)")
-    if raw_a < 0.0:
-        # Relabel both players' view of X's actions: x -> 1-x flips the
-        # slopes' signs and leaves every temperature window unchanged.
-        raw_a, raw_b = -raw_a, -raw_b
-        raw_c, raw_d = -raw_c, raw_c + raw_d
-    return ReducedCoefficients(raw_a, raw_b, raw_c, raw_d, 1.0, 1.0)
 
 
 def _window_ends(base: ReducedCoefficients, curve: GFunction) -> list[float]:
@@ -218,7 +207,9 @@ def critical_curve(game: Game, fixed_values,
     with a bounded window and the next without, that equation is solved
     by Newton in ty (its slope is the one at fixed u, as delta'(u0) = 0)
     to the last float on the window's side: the closing temperature, or
-    ``None`` if its sign does not change there.
+    ``None`` if its sign does not change there.  The game is read in its
+    own frame: a, c < 0 needs no relabelling, since tx = raw_a*g' > 0
+    and the intercepts and the level -b/a are the same in either frame.
     """
     if orientation == "ty_window_vs_tx":
         swapped = Game(game.name + "_swapped", game.payoff_y, game.payoff_x)
@@ -227,7 +218,10 @@ def critical_curve(game: Game, fixed_values,
     if orientation != "tx_window_vs_ty":
         raise DomainError(f"unknown orientation {orientation!r}")
 
-    base = _normalized_base(game)
+    base = reduce_payoffs(game, Temperatures.equal(1.0))
+    if not _same_sign(base.raw_a, base.raw_c):
+        raise NotApplicableError("critical windows require a*c > 0 "
+                                 "(otherwise the rest point is always unique)")
     samples: list[tuple[float, Optional[float], Optional[float]]] = []
     for ty in fixed_values:
         # a float ty > 0 that keeps raw/ty finite, else DomainError
@@ -270,8 +264,10 @@ def zero_exploration_window(b_over_a: float, d_over_c: float,
         tx_hi = (raw_a / u_step) * (b/a + 1)
 
     Applicable for b/a > 0 with -1 < d/c < -1/2, or the mirrored region
-    b/a < -1 with -1/2 < d/c < 0 (handled by relabeling both players'
-    actions, which maps ratios r -> -1 - r and keeps raw_a).
+    b/a < -1 with -1/2 < d/c < 0.  The mirror is decided on the given d/c
+    and relabels both players' actions (ratios r -> -1 - r, raw_a kept),
+    read off the given ratios: ``u_step = ln((1 + d/c)/(-d/c))`` and the
+    levels -1 - b/a and -b/a, so no tail of d/c is lost next to 0.
     """
     if not all(map(math.isfinite, (b_over_a, d_over_c, raw_a))):
         raise DomainError(f"zero-noise window needs finite b/a, d/c and "
@@ -279,14 +275,15 @@ def zero_exploration_window(b_over_a: float, d_over_c: float,
     if raw_a <= 0.0:
         raise NotApplicableError("raw slope must be positive; relabel first")
     beta, ratio = b_over_a, d_over_c
-    if beta < -1.0 and -0.5 < ratio < 0.0:
-        beta, ratio = -1.0 - beta, -1.0 - ratio
-    if not (beta > 0.0 and -1.0 < ratio < -0.5):
+    if beta > 0.0 and -1.0 < ratio < -0.5:
+        u_step, levels = math.log(-ratio / (1.0 + ratio)), (beta, beta + 1.0)
+    elif beta < -1.0 and -0.5 < ratio < 0.0:
+        u_step, levels = math.log((1.0 + ratio) / -ratio), (-1.0 - beta, -beta)
+    else:
         raise NotApplicableError(
             f"zero-noise window formulas need b/a > 0 and d/c in (-1, -1/2) "
             f"(or the mirror); got b/a={b_over_a}, d/c={d_over_c}")
-    u_step = math.log(-ratio / (1.0 + ratio))
-    return u_step, (raw_a / u_step) * beta, (raw_a / u_step) * (beta + 1.0)
+    return u_step, (raw_a / u_step) * levels[0], (raw_a / u_step) * levels[1]
 
 
 def locate_cusp() -> tuple[float, float]:

@@ -403,18 +403,27 @@ class GameRegion:
     triple_possible: Optional[bool] = None
 
 
+def _band(ratio: float) -> int:
+    """The band of the region map that holds a ratio: 0 for ratio >= 0,
+    1 for (-1/2, 0), 2 for -1/2, 3 for (-1, -1/2) and 4 for ratio <= -1.
+    Relabelling a player's actions, ratio -> -1 - ratio, reverses the
+    bands (4 - band), so it is decided without forming -1 - ratio."""
+    return (ratio < 0.0) + (ratio <= -0.5) + (ratio < -0.5) + (ratio <= -1.0)
+
+
 def classify_region(coeffs: ReducedCoefficients) -> GameRegion:
     """Classify how many interior rest points a game can exhibit across all
     positive exploration-rate pairs.
 
     The map lives on the temperature-free ratios (beta, delta) =
-    (b/a, d/c).  With opposite advantage slopes (ac < 0) the rest point is
-    always unique.  Otherwise the game is first normalized to an a, c > 0
-    frame by relabeling both players' X-side actions, which keeps beta and
-    sends delta to -1 - delta; in that frame:
+    (b/a, d/c), read by their bands (:func:`_band`).  With opposite
+    advantage slopes (ac < 0) the rest point is always unique.  The map
+    is stated for a, c > 0; with a, c < 0, relabelling X's actions keeps
+    beta and sends delta to -1 - delta, which reverses delta's band.  In
+    the a, c > 0 bands:
 
     * both ratios in (-1, 0): three Nash equilibria, triple rest points
-      possible (coordination, and anti-coordination before normalization);
+      possible (coordination, and anti-coordination before relabelling);
     * the four stripes ``beta >= 0, delta in (-1,-1/2)``,
       ``beta <= -1, delta in (-1/2,0)``, ``delta >= 0, beta in (-1,-1/2)``,
       ``delta <= -1, beta in (-1/2,0)``: single NE but triples occur for a
@@ -424,7 +433,8 @@ def classify_region(coeffs: ReducedCoefficients) -> GameRegion:
       region's edge has no closed form; the boundary value of -b/a is the
       lowest tangent intercept of the response curve over every ty > 0,
       read off the second of two bisections
-      (:func:`boltzq.bifurcation.corner_boundary`) and attached;
+      (:func:`boltzq.bifurcation.intercept_extrema`, exact in either sign
+      of raw_c) and attached;
     * everywhere else: a single rest point for all temperatures.
 
     Ratio values exactly on stripe edges are classified with the adjacent
@@ -444,42 +454,39 @@ def classify_region(coeffs: ReducedCoefficients) -> GameRegion:
 
     anti = coeffs.raw_a < 0.0
     beta, ratio = coeffs.b_over_a, coeffs.d_over_c
-    delta = -1.0 - ratio if anti else ratio  # a, c > 0
+    p = _band(beta)
+    q = 4 - _band(ratio) if anti else _band(ratio)  # relabel X if a, c < 0
     frame = " (anti-coordination sign frame)" if anti else ""
 
-    # the box is the same in both frames; -1 - d/c would round to -1.0
-    # for |d/c| < 2^-53
-    if -1.0 < beta < 0.0 and -1.0 < ratio < 0.0:
+    if 0 < p < 4 and 0 < q < 4:
         return GameRegion(
             GameRegionLabel.MULTI_NE_TRIPLE_POSSIBLE,
             "both ratios inside the open unit box: three Nash equilibria; "
             "up to three rest points at low exploration" + frame)
 
-    if any((p >= 0.0 and -1.0 < q < -0.5) or (p <= -1.0 and -0.5 < q < 0.0)
-           for p, q in ((beta, delta), (delta, beta))):  # and mirrored
+    if (p, q) in ((0, 3), (4, 1), (3, 0), (1, 4)):
         return GameRegion(
             GameRegionLabel.SINGLE_NE_TRIPLE_POSSIBLE,
             "single Nash equilibrium, but a temperature window with three "
             "rest points exists" + frame)
 
-    mirrored = beta <= -1.0 and delta >= 0.0
-    if mirrored:  # players exchange roles
-        beta, delta = delta, beta
-    if beta >= 0.0 and delta <= -1.0:
-        from .bifurcation import _lowest_intercept, corner_boundary
-        # the lowest reachable tangent intercept; where delta = -1 - d/c,
-        # from its tail -d/c, which the rounded delta can lose
-        bound = (_lowest_intercept(-ratio)[0]
-                 if anti and not mirrored and 0.0 < ratio < math.inf
-                 else corner_boundary(delta))
+    if {p, q} == {0, 4}:
+        from .bifurcation import intercept_extrema
+        if p == 0:  # Y's curve against X's level -b/a
+            low, level = intercept_extrema(coeffs.raw_c, coeffs.raw_d), -beta
+        else:  # players exchange roles: X's curve, b/a in either frame,
+            # against Y's level, -d/c relabelled if need be
+            low = intercept_extrema(1.0, beta)
+            level = 1.0 + ratio if anti else -ratio
+        bound = -math.inf if low.delta_min is None else low.delta_min
         return GameRegion(
             GameRegionLabel.NUMERIC_BOUNDARY,
             ("mirrored corner quadrant (players exchange roles): numeric "
-             "tangent-intercept bound applies to -d/c" if mirrored else
+             "tangent-intercept bound applies to -d/c" if p == 4 else
              "corner quadrant: triple rest points need both exploration "
              "rates strictly positive and occur only while -b/a stays above "
              "the numeric tangent-intercept bound") + frame,
-            boundary=bound, triple_possible=bool(bound < -beta))
+            boundary=bound, triple_possible=bool(bound < level))
 
     return GameRegion(
         GameRegionLabel.SINGLE_REST_POINT_ONLY,

@@ -75,8 +75,9 @@ class GFunction:
     :meth:`inflection` for the root kernel, and the v-Newton of
     :meth:`_inflection_v` for the critical curve, since at small ty u
     cannot resolve v (v moves by raw_c/ty across sigma's range).  The
-    v-side methods (:meth:`_touch`, :meth:`_bend`, :meth:`_knots`) assume
-    raw_c > 0, as for a normalized base.
+    v-side methods (:meth:`_touch`, :meth:`_bend`, :meth:`_knots`) take
+    raw_c of either sign: v falls with u where raw_c < 0, and both tails
+    then share raw_c's sign.
     """
 
     #: the largest slope_shape, sigma'(v)*sigma'(u) <= 1/4 * 1/4
@@ -175,9 +176,12 @@ class GFunction:
 
     def _tails(self, v: float) -> tuple[float, float]:
         """``(raw_c*sigma(u), raw_c*sigma(-u))`` at Y's logit v, as ``p -
-        raw_d`` and ``raw_c + raw_d - p``, clipped at 0 past v's range."""
-        p = self.ty * v
-        return max(p - self.raw_d, 0.0), max(self._top - p, 0.0)
+        raw_d`` and ``raw_c + raw_d - p``, clipped at 0 past v's range
+        (toward 0 on raw_c's side: ``max(s*x, 0)*s`` with s = +-1 is
+        exact)."""
+        p, s = self.ty * v, 1.0 if self.raw_c > 0.0 else -1.0
+        return (max(s * (p - self.raw_d), 0.0) * s,
+                max(s * (self._top - p), 0.0) * s)
 
     def _touch(self, v: float) -> tuple[float, float, float]:
         """``(delta, g', d delta/d ty)`` where the tangent touches g at Y's
@@ -195,8 +199,8 @@ class GFunction:
         if slope == 0.0:
             return sig, 0.0, dsig
         ratio = lo / hi  # e^u, exactly unchanged when the payoffs and ty scale
-        u = math.log(ratio) if 0.0 < ratio < math.inf else (math.log(lo)
-                                                            - math.log(hi))
+        u = math.log(ratio) if 0.0 < ratio < math.inf else (
+            math.log(abs(lo)) - math.log(abs(hi)))
         return (sig - u * slope, slope,
                 dsig + u * slope * (1.0 + (1.0 - 2.0 * sig) * v) / self.ty)
 
@@ -212,17 +216,17 @@ class GFunction:
                 - 0.5 * (1.0 - th * th) * spread)
 
     def _inflection_v(self, v_lo: float, v_hi: float) -> float:
-        """Y's logit at g's inflection within [v_lo, v_hi]: g''/g' falls
-        through zero once, so the bracketed Newton of
-        :func:`numerics._refine_root` finds it; an end already past the
-        sign change is where the clipped zero sits.  Both terms of g''/g'
-        are at most 1 in size at the zero, so it is solved to a few ulps
-        of 1."""
+        """Y's logit at g's inflection between v_lo and v_hi, its values at
+        u -> -inf and +inf: g''/g' falls through zero once as u rises, so
+        the bracketed Newton of :func:`numerics._refine_root` finds it on
+        the bracket in v's order; an end already past the sign change is
+        where the clipped zero sits.  Both terms of g''/g' are at most 1 in
+        size at the zero, so it is solved to a few ulps of 1."""
         (b_lo, _), (b_hi, _) = self._bend(v_lo), self._bend(v_hi)
         if b_lo <= 0.0 or b_hi >= 0.0:
             return v_lo if b_lo <= 0.0 else v_hi
-        return _refine_root(self._bend, v_lo, v_hi, b_lo, b_hi,
-                            4.0 * math.ulp(1.0))
+        (v0, b0), (v1, b1) = sorted(((v_lo, b_lo), (v_hi, b_hi)))
+        return _refine_root(self._bend, v0, v1, b0, b1, 4.0 * math.ulp(1.0))
 
     def _knots(self) -> list[float]:
         """Y's logit at the ends of its range, at u = 0 and at g's

@@ -46,6 +46,13 @@ class TestInterceptExtrema:
         assert profile.ratio == pytest.approx(-0.7)
         assert profile.min_unbounded
 
+    def test_negative_c_side_of_minus_half_is_the_given_ratios(self):
+        # relabelled, d/c = -1/2 + 2**-54 is -1/2 - 2**-54, which rounds to
+        # -1/2; the case is decided on d/c itself
+        profile = bq.intercept_extrema(-1.0, 0.5 - 2.0 ** -54)
+        assert profile.ratio == -0.5
+        assert profile.min_unbounded and profile.delta_min is None
+
     def test_sampled_intercepts_are_true_tangent_intercepts(self, rng):
         for _ in range(50):
             c = rng.uniform(0.5, 20)
@@ -85,6 +92,19 @@ class TestZeroExplorationWindow:
     def test_boundary_ratio_rejected(self):
         with pytest.raises(bq.NotApplicableError):
             bq.zero_exploration_window(0.1, -0.5, 10.0)
+
+    @pytest.mark.parametrize("ratio", [-1e-17, -1e-10, -1e-300])
+    def test_mirror_keeps_the_tail_of_the_ratio(self, ratio):
+        # the mirror is decided on d/c itself: -1 - d/c would round to
+        # -1.0, or lose d/c's digits, next to d/c = 0
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            r = mpmath.mpf(ratio)
+            u_step = mpmath.log((1 + r) / -r)
+            exact = [float(v) for v in (u_step, 0.5 / u_step, 1.5 / u_step)]
+        got = bq.zero_exploration_window(-1.5, ratio, 1.0)
+        for value, ref in zip(got, exact):
+            assert abs(value - ref) <= 1e-15 * ref
 
     def test_outside_region_rejected(self):
         with pytest.raises(bq.NotApplicableError):
@@ -162,6 +182,41 @@ class TestCriticalCurve:
     def test_opposed_slopes_not_applicable(self):
         with pytest.raises(bq.NotApplicableError):
             bq.critical_curve(bq.fixture("matching_pennies"), [0.5])
+
+    @pytest.mark.parametrize("ty", [1e-20, 1e-18])
+    def test_anti_coordination_window_at_a_tiny_ratio(self, ty):
+        # d/c = -1e-17 with raw_a, raw_c < 0: relabelled, Y's tail raw_c +
+        # raw_d would round to -1.0 and the window would be lost; read in
+        # the game's own frame, it matches a count scan on 10**(k/200)
+        game = bq.Game.from_matrices("anti", [[0.0, 90.0], [10.0, 0.0]],
+                                     [[1e-17, 1e-17], [1.0, 0.0]])
+        windows = [(lo, hi) for _, lo, hi in bq.critical_curve(game, [ty]).samples
+                   if lo is not None]
+        assert windows
+        co = bq.reduce_payoffs(game, bq.Temperatures(1.0, ty))
+        for k in range(-2400, 201):  # tx from 1e-12 to 10
+            tx = 10.0 ** (k / 200)
+            if any(abs(tx - end) < 1e-9 * tx for w in windows for end in w):
+                continue
+            three = bq.count_rest_points(co.at_temperatures(tx, ty)) == 3
+            assert three == any(lo < tx < hi for lo, hi in windows), tx
+
+    @pytest.mark.parametrize("name", ["hawk_dove", "battle_coordination",
+                                      "dominant_coordination", "stag_hunt"])
+    def test_relabelling_x_keeps_the_windows(self, name):
+        # x -> 1 - x flips both slopes' signs and leaves every window as
+        # it was, so either frame gives the same ends to rounding
+        game = bq.fixture(name)
+        A, B = game.payoff_x.entries, game.payoff_y.entries
+        twin = bq.Game.from_matrices("x", A[::-1], [row[::-1] for row in B])
+        grid = [1e-12, 1e-3, 0.05, 0.3, 1.0]
+        direct = bq.critical_curve(game, grid).samples
+        relabelled = bq.critical_curve(twin, grid).samples
+        assert [row[1] is None for row in direct] == [
+            row[1] is None for row in relabelled]
+        for row, other in zip(direct, relabelled):
+            if row[1] is not None:
+                assert other == pytest.approx(row, rel=1e-12)
 
 
 class TestSweep:
