@@ -45,8 +45,8 @@ from typing import Optional
 
 from .errors import DomainError, NotApplicableError, NumericFailureError
 from .games import (Game, GameRegionLabel, ReducedCoefficients, Temperatures,
-                    _require_temperature, _same_sign, classify_region,
-                    reduce_payoffs)
+                    _as_float, _require_temperature, _same_sign,
+                    classify_region, reduce_payoffs)
 from .numerics import _close, bisect, geomspace, sigmoid, sigmoid_slope
 from .restpoints import (_LOGISTIC, _SATURATION, GFunction, RestPoint,
                          _extrema, _is_double_root, _peak, find_rest_points)
@@ -128,6 +128,7 @@ def intercept_extrema(raw_c: float, raw_d: float) -> InterceptProfile:
     r > 0.  The bound is solved from the tail of the side's edge, 1 + d/c
     below -1 and -d/c above 0, which -1 - d/c would round away next to 0.
     ``ratio`` reports d/c in the raw_c > 0 frame."""
+    raw_c, raw_d = _as_float(raw_c, "raw_c"), _as_float(raw_d, "raw_d")
     if raw_c == 0.0:
         raise NotApplicableError("intercept profile needs c != 0")
     ratio = raw_d / raw_c
@@ -198,6 +199,7 @@ def critical_curve(game: Game, fixed_values,
                    orientation: str = "tx_window_vs_ty") -> CriticalCurve:
     """Trace the three-rest-point temperature windows across a grid.
 
+    The grid is an iterable of temperatures (else :class:`DomainError`).
     For ``tx_window_vs_ty`` each grid value fixes ty (a temperature that
     keeps ``raw/ty`` finite, else :class:`DomainError`), and the windows in
     tx follow from the tangencies by parity (module docstring).  Two
@@ -211,6 +213,11 @@ def critical_curve(game: Game, fixed_values,
     own frame: a, c < 0 needs no relabelling, since tx = raw_a*g' > 0
     and the intercepts and the level -b/a are the same in either frame.
     """
+    try:
+        fixed_values = list(fixed_values)
+    except TypeError as exc:
+        raise DomainError(f"fixed temperatures must be a sequence, got "
+                          f"{fixed_values!r}") from exc
     if orientation == "ty_window_vs_tx":
         swapped = Game(game.name + "_swapped", game.payoff_y, game.payoff_x)
         return replace(critical_curve(swapped, fixed_values),
@@ -264,17 +271,20 @@ def zero_exploration_window(b_over_a: float, d_over_c: float,
         tx_hi = (raw_a / u_step) * (b/a + 1)
 
     Applicable for b/a > 0 with -1 < d/c < -1/2, or the mirrored region
-    b/a < -1 with -1/2 < d/c < 0.  The mirror is decided on the given d/c
-    and relabels both players' actions (ratios r -> -1 - r, raw_a kept),
-    read off the given ratios: ``u_step = ln((1 + d/c)/(-d/c))`` and the
-    levels -1 - b/a and -b/a, so no tail of d/c is lost next to 0.
+    b/a < -1 with -1/2 < d/c < 0, the image of the first under relabelling
+    both players' actions (ratios r -> -1 - r, raw_a kept).  The mirror is
+    decided on the given ratios and read off them, ``u_step = ln((1 +
+    d/c)/(-d/c))`` with the levels -1 - b/a and -b/a, so no tail of d/c is
+    lost next to 0.  Non-numbers and non-finite values raise
+    :class:`DomainError`.
     """
-    if not all(map(math.isfinite, (b_over_a, d_over_c, raw_a))):
+    beta, ratio, raw_a = (_as_float(v, name) for v, name in (
+        (b_over_a, "b/a"), (d_over_c, "d/c"), (raw_a, "raw slope")))
+    if not all(map(math.isfinite, (beta, ratio, raw_a))):
         raise DomainError(f"zero-noise window needs finite b/a, d/c and "
-                          f"raw slope, got {b_over_a}, {d_over_c}, {raw_a}")
+                          f"raw slope, got {beta}, {ratio}, {raw_a}")
     if raw_a <= 0.0:
         raise NotApplicableError("raw slope must be positive; relabel first")
-    beta, ratio = b_over_a, d_over_c
     if beta > 0.0 and -1.0 < ratio < -0.5:
         u_step, levels = math.log(-ratio / (1.0 + ratio)), (beta, beta + 1.0)
     elif beta < -1.0 and -0.5 < ratio < 0.0:

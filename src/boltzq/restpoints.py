@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import DomainError, NotApplicableError, NumericFailureError
-from .games import ReducedCoefficients
+from .games import ReducedCoefficients, _as_float, _require_temperature
 from .numerics import (_refine_root, bisect, logit, rounds_to_zero, sigmoid,
                        sigmoid_slope)
 
@@ -77,7 +77,9 @@ class GFunction:
     cannot resolve v (v moves by raw_c/ty across sigma's range).  The
     v-side methods (:meth:`_touch`, :meth:`_bend`, :meth:`_knots`) take
     raw_c of either sign: v falls with u where raw_c < 0, and both tails
-    then share raw_c's sign.
+    then share raw_c's sign.  raw_c and raw_d must be finite numbers and
+    ty a temperature (:func:`games._require_temperature`), else
+    :class:`DomainError`.
     """
 
     #: the largest slope_shape, sigma'(v)*sigma'(u) <= 1/4 * 1/4
@@ -87,9 +89,12 @@ class GFunction:
     ty: float = 1.0
 
     def __post_init__(self):  # c, d and p's top end, derived, not fields
-        if not 0.0 < self.ty < math.inf:
-            raise DomainError(
-                f"temperature must be finite and > 0, got {self.ty}")
+        for name in ("raw_c", "raw_d"):
+            value = _as_float(getattr(self, name), name)
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "ty", _require_temperature(self.ty))
         object.__setattr__(self, "c", self.raw_c / self.ty)
         object.__setattr__(self, "d", self.raw_d / self.ty)
         object.__setattr__(self, "_top", self.raw_c + self.raw_d)
@@ -545,6 +550,7 @@ def solve_symmetric(a: float, b: float) -> list[float]:
     with the response curve replaced by sigma itself.  At a tangency the
     double root is reported once (count 2).
     """
+    a, b = _as_float(a, "a"), _as_float(b, "b")
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError("coefficients must be finite")
     roots, _ = _solve_u_roots(a, b, _LOGISTIC)
@@ -562,6 +568,7 @@ def symmetric_critical_offsets(a: float) -> tuple[float, float]:
     - a_minus/2`` and ``b_minus = ln(a_plus/a_minus) - a_plus/2``; every
     term is formed so that nothing cancels or overflows for any finite a.
     """
+    a = _as_float(a, "slope a")
     if not math.isfinite(a):
         raise DomainError(f"slope must be finite, got a = {a}")
     if a < 4.0:

@@ -182,13 +182,25 @@ def test_single_root_continues_the_ordinal_the_fold_leaves(name, survivor):
     lambda: bq.sweep_equal_temperature(bq.fixture("stag_hunt"), 0.1, 1.0, "x"),
     lambda: bq.dissipation_rate(bq.Temperatures(1.0, 1.0), "x"),
     lambda: bq.AgentState((0.0, 0.0), 1.0, "x"),
+    lambda: bq.GFunction(1.0, 0.5, "x"),
+    lambda: bq.GFunction(math.nan, 0.5),
+    lambda: bq.GFunction(math.inf, 0.5),
+    lambda: bq.zero_exploration_window("x", -0.8, 1.0),
+    lambda: bq.intercept_extrema("x", 1.0),
+    lambda: bq.corner_boundary("x"),
+    lambda: bq.solve_symmetric("x", 1.0),
+    lambda: bq.symmetric_critical_offsets("x"),
+    lambda: bq.critical_curve(bq.fixture("stag_hunt"), 0.1),
 ], ids=["t_max_inf", "t_min_nan", "t_min_neg_inf", "empty_range",
         "t_min_zero", "steps_negative", "steps_one", "orientation",
         "tx_zero", "ty_inf", "tx_nan", "window_raw_nan", "window_ratio_inf",
         "window_raw_inf", "curve_ty_negative", "curve_ty_nan", "curve_ty_inf",
         "curve_ty_zero", "sweep_float_steps", "geomspace_float_n",
         "critical_curve_text_ty", "sweep_text_t_min", "sweep_none_t_max",
-        "sweep_text_steps", "dissipation_text_n", "agent_text_alpha"])
+        "sweep_text_steps", "dissipation_text_n", "agent_text_alpha",
+        "curve_text_ty", "curve_nan_c", "curve_inf_c", "window_text_ratio",
+        "extrema_text_c", "corner_text_ratio", "symmetric_text_a",
+        "offsets_text_a", "critical_curve_scalar_grid"])
 def test_bad_input_raises_domain_error(call):
     with pytest.raises(bq.DomainError):
         call()
