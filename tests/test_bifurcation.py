@@ -190,8 +190,8 @@ class TestCriticalCurve:
         # the game's own frame, it matches a count scan on 10**(k/200)
         game = bq.Game.from_matrices("anti", [[0.0, 90.0], [10.0, 0.0]],
                                      [[1e-17, 1e-17], [1.0, 0.0]])
-        windows = [(lo, hi) for _, lo, hi in bq.critical_curve(game, [ty]).samples
-                   if lo is not None]
+        samples = bq.critical_curve(game, [ty]).samples
+        windows = [(lo, hi) for _, lo, hi in samples if lo is not None]
         assert windows
         co = bq.reduce_payoffs(game, bq.Temperatures(1.0, ty))
         for k in range(-2400, 201):  # tx from 1e-12 to 10

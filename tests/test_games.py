@@ -391,8 +391,9 @@ class TestRegionInvariance:
     def test_relabelling_x_keeps_the_label_with_a_tiny_payoff(self):
         A = [[0.5, 1.5 - 2.0 ** -30], [1.0, 0.25]]
         B = [[1.25, 2.0 ** -60], [1.5, 0.0]]
-        assert region_of(A, B).label is bq.GameRegionLabel.MULTI_NE_TRIPLE_POSSIBLE
-        assert region_of(*twins(A, B)["x"]).label is region_of(A, B).label
+        label = region_of(A, B).label
+        assert label is bq.GameRegionLabel.MULTI_NE_TRIPLE_POSSIBLE
+        assert region_of(*twins(A, B)["x"]).label is label
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="the corner bound at d/c = 2.68e9 underflows "

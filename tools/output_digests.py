@@ -213,7 +213,7 @@ def _anti_calls(driver):
 def _anti_windows():
     """One ``zero_exploration_window(b/a, d/c, 1.0)`` call at a time, for
     each tail e: d/c = -1 + e with b/a = 0.1, d/c = -e with b/a = -1.5,
-    and b/a = e or -1 - e with d/c = -0.8 and -0.2."""
+    b/a = e with d/c = -0.8, and b/a = -1 - e with d/c = -0.2."""
     calls = iter([(beta, ratio) for e in _ANTI_TAILS
                   for beta, ratio in ((0.1, -1.0 + e), (-1.5, -e),
                                       (e, -0.8), (-1.0 - e, -0.2))])
