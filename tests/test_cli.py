@@ -40,6 +40,15 @@ def run_cli_process(*argv):
     return run_child("-m", "boltzq.cli", *argv)
 
 
+#: game files whose payoffs are not grids of numbers, each with the
+#: unit grid in the other matrix (``tools/output_digests.py`` reads them)
+MALFORMED_PAYOFFS = [
+    {"name": "f", "A": 5, "B": [[1, 2], [3, 4]]},
+    {"name": "f", "A": [[1, 2], [3, 4]], "B": [None, [3, 4]]},
+    {"name": "f", "A": [[1, 2], [3, 4]], "B": [[1, 2], 3]},
+]
+
+
 class TestClassifyCommand:
     def test_matching_pennies_region(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "--fixture",
@@ -78,6 +87,16 @@ class TestClassifyCommand:
         code, _, err = run_cli(capsys, "classify", "--game", str(bad))
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("data", MALFORMED_PAYOFFS,
+                             ids=["scalar_a", "null_row", "scalar_row"])
+    def test_payoffs_that_are_not_a_grid_exit_2(self, tmp_path, capsys, data):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "classify", "--game", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: payoff entries are not numeric")
+        assert err.count("\n") == 1
 
     def test_wrong_dimension_exits_2(self, tmp_path, capsys):
         big = tmp_path / "big.json"

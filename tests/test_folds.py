@@ -154,7 +154,21 @@ def test_single_root_continues_the_ordinal_the_fold_leaves(name, survivor):
         assert points[survivor].u == point.u
 
 
-@pytest.mark.parametrize("call", [
+#: a 2x2 payoff grid for the drift of the value estimates
+IDENTITY = bq.PayoffMatrix(((1.0, 0.0), (0.0, 1.0)))
+
+
+def stag_coeffs():
+    return bq.reduce_payoffs(bq.fixture("stag_hunt"), bq.Temperatures(1.0, 1.0))
+
+
+def agent():
+    return bq.AgentState((0.0, 0.0), 1.0, 0.1)
+
+
+#: calls that must raise DomainError (``tools/output_digests.py`` digests
+#: the error type of each)
+BAD_INPUT = [
     lambda: bq.sweep_equal_temperature(bq.fixture("stag_hunt"), 0.2, math.inf),
     lambda: bq.sweep_equal_temperature(bq.fixture("stag_hunt"), math.nan, 2.0),
     lambda: bq.sweep_equal_temperature(bq.fixture("stag_hunt"), -math.inf, 2.0),
@@ -191,16 +205,43 @@ def test_single_root_continues_the_ordinal_the_fold_leaves(name, survivor):
     lambda: bq.solve_symmetric("x", 1.0),
     lambda: bq.symmetric_critical_offsets("x"),
     lambda: bq.critical_curve(bq.fixture("stag_hunt"), 0.1),
-], ids=["t_max_inf", "t_min_nan", "t_min_neg_inf", "empty_range",
-        "t_min_zero", "steps_negative", "steps_one", "orientation",
-        "tx_zero", "ty_inf", "tx_nan", "window_raw_nan", "window_ratio_inf",
-        "window_raw_inf", "curve_ty_negative", "curve_ty_nan", "curve_ty_inf",
-        "curve_ty_zero", "sweep_float_steps", "geomspace_float_n",
-        "critical_curve_text_ty", "sweep_text_t_min", "sweep_none_t_max",
-        "sweep_text_steps", "dissipation_text_n", "agent_text_alpha",
-        "curve_text_ty", "curve_nan_c", "curve_inf_c", "window_text_ratio",
-        "extrema_text_c", "corner_text_ratio", "symmetric_text_a",
-        "offsets_text_a", "critical_curve_scalar_grid"])
+    lambda: bq.numerics.geomspace("x", 1.0, 3),
+    lambda: bq.AgentState(("x", 0.0), 1.0, 0.1),
+    lambda: bq.integrate(("a", 0.5), stag_coeffs()),
+    lambda: bq.strategy_velocity(("a", 0.5), stag_coeffs()),
+    lambda: bq.stability_eigenvalues(("a", 0.5), stag_coeffs()),
+    lambda: bq.q_update(agent(), 0.5, 1.0),
+    lambda: bq.q_update(agent(), "a", 1.0),
+    lambda: bq.q_update(agent(), 0, "x"),
+    lambda: bq.ReducedCoefficients.from_values("a", 1, 1, 1),
+    lambda: bq.integrate_batch([["a", 0.5]], stag_coeffs()),
+    lambda: bq.q_velocity((0.0, 0.0), (0.5, 0.25, 0.25), IDENTITY, 0.1),
+    # the learning rate obeys AgentState's (0, 1] rule
+    lambda: bq.q_velocity((0.0, 0.0), (0.5, 0.5), IDENTITY, math.nan),
+    lambda: bq.q_velocity((0.0, 0.0), (0.5, 0.5), IDENTITY, -1.0),
+    lambda: bq.q_velocity((0.0, 0.0), (0.5, 0.5), IDENTITY, 0.0),
+    lambda: bq.q_velocity((0.0, 0.0), (0.5, 0.5), IDENTITY, 2.0),
+]
+BAD_INPUT_IDS = [
+    "t_max_inf", "t_min_nan", "t_min_neg_inf", "empty_range",
+    "t_min_zero", "steps_negative", "steps_one", "orientation",
+    "tx_zero", "ty_inf", "tx_nan", "window_raw_nan", "window_ratio_inf",
+    "window_raw_inf", "curve_ty_negative", "curve_ty_nan", "curve_ty_inf",
+    "curve_ty_zero", "sweep_float_steps", "geomspace_float_n",
+    "critical_curve_text_ty", "sweep_text_t_min", "sweep_none_t_max",
+    "sweep_text_steps", "dissipation_text_n", "agent_text_alpha",
+    "curve_text_ty", "curve_nan_c", "curve_inf_c", "window_text_ratio",
+    "extrema_text_c", "corner_text_ratio", "symmetric_text_a",
+    "offsets_text_a", "critical_curve_scalar_grid", "geomspace_text_end",
+    "agent_text_q", "integrate_text_start", "velocity_text_point",
+    "eigenvalues_text_point", "q_update_float_action",
+    "q_update_text_action", "q_update_text_reward", "from_values_text_a",
+    "batch_text_start", "q_velocity_lengths", "q_velocity_nan_alpha",
+    "q_velocity_negative_alpha", "q_velocity_zero_alpha",
+    "q_velocity_alpha_above_one"]
+
+
+@pytest.mark.parametrize("call", BAD_INPUT, ids=BAD_INPUT_IDS)
 def test_bad_input_raises_domain_error(call):
     with pytest.raises(bq.DomainError):
         call()

@@ -1,7 +1,8 @@
 """Print an md5 digest of every CLI output on the built-in fixtures, and
 of the payoff decisions, the rest-point kernel, the diagonal
 bifurcation drivers and the critical curve on seeded random inputs and
-on fixed families next to the edges of the ratio plane.
+on fixed families next to the edges of the ratio plane, and the error
+type of every call that the tests list as bad input.
 
 Each CLI line is ``md5  argv`` for one in-process run of
 ``boltzq.cli.main``; the digest covers the exit code, the captured stdout
@@ -24,6 +25,7 @@ import os
 import random
 import sys
 import tempfile
+from pathlib import Path
 
 from boltzq import (BoltzqError, Game, Temperatures, classify_pitchfork,
                     classify_region, critical_curve,
@@ -223,8 +225,29 @@ def _anti_windows():
     return call
 
 
+#: the tests that list the bad-input calls and the malformed game files
+_TESTS = Path(__file__).resolve().parent.parent / "tests"
+
+
+def _bad_inputs() -> list:
+    """Every call of ``test_bad_input_raises_domain_error``, then
+    ``Game.from_dict`` on each malformed game file of ``test_cli.py``."""
+    sys.path.insert(0, str(_TESTS))
+    from test_cli import MALFORMED_PAYOFFS
+    from test_folds import BAD_INPUT
+    return [*BAD_INPUT, *(lambda data=data: Game.from_dict(data)
+                          for data in MALFORMED_PAYOFFS)]
+
+
+def _one_at_a_time(calls: list):
+    """The calls in order, one per batch call."""
+    calls = iter(calls)
+    return lambda rng: next(calls)()
+
+
 def batches():
     """``(name, seed, calls, call)`` of every library batch."""
+    bad = _bad_inputs()
     return [
         ("find_rest_points warm tx,ty in [1e-3, 10]", 1, 20000,
          lambda rng: _rest_points(rng, (-3.0, 1.0))),
@@ -254,6 +277,9 @@ def batches():
              reduce_payoffs(g, Temperatures(1.0, 1.0))))),
         ("zero_exploration_window at ratios within 1e-10 .. 1e-300 of 0 "
          "and -1", 0, 4 * len(_ANTI_TAILS), _anti_windows()),
+        ("bad input: the calls of test_bad_input_raises_domain_error and "
+         "the malformed game files through Game.from_dict", 0, len(bad),
+         _one_at_a_time(bad)),
     ]
 
 
