@@ -45,9 +45,10 @@ from typing import Optional
 
 from .errors import DomainError, NotApplicableError, NumericFailureError
 from .games import (Game, GameRegionLabel, ReducedCoefficients, Temperatures,
-                    _as_float, _require_temperature, _same_sign,
-                    classify_region, reduce_payoffs)
-from .numerics import _close, bisect, geomspace, sigmoid, sigmoid_slope
+                    _same_sign, classify_region, reduce_payoffs)
+from .numerics import (_as_count, _as_finite, _as_float, _close,
+                       _require_temperature, bisect, geomspace, sigmoid,
+                       sigmoid_slope)
 from .restpoints import (_LOGISTIC, _SATURATION, GFunction, RestPoint,
                          _extrema, _is_double_root, _peak, find_rest_points)
 
@@ -128,13 +129,10 @@ def intercept_extrema(raw_c: float, raw_d: float) -> InterceptProfile:
     r > 0.  The bound is solved from the tail of the side's edge, 1 + d/c
     below -1 and -d/c above 0, which -1 - d/c would round away next to 0.
     ``ratio`` reports d/c in the raw_c > 0 frame."""
-    raw_c, raw_d = _as_float(raw_c, "raw_c"), _as_float(raw_d, "raw_d")
+    raw_c, raw_d = _as_finite(raw_c, "raw_c"), _as_float(raw_d, "raw_d")
     if raw_c == 0.0:
         raise NotApplicableError("intercept profile needs c != 0")
-    ratio = raw_d / raw_c
-    if not (math.isfinite(raw_c) and math.isfinite(ratio)):
-        raise DomainError(f"intercept profile needs finite c and d/c, got "
-                          f"c = {raw_c}, d/c = {ratio}")
+    ratio = _as_finite(raw_d / raw_c, "d/c")
 
     extreme_at = None
     inner = (-1.0 <= ratio < -0.5, -0.5 < ratio <= 0.0)
@@ -278,11 +276,8 @@ def zero_exploration_window(b_over_a: float, d_over_c: float,
     lost next to 0.  Non-numbers and non-finite values raise
     :class:`DomainError`.
     """
-    beta, ratio, raw_a = (_as_float(v, name) for v, name in (
+    beta, ratio, raw_a = (_as_finite(v, name) for v, name in (
         (b_over_a, "b/a"), (d_over_c, "d/c"), (raw_a, "raw slope")))
-    if not all(map(math.isfinite, (beta, ratio, raw_a))):
-        raise DomainError(f"zero-noise window needs finite b/a, d/c and "
-                          f"raw slope, got {beta}, {ratio}, {raw_a}")
     if raw_a <= 0.0:
         raise NotApplicableError("raw slope must be positive; relabel first")
     if beta > 0.0 and -1.0 < ratio < -0.5:
@@ -454,9 +449,8 @@ def sweep_equal_temperature(game: Game, t_min: float, t_max: float,
     t_min, t_max = _require_temperature(t_min), _require_temperature(t_max)
     if not t_min < t_max:
         raise DomainError(f"need t_min < t_max, got {t_min}, {t_max}")
-    grid = geomspace(t_min, t_max, steps)  # DomainError unless steps is whole
-    if steps < 2:
-        raise DomainError(f"need steps >= 2, got {steps}")
+    steps = _as_count(steps, "steps", 2)
+    grid = geomspace(t_min, t_max, steps)
     base = reduce_payoffs(game, Temperatures.equal(1.0))
 
     def solve(temp: float) -> list[RestPoint]:

@@ -17,13 +17,12 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import bifurcation, fileio, svg
-from .errors import (BoltzqError, DomainError, NotApplicableError,
-                     NumericFailureError)
+from .errors import BoltzqError, NotApplicableError, NumericFailureError
 from .fixtures import FIXTURES, fixture
 from .games import (Game, ReducedCoefficients, Temperatures, classify_region,
                     load_game, nash_equilibria, reduce_payoffs,
                     risk_dominant_profile)
-from .numerics import geomspace
+from .numerics import _as_count, geomspace
 from .restpoints import find_rest_points
 
 if TYPE_CHECKING:
@@ -43,13 +42,6 @@ def _add_temperature_args(parser: argparse.ArgumentParser) -> None:
                         help="exploration rate of player X (default 1)")
     parser.add_argument("--ty", type=float, default=1.0,
                         help="exploration rate of player Y (default 1)")
-
-
-def _require_count(value: int, flag: str) -> int:
-    """A count option must be at least 1, else :class:`DomainError`."""
-    if value < 1:
-        raise DomainError(f"{flag} must be >= 1, got {value}")
-    return value
 
 
 def _resolve_game(args) -> Game:
@@ -111,7 +103,7 @@ def cmd_simulate(args) -> int:
     cfg = _integrator_config(args)
     if args.starts is not None:
         rng = np.random.default_rng(args.seed)
-        count = _require_count(args.starts, "--starts")
+        count = _as_count(args.starts, "--starts")
         starts = rng.uniform(0.02, 0.98, size=(count, 2))
         finals, _reason = integrate_batch(starts, coeffs, cfg)
         fileio.write_text(args.out, fileio.terminal_points_csv(starts, finals))
@@ -158,7 +150,7 @@ def cmd_critical(args) -> int:
     orientation = ("tx_window_vs_ty" if args.orientation == "tx"
                    else "ty_window_vs_tx")
     grid = geomspace(args.fixed_min, args.fixed_max,
-                     _require_count(args.fixed_steps, "--fixed-steps"))
+                     _as_count(args.fixed_steps, "--fixed-steps"))
     curve = bifurcation.critical_curve(game, grid, orientation)
     fileio.write_text(args.out, fileio.critical_csv(curve))
     summary = {"closing_temperature": curve.closing_temperature}
@@ -172,7 +164,7 @@ def cmd_portrait(args) -> int:
     from .dynamics import integrate
     game, coeffs = _resolve_coefficients(args)
     cfg = _integrator_config(args)
-    count = _require_count(args.grid, "--grid")
+    count = _as_count(args.grid, "--grid")
     margin = 1.0 / (count + 1.0)
     axis = np.linspace(margin, 1.0 - margin, count)
     trajectories: list[Trajectory] = []

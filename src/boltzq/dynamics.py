@@ -28,16 +28,16 @@ quartic dense output.  No scipy is imported at run time.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .games import (Game, PayoffMatrix, ReducedCoefficients, Temperatures,
-                    _as_float, _require_temperature)
-from .numerics import bisect, logit, sigmoid, sigmoid_slope
+from .games import Game, PayoffMatrix, ReducedCoefficients, Temperatures
+from .numerics import (_as_count, _as_float, _require_interior,
+                       _require_temperature, bisect, logit, sigmoid,
+                       sigmoid_slope)
 
 SIMPLEX_TOL = 1e-12
 #: step-control ceilings, tightened further by :func:`_solver_tols`
@@ -152,15 +152,9 @@ class Trajectory:
         return StrategyPoint(self.xs[-1], self.ys[-1])
 
 
-def _require_interior(x: float, y: float) -> None:
-    if not (0.0 < x < 1.0 and 0.0 < y < 1.0):
-        raise DomainError(f"point ({x}, {y}) is not interior to the unit square")
-
-
 def strategy_velocity(point, coeffs: ReducedCoefficients) -> tuple[float, float]:
     """(dx/dt, dy/dt) of the two-action flow at an interior point."""
-    x, y = point
-    _require_interior(x, y)
+    x, y = _require_interior(point)
     fx = x * (1.0 - x) * (coeffs.a * y + coeffs.b - math.log(x / (1.0 - x)))
     fy = y * (1.0 - y) * (coeffs.c * x + coeffs.d - math.log(y / (1.0 - y)))
     return fx, fy
@@ -256,9 +250,7 @@ def log_ratio_field(game: Game, temps: Temperatures, w_x, w_y
 
 def dissipation_rate(temps: Temperatures, n: int) -> float:
     """Phase-space volume contraction rate, -(tx + ty)(n - 1)."""
-    if not isinstance(n, numbers.Integral) or n < 2:
-        raise DomainError(f"need a whole number n >= 2 of actions, got {n!r}")
-    return -(temps.tx + temps.ty) * (n - 1)
+    return -(temps.tx + temps.ty) * (_as_count(n, "n", 2) - 1)
 
 
 def numerical_divergence(point, game: Game, temps: Temperatures) -> float:
@@ -507,8 +499,7 @@ def integrate(start, coeffs: ReducedCoefficients,
     is not included), and ``rejected_steps`` its rejected attempts.
     """
     cfg = cfg or IntegratorConfig()
-    x0, y0 = start
-    _require_interior(x0, y0)
+    x0, y0 = _require_interior(start)
     run = _run_to_rest(logit(x0), logit(y0), coeffs, cfg)
     times, us, vs = zip(*run.points)
     # the first sample is the start itself, the rest map back from logits
@@ -534,8 +525,8 @@ def integrate_batch(starts, coeffs: ReducedCoefficients,
     pts = np.asarray(starts, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
         raise DomainError("starts must be an (n, 2) array with n >= 1")
-    for x0, y0 in pts:
-        _require_interior(x0, y0)
+    for start in pts:
+        _require_interior(start)
     # a generator, so each run's samples go once its endpoint is read
     runs = (integrate(start, coeffs, cfg) for start in pts.tolist())
     finals, reasons = zip(*((tuple(run.final), run.terminal_reason)

@@ -43,7 +43,7 @@ from .errors import (
     NumericFailureError,
     UnsupportedDimensionError,
 )
-from .numerics import rounds_to_zero
+from .numerics import _as_float, _require_temperature, rounds_to_zero
 
 
 def _as_float_grid(entries) -> tuple[tuple[float, ...], ...]:
@@ -125,24 +125,6 @@ def load_game(path) -> Game:
     return Game.from_dict(data)
 
 
-def _as_float(value, what: str) -> float:
-    """``float(value)``, so that numpy scalars become Python floats, or
-    :class:`DomainError` where ``float`` refuses the value."""
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{what} must be a number, got {value!r}") from exc
-
-
-def _require_temperature(temp) -> float:
-    """The one exploration-rate check: a number, finite and strictly
-    positive; returns it as a Python float."""
-    temp = _as_float(temp, "temperature")
-    if not (temp > 0.0 and math.isfinite(temp)):
-        raise DomainError(f"temperature must be finite and > 0, got {temp}")
-    return temp
-
-
 @dataclass(frozen=True)
 class Temperatures:
     """Strictly positive exploration rates for the two players, stored as
@@ -171,8 +153,8 @@ class ReducedCoefficients:
     scalars never reach the scalar kernel.  The scaled coefficients ``a =
     raw_a/tx``, ``b = raw_b/tx``, ``c = raw_c/ty`` and ``d = raw_d/ty``
     are derived once, after the temperatures pass
-    :func:`_require_temperature`; they are plain attributes, not fields,
-    so no record can disagree with them.
+    :func:`~boltzq.numerics._require_temperature`; they are plain
+    attributes, not fields, so no record can disagree with them.
     """
 
     raw_a: float

@@ -22,6 +22,12 @@ Two bracketed solvers find a sign change, each stopping by its own rule:
 
 Whether a computed sum is zero is decided once, by :func:`rounds_to_zero`:
 within its terms' rounding, with no absolute threshold.
+
+Every public entry point checks its arguments with the rules here, each
+written once and raising :class:`DomainError`: :func:`_as_float` (a
+number), :func:`_as_finite`, :func:`_require_temperature` (finite and
+> 0), :func:`_as_count` (a whole number of at least 1 or 2) and
+:func:`_require_interior` (a point inside the unit square).
 """
 
 from __future__ import annotations
@@ -31,6 +37,51 @@ import numbers
 from decimal import Context, Decimal
 
 from .errors import DomainError
+
+
+def _as_float(value, what: str) -> float:
+    """``float(value)``, so that numpy scalars become Python floats, or
+    :class:`DomainError` where ``float`` refuses the value."""
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{what} must be a number, got {value!r}") from exc
+
+
+def _as_finite(value, what: str) -> float:
+    """:func:`_as_float` of a value that must also be finite."""
+    value = _as_float(value, what)
+    if not math.isfinite(value):
+        raise DomainError(f"{what} must be finite, got {value}")
+    return value
+
+
+def _require_temperature(temp) -> float:
+    """The one exploration-rate check: a number, finite and strictly
+    positive; returns it as a Python float."""
+    temp = _as_float(temp, "temperature")
+    if not (temp > 0.0 and math.isfinite(temp)):
+        raise DomainError(f"temperature must be finite and > 0, got {temp}")
+    return temp
+
+
+def _as_count(value, what: str, least: int = 1) -> int:
+    """A whole number (any ``numbers.Integral``, so numpy integers too)
+    of at least ``least``, as an int."""
+    if not isinstance(value, numbers.Integral):
+        raise DomainError(f"{what} must be a whole number, got {value!r}")
+    if value < least:
+        raise DomainError(f"{what} must be >= {least}, got {value!r}")
+    return int(value)
+
+
+def _require_interior(point) -> tuple[float, float]:
+    """``(x, y)`` of a point strictly inside the unit square, as floats."""
+    x, y = point
+    x, y = _as_float(x, "x"), _as_float(y, "y")
+    if not (0.0 < x < 1.0 and 0.0 < y < 1.0):
+        raise DomainError(f"point ({x}, {y}) is not interior to the unit square")
+    return x, y
 
 
 def sigmoid(z: float) -> float:
@@ -88,20 +139,16 @@ def geomspace(lo: float, hi: float, n: int) -> list[float]:
     ``[lo]`` for n = 1; hi < lo gives a descending grid.  Interior points
     may differ from numpy's by an ulp, where numpy's vector ``power``
     rounds otherwise than ``math.pow``.  The grids are temperature grids,
-    so an end that is not finite and > 0 raises :class:`DomainError`, as
-    does an n that is not a whole number >= 1."""
-    for end in (lo, hi):
-        if not (end > 0.0 and math.isfinite(end)):
-            raise DomainError(
-                f"temperature must be finite and > 0, got {end} as a grid end")
-    if not isinstance(n, numbers.Integral) or n < 1:
-        raise DomainError(f"a grid needs a whole n >= 1 points, got {n!r}")
+    so an end that is not a temperature (:func:`_require_temperature`)
+    raises :class:`DomainError`, as does an n that is not a whole number
+    >= 1 (:func:`_as_count`)."""
+    lo, hi = _require_temperature(lo), _require_temperature(hi)
+    n = _as_count(n, "n")
     if n == 1:
-        return [float(lo)]
+        return [lo]
     start = _log10(lo)
-    step = (_log10(hi) - start) / (int(n) - 1)  # a float step for numpy n
-    return ([float(lo)] + [10.0 ** (k * step + start) for k in range(1, n - 1)]
-            + [float(hi)])
+    step = (_log10(hi) - start) / (n - 1)
+    return [lo] + [10.0 ** (k * step + start) for k in range(1, n - 1)] + [hi]
 
 
 #: the most probes one bracket search makes (:func:`_close`)

@@ -32,9 +32,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import DomainError, NotApplicableError, NumericFailureError
-from .games import ReducedCoefficients, _as_float, _require_temperature
-from .numerics import (_refine_root, bisect, logit, rounds_to_zero, sigmoid,
-                       sigmoid_slope)
+from .games import ReducedCoefficients
+from .numerics import (_as_finite, _refine_root, _require_interior,
+                       _require_temperature, bisect, logit, rounds_to_zero,
+                       sigmoid, sigmoid_slope)
 
 #: sinh(u) and e^u stay finite for |u| up to ln(max float), about 709.78
 _LOG_MAX = math.log(sys.float_info.max)
@@ -78,7 +79,7 @@ class GFunction:
     v-side methods (:meth:`_touch`, :meth:`_bend`, :meth:`_knots`) take
     raw_c of either sign: v falls with u where raw_c < 0, and both tails
     then share raw_c's sign.  raw_c and raw_d must be finite numbers and
-    ty a temperature (:func:`games._require_temperature`), else
+    ty a temperature (:func:`numerics._require_temperature`), else
     :class:`DomainError`.
     """
 
@@ -90,10 +91,7 @@ class GFunction:
 
     def __post_init__(self):  # c, d and p's top end, derived, not fields
         for name in ("raw_c", "raw_d"):
-            value = _as_float(getattr(self, name), name)
-            if not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _as_finite(getattr(self, name), name))
         object.__setattr__(self, "ty", _require_temperature(self.ty))
         object.__setattr__(self, "c", self.raw_c / self.ty)
         object.__setattr__(self, "d", self.raw_d / self.ty)
@@ -325,9 +323,7 @@ def stability_eigenvalues(point, coeffs: ReducedCoefficients
     The closed form is cross-checked against the complex-step Jacobian
     to 1e-6 on every call.
     """
-    x, y = point
-    if not (0.0 < x < 1.0 and 0.0 < y < 1.0):
-        raise DomainError(f"rest point must be interior, got {point}")
+    x, y = _require_interior(point)
     u, v = logit(x), logit(y)
     residual = max(abs(coeffs.a * y + coeffs.b - u),
                    abs(GFunction.of(coeffs, coeffs.ty)._at(u)[2] - v))
@@ -550,9 +546,7 @@ def solve_symmetric(a: float, b: float) -> list[float]:
     with the response curve replaced by sigma itself.  At a tangency the
     double root is reported once (count 2).
     """
-    a, b = _as_float(a, "a"), _as_float(b, "b")
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError("coefficients must be finite")
+    a, b = _as_finite(a, "a"), _as_finite(b, "b")
     roots, _ = _solve_u_roots(a, b, _LOGISTIC)
     return sorted(sigmoid(u) for u in roots)
 
@@ -568,9 +562,7 @@ def symmetric_critical_offsets(a: float) -> tuple[float, float]:
     - a_minus/2`` and ``b_minus = ln(a_plus/a_minus) - a_plus/2``; every
     term is formed so that nothing cancels or overflows for any finite a.
     """
-    a = _as_float(a, "slope a")
-    if not math.isfinite(a):
-        raise DomainError(f"slope must be finite, got a = {a}")
+    a = _as_finite(a, "slope a")
     if a < 4.0:
         raise NotApplicableError(
             f"three symmetric rest points require a >= 4, got a = {a}")

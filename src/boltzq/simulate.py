@@ -20,8 +20,6 @@ function of its configuration, and equal seeds give bitwise-equal traces.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -29,7 +27,8 @@ import numpy as np
 
 from .dynamics import softmax
 from .errors import DomainError
-from .games import Game, Temperatures, _as_float, _require_temperature
+from .games import Game, Temperatures
+from .numerics import _as_count, _as_finite, _as_float, _require_temperature
 
 GENERATOR_ID = "numpy.random.PCG64"
 
@@ -43,12 +42,11 @@ class AgentState:
     alpha: float
 
     def __post_init__(self):
-        if not all(math.isfinite(q) for q in self.qvals):
-            raise DomainError("q-values must be finite")
+        object.__setattr__(self, "qvals", tuple(_as_finite(q, "q-value")
+                                                for q in self.qvals))
         if not 0.0 < _as_float(self.alpha, "alpha") <= 1.0:
             raise DomainError(f"alpha must be in (0, 1], got {self.alpha}")
         _require_temperature(self.temp)
-        object.__setattr__(self, "qvals", tuple(float(q) for q in self.qvals))
 
 
 def boltzmann_policy(state: AgentState) -> tuple[float, ...]:
@@ -74,10 +72,7 @@ class SimConfig:
 
     def __post_init__(self):
         for name in ("batch", "rounds", "record_every"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 1:
-                raise DomainError(
-                    f"{name} must be a whole number >= 1, got {value!r}")
+            _as_count(getattr(self, name), name)
         try:
             seed = int(self.seed)
         except (TypeError, ValueError, OverflowError) as exc:

@@ -58,7 +58,7 @@ class TestGeomspace:
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_no_points_raises(self, n):
-        with pytest.raises(DomainError, match="n >= 1"):
+        with pytest.raises(DomainError, match=f"n must be >= 1, got {n}$"):
             geomspace(1.0, 2.0, n)
 
 
