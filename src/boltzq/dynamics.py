@@ -36,8 +36,8 @@ import numpy as np
 from .errors import DomainError
 from .games import Game, PayoffMatrix, ReducedCoefficients, Temperatures
 from .numerics import (_as_count, _as_float, _require_interior,
-                       _require_temperature, bisect, logit, sigmoid,
-                       sigmoid_slope)
+                       _require_learning_rate, _require_temperature, bisect,
+                       logit, sigmoid, sigmoid_slope)
 
 SIMPLEX_TOL = 1e-12
 #: step-control ceilings, tightened further by :func:`_solver_tols`
@@ -219,9 +219,14 @@ def replicator_velocity(x, y, game: Game,
 
 def q_velocity(qvals, opponent_strategy, payoff: PayoffMatrix,
                alpha: float) -> np.ndarray:
-    """Drift of the value estimates: alpha * (expected reward - Q)."""
+    """Drift of the value estimates: alpha * (expected reward - Q), one
+    entry per action of ``payoff``; alpha is a learning rate in (0, 1], as
+    for :class:`~boltzq.simulate.AgentState`."""
+    alpha = _require_learning_rate(alpha)
     q = np.asarray(qvals, dtype=float)
     opp = np.asarray(opponent_strategy, dtype=float)
+    if q.shape != (payoff.n,) or opp.shape != (payoff.n,):
+        raise DomainError("q and the opponent need one entry per action")
     rewards = np.asarray(payoff.entries, dtype=float) @ opp
     return alpha * (rewards - q)
 
@@ -522,7 +527,10 @@ def integrate_batch(starts, coeffs: ReducedCoefficients,
     one terminal reason: ``converged`` when every run converged, otherwise
     the first other reason in start order.
     """
-    pts = np.asarray(starts, dtype=float)
+    try:
+        pts = np.asarray(starts, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"starts must be numbers: {exc}") from exc
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
         raise DomainError("starts must be an (n, 2) array with n >= 1")
     for start in pts:

@@ -46,14 +46,6 @@ from .errors import (
 from .numerics import _as_float, _require_temperature, rounds_to_zero
 
 
-def _as_float_grid(entries) -> tuple[tuple[float, ...], ...]:
-    try:
-        rows = tuple(tuple(float(v) for v in row) for row in entries)
-    except (TypeError, ValueError) as exc:
-        raise GameFormatError(f"payoff entries are not numeric: {exc}") from exc
-    return rows
-
-
 @dataclass(frozen=True)
 class PayoffMatrix:
     """Square grid of rewards; row = own action, column = opponent action."""
@@ -61,7 +53,11 @@ class PayoffMatrix:
     entries: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        rows = _as_float_grid(self.entries)
+        try:
+            rows = tuple(tuple(float(v) for v in row) for row in self.entries)
+        except (TypeError, ValueError) as exc:
+            raise GameFormatError(
+                f"payoff entries are not numeric: {exc}") from exc
         n = len(rows)
         if n < 2 or any(len(r) != n for r in rows):
             raise GameFormatError("payoff matrix must be square with n >= 2")
@@ -98,8 +94,7 @@ class Game:
 
     @classmethod
     def from_matrices(cls, name, a_entries, b_entries) -> "Game":
-        return cls(name, PayoffMatrix(tuple(map(tuple, a_entries))),
-                   PayoffMatrix(tuple(map(tuple, b_entries))))
+        return cls(name, PayoffMatrix(a_entries), PayoffMatrix(b_entries))
 
     @classmethod
     def from_dict(cls, data: dict) -> "Game":
@@ -198,6 +193,8 @@ class ReducedCoefficients:
     @classmethod
     def from_values(cls, a, b, c, d, tx=1.0, ty=1.0) -> "ReducedCoefficients":
         """Build from scaled values: raw_a = a*tx, ..., and a = raw_a/tx."""
+        a, b, c, d, tx, ty = map(_as_float, (a, b, c, d, tx, ty),
+                                 ("a", "b", "c", "d", "tx", "ty"))
         return cls(a * tx, b * tx, c * ty, d * ty, tx, ty)
 
 

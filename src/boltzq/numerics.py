@@ -26,8 +26,9 @@ within its terms' rounding, with no absolute threshold.
 Every public entry point checks its arguments with the rules here, each
 written once and raising :class:`DomainError`: :func:`_as_float` (a
 number), :func:`_as_finite`, :func:`_require_temperature` (finite and
-> 0), :func:`_as_count` (a whole number of at least 1 or 2) and
-:func:`_require_interior` (a point inside the unit square).
+> 0), :func:`_as_count` (a whole number of at least 0, 1 or 2),
+:func:`_require_interior` (a point inside the unit square) and
+:func:`_require_learning_rate` (in (0, 1]).
 """
 
 from __future__ import annotations
@@ -63,6 +64,15 @@ def _require_temperature(temp) -> float:
     if not (temp > 0.0 and math.isfinite(temp)):
         raise DomainError(f"temperature must be finite and > 0, got {temp}")
     return temp
+
+
+def _require_learning_rate(alpha) -> float:
+    """The one learning-rate check: a number in (0, 1]; returns it as a
+    Python float."""
+    alpha = _as_float(alpha, "alpha")
+    if not 0.0 < alpha <= 1.0:
+        raise DomainError(f"alpha must be in (0, 1], got {alpha}")
+    return alpha
 
 
 def _as_count(value, what: str, least: int = 1) -> int:

@@ -28,7 +28,8 @@ import numpy as np
 from .dynamics import softmax
 from .errors import DomainError
 from .games import Game, Temperatures
-from .numerics import _as_count, _as_finite, _as_float, _require_temperature
+from .numerics import (_as_count, _as_finite, _as_float,
+                       _require_learning_rate, _require_temperature)
 
 GENERATOR_ID = "numpy.random.PCG64"
 
@@ -44,8 +45,7 @@ class AgentState:
     def __post_init__(self):
         object.__setattr__(self, "qvals", tuple(_as_finite(q, "q-value")
                                                 for q in self.qvals))
-        if not 0.0 < _as_float(self.alpha, "alpha") <= 1.0:
-            raise DomainError(f"alpha must be in (0, 1], got {self.alpha}")
+        _require_learning_rate(self.alpha)
         _require_temperature(self.temp)
 
 
@@ -56,10 +56,11 @@ def boltzmann_policy(state: AgentState) -> tuple[float, ...]:
 
 def q_update(state: AgentState, action: int, mean_reward: float) -> AgentState:
     """One value update for a single action; all other entries unchanged."""
-    if not 0 <= action < len(state.qvals):
+    if _as_count(action, "action index", 0) >= len(state.qvals):
         raise DomainError(f"action index {action} out of range")
     q = list(state.qvals)
-    q[action] += state.alpha * (mean_reward - q[action])
+    q[action] += state.alpha * (_as_float(mean_reward, "mean reward")
+                                - q[action])
     return AgentState(tuple(q), state.temp, state.alpha)
 
 
