@@ -23,12 +23,13 @@ Two bracketed solvers find a sign change, each stopping by its own rule:
 Whether a computed sum is zero is decided once, by :func:`rounds_to_zero`:
 within its terms' rounding, with no absolute threshold.
 
-Every public entry point checks its arguments with the rules here, each
-written once and raising :class:`DomainError`: :func:`_as_float` (a
-number), :func:`_as_finite`, :func:`_require_temperature` (finite and
-> 0), :func:`_as_count` (a whole number of at least 0, 1 or 2),
-:func:`_require_interior` (a point inside the unit square) and
-:func:`_require_learning_rate` (in (0, 1]).
+The scalar argument rules live here, each written once and raising
+:class:`DomainError`, and every entry point checks through them:
+:func:`_as_float` (a number), :func:`_as_finite`,
+:func:`_require_temperature` (finite and > 0), :func:`_as_count` (a
+whole number of at least 0, 1 or 2), :func:`_require_interior` (a point
+inside the unit square) and :func:`_require_learning_rate` (in (0, 1]).
+The vector checks on numpy arrays stay in :mod:`boltzq.dynamics`.
 """
 
 from __future__ import annotations
@@ -87,7 +88,10 @@ def _as_count(value, what: str, least: int = 1) -> int:
 
 def _require_interior(point) -> tuple[float, float]:
     """``(x, y)`` of a point strictly inside the unit square, as floats."""
-    x, y = point
+    try:
+        x, y = point
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"a point is an (x, y) pair, got {point!r}") from exc
     x, y = _as_float(x, "x"), _as_float(y, "y")
     if not (0.0 < x < 1.0 and 0.0 < y < 1.0):
         raise DomainError(f"point ({x}, {y}) is not interior to the unit square")

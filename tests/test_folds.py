@@ -210,6 +210,8 @@ BAD_INPUT = [
     lambda: bq.integrate(("a", 0.5), stag_coeffs()),
     lambda: bq.strategy_velocity(("a", 0.5), stag_coeffs()),
     lambda: bq.stability_eigenvalues(("a", 0.5), stag_coeffs()),
+    lambda: bq.integrate(0.5, stag_coeffs()),
+    lambda: bq.strategy_velocity((0.1, 0.2, 0.3), stag_coeffs()),
     lambda: bq.q_update(agent(), 0.5, 1.0),
     lambda: bq.q_update(agent(), "a", 1.0),
     lambda: bq.q_update(agent(), 0, "x"),
@@ -234,7 +236,8 @@ BAD_INPUT_IDS = [
     "extrema_text_c", "corner_text_ratio", "symmetric_text_a",
     "offsets_text_a", "critical_curve_scalar_grid", "geomspace_text_end",
     "agent_text_q", "integrate_text_start", "velocity_text_point",
-    "eigenvalues_text_point", "q_update_float_action",
+    "eigenvalues_text_point", "integrate_scalar_start",
+    "velocity_three_coordinates", "q_update_float_action",
     "q_update_text_action", "q_update_text_reward", "from_values_text_a",
     "batch_text_start", "q_velocity_lengths", "q_velocity_nan_alpha",
     "q_velocity_negative_alpha", "q_velocity_zero_alpha",
