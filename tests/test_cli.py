@@ -40,8 +40,8 @@ def run_cli_process(*argv):
     return run_child("-m", "boltzq.cli", *argv)
 
 
-#: game files whose payoffs are not grids of numbers, each with the
-#: unit grid in the other matrix (``tools/output_digests.py`` reads them)
+#: game files whose payoffs are not grids of numbers, each with a valid
+#: grid in the other matrix (``tools/output_digests.py`` reads them)
 MALFORMED_PAYOFFS = [
     {"name": "f", "A": 5, "B": [[1, 2], [3, 4]]},
     {"name": "f", "A": [[1, 2], [3, 4]], "B": [None, [3, 4]]},
