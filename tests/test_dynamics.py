@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -636,6 +637,22 @@ class TestAgainstScipyRK45:
             _, reason, final = rk45_oracle((0.3, 0.6), co, cfg)
         assert traj.terminal_reason == reason == "max_time"
         assert tuple(traj.final) == tuple(final)
+
+
+class TestPinnedTrajectories:
+    def test_portrait_cases_keep_every_bit(self):
+        # an md5 of the repr of all 48 trajectories (every fixture at
+        # T = 0.05 and 0.5, from each portrait start): every time, sample,
+        # terminal reason, nfev and rejected step count.  The tolerances
+        # above cannot see a rounding change in the stepper; this can.
+        # The digest depends on the platform's exp, libm's and numpy's.
+        md5 = hashlib.md5()
+        for name, temp in portrait_cases():
+            co = bq.reduce_payoffs(bq.fixture(name),
+                                   bq.Temperatures(temp, temp))
+            for start in PORTRAIT_STARTS:
+                md5.update(repr(bq.integrate(start, co)).encode())
+        assert md5.hexdigest() == "8a267a6455fb69ae5f7e8ba3cab720f9"
 
 
 class TestTelemetry:

@@ -55,6 +55,9 @@ def runs(fixture: str) -> list[list[str]]:
         ["portrait", *game, "--grid", "3", "--csv", f"{_TMP}/portrait.csv"],
         ["simulate", *game],
         ["simulate", *game, "--starts", "50"],
+        ["simulate", *game, "--tx", "0.05", "--ty", "0.05"],
+        ["portrait", *game, "--tx", "0.05", "--ty", "0.05", "--grid", "2",
+         "--csv", f"{_TMP}/portrait.csv"],
         ["agents", *game, "--rounds", "2000"],
     ]
 
