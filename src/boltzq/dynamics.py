@@ -22,7 +22,12 @@ Trajectories come from one in-house Dormand-Prince 5(4) stepper
 II.4-II.6) with scipy's RK45 error controller.  It runs on Python floats,
 one trajectory at a time (a batch runs each start on its own), and stops
 where the velocity norm crosses its target, located by bisection on the
-quartic dense output.  No scipy is imported at run time.
+quartic dense output.  No scipy is imported at run time.  Its stepping
+loop calls no Python function per stage: each stage derivative is
+written out with :func:`~boltzq.numerics.sigmoid`'s two branches inline,
+because in CPython such a call costs about as much as the arithmetic it
+wraps.  Every float operation keeps its operands and order, so the
+samples are the same bits as through ``sigmoid``.
 """
 
 from __future__ import annotations
@@ -183,8 +188,17 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def _check_simplex(vec: np.ndarray, name: str) -> np.ndarray:
-    vec = np.asarray(vec, dtype=float)
+def _as_array(values, name: str) -> np.ndarray:
+    """The one vector rule: ``values`` as a float array, or
+    :class:`DomainError` where numpy refuses to convert them."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{name} must be numbers: {exc}") from exc
+
+
+def _check_simplex(vec, name: str) -> np.ndarray:
+    vec = _as_array(vec, name)
     if vec.ndim != 1 or vec.size < 2:
         raise DomainError(f"{name} must be a 1-d simplex vector with n >= 2")
     if not np.all((vec > 0.0) & np.isfinite(vec)):
@@ -223,8 +237,8 @@ def q_velocity(qvals, opponent_strategy, payoff: PayoffMatrix,
     entry per action of ``payoff``; alpha is a learning rate in (0, 1], as
     for :class:`~boltzq.simulate.AgentState`."""
     alpha = _require_learning_rate(alpha)
-    q = np.asarray(qvals, dtype=float)
-    opp = np.asarray(opponent_strategy, dtype=float)
+    q = _as_array(qvals, "q")
+    opp = _as_array(opponent_strategy, "opponent strategy")
     if q.shape != (payoff.n,) or opp.shape != (payoff.n,):
         raise DomainError("q and the opponent need one entry per action")
     rewards = np.asarray(payoff.entries, dtype=float) @ opp
@@ -240,8 +254,8 @@ def log_ratio_field(game: Game, temps: Temperatures, w_x, w_y
     field's divergence is the constant -(tx + ty)(n - 1): the flow contracts
     phase-space volume at that uniform rate.
     """
-    w_x = np.atleast_1d(np.asarray(w_x, dtype=float))
-    w_y = np.atleast_1d(np.asarray(w_y, dtype=float))
+    w_x = np.atleast_1d(_as_array(w_x, "w_x"))
+    w_y = np.atleast_1d(_as_array(w_y, "w_y"))
     A = np.asarray(game.payoff_x.entries, dtype=float)
     B = np.asarray(game.payoff_y.entries, dtype=float)
     x = softmax(np.concatenate(([0.0], w_x)))
@@ -267,10 +281,10 @@ def numerical_divergence(point, game: Game, temps: Temperatures) -> float:
     """
     pu, pv = point
     # 2-action logit u = ln(x/(1-x)) is the negated first log-ratio coord.
-    w_x = np.atleast_1d(np.asarray(pu, dtype=float))
-    w_y = np.atleast_1d(np.asarray(pv, dtype=float))
-    if np.isscalar(pu) or np.asarray(pu).ndim == 0:
+    w_x, w_y = _as_array(pu, "point"), _as_array(pv, "point")
+    if w_x.ndim == 0:
         w_x, w_y = -w_x, -w_y
+    w_x, w_y = np.atleast_1d(w_x), np.atleast_1d(w_y)
     div = 0.0
     for player, w in enumerate((w_x, w_y)):
         for idx in range(w.size):
@@ -285,7 +299,7 @@ def numerical_divergence(point, game: Game, temps: Temperatures) -> float:
 
 def _finite_rewards(rewards) -> np.ndarray:
     """The reward vector as floats; non-finite entries are a domain error."""
-    r = np.asarray(rewards, dtype=float)
+    r = _as_array(rewards, "rewards")
     if not np.all(np.isfinite(r)):
         raise DomainError("rewards must be finite")
     return r
@@ -306,7 +320,7 @@ def free_energy(x, rewards, temp: float, allow_zero: bool = False) -> float:
     0*ln(0) = 0 convention.
     """
     _require_temperature(temp)
-    x = np.asarray(x, dtype=float)
+    x = _as_array(x, "x")
     r = _finite_rewards(rewards)
     if (not np.all((x >= 0.0) & np.isfinite(x))
             or abs(float(x.sum()) - 1.0) > 1e-9):
@@ -387,6 +401,18 @@ def _run_to_rest(u: float, v: float, coeffs: ReducedCoefficients,
     speed is checked after each accepted step; once it is at or below
     target, its crossing is bisected on the quartic dense output and the
     last point is placed there.
+
+    The loop calls no Python function per stage, since calls, not
+    arithmetic, took much of each step.  It writes out the six new stage
+    derivatives of each attempted step, one line per coordinate with
+    ``sigmoid``'s two branches as a conditional expression; it reads the
+    tableau and ``exp``, ``ulp`` and ``sqrt`` as locals, and writes the
+    error norm and the step clamps as comparisons.  Each float operation
+    keeps its operands and order (``max(p, q)`` becomes ``q if q > p else
+    p``), so every sample, the reason, ``nfev`` and the rejected count are
+    the bits that ``flow`` would give.  ``flow`` still serves the
+    initial-step rule and the dense-output stop, which run once per
+    trajectory.
     """
     a, b, c, d = coeffs.a, coeffs.b, coeffs.c, coeffs.d
     tol, t_end = cfg.convergence_speed_tol, cfg.max_time
@@ -401,11 +427,11 @@ def _run_to_rest(u: float, v: float, coeffs: ReducedCoefficients,
     def rms(p, q):
         return math.sqrt(p * p + q * q) / root_size
 
-    run = _Run([(0.0, u, v)], CONVERGED, nfev=1)
+    points = [(0.0, u, v)]
     fu, fv = flow(u, v)
     g = speed(fu, fv)
     if g <= 0.0:
-        return run
+        return _Run(points, CONVERGED, 1)
     rtol, atol = _solver_tols(cfg, *_attractor_scales(coeffs))
     su, sv = atol + abs(u) * rtol, atol + abs(v) * rtol
     d0, d1 = rms(u / su, v / sv), rms(fu / su, fv / sv)
@@ -419,53 +445,79 @@ def _run_to_rest(u: float, v: float, coeffs: ReducedCoefficients,
     else:
         h_abs = (0.01 / max(d1, d2)) ** (1 / 5)
     h_abs = min(100.0 * h0, h_abs, t_end)
-    run.nfev += 1
+    # the stepping loop reads these as locals, not as globals
+    exp, ulp, sqrt = math.exp, math.ulp, math.sqrt
+    a21, a31, a32, a41, a42, a43 = _A21, _A31, _A32, _A41, _A42, _A43
+    a51, a52, a53, a54, a61, a62 = _A51, _A52, _A53, _A54, _A61, _A62
+    a63, a64, a65, b1, b3, b4, b5 = _A63, _A64, _A65, _B1, _B3, _B4, _B5
+    b6, e1, e3, e4, e5, e6, e7 = _B6, _E1, _E3, _E4, _E5, _E6, _E7
+    nfev, rejected = 2, 0
     t = 0.0
     while True:
-        min_step = 10.0 * math.ulp(t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
+        min_step = 10.0 * ulp(t)
+        h_abs = min_step if min_step > h_abs else h_abs
+        cap = _MAX_FACTOR  # the step factor's ceiling, 1 after a rejection
         while True:
             if h_abs < min_step:
-                run.reason = STEP_FAILURE
-                return run
-            t_new = min(t + h_abs, t_end)
-            h = t_new - t
-            h_abs = h
-            ku2, kv2 = flow(u + h * (_A21 * fu), v + h * (_A21 * fv))
-            ku3, kv3 = flow(u + h * (_A31 * fu + _A32 * ku2),
-                            v + h * (_A31 * fv + _A32 * kv2))
-            ku4, kv4 = flow(u + h * (_A41 * fu + _A42 * ku2 + _A43 * ku3),
-                            v + h * (_A41 * fv + _A42 * kv2 + _A43 * kv3))
-            ku5, kv5 = flow(
-                u + h * (_A51 * fu + _A52 * ku2 + _A53 * ku3 + _A54 * ku4),
-                v + h * (_A51 * fv + _A52 * kv2 + _A53 * kv3 + _A54 * kv4))
-            ku6, kv6 = flow(
-                u + h * (_A61 * fu + _A62 * ku2 + _A63 * ku3 + _A64 * ku4
-                         + _A65 * ku5),
-                v + h * (_A61 * fv + _A62 * kv2 + _A63 * kv3 + _A64 * kv4
-                         + _A65 * kv5))
-            u_new = u + h * (_B1 * fu + _B3 * ku3 + _B4 * ku4 + _B5 * ku5
-                             + _B6 * ku6)
-            v_new = v + h * (_B1 * fv + _B3 * kv3 + _B4 * kv4 + _B5 * kv5
-                             + _B6 * kv6)
-            ku7, kv7 = flow(u_new, v_new)
-            run.nfev += 6
-            eu = h * (_E1 * fu + _E3 * ku3 + _E4 * ku4 + _E5 * ku5
-                      + _E6 * ku6 + _E7 * ku7)
-            ev = h * (_E1 * fv + _E3 * kv3 + _E4 * kv4 + _E5 * kv5
-                      + _E6 * kv6 + _E7 * kv7)
-            err = rms(eu / (atol + max(abs(u), abs(u_new)) * rtol),
-                      ev / (atol + max(abs(v), abs(v_new)) * rtol))
+                return _Run(points, STEP_FAILURE, nfev, rejected)
+            t_new = t_end if t + h_abs > t_end else t + h_abs
+            h_abs = h = t_new - t
+            p, q = u + h * (a21 * fu), v + h * (a21 * fv)
+            ku2 = a * (1.0 / (1.0 + exp(-q)) if q >= 0.0
+                       else (e := exp(q)) / (1.0 + e)) + b - p
+            kv2 = c * (1.0 / (1.0 + exp(-p)) if p >= 0.0
+                       else (e := exp(p)) / (1.0 + e)) + d - q
+            p = u + h * (a31 * fu + a32 * ku2)
+            q = v + h * (a31 * fv + a32 * kv2)
+            ku3 = a * (1.0 / (1.0 + exp(-q)) if q >= 0.0
+                       else (e := exp(q)) / (1.0 + e)) + b - p
+            kv3 = c * (1.0 / (1.0 + exp(-p)) if p >= 0.0
+                       else (e := exp(p)) / (1.0 + e)) + d - q
+            p = u + h * (a41 * fu + a42 * ku2 + a43 * ku3)
+            q = v + h * (a41 * fv + a42 * kv2 + a43 * kv3)
+            ku4 = a * (1.0 / (1.0 + exp(-q)) if q >= 0.0
+                       else (e := exp(q)) / (1.0 + e)) + b - p
+            kv4 = c * (1.0 / (1.0 + exp(-p)) if p >= 0.0
+                       else (e := exp(p)) / (1.0 + e)) + d - q
+            p = u + h * (a51 * fu + a52 * ku2 + a53 * ku3 + a54 * ku4)
+            q = v + h * (a51 * fv + a52 * kv2 + a53 * kv3 + a54 * kv4)
+            ku5 = a * (1.0 / (1.0 + exp(-q)) if q >= 0.0
+                       else (e := exp(q)) / (1.0 + e)) + b - p
+            kv5 = c * (1.0 / (1.0 + exp(-p)) if p >= 0.0
+                       else (e := exp(p)) / (1.0 + e)) + d - q
+            p = u + h * (a61 * fu + a62 * ku2 + a63 * ku3 + a64 * ku4
+                         + a65 * ku5)
+            q = v + h * (a61 * fv + a62 * kv2 + a63 * kv3 + a64 * kv4
+                         + a65 * kv5)
+            ku6 = a * (1.0 / (1.0 + exp(-q)) if q >= 0.0
+                       else (e := exp(q)) / (1.0 + e)) + b - p
+            kv6 = c * (1.0 / (1.0 + exp(-p)) if p >= 0.0
+                       else (e := exp(p)) / (1.0 + e)) + d - q
+            u_new = u + h * (b1 * fu + b3 * ku3 + b4 * ku4 + b5 * ku5
+                             + b6 * ku6)
+            v_new = v + h * (b1 * fv + b3 * kv3 + b4 * kv4 + b5 * kv5
+                             + b6 * kv6)
+            ku7 = a * (1.0 / (1.0 + exp(-v_new)) if v_new >= 0.0
+                       else (e := exp(v_new)) / (1.0 + e)) + b - u_new
+            kv7 = c * (1.0 / (1.0 + exp(-u_new)) if u_new >= 0.0
+                       else (e := exp(u_new)) / (1.0 + e)) + d - v_new
+            nfev += 6
+            au, aun, av, avn = abs(u), abs(u_new), abs(v), abs(v_new)
+            eu = h * (e1 * fu + e3 * ku3 + e4 * ku4 + e5 * ku5 + e6 * ku6
+                      + e7 * ku7) / (atol + (aun if aun > au else au) * rtol)
+            ev = h * (e1 * fv + e3 * kv3 + e4 * kv4 + e5 * kv5 + e6 * kv6
+                      + e7 * kv7) / (atol + (avn if avn > av else av) * rtol)
+            err = sqrt(eu * eu + ev * ev) / root_size
             if err < 1.0:
-                factor = (_MAX_FACTOR if err == 0.0
-                          else min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT))
-                h_abs *= min(1.0, factor) if rejected else factor
+                factor = _SAFETY * err ** _EXPONENT if err > 0.0 else cap
+                h_abs *= cap if factor > cap else factor
                 break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
-            rejected = True
-            run.rejected += 1
-        g_new = speed(ku7, kv7)
+            factor = _SAFETY * err ** _EXPONENT
+            h_abs *= factor if factor > _MIN_FACTOR else _MIN_FACTOR
+            cap = 1.0
+            rejected += 1
+        aku, akv = abs(ku7), abs(kv7)
+        g_new = (akv if akv > aku else aku) - tol
         if g_new <= 0.0:
             qu = _quartic((fu, ku2, ku3, ku4, ku5, ku6, ku7))
             qv = _quartic((fv, kv2, kv3, kv4, kv5, kv6, kv7))
@@ -479,12 +531,11 @@ def _run_to_rest(u: float, v: float, coeffs: ReducedCoefficients,
 
             t_stop = bisect(lambda s: (speed(*flow(*dense(s))), None),
                             t, t_new, g, g_new)
-            run.points.append((t_stop, *dense(t_stop)))
-            return run
-        run.points.append((t_new, u_new, v_new))
+            points.append((t_stop, *dense(t_stop)))
+            return _Run(points, CONVERGED, nfev, rejected)
+        points.append((t_new, u_new, v_new))
         if t_new >= t_end:
-            run.reason = MAX_TIME
-            return run
+            return _Run(points, MAX_TIME, nfev, rejected)
         t, u, v, fu, fv, g = t_new, u_new, v_new, ku7, kv7, g_new
 
 
@@ -527,10 +578,7 @@ def integrate_batch(starts, coeffs: ReducedCoefficients,
     one terminal reason: ``converged`` when every run converged, otherwise
     the first other reason in start order.
     """
-    try:
-        pts = np.asarray(starts, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"starts must be numbers: {exc}") from exc
+    pts = _as_array(starts, "starts")
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
         raise DomainError("starts must be an (n, 2) array with n >= 1")
     for start in pts:

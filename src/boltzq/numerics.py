@@ -29,7 +29,8 @@ The scalar argument rules live here, each written once and raising
 :func:`_require_temperature` (finite and > 0), :func:`_as_count` (a
 whole number of at least 0, 1 or 2), :func:`_require_interior` (a point
 inside the unit square) and :func:`_require_learning_rate` (in (0, 1]).
-The vector checks on numpy arrays stay in :mod:`boltzq.dynamics`.
+The vector rule (``_as_array``: what numpy converts to floats) and the
+simplex check stay in :mod:`boltzq.dynamics`.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import softmax
+from .dynamics import _as_array, softmax
 from .errors import DomainError
 from .games import Game, Temperatures
 from .numerics import (_as_count, _as_finite, _as_float,
@@ -43,8 +43,11 @@ class AgentState:
     alpha: float
 
     def __post_init__(self):
+        qvals = _as_array(self.qvals, "q-values")
+        if qvals.ndim != 1:
+            raise DomainError(f"q-values must be 1-d, got {self.qvals!r}")
         object.__setattr__(self, "qvals", tuple(_as_finite(q, "q-value")
-                                                for q in self.qvals))
+                                                for q in qvals.tolist()))
         _require_learning_rate(self.alpha)
         _require_temperature(self.temp)
 

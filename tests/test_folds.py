@@ -162,6 +162,10 @@ def stag_coeffs():
     return bq.reduce_payoffs(bq.fixture("stag_hunt"), bq.Temperatures(1.0, 1.0))
 
 
+#: unit temperatures for the n-action fields
+TEMPS = bq.Temperatures(1.0, 1.0)
+
+
 def agent():
     return bq.AgentState((0.0, 0.0), 1.0, 0.1)
 
@@ -223,6 +227,17 @@ BAD_INPUT = [
     lambda: bq.q_velocity((0.0, 0.0), (0.5, 0.5), IDENTITY, -1.0),
     lambda: bq.q_velocity((0.0, 0.0), (0.5, 0.5), IDENTITY, 0.0),
     lambda: bq.q_velocity((0.0, 0.0), (0.5, 0.5), IDENTITY, 2.0),
+    # vectors that numpy cannot convert, and a scalar for a vector
+    lambda: bq.replicator_velocity(("a", 0.5), (0.5, 0.5),
+                                   bq.fixture("stag_hunt"), TEMPS),
+    lambda: bq.gibbs_distribution(["a", 1.0], 1.0),
+    lambda: bq.free_energy((0.5, 0.5), ["a", 1.0], 1.0),
+    lambda: bq.log_ratio_field(bq.fixture("stag_hunt"), TEMPS, "a", 0.0),
+    lambda: bq.numerical_divergence(("a", 0.0), bq.fixture("stag_hunt"),
+                                    TEMPS),
+    lambda: bq.integrate_single_agent(["a", 1.0], 1.0, (0.5, 0.5)),
+    lambda: bq.q_velocity(("a", 0.0), (0.5, 0.5), IDENTITY, 0.1),
+    lambda: bq.AgentState(5, 1.0, 0.1),
 ]
 BAD_INPUT_IDS = [
     "t_max_inf", "t_min_nan", "t_min_neg_inf", "empty_range",
@@ -241,7 +256,9 @@ BAD_INPUT_IDS = [
     "q_update_text_action", "q_update_text_reward", "from_values_text_a",
     "batch_text_start", "q_velocity_lengths", "q_velocity_nan_alpha",
     "q_velocity_negative_alpha", "q_velocity_zero_alpha",
-    "q_velocity_alpha_above_one"]
+    "q_velocity_alpha_above_one", "replicator_text_x", "gibbs_text_reward",
+    "free_energy_text_reward", "log_ratio_text_w", "divergence_text_point",
+    "single_agent_text_reward", "q_velocity_text_q", "agent_scalar_q"]
 
 
 @pytest.mark.parametrize("call", BAD_INPUT, ids=BAD_INPUT_IDS)
