@@ -6,10 +6,12 @@ type of every call that the tests list as bad input.
 
 Each CLI line is ``md5  argv`` for one in-process run of
 ``boltzq.cli.main``; the digest covers the exit code, the captured stdout
-and stderr, and the file written by ``--csv``.  Each library line is
-``md5  raised=N  name`` for one seeded batch of calls (:func:`batches`);
-the digest covers every returned field, exactly (``repr`` of each float),
-or the error type of a call that raised.  Two checkouts whose outputs are
+and stderr, and the file written by ``--csv``.  The ``--help`` runs, at
+the top level and for each command, pin the parser itself; every run
+sees ``COLUMNS=80``, so help text wraps the same on any terminal.  Each
+library line is ``md5  raised=N  name`` for one seeded batch of calls
+(:func:`batches`); the digest covers every returned field, exactly
+(``repr`` of each float), or the error type of a call that raised.  Two checkouts whose outputs are
 bit-identical print identical lines, so a refactor that must not change
 any output is checked by diffing this script's output on both::
 
@@ -60,6 +62,11 @@ def runs(fixture: str) -> list[list[str]]:
          "--csv", f"{_TMP}/portrait.csv"],
         ["agents", *game, "--rounds", "2000"],
     ]
+
+
+#: the command names, for the ``--help`` runs
+_COMMANDS = ("classify", "simulate", "agents", "restpoints", "sweep",
+             "critical", "portrait")
 
 
 def digest(argv: list[str], tmp: str) -> str:
@@ -302,7 +309,10 @@ def library_digest(seed: int, calls: int, call) -> tuple[str, int]:
 
 
 def main_digests() -> int:
+    os.environ["COLUMNS"] = "80"
     with tempfile.TemporaryDirectory() as tmp:
+        for argv in [["--help"], *([name, "--help"] for name in _COMMANDS)]:
+            print(f"{digest(argv, tmp)}  {' '.join(argv)}", flush=True)
         for fixture in sorted(FIXTURES):
             for argv in runs(fixture):
                 print(f"{digest(argv, tmp)}  {' '.join(argv)}", flush=True)
