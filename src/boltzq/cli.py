@@ -5,8 +5,12 @@ Only ``simulate``, ``portrait`` and ``agents`` import numpy (through the
 trajectory and simulator modules); the other commands are scalar work.
 
 Games come from ``--game game.json`` (object with "name", "A", "B"; row =
-own action) or ``--fixture NAME``.  Exit codes: 0 success, 2 malformed
-input or inapplicable request, 3 numerical failure.
+own action) or ``--fixture NAME``.  Each ``cmd_*`` returns its main
+output text, which :func:`main` writes once to ``--out`` (stdout by
+default); side outputs (``agents``' ``.meta.json``, ``portrait``'s
+``--csv``, the stderr summaries of ``sweep`` and ``critical``) stay in
+their command.  Exit codes: 0 success, 2 malformed input or inapplicable
+request, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -26,22 +30,26 @@ from .numerics import _as_count, geomspace
 from .restpoints import find_rest_points
 
 if TYPE_CHECKING:
-    from .dynamics import IntegratorConfig, Trajectory
+    from .dynamics import IntegratorConfig
 
 
-def _add_game_args(parser: argparse.ArgumentParser) -> None:
+def _command(sub, name: str, func, help_text: str,
+             temperatures: bool = True) -> argparse.ArgumentParser:
+    """The subcommand ``name`` with --game, --fixture and --out, and --tx
+    and --ty unless it picks its own temperatures; ``func(args)`` returns
+    the text that :func:`main` writes to --out."""
+    parser = sub.add_parser(name, help=help_text)
     parser.add_argument("--game", help="path to a game JSON file")
     parser.add_argument("--fixture", choices=sorted(FIXTURES),
                         help="name of a built-in game")
     parser.add_argument("--out", help="output path (default: stdout)")
-
-
-def _add_temperature_args(parser: argparse.ArgumentParser) -> None:
-    """--tx and --ty, for the commands that run at fixed temperatures."""
-    parser.add_argument("--tx", type=float, default=1.0,
-                        help="exploration rate of player X (default 1)")
-    parser.add_argument("--ty", type=float, default=1.0,
-                        help="exploration rate of player Y (default 1)")
+    if temperatures:
+        parser.add_argument("--tx", type=float, default=1.0,
+                            help="exploration rate of player X (default 1)")
+        parser.add_argument("--ty", type=float, default=1.0,
+                            help="exploration rate of player Y (default 1)")
+    parser.set_defaults(func=func)
+    return parser
 
 
 def _resolve_game(args) -> Game:
@@ -62,13 +70,11 @@ def _resolve_coefficients(args) -> tuple[Game, ReducedCoefficients]:
 
 def _integrator_config(args) -> IntegratorConfig:
     from .dynamics import IntegratorConfig
-    kwargs = {}
-    if getattr(args, "t_max", None) is not None:
-        kwargs["max_time"] = args.t_max
-    return IntegratorConfig(**kwargs)
+    return (IntegratorConfig() if args.t_max is None
+            else IntegratorConfig(max_time=args.t_max))
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> str:
     game, coeffs = _resolve_coefficients(args)
     region = classify_region(coeffs)
     try:
@@ -91,11 +97,10 @@ def cmd_classify(args) -> int:
                             for ne in nash_equilibria(game)],
         "risk_dominant": risk_payload,
     }
-    fileio.write_text(args.out, json.dumps(payload, indent=2) + "\n")
-    return 0
+    return json.dumps(payload, indent=2) + "\n"
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> str:
     import numpy as np
 
     from .dynamics import integrate, integrate_batch
@@ -106,59 +111,51 @@ def cmd_simulate(args) -> int:
         count = _as_count(args.starts, "--starts")
         starts = rng.uniform(0.02, 0.98, size=(count, 2))
         finals, _reason = integrate_batch(starts, coeffs, cfg)
-        fileio.write_text(args.out, fileio.terminal_points_csv(starts, finals))
-    else:
-        traj = integrate((args.x0, args.y0), coeffs, cfg)
-        fileio.write_text(args.out, fileio.trajectory_csv(traj))
-    return 0
+        return fileio.terminal_points_csv(starts, finals)
+    return fileio.trajectory_csv(integrate((args.x0, args.y0), coeffs, cfg))
 
 
-def cmd_agents(args) -> int:
+def cmd_agents(args) -> str:
     from .simulate import SimConfig, run_two_agents
     game = _resolve_game(args)
     temps = Temperatures(args.tx, args.ty)
     cfg = SimConfig(batch=args.batch, rounds=args.rounds, seed=args.seed,
                     record_every=args.record_every)
     trace_x, trace_y = run_two_agents(game, temps, cfg, alpha=args.alpha)
-    fileio.write_text(args.out, fileio.trace_csv(trace_x, trace_y))
     if args.out is not None:
         fileio.write_text(args.out + ".meta.json",
                           fileio.trace_metadata_json(trace_x))
-    return 0
+    return fileio.trace_csv(trace_x, trace_y)
 
 
-def cmd_restpoints(args) -> int:
+def cmd_restpoints(args) -> str:
     _game, coeffs = _resolve_coefficients(args)
-    points = find_rest_points(coeffs)
-    fileio.write_text(args.out, fileio.rest_points_json(points))
-    return 0
+    return fileio.rest_points_json(find_rest_points(coeffs))
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> str:
     game = _resolve_game(args)
     diagram = bifurcation.sweep_equal_temperature(
         game, args.t_min, args.t_max, args.steps)
-    fileio.write_text(args.out, fileio.sweep_csv(diagram))
     summary = {"critical_temperatures": diagram.critical_temperatures,
                "pitchfork_kind": diagram.pitchfork_kind}
     print(json.dumps(summary), file=sys.stderr)
-    return 0
+    return fileio.sweep_csv(diagram)
 
 
-def cmd_critical(args) -> int:
+def cmd_critical(args) -> str:
     game = _resolve_game(args)
     orientation = ("tx_window_vs_ty" if args.orientation == "tx"
                    else "ty_window_vs_tx")
     grid = geomspace(args.fixed_min, args.fixed_max,
                      _as_count(args.fixed_steps, "--fixed-steps"))
     curve = bifurcation.critical_curve(game, grid, orientation)
-    fileio.write_text(args.out, fileio.critical_csv(curve))
     summary = {"closing_temperature": curve.closing_temperature}
     print(json.dumps(summary), file=sys.stderr)
-    return 0
+    return fileio.critical_csv(curve)
 
 
-def cmd_portrait(args) -> int:
+def cmd_portrait(args) -> str:
     import numpy as np
 
     from .dynamics import integrate
@@ -167,17 +164,13 @@ def cmd_portrait(args) -> int:
     count = _as_count(args.grid, "--grid")
     margin = 1.0 / (count + 1.0)
     axis = np.linspace(margin, 1.0 - margin, count)
-    trajectories: list[Trajectory] = []
-    for x0 in axis:
-        for y0 in axis:
-            trajectories.append(integrate((float(x0), float(y0)), coeffs, cfg))
+    trajectories = [integrate((float(x0), float(y0)), coeffs, cfg)
+                    for x0 in axis for y0 in axis]
     points = find_rest_points(coeffs)
     title = f"{game.name}  (tx={coeffs.tx:g}, ty={coeffs.ty:g})"
-    fileio.write_text(args.out, svg.phase_portrait_svg(trajectories, points,
-                                                       title))
     if args.csv is not None:
         fileio.write_text(args.csv, fileio.portrait_csv(trajectories))
-    return 0
+    return svg.phase_portrait_svg(trajectories, points, title)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -186,75 +179,54 @@ def build_parser() -> argparse.ArgumentParser:
         description="Softmax learning dynamics in two-action games: rest "
                     "points, trajectories, bifurcations.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="region, equilibria, risk dominance")
-    _add_game_args(p)
-    _add_temperature_args(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("simulate", help="integrate the learning flow")
-    _add_game_args(p)
-    _add_temperature_args(p)
+    _command(sub, "classify", cmd_classify,
+             "region, equilibria, risk dominance")
+    p = _command(sub, "simulate", cmd_simulate, "integrate the learning flow")
     p.add_argument("--x0", type=float, default=0.5)
     p.add_argument("--y0", type=float, default=0.5)
     p.add_argument("--t-max", type=float, default=None)
     p.add_argument("--starts", type=int, default=None,
                    help="integrate this many random starts; emit terminals")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("agents", help="stochastic two-agent learning run")
-    _add_game_args(p)
-    _add_temperature_args(p)
+    p = _command(sub, "agents", cmd_agents, "stochastic two-agent learning run")
     p.add_argument("--alpha", type=float, default=0.01)
     p.add_argument("--batch", type=int, default=100)
     p.add_argument("--rounds", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--record-every", type=int, default=100)
-    p.set_defaults(func=cmd_agents)
-
-    p = sub.add_parser("restpoints", help="all interior rest points as JSON")
-    _add_game_args(p)
-    _add_temperature_args(p)
-    p.set_defaults(func=cmd_restpoints)
-
-    p = sub.add_parser("sweep", help="equal-temperature bifurcation diagram")
-    _add_game_args(p)
+    _command(sub, "restpoints", cmd_restpoints,
+             "all interior rest points as JSON")
+    p = _command(sub, "sweep", cmd_sweep,
+                 "equal-temperature bifurcation diagram", temperatures=False)
     p.add_argument("--t-min", type=float, default=0.05)
     p.add_argument("--t-max", type=float, default=5.0)
     p.add_argument("--steps", type=int, default=80)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("critical", help="three-rest-point temperature windows")
-    _add_game_args(p)
+    p = _command(sub, "critical", cmd_critical,
+                 "three-rest-point temperature windows", temperatures=False)
     p.add_argument("--orientation", choices=("tx", "ty"), default="tx",
                    help="which temperature the window is measured in")
     p.add_argument("--fixed-min", type=float, default=1e-3)
     p.add_argument("--fixed-max", type=float, default=2.0)
     p.add_argument("--fixed-steps", type=int, default=12)
-    p.set_defaults(func=cmd_critical)
-
-    p = sub.add_parser("portrait", help="phase portrait SVG from a start grid")
-    _add_game_args(p)
-    _add_temperature_args(p)
+    p = _command(sub, "portrait", cmd_portrait,
+                 "phase portrait SVG from a start grid")
     p.add_argument("--grid", type=int, default=7)
     p.add_argument("--t-max", type=float, default=None)
     p.add_argument("--csv", help="also write trajectories as CSV")
-    p.set_defaults(func=cmd_portrait)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        fileio.write_text(args.out, args.func(args))
     except NumericFailureError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except (BoltzqError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import DomainError
 from .games import Game, PayoffMatrix, ReducedCoefficients, Temperatures
-from .numerics import (_as_count, _as_float, _require_interior,
+from .numerics import (_as_count, _as_float, _as_pair, _require_interior,
                        _require_learning_rate, _require_temperature, bisect,
                        logit, sigmoid, sigmoid_slope)
 
@@ -167,7 +167,8 @@ def strategy_velocity(point, coeffs: ReducedCoefficients) -> tuple[float, float]
 
 def logit_velocity(point, coeffs: ReducedCoefficients) -> tuple[float, float]:
     """(du/dt, dv/dt) of the flow in log-odds coordinates."""
-    u, v = point
+    u, v = _as_pair(point)
+    u, v = _as_float(u, "u"), _as_float(v, "v")
     du = coeffs.a * sigmoid(v) + coeffs.b - u
     dv = coeffs.c * sigmoid(u) + coeffs.d - v
     return du, dv
@@ -279,7 +280,7 @@ def numerical_divergence(point, game: Game, temps: Temperatures) -> float:
     or a pair of length n-1 arrays of log-ratio coordinates in general.
     Up to finite-difference error this returns :func:`dissipation_rate`.
     """
-    pu, pv = point
+    pu, pv = _as_pair(point)
     # 2-action logit u = ln(x/(1-x)) is the negated first log-ratio coord.
     w_x, w_y = _as_array(pu, "point"), _as_array(pv, "point")
     if w_x.ndim == 0:
@@ -332,25 +333,8 @@ def free_energy(x, rewards, temp: float, allow_zero: bool = False) -> float:
     return float(-(r @ x) + temp * entropy_part)
 
 
-def _clamp(values: np.ndarray) -> np.ndarray:
-    return np.clip(values, _BOUNDARY_CLAMP, 1.0 - _BOUNDARY_CLAMP)
-
-
-# Dormand-Prince 5(4) for an autonomous flow: stage weights A, the
-# 5th-order weights B, the error weights E (5th minus embedded 4th order,
-# FSAL stage last) and the quartic dense-output matrix P with Shampine's
-# optimal c_6 (Hairer, Norsett & Wanner, Solving ODEs I, II.5-II.6; the
-# tableau of scipy's RK45)
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247,
-                                49 / 176, -5103 / 18656)
-_B1, _B3, _B4, _B5, _B6 = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784,
-                           11 / 84)
-_E1, _E3, _E4, _E5, _E6, _E7 = (-71 / 57600, 71 / 16695, -71 / 1920,
-                                17253 / 339200, -22 / 525, 1 / 40)
+# The quartic dense-output matrix P of Dormand-Prince 5(4) with Shampine's
+# optimal c_6 (Hairer, Norsett & Wanner, Solving ODEs I, II.6; scipy's RK45)
 _P = ((1, -8048581381 / 2820520608, 8663915743 / 2820520608,
        -12715105075 / 11282082432),
       (0, 0, 0, 0),
@@ -377,22 +361,12 @@ def _quartic(stages) -> list:
     return [sum(row[j] * k for row, k in zip(_P, stages)) for j in range(4)]
 
 
-@dataclass
-class _Run:
-    """Accepted points (t, u, v), the start first, and the stepper's
-    counts."""
-
-    points: list
-    reason: str
-    nfev: int
-    rejected: int = 0
-
-
 def _run_to_rest(u: float, v: float, coeffs: ReducedCoefficients,
-                 cfg: IntegratorConfig) -> _Run:
+                 cfg: IntegratorConfig) -> tuple[list, str, int, int]:
     """The one ODE solve: Dormand-Prince 5(4) in logit coordinates from
     (u, v) until the logit speed reaches ``convergence_speed_tol`` or t
-    reaches ``max_time``.
+    reaches ``max_time``.  Returns the accepted points (t, u, v), the
+    start first, the terminal reason, ``nfev`` and the rejected steps.
 
     The controller is scipy's RK45: RMS error norm over both coordinates,
     step factor 0.9*err^(-1/5) clamped to [0.2, 10] and capped at 1 right
@@ -431,7 +405,7 @@ def _run_to_rest(u: float, v: float, coeffs: ReducedCoefficients,
     fu, fv = flow(u, v)
     g = speed(fu, fv)
     if g <= 0.0:
-        return _Run(points, CONVERGED, 1)
+        return points, CONVERGED, 1, 0
     rtol, atol = _solver_tols(cfg, *_attractor_scales(coeffs))
     su, sv = atol + abs(u) * rtol, atol + abs(v) * rtol
     d0, d1 = rms(u / su, v / sv), rms(fu / su, fv / sv)
@@ -445,12 +419,20 @@ def _run_to_rest(u: float, v: float, coeffs: ReducedCoefficients,
     else:
         h_abs = (0.01 / max(d1, d2)) ** (1 / 5)
     h_abs = min(100.0 * h0, h_abs, t_end)
-    # the stepping loop reads these as locals, not as globals
+    # Dormand-Prince 5(4) for an autonomous flow (HNW II.5; scipy's RK45):
+    # stage weights a, 5th-order weights b, error weights e (5th minus
+    # embedded 4th order, FSAL stage last); CPython folds each quotient
+    # at compile time
     exp, ulp, sqrt = math.exp, math.ulp, math.sqrt
-    a21, a31, a32, a41, a42, a43 = _A21, _A31, _A32, _A41, _A42, _A43
-    a51, a52, a53, a54, a61, a62 = _A51, _A52, _A53, _A54, _A61, _A62
-    a63, a64, a65, b1, b3, b4, b5 = _A63, _A64, _A65, _B1, _B3, _B4, _B5
-    b6, e1, e3, e4, e5, e6, e7 = _B6, _E1, _E3, _E4, _E5, _E6, _E7
+    a21 = 1 / 5
+    a31, a32 = 3 / 40, 9 / 40
+    a41, a42, a43 = 44 / 45, -56 / 15, 32 / 9
+    a51, a52, a53, a54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+    a61, a62, a63, a64, a65 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
+                               -5103 / 18656)
+    b1, b3, b4, b5, b6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+    e1, e3, e4, e5, e6, e7 = (-71 / 57600, 71 / 16695, -71 / 1920,
+                              17253 / 339200, -22 / 525, 1 / 40)
     nfev, rejected = 2, 0
     t = 0.0
     while True:
@@ -459,7 +441,7 @@ def _run_to_rest(u: float, v: float, coeffs: ReducedCoefficients,
         cap = _MAX_FACTOR  # the step factor's ceiling, 1 after a rejection
         while True:
             if h_abs < min_step:
-                return _Run(points, STEP_FAILURE, nfev, rejected)
+                return points, STEP_FAILURE, nfev, rejected
             t_new = t_end if t + h_abs > t_end else t + h_abs
             h_abs = h = t_new - t
             p, q = u + h * (a21 * fu), v + h * (a21 * fv)
@@ -532,10 +514,10 @@ def _run_to_rest(u: float, v: float, coeffs: ReducedCoefficients,
             t_stop = bisect(lambda s: (speed(*flow(*dense(s))), None),
                             t, t_new, g, g_new)
             points.append((t_stop, *dense(t_stop)))
-            return _Run(points, CONVERGED, nfev, rejected)
+            return points, CONVERGED, nfev, rejected
         points.append((t_new, u_new, v_new))
         if t_new >= t_end:
-            return _Run(points, MAX_TIME, nfev, rejected)
+            return points, MAX_TIME, nfev, rejected
         t, u, v, fu, fv, g = t_new, u_new, v_new, ku7, kv7, g_new
 
 
@@ -556,13 +538,14 @@ def integrate(start, coeffs: ReducedCoefficients,
     """
     cfg = cfg or IntegratorConfig()
     x0, y0 = _require_interior(start)
-    run = _run_to_rest(logit(x0), logit(y0), coeffs, cfg)
-    times, us, vs = zip(*run.points)
+    points, reason, nfev, rejected = _run_to_rest(logit(x0), logit(y0),
+                                                  coeffs, cfg)
+    times, us, vs = zip(*points)
     # the first sample is the start itself, the rest map back from logits
-    xs = _clamp(np.append(x0, sigmoid_array(np.array(us[1:]))))
-    ys = _clamp(np.append(y0, sigmoid_array(np.array(vs[1:]))))
-    return Trajectory(times, tuple(xs.tolist()), tuple(ys.tolist()),
-                      run.reason, run.nfev, run.rejected)
+    xs, ys = np.clip([np.append(x0, sigmoid_array(np.array(us[1:]))),
+                      np.append(y0, sigmoid_array(np.array(vs[1:])))],
+                     _BOUNDARY_CLAMP, 1.0 - _BOUNDARY_CLAMP).tolist()
+    return Trajectory(times, tuple(xs), tuple(ys), reason, nfev, rejected)
 
 
 def integrate_batch(starts, coeffs: ReducedCoefficients,

@@ -23,10 +23,19 @@ def fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def trajectory_csv(traj: Trajectory) -> str:
-    lines = ["t,x,y"]
-    lines += [f"{fmt(t)},{fmt(x)},{fmt(y)}" for t, x, y in traj.samples]
+def _csv(header: str, rows) -> str:
+    """The one CSV format: the header line, then one line per row of
+    comma-separated fields, each float through :func:`fmt`, None as an
+    empty field and anything else through ``str``; every line ends in LF."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(fmt(v) if isinstance(v, float)
+                              else "" if v is None else str(v) for v in row))
     return "\n".join(lines) + "\n"
+
+
+def trajectory_csv(traj: Trajectory) -> str:
+    return _csv("t,x,y", traj.samples)
 
 
 def parse_trajectory_csv(text: str) -> list[tuple[float, float, float]]:
@@ -48,17 +57,13 @@ def parse_trajectory_csv(text: str) -> list[tuple[float, float, float]]:
 
 
 def terminal_points_csv(starts, finals) -> str:
-    lines = ["start_x,start_y,x,y"]
-    for (sx, sy), (x, y) in zip(starts, finals):
-        lines.append(f"{fmt(sx)},{fmt(sy)},{fmt(x)},{fmt(y)}")
-    return "\n".join(lines) + "\n"
+    return _csv("start_x,start_y,x,y",
+                ((sx, sy, x, y) for (sx, sy), (x, y) in zip(starts, finals)))
 
 
 def trace_csv(trace_x: EmpiricalTrace, trace_y: EmpiricalTrace) -> str:
-    lines = ["round,x,y"]
-    for (rnd, px), (_, py) in zip(trace_x.samples, trace_y.samples):
-        lines.append(f"{rnd},{fmt(px[0])},{fmt(py[0])}")
-    return "\n".join(lines) + "\n"
+    return _csv("round,x,y", ((rnd, px[0], py[0]) for (rnd, px), (_, py)
+                              in zip(trace_x.samples, trace_y.samples)))
 
 
 def trace_metadata_json(trace: EmpiricalTrace) -> str:
@@ -80,29 +85,20 @@ def rest_points_json(points: list[RestPoint]) -> str:
 
 
 def sweep_csv(diagram: BifurcationDiagram) -> str:
-    lines = ["T,x,y,stability,branch_id"]
-    for branch_id, branch in enumerate(diagram.branches):
-        for temp, point in branch:
-            lines.append(f"{fmt(temp)},{fmt(point.x)},{fmt(point.y)},"
-                         f"{point.stability},{branch_id}")
-    return "\n".join(lines) + "\n"
+    return _csv("T,x,y,stability,branch_id",
+                ((temp, point.x, point.y, point.stability, branch_id)
+                 for branch_id, branch in enumerate(diagram.branches)
+                 for temp, point in branch))
 
 
 def critical_csv(curve: CriticalCurve) -> str:
-    lines = ["T_fixed,Tc_minus,Tc_plus"]
-    for fixed, lo, hi in curve.samples:
-        lo_s = fmt(lo) if lo is not None else ""
-        hi_s = fmt(hi) if hi is not None else ""
-        lines.append(f"{fmt(fixed)},{lo_s},{hi_s}")
-    return "\n".join(lines) + "\n"
+    return _csv("T_fixed,Tc_minus,Tc_plus", curve.samples)
 
 
 def portrait_csv(trajectories: list[Trajectory]) -> str:
-    lines = ["traj,t,x,y"]
-    for idx, traj in enumerate(trajectories):
-        for t, x, y in traj.samples:
-            lines.append(f"{idx},{fmt(t)},{fmt(x)},{fmt(y)}")
-    return "\n".join(lines) + "\n"
+    return _csv("traj,t,x,y", ((idx, *sample)
+                               for idx, traj in enumerate(trajectories)
+                               for sample in traj.samples))
 
 
 def write_text(path: Optional[str], text: str) -> None:

@@ -55,7 +55,7 @@ class PayoffMatrix:
     def __post_init__(self):
         try:
             rows = tuple(tuple(float(v) for v in row) for row in self.entries)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise GameFormatError(
                 f"payoff entries are not numeric: {exc}") from exc
         n = len(rows)

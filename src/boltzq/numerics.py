@@ -27,8 +27,9 @@ The scalar argument rules live here, each written once and raising
 :class:`DomainError`, and every entry point checks through them:
 :func:`_as_float` (a number), :func:`_as_finite`,
 :func:`_require_temperature` (finite and > 0), :func:`_as_count` (a
-whole number of at least 0, 1 or 2), :func:`_require_interior` (a point
-inside the unit square) and :func:`_require_learning_rate` (in (0, 1]).
+whole number of at least 0, 1 or 2), :func:`_as_pair` (a point of two
+coordinates), :func:`_require_interior` (a pair inside the unit square)
+and :func:`_require_learning_rate` (in (0, 1]).
 The vector rule (``_as_array``: what numpy converts to floats) and the
 simplex check stay in :mod:`boltzq.dynamics`.
 """
@@ -44,10 +45,11 @@ from .errors import DomainError
 
 def _as_float(value, what: str) -> float:
     """``float(value)``, so that numpy scalars become Python floats, or
-    :class:`DomainError` where ``float`` refuses the value."""
+    :class:`DomainError` where ``float`` refuses the value, or where it
+    is an integer too large for a float."""
     try:
         return float(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"{what} must be a number, got {value!r}") from exc
 
 
@@ -87,12 +89,19 @@ def _as_count(value, what: str, least: int = 1) -> int:
     return int(value)
 
 
+def _as_pair(point) -> tuple:
+    """The two coordinates of a point, unconverted, or :class:`DomainError`
+    where ``point`` does not unpack into two."""
+    try:
+        first, second = point
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"a point is a pair, got {point!r}") from exc
+    return first, second
+
+
 def _require_interior(point) -> tuple[float, float]:
     """``(x, y)`` of a point strictly inside the unit square, as floats."""
-    try:
-        x, y = point
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"a point is an (x, y) pair, got {point!r}") from exc
+    x, y = _as_pair(point)
     x, y = _as_float(x, "x"), _as_float(y, "y")
     if not (0.0 < x < 1.0 and 0.0 < y < 1.0):
         raise DomainError(f"point ({x}, {y}) is not interior to the unit square")

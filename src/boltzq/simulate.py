@@ -77,11 +77,7 @@ class SimConfig:
     def __post_init__(self):
         for name in ("batch", "rounds", "record_every"):
             _as_count(getattr(self, name), name)
-        try:
-            seed = int(self.seed)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DomainError(f"seed {self.seed!r} is not a number") from exc
-        if not 0 <= seed < 2 ** 64:
+        if _as_count(self.seed, "seed", 0) >= 2 ** 64:
             raise DomainError("seed must fit in 64 unsigned bits")
 
 

@@ -29,6 +29,16 @@ class TestInterceptExtrema:
         assert profile.delta_max == 1.0
         assert profile.extreme_at is None
 
+    def test_ratio_between_minus_half_and_zero_unbounded_above(self):
+        profile = bq.intercept_extrema(1.0, -0.25)
+        assert profile.delta_min == 0.0
+        assert profile.delta_max is None
+        assert profile.max_unbounded and not profile.min_unbounded
+
+    def test_zero_slope_not_applicable(self):
+        with pytest.raises(bq.NotApplicableError):
+            bq.intercept_extrema(0.0, 1.0)
+
     def test_mirror_relation(self):
         # relabeling maps ratio r -> -1 - r and delta -> 1 - delta
         low = bq.intercept_extrema(1.0, -1.4)
@@ -109,6 +119,10 @@ class TestZeroExplorationWindow:
     def test_outside_region_rejected(self):
         with pytest.raises(bq.NotApplicableError):
             bq.zero_exploration_window(-0.3, -0.8, 10.0)
+
+    def test_negative_raw_slope_rejected(self):
+        with pytest.raises(bq.NotApplicableError):
+            bq.zero_exploration_window(0.5, -0.7, -1.0)
 
 
 class TestLocateCusp:

@@ -46,6 +46,7 @@ MALFORMED_PAYOFFS = [
     {"name": "f", "A": 5, "B": [[1, 2], [3, 4]]},
     {"name": "f", "A": [[1, 2], [3, 4]], "B": [None, [3, 4]]},
     {"name": "f", "A": [[1, 2], [3, 4]], "B": [[1, 2], 3]},
+    {"name": "f", "A": [[1, 10 ** 400], [3, 4]], "B": [[1, 2], [3, 4]]},
 ]
 
 
@@ -89,7 +90,8 @@ class TestClassifyCommand:
         assert "error" in err
 
     @pytest.mark.parametrize("data", MALFORMED_PAYOFFS,
-                             ids=["scalar_a", "null_row", "scalar_row"])
+                             ids=["scalar_a", "null_row", "scalar_row",
+                                  "huge_int"])
     def test_payoffs_that_are_not_a_grid_exit_2(self, tmp_path, capsys, data):
         path = tmp_path / "f.json"
         path.write_text(json.dumps(data))
@@ -117,6 +119,14 @@ class TestClassifyCommand:
     def test_missing_game_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "classify")
         assert code == 2
+
+    def test_game_and_fixture_together_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(bq.fixture("stag_hunt").to_dict()))
+        code, out, err = run_cli(capsys, "classify", "--game", str(path),
+                                 "--fixture", "stag_hunt")
+        assert (code, out) == (2, "")
+        assert err == "error: pass either --game or --fixture, not both\n"
 
 
 class TestSimulateCommand:

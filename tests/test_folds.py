@@ -170,6 +170,10 @@ def agent():
     return bq.AgentState((0.0, 0.0), 1.0, 0.1)
 
 
+#: an int that float() refuses with OverflowError
+HUGE = 10 ** 400
+
+
 #: calls that must raise DomainError (``tools/output_digests.py`` digests
 #: the error type of each)
 BAD_INPUT = [
@@ -238,6 +242,45 @@ BAD_INPUT = [
     lambda: bq.integrate_single_agent(["a", 1.0], 1.0, (0.5, 0.5)),
     lambda: bq.q_velocity(("a", 0.0), (0.5, 0.5), IDENTITY, 0.1),
     lambda: bq.AgentState(5, 1.0, 0.1),
+    # an int too large for a float
+    lambda: bq.Temperatures(HUGE, 1.0),
+    lambda: bq.integrate((0.5, HUGE), stag_coeffs()),
+    lambda: bq.ReducedCoefficients.from_values(HUGE, 1, 1, 1),
+    lambda: bq.critical_curve(bq.fixture("stag_hunt"), [HUGE]),
+    lambda: bq.numerics.geomspace(HUGE, 1.0, 3),
+    lambda: bq.sweep_equal_temperature(bq.fixture("stag_hunt"), 0.1, HUGE, 5),
+    lambda: bq.strategy_velocity((0.5, HUGE), stag_coeffs()),
+    lambda: bq.stability_eigenvalues((HUGE, 0.5), stag_coeffs()),
+    lambda: bq.zero_exploration_window(HUGE, -0.7, 1.0),
+    lambda: bq.GFunction(1.0, -0.5, HUGE),
+    lambda: bq.intercept_extrema(HUGE, 1.0),
+    lambda: bq.corner_boundary(HUGE),
+    lambda: bq.solve_symmetric(HUGE, 1.0),
+    lambda: bq.symmetric_critical_offsets(HUGE),
+    lambda: bq.IntegratorConfig(max_time=HUGE),
+    lambda: bq.AgentState((0.0, 0.0), 1.0, HUGE),
+    lambda: bq.q_update(agent(), 0, HUGE),
+    lambda: bq.q_velocity((0.0, 0.0), (0.5, 0.5), IDENTITY, HUGE),
+    lambda: bq.gibbs_distribution([1.0, 0.0], HUGE),
+    lambda: bq.integrate_single_agent([1.0, 0.0], HUGE, (0.5, 0.5)),
+    # a point that is not a pair, or not a pair of numbers
+    lambda: bq.numerical_divergence(0.5, bq.fixture("stag_hunt"), TEMPS),
+    lambda: bq.numerical_divergence((0.1, 0.2, 0.3), bq.fixture("stag_hunt"),
+                                    TEMPS),
+    lambda: bq.logit_velocity(0.5, stag_coeffs()),
+    lambda: bq.logit_velocity(("a", 0.0), stag_coeffs()),
+    # vectors of the wrong shape or length, and a zero slope
+    lambda: bq.replicator_velocity([[0.5, 0.5]], (0.5, 0.5),
+                                   bq.fixture("stag_hunt"), TEMPS),
+    lambda: bq.replicator_velocity((0.2, 0.3, 0.5), (0.5, 0.5),
+                                   bq.fixture("stag_hunt"), TEMPS),
+    lambda: bq.integrate_single_agent([1.0, 0.0], 1.0, (0.2, 0.3, 0.5)),
+    lambda: bq.run_two_agents(
+        bq.fixture("stag_hunt"), TEMPS, bq.SimConfig(batch=1, rounds=1),
+        init=(bq.AgentState((0.0,) * 3, 1.0, 0.1),
+              bq.AgentState((0.0,) * 3, 1.0, 0.1))),
+    lambda: bq.ReducedCoefficients.from_values(0.0, 1.0, 1.0, 1.0).b_over_a,
+    lambda: bq.ReducedCoefficients.from_values(1.0, 1.0, 0.0, 1.0).d_over_c,
 ]
 BAD_INPUT_IDS = [
     "t_max_inf", "t_min_nan", "t_min_neg_inf", "empty_range",
@@ -258,7 +301,19 @@ BAD_INPUT_IDS = [
     "q_velocity_negative_alpha", "q_velocity_zero_alpha",
     "q_velocity_alpha_above_one", "replicator_text_x", "gibbs_text_reward",
     "free_energy_text_reward", "log_ratio_text_w", "divergence_text_point",
-    "single_agent_text_reward", "q_velocity_text_q", "agent_scalar_q"]
+    "single_agent_text_reward", "q_velocity_text_q", "agent_scalar_q",
+    "temperatures_huge_tx", "integrate_huge_start", "from_values_huge_a",
+    "critical_curve_huge_ty", "geomspace_huge_end", "sweep_huge_t_max",
+    "velocity_huge_point", "eigenvalues_huge_point", "window_huge_ratio",
+    "curve_huge_c", "extrema_huge_c", "corner_huge_ratio",
+    "symmetric_huge_a", "offsets_huge_a", "config_huge_max_time",
+    "agent_huge_alpha", "q_update_huge_reward", "q_velocity_huge_alpha",
+    "gibbs_huge_temperature", "single_agent_huge_temperature",
+    "divergence_scalar_point", "divergence_three_coordinates",
+    "logit_velocity_scalar_point", "logit_velocity_text_point",
+    "replicator_two_d_x", "replicator_length_mismatch",
+    "single_agent_length_mismatch", "agents_init_length_mismatch",
+    "b_over_a_zero_slope", "d_over_c_zero_slope"]
 
 
 @pytest.mark.parametrize("call", BAD_INPUT, ids=BAD_INPUT_IDS)

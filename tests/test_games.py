@@ -616,3 +616,14 @@ class TestGameIO:
     def test_non_finite_rejected(self):
         with pytest.raises(bq.GameFormatError):
             mk([[1.0, math.inf], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("call", [
+        lambda: mk([[1, 2], [3, 4]], [[1, 2, 3], [4, 5, 6], [7, 8, 9]]),
+        lambda: bq.Game.from_dict([[1, 2], [3, 4]]),
+        lambda: bq.Game.from_dict({"name": "g", "A": [[1, 2], [3, 4]]}),
+        lambda: bq.fixture("nope"),
+    ], ids=["mismatched_dimensions", "not_a_dict", "missing_keys",
+            "unknown_fixture"])
+    def test_bad_description_rejected(self, call):
+        with pytest.raises(bq.GameFormatError):
+            call()
