@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -139,6 +140,35 @@ class TestRunTwoAgents:
             bq.reduce_payoffs(game, temps))[0]
         assert abs(trace_x.final_probs[0] - rest.x) < 0.05
         assert abs(trace_y.final_probs[0] - rest.y) < 0.05
+
+    def test_traces_keep_every_bit(self):
+        # an md5 of the repr of every trace's samples, q_samples and
+        # metadata: each fixture at (tx, ty) = (1, 1) and (0.05, 0.3) for
+        # seeds 0-2, then a 3-action game from init states with unequal
+        # temperatures and rates.  The statistical tests above cannot see
+        # a rounding change in a round; this can.  The digest depends on
+        # the platform's exp and on numpy's PCG64 and multinomial.
+        runs = [(bq.fixture(name), bq.Temperatures(tx, ty),
+                 bq.SimConfig(batch=37, rounds=700, seed=seed,
+                              record_every=7), None)
+                for name in sorted(bq.FIXTURES)
+                for tx, ty in ((1.0, 1.0), (0.05, 0.3))
+                for seed in range(3)]
+        game = bq.Game.from_matrices(
+            "three", [[1.0, -0.5, 2.0], [0.0, 1.5, -1.0], [-2.0, 0.5, 0.75]],
+            [[0.5, 1.0, -1.5], [2.0, -0.25, 0.0], [-1.0, 0.0, 1.25]])
+        init = (state([0.3, -0.2, 0.9], temp=0.4, alpha=0.05),
+                state([-0.6, 0.1, 0.0], temp=1.5, alpha=0.2))
+        runs.append((game, bq.Temperatures(0.4, 1.5),
+                     bq.SimConfig(batch=37, rounds=700, seed=5,
+                                  record_every=7), init))
+        md5 = hashlib.md5()
+        for game, temps, cfg, init in runs:
+            for trace in bq.run_two_agents(game, temps, cfg, init=init,
+                                           record_q=True):
+                md5.update(repr((trace.samples, trace.q_samples,
+                                 trace.metadata)).encode())
+        assert md5.hexdigest() == "59f677a187530329e3d54f53698e255a"
 
 
 def ode_reference(game, temps, x0, y0, horizon):

@@ -1,8 +1,9 @@
 """Print an md5 digest of every CLI output on the built-in fixtures, and
 of the payoff decisions, the rest-point kernel, the diagonal
-bifurcation drivers and the critical curve on seeded random inputs and
-on fixed families next to the edges of the ratio plane, and the error
-type of every call that the tests list as bad input.
+bifurcation drivers, the critical curve and the stochastic simulator on
+seeded random inputs and on fixed families next to the edges of the
+ratio plane, and the error type of every call that the tests list as bad
+input.
 
 Each CLI line is ``md5  argv`` for one in-process run of
 ``boltzq.cli.main``; the digest covers the exit code, the captured stdout
@@ -29,11 +30,12 @@ import sys
 import tempfile
 from pathlib import Path
 
-from boltzq import (BoltzqError, Game, Temperatures, classify_pitchfork,
-                    classify_region, critical_curve,
+from boltzq import (AgentState, BoltzqError, Game, SimConfig, Temperatures,
+                    classify_pitchfork, classify_region, critical_curve,
                     equal_temperature_criticals, find_rest_points,
-                    intercept_extrema, nash_equilibria, reduce_payoffs, risk_dominant_profile,
-                    solve_symmetric, zero_exploration_window)
+                    intercept_extrema, nash_equilibria, reduce_payoffs,
+                    risk_dominant_profile, run_two_agents, solve_symmetric,
+                    zero_exploration_window)
 from boltzq.cli import main
 from boltzq.fixtures import FIXTURES
 from boltzq.numerics import geomspace
@@ -61,6 +63,8 @@ def runs(fixture: str) -> list[list[str]]:
         ["portrait", *game, "--tx", "0.05", "--ty", "0.05", "--grid", "2",
          "--csv", f"{_TMP}/portrait.csv"],
         ["agents", *game, "--rounds", "2000"],
+        *(["agents", *game, "--seed", str(seed), "--rounds", "500"]
+          for seed in range(10)),
     ]
 
 
@@ -235,6 +239,23 @@ def _anti_windows():
     return call
 
 
+def _agents(rng: random.Random):
+    """One ``run_two_agents`` call with ``record_q=True`` on a 3-action
+    game with payoffs U[-3, 3], from ``init`` q-values U[-1, 1], with each
+    learner's temperature log-uniform on [0.05, 2] and rate U[0.01, 0.5]:
+    batch 20, 200 rounds, a record every 7."""
+    payoffs = [[[rng.uniform(-3.0, 3.0) for _ in range(3)] for _ in range(3)]
+               for _ in range(2)]
+    init = tuple(AgentState(tuple(rng.uniform(-1.0, 1.0) for _ in range(3)),
+                            10.0 ** rng.uniform(-1.3, 0.3),
+                            rng.uniform(0.01, 0.5)) for _ in range(2))
+    cfg = SimConfig(batch=20, rounds=200, seed=rng.randrange(2 ** 32),
+                    record_every=7)
+    return run_two_agents(Game.from_matrices("g", *payoffs),
+                          Temperatures(init[0].temp, init[1].temp), cfg,
+                          init=init, record_q=True)
+
+
 #: the tests that list the bad-input calls and the malformed game files
 _TESTS = Path(__file__).resolve().parent.parent / "tests"
 
@@ -287,6 +308,8 @@ def batches():
              reduce_payoffs(g, Temperatures(1.0, 1.0))))),
         ("zero_exploration_window at ratios within 1e-10 .. 1e-300 of 0 "
          "and -1", 0, 4 * len(_ANTI_TAILS), _anti_windows()),
+        ("run_two_agents 3-action games from init, unequal temperatures "
+         "and rates, record_q", 7, 40, _agents),
         ("bad input: the calls of test_bad_input_raises_domain_error and "
          "the malformed game files through Game.from_dict", 0, len(bad),
          _one_at_a_time(bad)),
