@@ -95,27 +95,37 @@ def _lowest_intercept(top: float) -> tuple[float, float, float]:
     (r+s)*tanh(u/2)), s = sigma(u).  u0 falls from +inf to 0 as ty rises
     (dF/du > 0; dF/dc = tanh(x) + x*sech^2(x) < 0 at x = c*(r+s)/2), and
     Q(0) = -(r+1/2) > 0, Q(746) = 745*(r+1) < 0: the extreme is at Q's
-    root, where c solves c*tanh(c*k) + 2*sinh(u0) = 0, k = (r+s)/2, which
-    falls in c and is negative at c = 2*sinh(u0)/tanh(1) + 1/|k|.  The
+    root, where c solves c*tanh(c*k) + 2*sinh(u0) = 0, k = (r+s)/2.  The
     intercept there is ``sigma(h) - u0*c*sigma'(h)*sigma'(u0)``, h = 2*c*k.
+
+    At a subnormal tail, -(r+s) is subnormal near u0 (which passes 700)
+    and sinh(u0) overflows, so neither is formed.  Q is divided by -(r+s)
+    > 0: its root is that of ``1 + u*(s/m - tanh(u/2))``, where ``m =
+    -(r+s)/sigma(-u) = 1 + |top| + |top|*e^u``, formed with e^(u/2) twice
+    so that neither factor overflows first.  The unknown is w = -c*k > 0,
+    which solves ``w*tanh(w) = -(r+s)*sinh(u0) = (1 - e^-u0)*m/2``; then
+    h = -2*w, ``c*sigma'(u0) = 2*w*s/m`` and ``ty = |k|/w =
+    tanh(w)/(2*sinh(u0))``.  Past w = 373 both terms of the intercept are
+    0.0 and tanh(w) is 1.0, so the right side, which overflows as |top|
+    nears the float max, is capped at 746.
     """
-    def at(u: float) -> tuple[float, float, float]:  # (s, sigma(-u), r + s)
-        e = math.exp(-u)
-        s_neg = e / (1.0 + e)
-        return 1.0 / (1.0 + e), s_neg, top - s_neg
+    def at(u: float) -> tuple[float, float]:  # (s, m)
+        half = math.exp(0.5 * u)
+        return 1.0 / (1.0 + math.exp(-u)), 1.0 - top - top * half * half
 
     def q(u: float) -> tuple[float, None]:
-        s, s_neg, rs = at(u)
-        return -rs + u * (s * s_neg + rs * math.tanh(0.5 * u)), None
+        s, m = at(u)
+        return 1.0 + u * (s / m - math.tanh(0.5 * u)), None
 
-    u0 = bisect(q, 0.0, _SATURATION, q(0.0)[0], q(_SATURATION)[0])
-    k, lift = 0.5 * at(u0)[2], 2.0 * math.sinh(u0)
-    c_hi = lift / math.tanh(1.0) + 1.0 / abs(k)
-    c = bisect(lambda c: (c * math.tanh(c * k) + lift, None), 0.0, c_hi,
-               lift, c_hi * math.tanh(c_hi * k) + lift)
-    h = 2.0 * c * k
-    return (sigmoid(h) - u0 * c * sigmoid_slope(h) * sigmoid_slope(u0),
-            1.0 / c, u0)
+    u0 = bisect(q, 0.0, _SATURATION, 1.0, q(_SATURATION)[0])
+    s, m = at(u0)
+    rhs = min(-0.5 * math.expm1(-u0) * m, _SATURATION)
+    w_hi = rhs / math.tanh(1.0) + 1.0
+    w = bisect(lambda w: (w * math.tanh(w) - rhs, None), 0.0, w_hi, -rhs,
+               w_hi * math.tanh(w_hi) - rhs)
+    return (sigmoid(-2.0 * w)
+            - u0 * (2.0 * w * s / m) * sigmoid_slope(2.0 * w),
+            math.tanh(w) * math.exp(-u0) / -math.expm1(-2.0 * u0), u0)
 
 
 def intercept_extrema(raw_c: float, raw_d: float) -> InterceptProfile:

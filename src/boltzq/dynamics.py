@@ -184,9 +184,10 @@ def sigmoid_array(z: np.ndarray) -> np.ndarray:
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    """exp(z) / sum(exp(z)), shifted by max(z) so no term overflows."""
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    """exp(z) / sum(exp(z)) along the last axis, so each row of a stack is
+    its own distribution, shifted by the row's max so no term overflows."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _as_array(values, name: str) -> np.ndarray:
@@ -209,6 +210,12 @@ def _check_simplex(vec, name: str) -> np.ndarray:
     return vec
 
 
+def _rewards(payoff: PayoffMatrix, opp: np.ndarray) -> np.ndarray:
+    """The expected reward of each own action against the opponent's
+    strategy: ``payoff @ opp``."""
+    return np.asarray(payoff.entries, dtype=float) @ opp
+
+
 def replicator_velocity(x, y, game: Game,
                         temps: Temperatures) -> tuple[np.ndarray, np.ndarray]:
     """Exploration-augmented bi-matrix replicator field for n-action games.
@@ -219,17 +226,15 @@ def replicator_velocity(x, y, game: Game,
     """
     x = _check_simplex(x, "x")
     y = _check_simplex(y, "y")
-    A = np.asarray(game.payoff_x.entries, dtype=float)
-    B = np.asarray(game.payoff_y.entries, dtype=float)
-    if A.shape[0] != x.size or B.shape[0] != y.size:
+    if x.size != game.n or y.size != game.n:
         raise DomainError("strategy length does not match the payoff matrices")
-    ay = A @ y
-    bx = B @ x
-    log_x = np.log(x)
-    log_y = np.log(y)
-    dx = x * (ay - x @ ay + temps.tx * (x @ log_x - log_x))
-    dy = y * (bx - y @ bx + temps.ty * (y @ log_y - log_y))
-    return dx, dy
+
+    def half(own, payoff, opp, temp):
+        rewards, log_own = _rewards(payoff, opp), np.log(own)
+        return own * (rewards - own @ rewards
+                      + temp * (own @ log_own - log_own))
+    return (half(x, game.payoff_x, y, temps.tx),
+            half(y, game.payoff_y, x, temps.ty))
 
 
 def q_velocity(qvals, opponent_strategy, payoff: PayoffMatrix,
@@ -242,8 +247,7 @@ def q_velocity(qvals, opponent_strategy, payoff: PayoffMatrix,
     opp = _as_array(opponent_strategy, "opponent strategy")
     if q.shape != (payoff.n,) or opp.shape != (payoff.n,):
         raise DomainError("q and the opponent need one entry per action")
-    rewards = np.asarray(payoff.entries, dtype=float) @ opp
-    return alpha * (rewards - q)
+    return alpha * (_rewards(payoff, opp) - q)
 
 
 def log_ratio_field(game: Game, temps: Temperatures, w_x, w_y
@@ -257,12 +261,8 @@ def log_ratio_field(game: Game, temps: Temperatures, w_x, w_y
     """
     w_x = np.atleast_1d(_as_array(w_x, "w_x"))
     w_y = np.atleast_1d(_as_array(w_y, "w_y"))
-    A = np.asarray(game.payoff_x.entries, dtype=float)
-    B = np.asarray(game.payoff_y.entries, dtype=float)
-    x = softmax(np.concatenate(([0.0], w_x)))
-    y = softmax(np.concatenate(([0.0], w_y)))
-    ay = A @ y
-    bx = B @ x
+    ay = _rewards(game.payoff_x, softmax(np.concatenate(([0.0], w_y))))
+    bx = _rewards(game.payoff_y, softmax(np.concatenate(([0.0], w_x))))
     dw_x = (ay[1:] - ay[0]) - temps.tx * w_x
     dw_y = (bx[1:] - bx[0]) - temps.ty * w_y
     return dw_x, dw_y
@@ -299,8 +299,11 @@ def numerical_divergence(point, game: Game, temps: Temperatures) -> float:
 
 
 def _finite_rewards(rewards) -> np.ndarray:
-    """The reward vector as floats; non-finite entries are a domain error."""
+    """The reward vector as floats; an empty vector, one that is not 1-d
+    or non-finite entries are a domain error."""
     r = _as_array(rewards, "rewards")
+    if r.ndim != 1 or r.size == 0:
+        raise DomainError("rewards must be a non-empty 1-d vector")
     if not np.all(np.isfinite(r)):
         raise DomainError("rewards must be finite")
     return r
@@ -323,6 +326,8 @@ def free_energy(x, rewards, temp: float, allow_zero: bool = False) -> float:
     _require_temperature(temp)
     x = _as_array(x, "x")
     r = _finite_rewards(rewards)
+    if x.shape != r.shape:
+        raise DomainError("x must be 1-d with one entry per reward")
     if (not np.all((x >= 0.0) & np.isfinite(x))
             or abs(float(x.sum()) - 1.0) > 1e-9):
         raise DomainError("x must be a probability vector")

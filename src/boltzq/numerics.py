@@ -89,13 +89,13 @@ def _as_count(value, what: str, least: int = 1) -> int:
     return int(value)
 
 
-def _as_pair(point) -> tuple:
-    """The two coordinates of a point, unconverted, or :class:`DomainError`
-    where ``point`` does not unpack into two."""
+def _as_pair(point, name: str = "a point") -> tuple:
+    """The two items of a pair (a point's coordinates), unconverted, or
+    :class:`DomainError` where ``point`` does not unpack into two."""
     try:
         first, second = point
     except (TypeError, ValueError) as exc:
-        raise DomainError(f"a point is a pair, got {point!r}") from exc
+        raise DomainError(f"{name} is a pair, got {point!r}") from exc
     return first, second
 
 

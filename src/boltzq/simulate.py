@@ -14,6 +14,11 @@ small alpha and large batches the recorded policy trace follows the ODE of
 :mod:`boltzq.dynamics` on the rescaled clock t = alpha * round (at unit
 temperatures).
 
+The two learners are the two rows of one set of arrays (values, own-action
+payoffs, rates and temperatures), so one round updates both rows: one
+softmax, one count of visits, one mean reward and one value update.  Y's
+own-action counts are X's joint counts transposed.
+
 All randomness flows through one seeded PCG64 generator; a run is a pure
 function of its configuration, and equal seeds give bitwise-equal traces.
 """
@@ -28,7 +33,7 @@ import numpy as np
 from .dynamics import _as_array, softmax
 from .errors import DomainError
 from .games import Game, Temperatures
-from .numerics import (_as_count, _as_finite, _as_float,
+from .numerics import (_as_count, _as_finite, _as_float, _as_pair,
                        _require_learning_rate, _require_temperature)
 
 GENERATOR_ID = "numpy.random.PCG64"
@@ -44,8 +49,9 @@ class AgentState:
 
     def __post_init__(self):
         qvals = _as_array(self.qvals, "q-values")
-        if qvals.ndim != 1:
-            raise DomainError(f"q-values must be 1-d, got {self.qvals!r}")
+        if qvals.ndim != 1 or qvals.size == 0:
+            raise DomainError("q-values must be a non-empty 1-d vector, got "
+                              f"{self.qvals!r}")
         object.__setattr__(self, "qvals", tuple(_as_finite(q, "q-value")
                                                 for q in qvals.tolist()))
         _require_learning_rate(self.alpha)
@@ -100,58 +106,50 @@ def run_two_agents(game: Game, temps: Temperatures, cfg: SimConfig,
                    ) -> tuple[EmpiricalTrace, EmpiricalTrace]:
     """Simulate both learners against each other; returns their traces.
 
-    ``init`` overrides the default zero-initialized value vectors; its
-    temperatures must agree with ``temps``.  Policies are recorded (from
-    the current values) every ``record_every`` rounds and once more after
-    the final update.
+    ``init``, a pair of :class:`AgentState` (X's, then Y's), overrides the
+    default zero-initialized value vectors; its temperatures must agree
+    with ``temps``.  Policies are recorded (from the current values) every
+    ``record_every`` rounds and once more after the final update.
     """
-    n = game.n
+    n, pair = game.n, (temps.tx, temps.ty)
     if init is None:
-        state_x = AgentState((0.0,) * n, temps.tx, alpha)
-        state_y = AgentState((0.0,) * n, temps.ty, alpha)
-    else:
-        state_x, state_y = init
-        if state_x.temp != temps.tx or state_y.temp != temps.ty:
-            raise DomainError("init states disagree with temps")
-        if len(state_x.qvals) != n or len(state_y.qvals) != n:
-            raise DomainError("init q-vectors do not match the game size")
+        init = tuple(AgentState((0.0,) * n, temp, alpha) for temp in pair)
+    init = _as_pair(init, "init")
+    if not all(isinstance(state, AgentState) for state in init):
+        raise DomainError(f"init must be a pair of AgentState, got {init!r}")
+    if tuple(state.temp for state in init) != pair:
+        raise DomainError("init states disagree with temps")
+    if any(len(state.qvals) != n for state in init):
+        raise DomainError("init q-vectors do not match the game size")
 
-    A = np.asarray(game.payoff_x.entries, dtype=float)
-    B = np.asarray(game.payoff_y.entries, dtype=float)
-    qx = np.asarray(state_x.qvals, dtype=float)
-    qy = np.asarray(state_y.qvals, dtype=float)
-    ax, ay_ = state_x.alpha, state_y.alpha
+    # row 0 is X and row 1 is Y; a payoff row is own action by opponent's
+    q = np.array([state.qvals for state in init], dtype=float)
+    pay = np.array([game.payoff_x.entries, game.payoff_y.entries], float)
+    rates = np.array([[state.alpha] for state in init], dtype=float)
+    temp = np.array(pair)[:, None]
     rng = np.random.default_rng(int(cfg.seed))
 
-    meta = {"seed": int(cfg.seed), "alpha": (ax, ay_), "batch": cfg.batch,
-            "rounds": cfg.rounds, "temps": (temps.tx, temps.ty),
-            "generator": GENERATOR_ID}
-    trace_x = EmpiricalTrace(metadata=dict(meta))
-    trace_y = EmpiricalTrace(metadata=dict(meta))
+    meta = {"seed": int(cfg.seed),
+            "alpha": tuple(state.alpha for state in init), "batch": cfg.batch,
+            "rounds": cfg.rounds, "temps": pair, "generator": GENERATOR_ID}
+    traces = tuple(EmpiricalTrace(metadata=dict(meta)) for _ in init)
 
-    def record(rnd, px, py):
-        trace_x.samples.append((rnd, tuple(px)))
-        trace_y.samples.append((rnd, tuple(py)))
-        if record_q:
-            trace_x.q_samples.append(tuple(qx))
-            trace_y.q_samples.append(tuple(qy))
+    def record(rnd, p):
+        for trace, probs, qs in zip(traces, p, q):
+            trace.samples.append((rnd, tuple(probs)))
+            if record_q:
+                trace.q_samples.append(tuple(qs))
 
     for rnd in range(cfg.rounds):
-        px = softmax(qx / temps.tx)
-        py = softmax(qy / temps.ty)
+        p = softmax(q / temp)
         if rnd % cfg.record_every == 0:
-            record(rnd, px, py)
+            record(rnd, p)
         # One multinomial draw over joint actions == `batch` paired samples.
-        joint = rng.multinomial(cfg.batch, np.outer(px, py).ravel()
-                                ).reshape(n, n)
-        count_x = joint.sum(axis=1)          # X's own-action visit counts
-        count_y = joint.sum(axis=0)          # Y's own-action visit counts
-        visited_x = count_x > 0
-        visited_y = count_y > 0
-        mean_rx = (A * joint).sum(axis=1) / np.maximum(count_x, 1)
-        mean_ry = (B * joint.T).sum(axis=1) / np.maximum(count_y, 1)
-        qx = np.where(visited_x, qx + ax * (mean_rx - qx), qx)
-        qy = np.where(visited_y, qy + ay_ * (mean_ry - qy), qy)
+        joint = rng.multinomial(cfg.batch, np.outer(*p).ravel()).reshape(n, n)
+        own = np.stack((joint, joint.T))   # counts by own, opponent action
+        visits = own.sum(axis=2)
+        mean = (pay * own).sum(axis=2) / np.maximum(visits, 1)
+        q = np.where(visits > 0, q + rates * (mean - q), q)
 
-    record(cfg.rounds, softmax(qx / temps.tx), softmax(qy / temps.ty))
-    return trace_x, trace_y
+    record(cfg.rounds, softmax(q / temp))
+    return traces

@@ -46,8 +46,10 @@ class TestInterceptExtrema:
         assert high.delta_max == pytest.approx(1.0 - low.delta_min, abs=1e-6)
 
     def test_mirror_relation_is_exact(self):
-        low = bq.intercept_extrema(1.0, -1.4)
-        high = bq.intercept_extrema(1.0, 0.4)
+        # an exact mirror pair in floats: 1 + -1.375 is -0.375, whereas
+        # 1 + -1.4 is not -0.4, and the two tails' ty differ in the last bit
+        low = bq.intercept_extrema(1.0, -1.375)
+        high = bq.intercept_extrema(1.0, 0.375)
         assert high.delta_max == 1.0 - low.delta_min
         assert high.extreme_at == (low.extreme_at[0], -low.extreme_at[1])
 
@@ -561,6 +563,19 @@ class TestCornerBoundaryExact:
         ty, u = profile.extreme_at
         exact = 1.0 - mp_tail_bound(tail, ty, -u)
         assert abs(profile.delta_max - exact) <= 1e-13 * exact
+
+    @pytest.mark.parametrize("tail, exact", [
+        (1e-3, -0.82282365769780355), (1e-100, -49.937362830510799),
+        (1e-310, -157.93145152171716), (1e-315, -160.50525207266189),
+        (5e-324, -164.78108643827673)])
+    def test_lowest_intercept_is_exact_down_to_subnormal_tails(self, tail,
+                                                               exact):
+        # references from mpmath at 420 digits; below 2**-1022 the tail
+        # is subnormal and sinh(u0) overflows, so neither is formed
+        profile = bq.intercept_extrema(-1.0, -tail)  # relabelled: r = tail
+        assert abs(profile.delta_min - exact) <= 1e-14 * abs(exact)
+        ty, u = profile.extreme_at
+        assert 0.0 < ty < 1.0 and 0.0 < u < 746.0
 
     @pytest.mark.parametrize("raw_d", [-1e-10, -1e-17, -1e-300])
     def test_relabelled_ratio_keeps_its_tail(self, raw_d):

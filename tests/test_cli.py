@@ -82,6 +82,18 @@ class TestClassifyCommand:
         assert len(found) == 3
         assert found == json.loads(unit)["nash_equilibria"]
 
+    def test_corner_bound_at_a_subnormal_tail(self, capsys, tmp_path):
+        # d/c = -1e-315: the bound's tail is subnormal
+        path = tmp_path / "subnormal.json"
+        path.write_text(json.dumps({"name": "subnormal",
+                                    "A": [[0, -0.1], [1.1, 0]],
+                                    "B": [[0, -1e-315], [1, 0]]}))
+        code, out, _ = run_cli(capsys, "classify", "--game", str(path))
+        assert code == 0
+        region = json.loads(out)["region"]
+        assert region["boundary"] == pytest.approx(-160.50525207266189,
+                                                   rel=1e-14)
+
     def test_malformed_game_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")

@@ -170,6 +170,12 @@ def agent():
     return bq.AgentState((0.0, 0.0), 1.0, 0.1)
 
 
+def run_agents(init):
+    """One round of ``run_two_agents`` on the stag hunt from ``init``."""
+    return bq.run_two_agents(bq.fixture("stag_hunt"), TEMPS,
+                             bq.SimConfig(batch=1, rounds=1), init=init)
+
+
 #: an int that float() refuses with OverflowError
 HUGE = 10 ** 400
 
@@ -281,6 +287,18 @@ BAD_INPUT = [
               bq.AgentState((0.0,) * 3, 1.0, 0.1))),
     lambda: bq.ReducedCoefficients.from_values(0.0, 1.0, 1.0, 1.0).b_over_a,
     lambda: bq.ReducedCoefficients.from_values(1.0, 1.0, 0.0, 1.0).d_over_c,
+    # init that is not a pair of AgentState, and vectors that are empty,
+    # not 1-d or of the wrong length
+    lambda: run_agents(init=(agent(),)),
+    lambda: run_agents(init=5),
+    lambda: run_agents(init=(agent(), "x")),
+    lambda: run_agents(init=(agent(), agent(), agent())),
+    lambda: bq.gibbs_distribution([], 1.0),
+    lambda: bq.gibbs_distribution([[1.0, 2.0], [3.0, 4.0]], 1.0),
+    lambda: bq.integrate_single_agent([[1.0, 2.0]], 1.0, (0.5, 0.5)),
+    lambda: bq.free_energy([[0.5, 0.5]], [1.0, 2.0], 1.0),
+    lambda: bq.free_energy([0.5, 0.5], [1.0, 2.0, 3.0], 1.0),
+    lambda: bq.AgentState((), 1.0, 0.1),
 ]
 BAD_INPUT_IDS = [
     "t_max_inf", "t_min_nan", "t_min_neg_inf", "empty_range",
@@ -313,7 +331,11 @@ BAD_INPUT_IDS = [
     "logit_velocity_scalar_point", "logit_velocity_text_point",
     "replicator_two_d_x", "replicator_length_mismatch",
     "single_agent_length_mismatch", "agents_init_length_mismatch",
-    "b_over_a_zero_slope", "d_over_c_zero_slope"]
+    "b_over_a_zero_slope", "d_over_c_zero_slope", "agents_init_single",
+    "agents_init_scalar", "agents_init_text_state", "agents_init_triple",
+    "gibbs_empty_rewards", "gibbs_two_d_rewards",
+    "single_agent_two_d_rewards", "free_energy_two_d_x",
+    "free_energy_length_mismatch", "agent_empty_q"]
 
 
 @pytest.mark.parametrize("call", BAD_INPUT, ids=BAD_INPUT_IDS)
