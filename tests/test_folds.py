@@ -281,10 +281,8 @@ BAD_INPUT = [
     lambda: bq.replicator_velocity((0.2, 0.3, 0.5), (0.5, 0.5),
                                    bq.fixture("stag_hunt"), TEMPS),
     lambda: bq.integrate_single_agent([1.0, 0.0], 1.0, (0.2, 0.3, 0.5)),
-    lambda: bq.run_two_agents(
-        bq.fixture("stag_hunt"), TEMPS, bq.SimConfig(batch=1, rounds=1),
-        init=(bq.AgentState((0.0,) * 3, 1.0, 0.1),
-              bq.AgentState((0.0,) * 3, 1.0, 0.1))),
+    lambda: run_agents(init=(bq.AgentState((0.0,) * 3, 1.0, 0.1),
+                             bq.AgentState((0.0,) * 3, 1.0, 0.1))),
     lambda: bq.ReducedCoefficients.from_values(0.0, 1.0, 1.0, 1.0).b_over_a,
     lambda: bq.ReducedCoefficients.from_values(1.0, 1.0, 0.0, 1.0).d_over_c,
     # init that is not a pair of AgentState, and vectors that are empty,
