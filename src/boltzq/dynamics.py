@@ -191,20 +191,37 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 
 def _as_array(values, name: str) -> np.ndarray:
-    """The one vector rule: ``values`` as a float array, or
-    :class:`DomainError` where numpy refuses to convert them."""
+    """``values`` as a float array, or :class:`DomainError` where numpy
+    refuses to convert them."""
     try:
         return np.asarray(values, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"{name} must be numbers: {exc}") from exc
 
 
-def _check_simplex(vec, name: str) -> np.ndarray:
-    vec = _as_array(vec, name)
-    if vec.ndim != 1 or vec.size < 2:
-        raise DomainError(f"{name} must be a 1-d simplex vector with n >= 2")
-    if not np.all((vec > 0.0) & np.isfinite(vec)):
-        raise DomainError(f"{name} must be finite and strictly positive")
+def _as_vector(values, name: str, size: int = 0) -> np.ndarray:
+    """The one vector rule: ``values`` as a non-empty 1-d array of finite
+    floats with exactly ``size`` entries (any number when ``size`` is 0),
+    or :class:`DomainError`."""
+    vec = _as_array(values, name)
+    if vec.ndim != 1 or vec.size == 0 or size and vec.size != size:
+        raise DomainError(f"{name} must be a 1-d vector of length "
+                          f"{size or 'n >= 1'}, got shape {vec.shape}")
+    if not np.all(np.isfinite(vec)):
+        raise DomainError(f"{name} must be finite")
+    return vec
+
+
+def _check_simplex(vec, name: str, size: int = 0) -> np.ndarray:
+    """A strategy of the fields: a :func:`_as_vector` of n >= 2 strictly
+    positive entries whose sum is within ``SIMPLEX_TOL`` of 1.  This is a
+    separate contract from :func:`free_energy`'s probability vector
+    (entries >= 0, sum within 1e-9); neither tolerance serves the other."""
+    vec = _as_vector(vec, name, size)
+    if vec.size < 2:
+        raise DomainError(f"{name} must be a simplex vector with n >= 2")
+    if not np.all(vec > 0.0):
+        raise DomainError(f"{name} must be strictly positive")
     if abs(float(vec.sum()) - 1.0) > SIMPLEX_TOL:
         raise DomainError(f"{name} must sum to 1 within {SIMPLEX_TOL}")
     return vec
@@ -224,10 +241,8 @@ def replicator_velocity(x, y, game: Game,
     ``x_i * [ (A y)_i - x.A y + tx * sum_j x_j ln(x_j / x_i) ]`` and
     symmetrically for y with B and ty; each output sums to zero.
     """
-    x = _check_simplex(x, "x")
-    y = _check_simplex(y, "y")
-    if x.size != game.n or y.size != game.n:
-        raise DomainError("strategy length does not match the payoff matrices")
+    x = _check_simplex(x, "x", game.n)
+    y = _check_simplex(y, "y", game.n)
 
     def half(own, payoff, opp, temp):
         rewards, log_own = _rewards(payoff, opp), np.log(own)
@@ -243,10 +258,8 @@ def q_velocity(qvals, opponent_strategy, payoff: PayoffMatrix,
     entry per action of ``payoff``; alpha is a learning rate in (0, 1], as
     for :class:`~boltzq.simulate.AgentState`."""
     alpha = _require_learning_rate(alpha)
-    q = _as_array(qvals, "q")
-    opp = _as_array(opponent_strategy, "opponent strategy")
-    if q.shape != (payoff.n,) or opp.shape != (payoff.n,):
-        raise DomainError("q and the opponent need one entry per action")
+    q = _as_vector(qvals, "q", payoff.n)
+    opp = _as_vector(opponent_strategy, "opponent strategy", payoff.n)
     return alpha * (_rewards(payoff, opp) - q)
 
 
@@ -259,8 +272,8 @@ def log_ratio_field(game: Game, temps: Temperatures, w_x, w_y
     field's divergence is the constant -(tx + ty)(n - 1): the flow contracts
     phase-space volume at that uniform rate.
     """
-    w_x = np.atleast_1d(_as_array(w_x, "w_x"))
-    w_y = np.atleast_1d(_as_array(w_y, "w_y"))
+    w_x, w_y = (_as_vector(np.atleast_1d(_as_array(w, name)), name, game.n - 1)
+                for w, name in ((w_x, "w_x"), (w_y, "w_y")))
     ay = _rewards(game.payoff_x, softmax(np.concatenate(([0.0], w_y))))
     bx = _rewards(game.payoff_y, softmax(np.concatenate(([0.0], w_x))))
     dw_x = (ay[1:] - ay[0]) - temps.tx * w_x
@@ -298,21 +311,10 @@ def numerical_divergence(point, game: Game, temps: Temperatures) -> float:
     return float(div)
 
 
-def _finite_rewards(rewards) -> np.ndarray:
-    """The reward vector as floats; an empty vector, one that is not 1-d
-    or non-finite entries are a domain error."""
-    r = _as_array(rewards, "rewards")
-    if r.ndim != 1 or r.size == 0:
-        raise DomainError("rewards must be a non-empty 1-d vector")
-    if not np.all(np.isfinite(r)):
-        raise DomainError("rewards must be finite")
-    return r
-
-
 def gibbs_distribution(rewards, temp: float) -> np.ndarray:
     """exp(r_i/T) / sum_k exp(r_k/T), computed with a max shift."""
     _require_temperature(temp)
-    return softmax(_finite_rewards(rewards) / temp)
+    return softmax(_as_vector(rewards, "rewards") / temp)
 
 
 def free_energy(x, rewards, temp: float, allow_zero: bool = False) -> float:
@@ -320,16 +322,16 @@ def free_energy(x, rewards, temp: float, allow_zero: bool = False) -> float:
 
     Trades expected reward against strategy entropy; it decreases along
     every single-agent trajectory and is minimized by the Gibbs strategy.
-    Zero components are a domain error unless ``allow_zero`` enables the
-    0*ln(0) = 0 convention.
+    ``x`` is a probability vector, one entry per reward: entries >= 0
+    whose sum is within 1e-9 of 1, and zero components are a domain
+    error unless ``allow_zero`` enables the 0*ln(0) = 0 convention.  This
+    is a separate contract from the fields' strictly positive simplex
+    (sum within ``SIMPLEX_TOL``); neither tolerance serves the other.
     """
     _require_temperature(temp)
-    x = _as_array(x, "x")
-    r = _finite_rewards(rewards)
-    if x.shape != r.shape:
-        raise DomainError("x must be 1-d with one entry per reward")
-    if (not np.all((x >= 0.0) & np.isfinite(x))
-            or abs(float(x.sum()) - 1.0) > 1e-9):
+    r = _as_vector(rewards, "rewards")
+    x = _as_vector(x, "x", r.size)
+    if not np.all(x >= 0.0) or abs(float(x.sum()) - 1.0) > 1e-9:
         raise DomainError("x must be a probability vector")
     if not allow_zero and np.any(x == 0.0):
         raise DomainError("zero component; pass allow_zero=True for the "
@@ -609,10 +611,8 @@ def integrate_single_agent(rewards: Sequence[float], temp: float, start,
     """
     _require_temperature(temp)
     cfg = cfg or IntegratorConfig()
-    r = _finite_rewards(rewards)
-    x0 = _check_simplex(start, "start")
-    if x0.size != r.size:
-        raise DomainError("start length must match rewards")
+    r = _as_vector(rewards, "rewards")
+    x0 = _check_simplex(start, "start", r.size)
     w0 = np.log(x0[1:] / x0[0])
     gaps = r[1:] - r[0]
     speed0 = float(np.max(np.abs(gaps - temp * w0)))

@@ -30,8 +30,9 @@ The scalar argument rules live here, each written once and raising
 whole number of at least 0, 1 or 2), :func:`_as_pair` (a point of two
 coordinates), :func:`_require_interior` (a pair inside the unit square)
 and :func:`_require_learning_rate` (in (0, 1]).
-The vector rule (``_as_array``: what numpy converts to floats) and the
-simplex check stay in :mod:`boltzq.dynamics`.
+The vector rule, ``_as_vector`` (a non-empty 1-d vector of finite
+floats, of a given length), and the simplex check stay in
+:mod:`boltzq.dynamics`, since this module loads no numpy.
 """
 
 from __future__ import annotations

@@ -30,11 +30,11 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import _as_array, softmax
+from .dynamics import _as_vector, softmax
 from .errors import DomainError
 from .games import Game, Temperatures
-from .numerics import (_as_count, _as_finite, _as_float, _as_pair,
-                       _require_learning_rate, _require_temperature)
+from .numerics import (_as_count, _as_float, _as_pair, _require_learning_rate,
+                       _require_temperature)
 
 GENERATOR_ID = "numpy.random.PCG64"
 
@@ -48,12 +48,8 @@ class AgentState:
     alpha: float
 
     def __post_init__(self):
-        qvals = _as_array(self.qvals, "q-values")
-        if qvals.ndim != 1 or qvals.size == 0:
-            raise DomainError("q-values must be a non-empty 1-d vector, got "
-                              f"{self.qvals!r}")
-        object.__setattr__(self, "qvals", tuple(_as_finite(q, "q-value")
-                                                for q in qvals.tolist()))
+        object.__setattr__(self, "qvals", tuple(
+            _as_vector(self.qvals, "q-values").tolist()))
         _require_learning_rate(self.alpha)
         _require_temperature(self.temp)
 
@@ -119,11 +115,10 @@ def run_two_agents(game: Game, temps: Temperatures, cfg: SimConfig,
         raise DomainError(f"init must be a pair of AgentState, got {init!r}")
     if tuple(state.temp for state in init) != pair:
         raise DomainError("init states disagree with temps")
-    if any(len(state.qvals) != n for state in init):
-        raise DomainError("init q-vectors do not match the game size")
 
     # row 0 is X and row 1 is Y; a payoff row is own action by opponent's
-    q = np.array([state.qvals for state in init], dtype=float)
+    q = np.array([_as_vector(state.qvals, "init q-values", n)
+                  for state in init])
     pay = np.array([game.payoff_x.entries, game.payoff_y.entries], float)
     rates = np.array([[state.alpha] for state in init], dtype=float)
     temp = np.array(pair)[:, None]

@@ -297,6 +297,19 @@ BAD_INPUT = [
     lambda: bq.free_energy([[0.5, 0.5]], [1.0, 2.0], 1.0),
     lambda: bq.free_energy([0.5, 0.5], [1.0, 2.0, 3.0], 1.0),
     lambda: bq.AgentState((), 1.0, 0.1),
+    # log-ratio coordinates of the wrong length or not 1-d, non-finite
+    # vectors, and a scalar for the rewards
+    lambda: bq.log_ratio_field(bq.fixture("stag_hunt"), TEMPS, [0.1, 0.2],
+                               0.0),
+    lambda: bq.log_ratio_field(bq.fixture("stag_hunt"), TEMPS, [[0.1]], 0.0),
+    lambda: bq.numerical_divergence(([0.1, 0.2], [0.0]),
+                                    bq.fixture("stag_hunt"), TEMPS),
+    lambda: bq.q_velocity((math.nan, 0.0), (0.5, 0.5), IDENTITY, 0.1),
+    lambda: bq.q_velocity((0.0, 0.0), (math.inf, 0.5), IDENTITY, 0.1),
+    lambda: bq.q_velocity([[0.0, 0.0]], (0.5, 0.5), IDENTITY, 0.1),
+    lambda: bq.log_ratio_field(bq.fixture("stag_hunt"), TEMPS, math.nan, 0.0),
+    lambda: bq.AgentState((math.inf, 0.0), 1.0, 0.1),
+    lambda: bq.gibbs_distribution(1.0, 1.0),
 ]
 BAD_INPUT_IDS = [
     "t_max_inf", "t_min_nan", "t_min_neg_inf", "empty_range",
@@ -333,7 +346,11 @@ BAD_INPUT_IDS = [
     "agents_init_scalar", "agents_init_text_state", "agents_init_triple",
     "gibbs_empty_rewards", "gibbs_two_d_rewards",
     "single_agent_two_d_rewards", "free_energy_two_d_x",
-    "free_energy_length_mismatch", "agent_empty_q"]
+    "free_energy_length_mismatch", "agent_empty_q",
+    "log_ratio_wrong_length", "log_ratio_two_d_w",
+    "divergence_wrong_length", "q_velocity_nan_q", "q_velocity_inf_opponent",
+    "q_velocity_two_d_q", "log_ratio_nan_w", "agent_inf_q",
+    "gibbs_scalar_reward"]
 
 
 @pytest.mark.parametrize("call", BAD_INPUT, ids=BAD_INPUT_IDS)

@@ -1,7 +1,7 @@
 """Print an md5 digest of every CLI output on the built-in fixtures, and
 of the payoff decisions, the rest-point kernel, the diagonal
-bifurcation drivers, the critical curve and the stochastic simulator on
-seeded random inputs and on fixed families next to the edges of the
+bifurcation drivers, the critical curve, the stochastic simulator and
+the n-action fields on seeded random inputs and on fixed families next to the edges of the
 ratio plane, and the error type of every call that the tests list as bad
 input.
 
@@ -32,8 +32,11 @@ from pathlib import Path
 
 from boltzq import (AgentState, BoltzqError, Game, SimConfig, Temperatures,
                     classify_pitchfork, classify_region, critical_curve,
-                    equal_temperature_criticals, find_rest_points,
-                    intercept_extrema, nash_equilibria, reduce_payoffs,
+                    dissipation_rate, equal_temperature_criticals,
+                    find_rest_points, free_energy, gibbs_distribution,
+                    integrate_single_agent, intercept_extrema,
+                    log_ratio_field, nash_equilibria, numerical_divergence,
+                    q_velocity, reduce_payoffs, replicator_velocity,
                     risk_dominant_profile, run_two_agents, solve_symmetric,
                     zero_exploration_window)
 from boltzq.cli import main
@@ -256,6 +259,56 @@ def _agents(rng: random.Random):
                           init=init, record_q=True)
 
 
+def _n_action(rng: random.Random):
+    """One call of each n-action field on a game of 2, 3 or 4 actions
+    with payoffs U[-3, 3] and temperatures log-uniform on [0.05, 2]:
+    ``replicator_velocity``, ``q_velocity`` (q U[-1, 1], rate U[0.01,
+    1]), ``log_ratio_field`` and ``numerical_divergence`` at log-ratio
+    coordinates U[-2, 2] (and at the scalar coordinates of a 2-action
+    game), ``gibbs_distribution``, ``free_energy`` (and, with one
+    component zeroed, ``allow_zero=True``), ``integrate_single_agent``
+    and ``dissipation_rate``.  Strategies are normalised U[0.05, 1]
+    weights; arrays are digested as lists of floats."""
+    n = rng.choice((2, 3, 4))
+    game = Game.from_matrices(
+        "g", *([[rng.uniform(-3.0, 3.0) for _ in range(n)] for _ in range(n)]
+               for _ in range(2)))
+    temps = Temperatures(*(10.0 ** rng.uniform(-1.3, 0.3) for _ in range(2)))
+
+    def simplex():
+        weights = [rng.uniform(0.05, 1.0) for _ in range(n)]
+        return [w / sum(weights) for w in weights]
+
+    def uniform(size, bound):
+        return [rng.uniform(-bound, bound) for _ in range(size)]
+
+    x, y, rewards = simplex(), simplex(), uniform(n, 3.0)
+    w_x, w_y = uniform(n - 1, 2.0), uniform(n - 1, 2.0)
+    zeroed = x[:]
+    zeroed[rng.randrange(n)] = 0.0
+    zeroed = [v / sum(zeroed) for v in zeroed]
+    results = [
+        replicator_velocity(x, y, game, temps),
+        q_velocity(uniform(n, 1.0), y, game.payoff_x, rng.uniform(0.01, 1.0)),
+        log_ratio_field(game, temps, w_x, w_y),
+        numerical_divergence((w_x, w_y), game, temps),
+        gibbs_distribution(rewards, temps.tx),
+        free_energy(x, rewards, temps.tx),
+        free_energy(zeroed, rewards, temps.ty, allow_zero=True),
+        dissipation_rate(temps, n)]
+    if n == 2:
+        results += [log_ratio_field(game, temps, w_x[0], w_y[0]),
+                    numerical_divergence((w_x[0], w_y[0]), game, temps)]
+    run = integrate_single_agent(rewards, temps.ty, y)
+    results.append((run.times, run.points, run.terminal_reason))
+
+    def plain(value):
+        if isinstance(value, (tuple, list)):
+            return [plain(v) for v in value]
+        return value.tolist() if hasattr(value, "tolist") else value
+    return plain(results)
+
+
 #: the tests that list the bad-input calls and the malformed game files
 _TESTS = Path(__file__).resolve().parent.parent / "tests"
 
@@ -310,6 +363,8 @@ def batches():
          "and -1", 0, 4 * len(_ANTI_TAILS), _anti_windows()),
         ("run_two_agents 3-action games from init, unequal temperatures "
          "and rates, record_q", 7, 40, _agents),
+        ("n-action fields on 2-, 3- and 4-action games, scalar and vector "
+         "log-ratio coordinates", 8, 300, _n_action),
         ("bad input: the calls of test_bad_input_raises_domain_error and "
          "the malformed game files through Game.from_dict", 0, len(bad),
          _one_at_a_time(bad)),
