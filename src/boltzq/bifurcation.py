@@ -59,6 +59,7 @@ NO_PITCHFORK = "none"
 
 def tangent_intercept(gf: GFunction, u: float) -> float:
     """Intercept of the line tangent to the response curve at u."""
+    u = _as_finite(u, "u")
     g, g1, _ = gf.eval(u)
     return g - g1 * u
 

@@ -1,8 +1,14 @@
 """Command-line surface: classify | simulate | agents | restpoints | sweep
 | critical | portrait.
 
-Only ``simulate``, ``portrait`` and ``agents`` import numpy (through the
-trajectory and simulator modules); the other commands are scalar work.
+Each command imports the modules it calls, so a process loads only its
+command's code.  Every command loads ``fixtures``, ``games``, ``numerics``
+and ``fileio``.  ``restpoints`` adds ``restpoints``; ``sweep`` and
+``critical`` add ``bifurcation`` and ``restpoints``; ``simulate`` adds
+``dynamics`` and ``restpoints``, and ``portrait`` those and ``svg``;
+``agents`` adds ``dynamics`` and ``simulate``.  Only those last three
+import numpy.  ``classify`` adds ``bifurcation`` only for a game in a
+corner quadrant, whose region needs the tangent-intercept bound.
 
 Games come from ``--game game.json`` (object with "name", "A", "B"; row =
 own action) or ``--fixture NAME``.  Each ``cmd_*`` returns its main
@@ -20,14 +26,13 @@ import json
 import sys
 from typing import TYPE_CHECKING
 
-from . import bifurcation, fileio, svg
+from . import fileio
 from .errors import BoltzqError, NotApplicableError, NumericFailureError
 from .fixtures import FIXTURES, fixture
 from .games import (Game, ReducedCoefficients, Temperatures, classify_region,
                     load_game, nash_equilibria, reduce_payoffs,
                     risk_dominant_profile)
 from .numerics import _as_count, geomspace
-from .restpoints import find_rest_points
 
 if TYPE_CHECKING:
     from .dynamics import IntegratorConfig
@@ -107,7 +112,7 @@ def cmd_simulate(args) -> str:
     _game, coeffs = _resolve_coefficients(args)
     cfg = _integrator_config(args)
     if args.starts is not None:
-        rng = np.random.default_rng(args.seed)
+        rng = np.random.default_rng(_as_count(args.seed, "--seed", 0))
         count = _as_count(args.starts, "--starts")
         starts = rng.uniform(0.02, 0.98, size=(count, 2))
         finals, _reason = integrate_batch(starts, coeffs, cfg)
@@ -129,14 +134,16 @@ def cmd_agents(args) -> str:
 
 
 def cmd_restpoints(args) -> str:
+    from .restpoints import find_rest_points
     _game, coeffs = _resolve_coefficients(args)
     return fileio.rest_points_json(find_rest_points(coeffs))
 
 
 def cmd_sweep(args) -> str:
+    from .bifurcation import sweep_equal_temperature
     game = _resolve_game(args)
-    diagram = bifurcation.sweep_equal_temperature(
-        game, args.t_min, args.t_max, args.steps)
+    diagram = sweep_equal_temperature(game, args.t_min, args.t_max,
+                                      args.steps)
     summary = {"critical_temperatures": diagram.critical_temperatures,
                "pitchfork_kind": diagram.pitchfork_kind}
     print(json.dumps(summary), file=sys.stderr)
@@ -144,12 +151,13 @@ def cmd_sweep(args) -> str:
 
 
 def cmd_critical(args) -> str:
+    from .bifurcation import critical_curve
     game = _resolve_game(args)
     orientation = ("tx_window_vs_ty" if args.orientation == "tx"
                    else "ty_window_vs_tx")
     grid = geomspace(args.fixed_min, args.fixed_max,
                      _as_count(args.fixed_steps, "--fixed-steps"))
-    curve = bifurcation.critical_curve(game, grid, orientation)
+    curve = critical_curve(game, grid, orientation)
     summary = {"closing_temperature": curve.closing_temperature}
     print(json.dumps(summary), file=sys.stderr)
     return fileio.critical_csv(curve)
@@ -159,6 +167,8 @@ def cmd_portrait(args) -> str:
     import numpy as np
 
     from .dynamics import integrate
+    from .restpoints import find_rest_points
+    from .svg import phase_portrait_svg
     game, coeffs = _resolve_coefficients(args)
     cfg = _integrator_config(args)
     count = _as_count(args.grid, "--grid")
@@ -170,7 +180,7 @@ def cmd_portrait(args) -> str:
     title = f"{game.name}  (tx={coeffs.tx:g}, ty={coeffs.ty:g})"
     if args.csv is not None:
         fileio.write_text(args.csv, fileio.portrait_csv(trajectories))
-    return svg.phase_portrait_svg(trajectories, points, title)
+    return phase_portrait_svg(trajectories, points, title)
 
 
 def build_parser() -> argparse.ArgumentParser:

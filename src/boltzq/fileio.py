@@ -10,12 +10,12 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Optional
 
-from .bifurcation import BifurcationDiagram, CriticalCurve
 from .errors import DomainError
-from .restpoints import RestPoint
 
-if TYPE_CHECKING:  # numpy-backed; only the trajectory and trace writers
+if TYPE_CHECKING:  # annotations only, so each command loads just its own
+    from .bifurcation import BifurcationDiagram, CriticalCurve
     from .dynamics import Trajectory
+    from .restpoints import RestPoint
     from .simulate import EmpiricalTrace
 
 

@@ -29,7 +29,6 @@ a power of two, which is exact, changes no equilibrium and no region.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -112,6 +111,7 @@ class Game:
 
 def load_game(path) -> Game:
     """Read a game from a JSON file ``{"name":..., "A":..., "B":...}``."""
+    import json
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)

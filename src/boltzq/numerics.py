@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from decimal import Context, Decimal
 
 from .errors import DomainError
 
@@ -81,9 +80,9 @@ def _require_learning_rate(alpha) -> float:
 
 
 def _as_count(value, what: str, least: int = 1) -> int:
-    """A whole number (any ``numbers.Integral``, so numpy integers too)
-    of at least ``least``, as an int."""
-    if not isinstance(value, numbers.Integral):
+    """A whole number (any ``numbers.Integral`` but a ``bool``, so numpy
+    integers too) of at least ``least``, as an int."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise DomainError(f"{what} must be a whole number, got {value!r}")
     if value < least:
         raise DomainError(f"{what} must be >= {least}, got {value!r}")
@@ -147,15 +146,14 @@ def rounds_to_zero(total: float, *terms: float) -> bool:
     return abs(total) <= bound
 
 
-#: 40 digits, so that rounding a decimal log10 to float is correct but
-#: for ties nearer than 1e-40
-_LOG10_CONTEXT = Context(prec=40)
-
-
 def _log10(x: float) -> float:
     """log10 rounded correctly, as numpy's nearly always is; ``math.log10``
-    is an ulp off for about one x in seven between 0.1 and 10."""
-    return float(_LOG10_CONTEXT.log10(Decimal(x)))
+    is an ulp off for about one x in seven between 0.1 and 10.  Only
+    :func:`geomspace` needs it, so ``decimal`` loads with it."""
+    from decimal import Context, Decimal
+    # 40 digits, so that rounding a decimal log10 to float is correct but
+    # for ties nearer than 1e-40
+    return float(Context(prec=40).log10(Decimal(x)))
 
 
 def geomspace(lo: float, hi: float, n: int) -> list[float]:

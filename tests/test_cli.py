@@ -393,6 +393,15 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == f"error: {flag} must be >= 1, got {value}\n"
 
+    @pytest.mark.parametrize("argv, name", [
+        (["simulate", "--starts", "2"], "--seed"), (["agents"], "seed"),
+    ], ids=["simulate", "agents"])
+    def test_negative_seed_exits_2(self, capsys, argv, name):
+        code, out, err = run_cli(capsys, *argv, "--fixture", "stag_hunt",
+                                 "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert err == f"error: {name} must be >= 0, got -1\n"
+
     @pytest.mark.parametrize("command", ["sweep", "critical"])
     @pytest.mark.parametrize("flag", ["--tx", "--ty"])
     def test_sweep_and_critical_take_no_temperatures(self, capsys, command,
@@ -408,6 +417,40 @@ class TestExitCodes:
                      "--fixed-min", "0.1", "--fixed-max", "1.0",
                      "--fixed-steps", "3"])
         assert code == 2
+
+
+#: the first calls of ``perfbench``'s ``region_atlas`` setup child
+REGION_ATLAS_SETUP = (
+    "c = bq.reduce_payoffs(bq.fixture('stag_hunt'), bq.Temperatures(0.5, 0.5))\n"
+    "bq.classify_region(c)\n"
+    "bq.find_rest_points(c)\n")
+#: a corner-quadrant region, whose bound comes from the bifurcation module
+CORNER_REGION = (
+    "assert 'boltzq.bifurcation' not in sys.modules\n"
+    "g = bq.Game.from_matrices('corner', [[0, -0.1], [1.1, 0]],\n"
+    "                          [[0, -0.5], [1, 0]])\n"
+    "r = bq.classify_region(bq.reduce_payoffs(g, bq.Temperatures(1, 1)))\n"
+    "assert r.label is bq.GameRegionLabel.NUMERIC_BOUNDARY\n")
+#: the boltzq modules, beyond the package and its errors, that a region and
+#: its rest points load, and that every CLI command loads
+REGION_MODULES = {"fixtures", "games", "numerics", "restpoints"}
+CLI_MODULES = {"fileio", "fixtures", "games", "numerics"}
+#: each CLI command, the boltzq modules it loads beyond CLI_MODULES, and
+#: whether it loads decimal (for geomspace)
+CLI_LOADS = [
+    (["classify", "--fixture", "stag_hunt"], set(), False),
+    (["restpoints", "--fixture", "stag_hunt"], {"restpoints"}, False),
+    (["sweep", "--fixture", "stag_hunt", "--steps", "5"],
+     {"bifurcation", "restpoints"}, True),
+    (["critical", "--fixture", "stag_hunt", "--fixed-steps", "3"],
+     {"bifurcation", "restpoints"}, True),
+    (["simulate", "--fixture", "stag_hunt"], {"dynamics", "restpoints"},
+     False),
+    (["portrait", "--fixture", "stag_hunt", "--grid", "2"],
+     {"dynamics", "restpoints", "svg"}, False),
+    (["agents", "--fixture", "stag_hunt", "--rounds", "10"],
+     {"dynamics", "simulate"}, False),
+]
 
 
 class TestRuntimeImports:
@@ -458,6 +501,56 @@ class TestRuntimeImports:
         code, out, err = run_child("-c", script)
         assert code == 0, err
         assert out.splitlines()[-1] == "[]"
+
+    @pytest.mark.parametrize("calls, loads, json_loads, decimal_loads", [
+        ("", set(), False, False),
+        (REGION_ATLAS_SETUP, REGION_MODULES, False, False),
+        (REGION_ATLAS_SETUP + CORNER_REGION,
+         REGION_MODULES | {"bifurcation"}, False, False),
+        *((f"cli({argv!r})", CLI_MODULES | extra, True, decimal)
+          for argv, extra, decimal in CLI_LOADS),
+    ], ids=["import", "region_atlas_setup", "corner_region",
+            *(argv[0] for argv, _, _ in CLI_LOADS)])
+    def test_each_entry_loads_only_what_it_calls(self, calls, loads,
+                                                 json_loads, decimal_loads):
+        # in a fresh interpreter, `import boltzq` then the entry's calls
+        # load exactly these boltzq modules beyond the package and its
+        # errors; json and decimal load only with the code that uses them
+        script = (
+            "import runpy, sys\n"
+            "before = set(sys.modules)\n"
+            "import boltzq as bq\n"
+            "def cli(argv):\n"
+            "    sys.argv = ['boltzq.cli', *argv]\n"
+            "    try:\n"
+            "        runpy.run_module('boltzq.cli', run_name='__main__')\n"
+            "    except SystemExit as exc:\n"
+            "        assert not exc.code, exc.code\n"
+            f"{calls}\n"
+            "new = set(sys.modules) - before\n"
+            "print(sorted(m for m in new if m.startswith('boltzq.')),\n"
+            "      'json' in new, 'decimal' in new)\n")
+        code, out, err = run_child("-c", script)
+        assert code == 0, err
+        expected = sorted(f"boltzq.{m}" for m in {"errors", *loads})
+        assert out.splitlines()[-1] == (
+            f"{expected} {json_loads} {decimal_loads}")
+
+    def test_every_submodule_resolves(self):
+        # before any lookup, dir() lists every lazy name and submodule;
+        # each submodule attribute then imports that submodule
+        script = (
+            "import sys\n"
+            "import boltzq as bq\n"
+            "subs = sorted(set(bq._LAZY.values()))\n"
+            "assert {*bq.__all__, *subs} <= set(dir(bq))\n"
+            "for sub in subs:\n"
+            "    assert getattr(bq, sub) is sys.modules['boltzq.' + sub]\n"
+            "print(*subs)\n")
+        code, out, err = run_child("-c", script)
+        assert code == 0, err
+        assert out.split() == ["bifurcation", "dynamics", "fixtures", "games",
+                               "restpoints", "simulate"]
 
     def test_integrate_loads_numpy_on_first_use(self):
         script = (

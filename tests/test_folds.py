@@ -310,6 +310,12 @@ BAD_INPUT = [
     lambda: bq.log_ratio_field(bq.fixture("stag_hunt"), TEMPS, math.nan, 0.0),
     lambda: bq.AgentState((math.inf, 0.0), 1.0, 0.1),
     lambda: bq.gibbs_distribution(1.0, 1.0),
+    # a bool is not a count, and a tangent point must be a finite number
+    lambda: bq.SimConfig(rounds=True, batch=True, record_every=True),
+    lambda: bq.numerics.geomspace(0.1, 1.0, True),
+    lambda: bq.tangent_intercept(bq.GFunction(1.0, -0.5), math.inf),
+    lambda: bq.tangent_intercept(bq.GFunction(1.0, -0.5), math.nan),
+    lambda: bq.tangent_intercept(bq.GFunction(1.0, -0.5), "x"),
 ]
 BAD_INPUT_IDS = [
     "t_max_inf", "t_min_nan", "t_min_neg_inf", "empty_range",
@@ -350,7 +356,9 @@ BAD_INPUT_IDS = [
     "log_ratio_wrong_length", "log_ratio_two_d_w",
     "divergence_wrong_length", "q_velocity_nan_q", "q_velocity_inf_opponent",
     "q_velocity_two_d_q", "log_ratio_nan_w", "agent_inf_q",
-    "gibbs_scalar_reward"]
+    "gibbs_scalar_reward", "sim_config_bool_counts", "geomspace_bool_n",
+    "tangent_intercept_inf_u", "tangent_intercept_nan_u",
+    "tangent_intercept_text_u"]
 
 
 @pytest.mark.parametrize("call", BAD_INPUT, ids=BAD_INPUT_IDS)
