@@ -191,9 +191,16 @@ class CriticalCurve:
 def _window_ends(base: ReducedCoefficients, curve: GFunction) -> list[float]:
     """The tangencies tx > 0 on the curve at one ty (sign changes of
     ``delta + b/a`` between its knots), after a 0.0 if odd in number:
-    pairs are the windows."""
-    def h(v: float) -> tuple[float, None]:
-        return curve._touch(v)[0] + base.raw_b / base.raw_a, None
+    pairs are the windows.  delta is monotone in Y's logit v between the
+    knots, and each crossing is closed by Newton steps on its v-slope
+    ``-u*sigma'(v)*(g''/g')`` (:meth:`restpoints.GFunction._touch`; None
+    where g' is 0) to adjacent floats (:func:`numerics.bisect`)."""
+    level = base.raw_b / base.raw_a
+
+    def h(v: float) -> tuple[float, float | None]:
+        delta, _, _, slope = curve._touch(v)
+        value = delta + level
+        return value, -value / slope if slope else None
 
     knots = [(v, h(v)[0]) for v in sorted(set(curve._knots()))]
     crossings = {bisect(h, va, vb, fa, fb)
@@ -211,7 +218,10 @@ def critical_curve(game: Game, fixed_values,
     The grid is an iterable of temperatures (else :class:`DomainError`).
     For ``tx_window_vs_ty`` each grid value fixes ty (a temperature that
     keeps ``raw/ty`` finite, else :class:`DomainError`), and the windows in
-    tx follow from the tangencies by parity (module docstring).  Two
+    tx follow from the tangencies by parity (module docstring).  Each
+    tangency is a sign change of ``delta + b/a`` in Y's logit v, closed by
+    Newton steps on delta's v-slope ``-u*sigma'(v)*(g''/g')``
+    (:func:`_window_ends`).  Two
     tangencies never share a tx (the defect would have two double roots),
     so a bounded window closes only where its touching points merge at
     g's inflection u0, ``delta(u0) = -b/a``.  Between the last grid value
@@ -253,7 +263,7 @@ def critical_curve(game: Game, fixed_values,
         sign change, is not a stop), and the Newton step on it: as delta'
         = -u*g'' vanishes at u0, its ty-slope is the one at fixed u."""
         curve = GFunction.of(base, ty)
-        gap, _, slope = curve._touch(curve._knots()[2])
+        gap, _, slope, _ = curve._touch(curve._knots()[2])
         gap += base.raw_b / base.raw_a
         return 1.0 if gap > 0.0 else -1.0, -gap / slope if slope else None
 
@@ -364,6 +374,28 @@ def _merge_probe(base: ReducedCoefficients, t: float):
     return 1.0 if paired else -1.0, step, (u0, co, gf)
 
 
+def _merge(base: ReducedCoefficients, t3: float, t1: float):
+    """Where the stationary pair merges in a T-cell that has it at t3 and
+    has not at t1 (:func:`_merge_probe`): ``(t_pair, t_gone, u0, cusp)``,
+    the adjacent floats across the merge, with and without the pair, g's
+    inflection u0 at t_gone and whether the merged value is the double
+    root there (:func:`restpoints._is_double_root`), a cusp; ``None`` if
+    the pair still exists at t1.
+
+    The merge is solved by Newton steps to the adjacent floats across it
+    (:func:`numerics._close`; its condition crosses zero linearly, while
+    the stationary values vanish like (T_c - T)^(3/2)).  A cusp is the one
+    pitchfork rule: the collapse is continuous exactly when the top fold
+    is a cusp, so :func:`classify_pitchfork` reads this stage alone.
+    """
+    gone = _merge_probe(base, t1)
+    if gone[0] > 0.0:
+        return None
+    t_pair, _, t_gone, (_, _, (u0, co, gf)) = _close(
+        lambda t: _merge_probe(base, t), t3, (1.0, None), t1, gone)
+    return t_pair, t_gone, u0, _is_double_root(u0, co.a, co.b, gf)
+
+
 def _fold(base: ReducedCoefficients, end3, end1) -> tuple[float, float, str]:
     """The fold in a T-cell with three rest points at one end and not at
     the other, each end given as ``(T, _stationary(base, T))``:
@@ -376,26 +408,20 @@ def _fold(base: ReducedCoefficients, end3, end1) -> tuple[float, float, str]:
     derivative is free: phi'(u_s) = 0, so by the envelope theorem
     ``dG/dT = u_s + raw_a*sigma'(v_s)*v_s/T``.
 
-    When the one-point end has no stationary pair (:func:`_merge_probe`),
-    the pair merges inside the cell, at g's inflection u0: that merge is
-    solved first, by Newton steps to the adjacent floats across it
-    (:func:`numerics._close`; its condition crosses zero linearly, while
-    the stationary values vanish like (T_c - T)^(3/2)).  If the merged
-    value is the double root there (:func:`restpoints._is_double_root`),
-    the fold is a cusp: ``(t, u0, "both")`` at the first float without
-    the pair, where all three roots are one.  This is the one pitchfork
-    rule: the collapse is continuous exactly when the top fold is a cusp.
-    Otherwise the fold lies between the three-point end and the merge.
+    When the one-point end has fewer than two stationary points, the pair
+    may merge inside the cell (:func:`_merge`).  If the merge is a cusp,
+    the fold is ``(t, u0, "both")`` at the first float without the pair,
+    where all three roots are one.  Otherwise the fold lies between the
+    three-point end and the merge.
     """
     (t3, e3), (t1, e1) = end3, end1
-    if len(e1) != 2 and (gone := _merge_probe(base, t1))[0] < 0.0:
-        t_pair, _, t1, (_, _, (u0, co, gf)) = _close(
-            lambda t: _merge_probe(base, t), t3, (1.0, None), t1, gone)
-        if _is_double_root(u0, co.a, co.b, gf):
-            return t1, u0, "both"
+    if len(e1) != 2 and (merge := _merge(base, t3, t1)):
+        t_pair, t_gone, u0, cusp = merge
+        if cusp:
+            return t_gone, u0, "both"
         e_pair = _stationary(base, t_pair)
         if _three(e_pair):
-            t3, e3 = t_pair, e_pair
+            (t3, e3), t1 = (t_pair, e_pair), t_gone
         else:
             t1, e1 = t_pair, e_pair
     if len(e1) == 2:  # the value that lost its pair at the one-point end
@@ -560,14 +586,14 @@ def classify_pitchfork(game: Game) -> str:
     top fold is a cusp.  The top fold lies in the first cell of
     :func:`_diagonal_cells`, whose upper end is above the first
     temperature with three rest points.  If that end still has the
-    stationary pair the fold is ordinary (discontinuous) and is not
-    solved; else the collapse is continuous exactly when :func:`_fold`
-    finds the cusp there.
+    stationary pair the fold is ordinary (discontinuous); else the
+    collapse is continuous exactly when the merge stage of :func:`_fold`
+    (:func:`_merge`) finds the cusp there.  No ordinary fold is solved.
     """
     coeffs = reduce_payoffs(game, Temperatures.equal(1.0))
     if classify_region(coeffs).label != GameRegionLabel.MULTI_NE_TRIPLE_POSSIBLE:
         return NO_PITCHFORK
-    end3, end1 = next(_diagonal_cells(coeffs))
-    if len(end1[1]) != 2 and _fold(coeffs, end3, end1)[2] == "both":
+    (t3, _), (t1, e1) = next(_diagonal_cells(coeffs))
+    if len(e1) != 2 and (merge := _merge(coeffs, t3, t1)) and merge[3]:
         return CONTINUOUS
     return DISCONTINUOUS

@@ -30,7 +30,7 @@ a power of two, which is exact, changes no equilibrium and no region.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -162,17 +162,20 @@ class ReducedCoefficients:
     def __post_init__(self):
         for name in ("raw_a", "raw_b", "raw_c", "raw_d"):
             object.__setattr__(self, name, _as_float(getattr(self, name), name))
-        object.__setattr__(self, "tx", _require_temperature(self.tx))
-        object.__setattr__(self, "ty", _require_temperature(self.ty))
-        object.__setattr__(self, "a", self.raw_a / self.tx)
-        object.__setattr__(self, "b", self.raw_b / self.tx)
-        object.__setattr__(self, "c", self.raw_c / self.ty)
-        object.__setattr__(self, "d", self.raw_d / self.ty)
+        self._scale(self.tx, self.ty)
+
+    def _scale(self, tx: float, ty: float) -> None:
+        """Store the temperatures and the scaled coefficients, checked."""
+        tx, ty = _require_temperature(tx), _require_temperature(ty)
+        a, b = self.raw_a / tx, self.raw_b / tx
+        c, d = self.raw_c / ty, self.raw_d / ty
         # raw/t is finite exactly when raw is and the division does not
         # overflow, so the scaled values alone decide
-        if not all(map(math.isfinite, (self.a, self.b, self.c, self.d))):
+        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)
+                and math.isfinite(d)):
             raise DomainError("scaled coefficients must be finite (payoffs "
                               "overflow at these temperatures)")
+        vars(self).update(tx=tx, ty=ty, a=a, b=b, c=c, d=d)
 
     @property
     def b_over_a(self) -> float:
@@ -187,8 +190,14 @@ class ReducedCoefficients:
         return self.raw_d / self.raw_c
 
     def at_temperatures(self, tx: float, ty: float) -> "ReducedCoefficients":
-        """Same game, different exploration rates."""
-        return replace(self, tx=tx, ty=ty)
+        """Same game, different exploration rates.  The raw numerators are
+        already checked floats, so only the temperatures and the scaled
+        values are checked again (:meth:`_scale`)."""
+        record = object.__new__(type(self))
+        vars(record).update(raw_a=self.raw_a, raw_b=self.raw_b,
+                            raw_c=self.raw_c, raw_d=self.raw_d)
+        record._scale(tx, ty)
+        return record
 
     @classmethod
     def from_values(cls, a, b, c, d, tx=1.0, ty=1.0) -> "ReducedCoefficients":

@@ -89,22 +89,29 @@ class GFunction:
     raw_d: float
     ty: float = 1.0
 
-    def __post_init__(self):  # c, d and p's top end, derived, not fields
-        for name in ("raw_c", "raw_d"):
-            object.__setattr__(self, name, _as_finite(getattr(self, name), name))
-        object.__setattr__(self, "ty", _require_temperature(self.ty))
-        object.__setattr__(self, "c", self.raw_c / self.ty)
-        object.__setattr__(self, "d", self.raw_d / self.ty)
-        object.__setattr__(self, "_top", self.raw_c + self.raw_d)
+    def __post_init__(self):
+        self._store(_as_finite(self.raw_c, "raw_c"),
+                    _as_finite(self.raw_d, "raw_d"),
+                    _require_temperature(self.ty))
+
+    def _store(self, raw_c: float, raw_d: float, ty: float) -> None:
+        """Store the checked fields, with c, d and p's top end derived."""
+        vars(self).update(raw_c=raw_c, raw_d=raw_d, ty=ty, c=raw_c / ty,
+                          d=raw_d / ty, _top=raw_c + raw_d)
 
     @classmethod
     def of(cls, coeffs: ReducedCoefficients, ty: float) -> "GFunction":
         """Y's curve from these coefficients' raw_c and raw_d at ty.  Where
         raw_c + raw_d overflows (for ty > 1 while c + d is finite) all three
         are halved, which is exact and leaves every v as it was, so no v is
-        formed non-finite."""
+        formed non-finite.  A record's raw_c and raw_d are finite floats
+        already, so only ty is checked (a temperature, else
+        :class:`DomainError`)."""
         half = 0.5 if math.isinf(coeffs.raw_c + coeffs.raw_d) else 1.0
-        return cls(half * coeffs.raw_c, half * coeffs.raw_d, half * ty)
+        curve = object.__new__(cls)
+        curve._store(half * coeffs.raw_c, half * coeffs.raw_d,
+                     _require_temperature(half * ty))
+        return curve
 
     def _at(self, u: float) -> tuple[float, float, float]:
         """``(sigma(u), sigma(-u), v)`` from one exp, each sigma with the
@@ -164,18 +171,52 @@ class GFunction:
         asinh(|c|/2) + 1, capped at _LOG_MAX so that sinh stays finite,
         brackets it.
         """
-        c, at, tanh, sinh, cosh = (self.c, self._at, math.tanh, math.sinh,
-                                   math.cosh)
+        f = self._inflection_probe()
+        span = min(math.asinh(0.5 * abs(self.c)) + 1.0, _LOG_MAX)
+        return bisect(f, -span, span, f(-span)[0], f(span)[0])
 
-        def f(u: float) -> tuple[float, float]:  # (F, Newton step)
-            s, s_neg, v = at(u)
+    def _inflection_probe(self):
+        """``u -> (F, -F/F')`` of :meth:`inflection`, each probe in one
+        frame: sigma(u), sigma(-u) and v are formed as :meth:`_at` forms
+        them."""
+        raw_c, raw_d, top, ty, c = (self.raw_c, self.raw_d, self._top,
+                                    self.ty, self.c)
+        exp, tanh, sinh, cosh = math.exp, math.tanh, math.sinh, math.cosh
+
+        def f(u: float) -> tuple[float, float]:
+            e = exp(-u if u > 0.0 else u)
+            s, t = 1.0 / (1.0 + e), e / (1.0 + e)  # sigma(|u|), sigma(-|u|)
+            v = (top - raw_c * t) / ty if u > 0.0 else (raw_d + raw_c * t) / ty
             th = tanh(0.5 * v)
             value = c * th + 2.0 * sinh(u)
-            return value, -value / (0.5 * c * (c * (s * s_neg))
+            return value, -value / (0.5 * c * (c * (s * t))
                                     * (1.0 - th * th) + 2.0 * cosh(u))
+        return f
 
-        span = min(math.asinh(0.5 * abs(c)) + 1.0, _LOG_MAX)
-        return bisect(f, -span, span, f(-span)[0], f(span)[0])
+    def _excess_probe(self, ac: float):
+        """``u -> (excess, step)`` of :func:`_extrema`, excess = ac*shape -
+        1 and the Newton step on its u-slope ac*bend (None where that is
+        0), each probe in one frame: shape and bend as
+        :meth:`_shape_and_bend` forms them, from sigma(u), sigma(-u) and v
+        as :meth:`_at` forms them."""
+        raw_c, raw_d, top, ty, c = (self.raw_c, self.raw_d, self._top,
+                                    self.ty, self.c)
+        exp, copysign = math.exp, math.copysign
+
+        def excess(u: float) -> tuple[float, float | None]:
+            e = exp(-u if u > 0.0 else u)
+            s, t = 1.0 / (1.0 + e), e / (1.0 + e)  # sigma(|u|), sigma(-|u|)
+            if u > 0.0:
+                s_neg, v = t, (top - raw_c * t) / ty
+            else:
+                s, s_neg, v = t, s, (raw_d + raw_c * t) / ty
+            e = exp(-v if v > 0.0 else v)
+            shape = e / ((1.0 + e) * (1.0 + e)) * s * s_neg
+            tilt = copysign((1.0 - e) / (1.0 + e), -v)
+            bend = shape * (c * tilt * (s * s_neg) + (s_neg - s))
+            value = ac * shape - 1.0
+            return value, -value / (ac * bend) if bend else None
+        return excess
 
     def _tails(self, v: float) -> tuple[float, float]:
         """``(raw_c*sigma(u), raw_c*sigma(-u))`` at Y's logit v, as ``p -
@@ -186,26 +227,33 @@ class GFunction:
         return (max(s * (p - self.raw_d), 0.0) * s,
                 max(s * (self._top - p), 0.0) * s)
 
-    def _touch(self, v: float) -> tuple[float, float, float]:
-        """``(delta, g', d delta/d ty)`` where the tangent touches g at Y's
-        logit v, from the tails ``lo = raw_c*sigma(u)`` and ``hi =
-        raw_c*sigma(-u)``; g' = 0 past the ends of v's range.  The ty-slope
-        is at fixed u, where v scales as 1/ty: ``dg/dty = -sigma'(v)*v/ty``
-        and ``dg'/dty = -g'*(1 + (1-2g)*v)/ty``.
+    def _touch(self, v: float) -> tuple[float, float, float, float]:
+        """``(delta, g', d delta/d ty, d delta/dv)`` where the tangent
+        touches g at Y's logit v, from the tails ``lo = raw_c*sigma(u)``
+        and ``hi = raw_c*sigma(-u)``; g' = 0 past the ends of v's range,
+        and the v-slope is then 0.  The ty-slope is at fixed u, where v
+        scales as 1/ty: ``dg/dty = -sigma'(v)*v/ty`` and ``dg'/dty =
+        -g'*(1 + (1-2g)*v)/ty``.  The v-slope is ``-u*sigma'(v)*(g''/g')``,
+        as delta' = -u*g'' and dv/du = g'/sigma'(v), with g''/g' as
+        :meth:`_bend` forms it.
         """
         lo, hi = self._tails(v)
         e = math.exp(-abs(v))
         s = 1.0 / (1.0 + e)  # sigma(|v|)
-        slope = lo / self.ty * (hi / self.raw_c) * (e * s * s)
+        dsig_v = e * s * s  # sigma'(v)
+        spread = lo / self.ty * (hi / self.raw_c)  # (raw_c/ty)*sigma'(u)
+        slope = spread * dsig_v
         sig = s if v >= 0.0 else e * s
-        dsig = -(e * s * s) * v / self.ty
+        dsig = -dsig_v * v / self.ty
         if slope == 0.0:
-            return sig, 0.0, dsig
+            return sig, 0.0, dsig, 0.0
         ratio = lo / hi  # e^u, exactly unchanged when the payoffs and ty scale
         u = math.log(ratio) if 0.0 < ratio < math.inf else (
             math.log(abs(lo)) - math.log(abs(hi)))
+        bend = (hi - lo) / self.raw_c - math.tanh(0.5 * v) * spread
         return (sig - u * slope, slope,
-                dsig + u * slope * (1.0 + (1.0 - 2.0 * sig) * v) / self.ty)
+                dsig + u * slope * (1.0 + (1.0 - 2.0 * sig) * v) / self.ty,
+                -u * dsig_v * bend)
 
     def _bend(self, v: float) -> tuple[float, float]:
         """g''/g' = ``(1 - 2*sigma(u)) - tanh(v/2)*(raw_c/ty)*sigma'(u)`` at
@@ -354,6 +402,16 @@ class _Logistic:
         shape = s * s_neg
         return shape, shape * (s_neg - s)
 
+    @classmethod
+    def _excess_probe(cls, ac: float):
+        """``u -> (excess, step)`` of :func:`_extrema`, as
+        :meth:`GFunction._excess_probe`, from :meth:`_shape_and_bend`."""
+        def excess(u: float) -> tuple[float, float | None]:
+            shape, bend = cls._shape_and_bend(u)
+            value = ac * shape - 1.0
+            return value, -value / (ac * bend) if bend else None
+        return excess
+
     @staticmethod
     def eval(u: float) -> tuple[float, float, float]:
         s, s1 = sigmoid(u), sigmoid_slope(u)
@@ -391,7 +449,7 @@ def _extrema(a: float, b: float, curve) -> list[tuple[float, float, bool, float]
 
     Each point is the sign change of ``excess = a*c*shape - 1`` on one
     side of the peak, found by :func:`numerics.bisect` with the Newton
-    step on its u-slope a*g'' (:meth:`GFunction._shape_and_bend`, from the
+    step on its u-slope a*g'' (the curve's ``_excess_probe``, from the
     same curve evaluation; None where that is 0).  excess is monotone on
     each bracket (rising up to the peak, falling after it), a step is
     taken only where it lands strictly inside the shrinking bracket, and
@@ -405,13 +463,7 @@ def _extrema(a: float, b: float, curve) -> list[tuple[float, float, bool, float]
     u_peak, margin, paired = _peak(a, curve)
     if not paired:
         return []
-    shape = curve._shape_and_bend
-
-    def excess(u: float) -> tuple[float, float | None]:
-        sh, bend = shape(u)
-        value = ac * sh - 1.0
-        return value, -value / (ac * bend) if bend else None
-
+    excess = curve._excess_probe(ac)
     # shape(u) <= sigma(u)*sigma(-u) < e^-|u|, so excess < 0 beyond span
     span = math.log(ac) + 1.0
     top = margin - 1.0  # = excess(u_peak), the same float

@@ -1,9 +1,12 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 import boltzq as bq
+from boltzq import bifurcation
+from boltzq.numerics import bisect
 
 
 class TestInterceptExtrema:
@@ -608,3 +611,131 @@ class TestCornerBoundaryExact:
             for step in (1e-3, 1e-2, 0.1):
                 assert inflection_intercept(ratio, ty * math.exp(step)) > bound
                 assert inflection_intercept(ratio, ty * math.exp(-step)) > bound
+
+
+def seeded_diagonal_games(multi=8, single=4, seed=31):
+    """Seeded random games, ``multi`` with three equilibria and ``single``
+    with one whose diagonal can still hold three rest points.  Seed 31
+    puts both kinds of top cell whose one-point end shows fewer than two
+    stationary points among them: one where the pair merges inside the
+    cell, one where it still exists outside the root bracket."""
+    rng = np.random.default_rng(seed)
+    wanted = {bq.GameRegionLabel.MULTI_NE_TRIPLE_POSSIBLE: multi,
+              bq.GameRegionLabel.SINGLE_NE_TRIPLE_POSSIBLE: single}
+    games = []
+    while any(wanted.values()):
+        A, B = rng.uniform(-3.0, 3.0, (2, 2, 2)).tolist()
+        game = bq.Game.from_matrices(f"seeded_{len(games)}", A, B)
+        label = bq.classify_region(
+            bq.reduce_payoffs(game, bq.Temperatures(1.0, 1.0))).label
+        if wanted.get(label):
+            wanted[label] -= 1
+            games.append(game)
+    return games
+
+
+def test_diagonal_drivers_keep_every_bit():
+    # an md5 of the repr of the sweep (40 steps on [s/200, 2s], s =
+    # sqrt|raw_a*raw_c|/4, the benchmark's range), the criticals and the
+    # pitchfork label of each fixture and seeded game: every branch point,
+    # fold and label, exactly.  The fold tests read a fold to 1e-7 and
+    # cannot see a rounding change in a probe; this can.  The digest
+    # depends on the platform's exp and log.
+    md5 = hashlib.md5()
+    games = [bq.fixture(name) for name in sorted(bq.FIXTURES)]
+    for game in games + seeded_diagonal_games():
+        co = bq.reduce_payoffs(game, bq.Temperatures(1.0, 1.0))
+        s = math.sqrt(abs(co.raw_a * co.raw_c)) / 4.0
+        md5.update(repr((bq.sweep_equal_temperature(game, s / 200.0, 2.0 * s,
+                                                     40),
+                         bq.equal_temperature_criticals(game),
+                         bq.classify_pitchfork(game))).encode())
+    assert md5.hexdigest() == "5b31285d40358ee89f51b83eb047d9a0"
+
+
+#: the benchmark's critical-curve grid
+CURVE_GRID = np.geomspace(1e-3, 2.0, 8).tolist()
+
+
+def window_cases():
+    """``(game, base, ty)`` of every fixture and seeded game whose
+    critical curve applies, in both orientations (the second as the game
+    with its players swapped), at each ty of the grid."""
+    games = [bq.fixture(name) for name in sorted(bq.FIXTURES)]
+    for game in games + seeded_diagonal_games():
+        for oriented in (game, bq.Game(game.name + "_swapped", game.payoff_y,
+                                       game.payoff_x)):
+            base = bq.reduce_payoffs(oriented, bq.Temperatures(1.0, 1.0))
+            if base.raw_a * base.raw_c > 0.0:
+                for ty in CURVE_GRID:
+                    yield oriented, base, ty
+
+
+def test_window_ends_close_in_few_probes(monkeypatch):
+    # each crossing is closed by Newton steps on delta's v-slope; by
+    # halvings alone each of these took 45 to 60 probes (55.7 on average)
+    counts = []
+
+    def counted_bisect(f, lo, hi, f_lo, f_hi):
+        calls = [0]
+
+        def probe(v):
+            calls[0] += 1
+            return f(v)
+        try:
+            return bisect(probe, lo, hi, f_lo, f_hi)
+        finally:
+            counts.append(calls[0])
+
+    cases = list(window_cases())
+    monkeypatch.setattr(bifurcation, "bisect", counted_bisect)
+    for _, base, ty in cases:
+        bifurcation._window_ends(base, bq.GFunction.of(base, ty))
+    assert len(counts) >= 200
+    assert sum(counts) <= 11 * len(counts)
+    # all but three within 16: a search from a saturated knot halves down
+    # to where delta moves, and one that reaches delta's rounding a few
+    # ulps off the sign change can be sent back to halving by the
+    # half-move guard of numerics._close
+    assert sum(n > 16 for n in counts) <= 3
+    assert max(counts) <= 40
+
+
+def test_counts_flip_across_each_window_end():
+    for game, base, ty in window_cases():
+        for _, lo, hi in bq.critical_curve(game, [ty]).samples:
+            for end in (lo, hi):
+                if end:
+                    counts = {bq.count_rest_points(base.at_temperatures(
+                        end * (1.0 + side), ty)) for side in (-1e-7, 1e-7)}
+                    assert counts == {1, 3}, (game.name, ty, end)
+
+
+def test_window_ends_match_an_mpmath_tangency():
+    # at ty = 0.3 the dominant_coordination window is bounded by the two
+    # tangents whose intercept delta(u) = g(u) - u*g'(u) is -b/a
+    mpmath = pytest.importorskip("mpmath")
+    ty = 0.3
+    game = bq.fixture("dominant_coordination")
+    (_, lo, hi), = bq.critical_curve(game, [ty]).samples
+    base = bq.reduce_payoffs(game, bq.Temperatures(1.0, 1.0))
+    with mpmath.workdps(40):
+        raw_c, raw_d = mpmath.mpf(base.raw_c), mpmath.mpf(base.raw_d)
+        level = mpmath.mpf(base.raw_b) / base.raw_a
+
+        def slope_and_gap(u):
+            s = 1 / (1 + mpmath.exp(-u))
+            g = 1 / (1 + mpmath.exp(-(raw_d + raw_c * s) / ty))
+            g1 = raw_c / ty * s * (1 - s) * g * (1 - g)
+            return g1, g - u * g1 + level
+
+        grid = [mpmath.mpf(k) / 8 for k in range(-320, 321)]
+        gaps = [slope_and_gap(u)[1] for u in grid]
+        touch = [mpmath.findroot(lambda u: slope_and_gap(u)[1], (ua, ub),
+                                 solver="anderson")
+                 for ua, ub, ga, gb in zip(grid, grid[1:], gaps, gaps[1:])
+                 if (ga > 0) != (gb > 0)]
+        ends = sorted(float(base.raw_a * slope_and_gap(u)[0]) for u in touch)
+    assert len(ends) == 2
+    assert lo == pytest.approx(ends[0], rel=1e-12)
+    assert hi == pytest.approx(ends[1], rel=1e-12)

@@ -158,6 +158,27 @@ class TestGFunction:
             assert _LOGISTIC._shape_and_bend(u) == pytest.approx(
                 (s1, s2), rel=1e-12, abs=1e-300)
 
+    def test_probes_form_the_floats_of_their_reference_forms(self, rng):
+        # the one-frame probes of inflection and _extrema give the floats
+        # that _at and _shape_and_bend give, bit for bit
+        us = [-700.0, -40.0, -0.0, 0.0, 1e-300, 40.0, 700.0]
+        for _ in range(1000):
+            c, d = rng.uniform(-8, 8, 2)
+            gf = bq.GFunction(c, d, 10.0 ** rng.uniform(-3.0, 1.0))
+            ac = rng.uniform(-100.0, 100.0)
+            f, excess = gf._inflection_probe(), gf._excess_probe(ac)
+            for u in us + [float(rng.uniform(-40, 40))]:
+                s, s_neg, v = gf._at(u)
+                th = math.tanh(0.5 * v)
+                value = gf.c * th + 2.0 * math.sinh(u)
+                assert f(u) == (value, -value / (
+                    0.5 * gf.c * (gf.c * (s * s_neg)) * (1.0 - th * th)
+                    + 2.0 * math.cosh(u)))
+                shape, bend = gf._shape_and_bend(u)
+                value = ac * shape - 1.0
+                assert excess(u) == (value, -value / (ac * bend)
+                                     if bend else None)
+
     @pytest.mark.parametrize("u", [31.0, 32.5, 34.0, 40.0])
     def test_no_cancellation_next_to_ratio_minus_one(self, u):
         # d/c = -1 - 2^-52 at ty = 4.6e-15: d + c*sigma(u) would subtract

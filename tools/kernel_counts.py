@@ -1,7 +1,10 @@
-"""Print the root kernel's curve evaluations per ``find_rest_points`` call.
+"""Print the root kernel's curve evaluations per ``find_rest_points`` call,
+and the bifurcation drivers' probes per bracket search.
 
 A curve evaluation is one call of ``GFunction._at``, the one place that
-forms Y's logit from X's.  There are two batches of 4000 games, each with
+forms Y's logit from X's, or one call of a probe that forms it inline in
+its own frame (``GFunction._inflection_probe``,
+``GFunction._excess_probe``).  There are two batches of 4000 games, each with
 payoffs U[-3, 3] drawn from ``random.Random(3)``: warm, with (tx, ty)
 log-uniform on [1e-3, 10], and cold, log-uniform on [1e-20, 1e-3].  The
 points are not checked (``fd_check=False``), which evaluates no curve, so
@@ -14,6 +17,18 @@ found and by phase:
 - roots: inside ``numerics._refine_root``;
 - other: the bracket ends and the back-substitution of each root.
 
+The bifurcation table counts the probes that each bracket search of the
+loop ``numerics._close`` makes, after the ends it is given, on the
+fixtures and 40 seeded games with three rest points possible (payoffs
+U[-3, 3] from ``random.Random(3)``): ``sweep_equal_temperature`` (40
+steps on [s/200, 2s], s = sqrt|raw_a*raw_c|/4),
+``equal_temperature_criticals``, ``classify_pitchfork`` and
+``critical_curve`` (8 values of ty on [1e-3, 2]), as the benchmark's
+bifurcation scan runs them.  A search is named by
+the function that starts it: g's inflection, a stationary point of the
+defect, a window end of the critical curve, a fold, or a merge of the
+stationary pair or a closing temperature.
+
 The counts do not depend on the machine or its load, so they measure the
 kernel's work exactly; run it as::
 
@@ -22,18 +37,29 @@ kernel's work exactly; run it as::
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 from collections import defaultdict
 
-from boltzq import Game, Temperatures, find_rest_points, reduce_payoffs
-from boltzq import restpoints
+from boltzq import (Game, GameRegionLabel, Temperatures, classify_pitchfork,
+                    classify_region, critical_curve,
+                    equal_temperature_criticals, find_rest_points,
+                    fixture, reduce_payoffs, sweep_equal_temperature)
+from boltzq import bifurcation, numerics, restpoints
+from boltzq.fixtures import FIXTURES
 
 PHASES = ("inflection", "stationary points", "roots", "other")
 GAMES = 4000
 SEED = 3
 #: log10 of the ends of the (tx, ty) range of each batch
 WARM, COLD = (-3.0, 1.0), (-20.0, -3.0)
+#: the bracket searches of the bifurcation table, keyed by the function
+#: that starts each one (through ``numerics.bisect`` or directly)
+SEARCHES = {"inflection": "inflection", "_extrema": "stationary point",
+            "_window_ends": "window end", "_fold": "fold",
+            "_merge": "merge/closing", "critical_curve": "merge/closing"}
+BIFURCATION_GAMES = 40
 
 
 def batch(rng: random.Random, games: int = GAMES,
@@ -74,7 +100,20 @@ def count(games: int = GAMES, seed: int = SEED,
         tally[stack[-1]] += 1
         return at(self, u)
 
-    patches = [(restpoints.GFunction, "_at", counted_at),
+    def counted_probe(build):
+        def built(*args):
+            probe = build(*args)
+
+            def counted(u):
+                tally[stack[-1]] += 1
+                return probe(u)
+            return counted
+        return built
+
+    gf = restpoints.GFunction
+    patches = [(gf, "_at", counted_at),
+               (gf, "_inflection_probe", counted_probe(gf._inflection_probe)),
+               (gf, "_excess_probe", counted_probe(gf._excess_probe)),
                (restpoints.GFunction, "inflection",
                 phase("inflection", restpoints.GFunction.inflection)),
                (restpoints, "_extrema",
@@ -100,6 +139,69 @@ def count(games: int = GAMES, seed: int = SEED,
             for roots, n in sorted(solves.items())}
 
 
+def diagonal_games(games: int = BIFURCATION_GAMES, seed: int = SEED):
+    """The fixtures, then seeded games whose region has three rest points
+    possible, with one or with three equilibria."""
+    rng = random.Random(seed)
+    found = [fixture(name) for name in sorted(FIXTURES)]
+    possible = (GameRegionLabel.MULTI_NE_TRIPLE_POSSIBLE,
+                GameRegionLabel.SINGLE_NE_TRIPLE_POSSIBLE)
+    while len(found) < len(FIXTURES) + games:
+        payoffs = [[[rng.uniform(-3.0, 3.0) for _ in range(2)]
+                    for _ in range(2)] for _ in range(2)]
+        game = Game.from_matrices(f"g{len(found)}", *payoffs)
+        if classify_region(reduce_payoffs(
+                game, Temperatures(1.0, 1.0))).label in possible:
+            found.append(game)
+    return found
+
+
+def search_counts(games: int = BIFURCATION_GAMES, seed: int = SEED
+                  ) -> dict[str, list[int]]:
+    """``{search: [probes of each search]}`` over the drivers' calls on
+    :func:`diagonal_games`.  ``numerics._close`` is wrapped (in
+    ``numerics`` for :func:`numerics.bisect` and in ``bifurcation``) and
+    each probe it is given is counted; a search is named from the function
+    that called it, or that called ``bisect`` (past a set comprehension).
+    """
+    probes: dict[str, list[int]] = defaultdict(list)
+    close = numerics._close
+
+    def counted_close(probe, a, p_a, b, p_b):
+        caller = sys._getframe(1)
+        while caller.f_code.co_name in ("bisect", "<setcomp>"):
+            caller = caller.f_back
+        name = SEARCHES.get(caller.f_code.co_name, "other")
+        calls = [0]
+
+        def counted(t):
+            calls[0] += 1
+            return probe(t)
+        try:
+            return close(counted, a, p_a, b, p_b)
+        finally:
+            probes[name].append(calls[0])
+
+    grid = numerics.geomspace(1e-3, 2.0, 8)
+    batch = diagonal_games(games, seed)
+    saved = [(owner, owner._close) for owner in (numerics, bifurcation)]
+    try:
+        for owner, _ in saved:
+            owner._close = counted_close
+        for game in batch:
+            co = reduce_payoffs(game, Temperatures(1.0, 1.0))
+            top = math.sqrt(abs(co.raw_a * co.raw_c)) / 4.0
+            sweep_equal_temperature(game, top / 200.0, 2.0 * top, 40)
+            equal_temperature_criticals(game)
+            classify_pitchfork(game)
+            if co.raw_a * co.raw_c > 0.0:
+                critical_curve(game, grid)
+    finally:
+        for owner, value in saved:
+            owner._close = value
+    return dict(probes)
+
+
 def main() -> int:
     for name, log_t in (("warm", WARM), ("cold", COLD)):
         lo, hi = (10.0 ** t for t in log_t)
@@ -111,6 +213,16 @@ def main() -> int:
             print(f"| {roots}-root | {n} | {cells} | "
                   f"{sum(means.values()):.1f} |")
         print()
+    print(f"bifurcation: the fixtures and {BIFURCATION_GAMES} seeded games, "
+          f"probes per bracket search\n")
+    print("| search | searches | mean | max |")
+    print("| --- | --- | --- | --- |")
+    found = search_counts()
+    for name in (*dict.fromkeys(SEARCHES.values()), "other"):
+        if found.get(name):
+            runs = found[name]
+            print(f"| {name} | {len(runs)} | {sum(runs) / len(runs):.1f} | "
+                  f"{max(runs)} |")
     return 0
 
 
