@@ -109,21 +109,41 @@ def _lowest_intercept(top: float) -> tuple[float, float, float]:
     tanh(w)/(2*sinh(u0))``.  Past w = 373 both terms of the intercept are
     0.0 and tanh(w) is 1.0, so the right side, which overflows as |top|
     nears the float max, is capped at 746.
-    """
-    def at(u: float) -> tuple[float, float]:  # (s, m)
-        half = math.exp(0.5 * u)
-        return 1.0 / (1.0 + math.exp(-u)), 1.0 - top - top * half * half
 
-    def q(u: float) -> tuple[float, None]:
-        s, m = at(u)
-        return 1.0 + u * (s / m - math.tanh(0.5 * u)), None
+    Both searches are :func:`numerics.bisect` with closed-form Newton
+    steps.  With lead = s/m - tanh(u/2), the u-probe ``1 + u*lead`` has
+    the slope ``lead + u*(s*(1-s)/m - s*m'/m^2 - (1 - tanh(u/2)^2)/2)``,
+    m' = |top|*e^u = m - 1 + top, and ``w*tanh(w) - rhs`` has the slope
+    ``tanh(w) + w*(1 - tanh(w)^2)``.  A step that is not finite (m
+    overflows to inf as u nears 746) is None, a halving.  A step moves
+    only where the next probe lands: each side is decided by the value's
+    sign, so the answer is still a sign change at float resolution.
+    """
+    def at(u: float) -> tuple[float, float, float, float]:  # s, 1-s, m, m'
+        e, half = math.exp(-u), math.exp(0.5 * u)
+        grow = -top * half * half  # m' = |top|*e^u
+        return 1.0 / (1.0 + e), e / (1.0 + e), 1.0 - top + grow, grow
+
+    def newton(value: float, slope: float) -> tuple[float, float | None]:
+        step = -value / slope if slope else math.inf
+        return value, step if math.isfinite(step) else None
+
+    def q(u: float) -> tuple[float, float | None]:
+        s, s_neg, m, grow = at(u)
+        th = math.tanh(0.5 * u)
+        lead = s / m - th
+        return newton(1.0 + u * lead, lead + u * (
+            s * s_neg / m - s / m * grow / m - 0.5 * (1.0 - th * th)))
+
+    def f(w: float) -> tuple[float, float | None]:  # w*tanh(w) - rhs
+        th = math.tanh(w)
+        return newton(w * th - rhs, th + w * (1.0 - th * th))
 
     u0 = bisect(q, 0.0, _SATURATION, 1.0, q(_SATURATION)[0])
-    s, m = at(u0)
+    s, _, m, _ = at(u0)
     rhs = min(-0.5 * math.expm1(-u0) * m, _SATURATION)
     w_hi = rhs / math.tanh(1.0) + 1.0
-    w = bisect(lambda w: (w * math.tanh(w) - rhs, None), 0.0, w_hi, -rhs,
-               w_hi * math.tanh(w_hi) - rhs)
+    w = bisect(f, 0.0, w_hi, -rhs, w_hi * math.tanh(w_hi) - rhs)
     return (sigmoid(-2.0 * w)
             - u0 * (2.0 * w * s / m) * sigmoid_slope(2.0 * w),
             math.tanh(w) * math.exp(-u0) / -math.expm1(-2.0 * u0), u0)

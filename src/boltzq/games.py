@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 from .errors import (
@@ -77,7 +78,15 @@ class PayoffMatrix:
 
 @dataclass(frozen=True)
 class Game:
-    """A two-player game: X's payoffs, Y's payoffs, and a display name."""
+    """A two-player game: X's payoffs, Y's payoffs, and a display name.
+
+    The four raw numerators of a 2x2 game (:func:`_raw_coefficients`) are
+    formed on first use and kept on the game, which is frozen, so every
+    later :func:`reduce_payoffs` or :func:`nash_equilibria` reads them
+    back.  The cache is not a field: ``==``, ``hash``, ``repr`` and
+    :meth:`to_dict` see only the name and the payoffs.  A game that is not
+    2x2 keeps nothing and raises on every call.
+    """
 
     name: str
     payoff_x: PayoffMatrix
@@ -90,6 +99,10 @@ class Game:
     @property
     def n(self) -> int:
         return self.payoff_x.n
+
+    @cached_property
+    def _raws(self) -> tuple[float, float, float, float]:
+        return _raw_coefficients(self)
 
     @classmethod
     def from_matrices(cls, name, a_entries, b_entries) -> "Game":
@@ -120,17 +133,18 @@ def load_game(path) -> Game:
     return Game.from_dict(data)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Temperatures:
     """Strictly positive exploration rates for the two players, stored as
-    Python floats."""
+    Python floats, each checked by
+    :func:`~boltzq.numerics._require_temperature` and stored in one step."""
 
     tx: float
     ty: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "tx", _require_temperature(self.tx))
-        object.__setattr__(self, "ty", _require_temperature(self.ty))
+    def __init__(self, tx: float, ty: float):
+        vars(self).update(tx=_require_temperature(tx),
+                          ty=_require_temperature(ty))
 
     @classmethod
     def equal(cls, t: float) -> "Temperatures":
@@ -189,15 +203,23 @@ class ReducedCoefficients:
             raise DegenerateGameError("d/c undefined: c vanishes")
         return self.raw_d / self.raw_c
 
-    def at_temperatures(self, tx: float, ty: float) -> "ReducedCoefficients":
-        """Same game, different exploration rates.  The raw numerators are
-        already checked floats, so only the temperatures and the scaled
-        values are checked again (:meth:`_scale`)."""
-        record = object.__new__(type(self))
-        vars(record).update(raw_a=self.raw_a, raw_b=self.raw_b,
-                            raw_c=self.raw_c, raw_d=self.raw_d)
+    @classmethod
+    def _of_raws(cls, raw_a: float, raw_b: float, raw_c: float, raw_d: float,
+                 tx: float, ty: float) -> "ReducedCoefficients":
+        """The record built directly from raw numerators that are already
+        Python floats: only the temperatures and the scaled values are
+        checked (:meth:`_scale`), so a bad one raises the same
+        :class:`DomainError` as the constructor."""
+        record = object.__new__(cls)
+        vars(record).update(raw_a=raw_a, raw_b=raw_b, raw_c=raw_c, raw_d=raw_d)
         record._scale(tx, ty)
         return record
+
+    def at_temperatures(self, tx: float, ty: float) -> "ReducedCoefficients":
+        """Same game, different exploration rates, built directly
+        (:meth:`_of_raws`)."""
+        return self._of_raws(self.raw_a, self.raw_b, self.raw_c, self.raw_d,
+                             tx, ty)
 
     @classmethod
     def from_values(cls, a, b, c, d, tx=1.0, ty=1.0) -> "ReducedCoefficients":
@@ -234,8 +256,13 @@ def _same_sign(raw_a: float, raw_c: float) -> bool:
 
 
 def reduce_payoffs(game: Game, temps: Temperatures) -> ReducedCoefficients:
-    """Scaled coefficients (a, b, c, d) of a 2x2 game at given temperatures."""
-    return ReducedCoefficients(*_raw_coefficients(game), temps.tx, temps.ty)
+    """Scaled coefficients (a, b, c, d) of a 2x2 game at given temperatures.
+
+    The raw numerators are the game's cached ones (:class:`Game`), formed
+    by :func:`_raw_coefficients` on the first call, and the record is built
+    directly from them (:meth:`ReducedCoefficients._of_raws`); a game that
+    is not 2x2 raises :class:`UnsupportedDimensionError` on every call."""
+    return ReducedCoefficients._of_raws(*game._raws, temps.tx, temps.ty)
 
 
 class EquilibriumKind(str, Enum):
@@ -291,7 +318,7 @@ def nash_equilibria(game: Game) -> list[NashEquilibrium]:
     0, or raw_c = raw_d = 0), in which case equilibria form a continuum
     rather than a finite list.
     """
-    raw_a, raw_b, raw_c, raw_d = _raw_coefficients(game)
+    raw_a, raw_b, raw_c, raw_d = game._raws
     if (raw_a == 0.0 and raw_b == 0.0) or (raw_c == 0.0 and raw_d == 0.0):
         raise DegenerateGameError(
             "a player is indifferent for every opponent strategy; "

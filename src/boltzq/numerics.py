@@ -14,9 +14,11 @@ Two bracketed solvers find a sign change, each stopping by its own rule:
   where the value is at its rounding; the sign of the value alone picks
   the side, and it stops at adjacent floats.  It serves g's inflection,
   the defect's stationary points, the dense-output stop of the
-  integrator, the window ends of the critical curve, and the folds,
+  integrator, the window ends of the critical curve, the folds,
   merges and closing temperatures of the bifurcation drivers, whose
-  probes carry a +-1.0 side;
+  probes carry a +-1.0 side, and the two searches of the corner bound
+  (``bifurcation._lowest_intercept``), whose probes give closed-form
+  Newton steps;
 - :func:`_refine_root` takes Newton steps that land inside the bracket,
   with no guard, and halves otherwise, stopping at ``|f| <= target`` or
   once the bracket is 8 ulps of ``max(|lo|, |hi|, 1)`` wide.

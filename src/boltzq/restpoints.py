@@ -63,7 +63,10 @@ class GFunction:
     logit is ``v = (raw_d + raw_c*sigma(u))/ty``.  ``GFunction(c, d)`` is
     the curve at ty = 1; ``c = raw_c/ty`` and ``d = raw_d/ty`` either way.
 
-    This is the one place that forms v from u or u from v.  Both go
+    This is the one place that forms v from u or u from v: :meth:`_at`,
+    and the probes that form it inline in one frame with :meth:`_at`'s
+    bits, :meth:`eval` (the root kernel's defect probe),
+    :meth:`_inflection_probe` and :meth:`_excess_probe`.  All go
     through p = ty*v and one identity: ``p = raw_d + raw_c*sigma(u)`` and
     ``raw_c*sigma(-u) = raw_c + raw_d - p``.  For u <= 0, p is formed from
     the first, exact in the tail u -> -inf (p -> raw_d); for u > 0 from
@@ -133,10 +136,21 @@ class GFunction:
 
             g'  = c * g(1-g) * s(1-s)
             g'' = g' * [c*(1-2g)*s*(1-s) + (1-2s)]      with s = sigma(u)
+
+        The root kernel's probe, in one frame: sigma(u), sigma(-u) and v
+        as :meth:`_at` forms them, g = sigma(v) and 1 - g = sigma(-v) with
+        the bits of :func:`numerics.sigmoid`, from one exp each.
         """
-        s, s_neg, v = self._at(u)
-        g = sigmoid(v)
-        gq = g * sigmoid(-v)
+        e = math.exp(-u if u > 0.0 else u)
+        s, t = 1.0 / (1.0 + e), e / (1.0 + e)  # sigma(|u|), sigma(-|u|)
+        if u > 0.0:
+            s_neg, v = t, (self._top - self.raw_c * t) / self.ty
+        else:
+            s, s_neg, v = t, s, (self.raw_d + self.raw_c * t) / self.ty
+        e = math.exp(-v if v >= 0.0 else v)
+        big, small = 1.0 / (1.0 + e), e / (1.0 + e)  # sigma(|v|), sigma(-|v|)
+        g = big if v >= 0.0 else small
+        gq = big * small
         sq = s * s_neg
         g1 = self.c * gq * sq
         return g, g1, g1 * (self.c * (1.0 - 2.0 * g) * sq + (1.0 - 2.0 * s))
@@ -576,11 +590,11 @@ def find_rest_points(coeffs: ReducedCoefficients,
                     f"rest point at u={u}, v={v} misses its equation by "
                     f"{residual:.3e}", residuals=residual)
             _check_eigenvalues(u, v, coeffs, (lam1, lam2))
-        points.append(RestPoint(x=x, y=y, u=u, v=v,
-                                eigenvalues=(lam1, lam2),
-                                stability=_classify(rad),
-                                residual=residual,
-                                degenerate_pair=degenerate))
+        point = object.__new__(RestPoint)  # the fields, with no __init__
+        vars(point).update(x=x, y=y, u=u, v=v, eigenvalues=(lam1, lam2),
+                           stability=_classify(rad), residual=residual,
+                           degenerate_pair=degenerate)
+        points.append(point)
     return points
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -579,6 +580,32 @@ class TestCornerBoundaryExact:
         assert abs(profile.delta_min - exact) <= 1e-14 * abs(exact)
         ty, u = profile.extreme_at
         assert 0.0 < ty < 1.0 and 0.0 < u < 746.0
+
+    def test_corner_bound_closes_in_few_probes(self, monkeypatch):
+        # both searches take closed-form Newton steps; by halvings alone
+        # they took 53.5 probes on average over these tails (max 62)
+        counts = []
+
+        def counted_bisect(f, lo, hi, f_lo, f_hi):
+            calls = [0]
+
+            def probe(t):
+                calls[0] += 1
+                return f(t)
+            try:
+                return bisect(probe, lo, hi, f_lo, f_hi)
+            finally:
+                counts.append(calls[0])
+
+        rng = random.Random(27)
+        tails = ([10.0 ** rng.uniform(-300.0, 3.0) for _ in range(300)]
+                 + [2.0 ** -k for k in range(1, 1075, 7)] + [5e-324, 1e-315])
+        monkeypatch.setattr(bifurcation, "bisect", counted_bisect)
+        for tail in tails:
+            bifurcation._lowest_intercept(-tail)
+        assert len(counts) == 2 * len(tails)
+        assert sum(counts) <= 11 * len(counts)
+        assert max(counts) <= 24
 
     @pytest.mark.parametrize("raw_d", [-1e-10, -1e-17, -1e-300])
     def test_relabelled_ratio_keeps_its_tail(self, raw_d):

@@ -1,7 +1,9 @@
 import dataclasses
 import json
 import math
+import pickle
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -93,9 +95,14 @@ class TestReduce:
                 lambda: bq.ReducedCoefficients(1.0, -0.5, 2.0, -1.0, tx, ty),
                 lambda: co.at_temperatures(tx, ty),
                 lambda: dataclasses.replace(co, tx=tx, ty=ty),
+                lambda: bq.Temperatures(tx, ty),
+                lambda: dataclasses.replace(bq.Temperatures(1.0, 1.0),
+                                            tx=tx, ty=ty),
             )
             for route in routes:
-                with pytest.raises(bq.DomainError):
+                with pytest.raises(bq.DomainError, match=(
+                        r"^temperature must be finite and > 0, got "
+                        + re.escape(repr(float(bad))) + "$")):
                     route()
 
     def test_numpy_scalars_are_stored_as_python_floats(self):
@@ -145,9 +152,79 @@ class TestReduce:
             dataclasses.replace(co, a=99.0)
 
     def test_rejects_wrong_dimension(self):
+        # on every call: a game that is not 2x2 caches no numerators
         g3 = mk(np.eye(3).tolist(), np.eye(3).tolist())
-        with pytest.raises(bq.UnsupportedDimensionError):
-            bq.reduce_payoffs(g3, bq.Temperatures(1, 1))
+        for _ in range(3):
+            with pytest.raises(bq.UnsupportedDimensionError):
+                bq.reduce_payoffs(g3, bq.Temperatures(1, 1))
+            with pytest.raises(bq.UnsupportedDimensionError):
+                bq.nash_equilibria(g3)
+
+
+def _same_record(built, reference):
+    """``built`` is the dataclass-built ``reference`` in ==, hash, repr,
+    dataclasses.replace and a pickle round trip."""
+    for twin in (built, dataclasses.replace(built),
+                 pickle.loads(pickle.dumps(built))):
+        assert twin == reference and reference == twin
+        assert hash(twin) == hash(reference)
+        assert repr(twin) == repr(reference)
+        assert vars(twin) == vars(reference)
+
+
+class TestDirectRecords:
+    # reduce_payoffs, at_temperatures, Temperatures and find_rest_points
+    # build their records without the dataclass __init__; each must be the
+    # record that __init__ builds
+
+    def test_reduced_coefficients(self, rng):
+        for _ in range(100):
+            entries = rng.uniform(-3, 3, (2, 2, 2))
+            game = mk(entries[0].tolist(), entries[1].tolist())
+            tx, ty, tx2, ty2 = map(float, 10.0 ** rng.uniform(-6, 3, 4))
+            co = bq.reduce_payoffs(game, bq.Temperatures(tx, ty))
+            _same_record(co, bq.ReducedCoefficients(*_raw_coefficients(game),
+                                                    tx, ty))
+            _same_record(co.at_temperatures(tx2, ty2),
+                         bq.ReducedCoefficients(co.raw_a, co.raw_b, co.raw_c,
+                                                co.raw_d, tx2, ty2))
+
+    def test_temperatures(self):
+        temps = bq.Temperatures(np.float64(0.5), np.int64(2))
+        assert repr(temps) == "Temperatures(tx=0.5, ty=2.0)"
+        assert hash(temps) == hash((0.5, 2.0))
+        assert dataclasses.astuple(temps) == (0.5, 2.0)
+        _same_record(temps, bq.Temperatures(ty=2.0, tx=0.5))
+        assert dataclasses.replace(temps, ty=3) == bq.Temperatures(0.5, 3.0)
+        assert bq.Temperatures.equal(0.5) == bq.Temperatures(0.5, 0.5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            temps.tx = 1.0
+        with pytest.raises(TypeError):
+            bq.Temperatures(1.0)
+
+    def test_rest_points(self):
+        for name in sorted(bq.FIXTURES):
+            for t in (0.05, 0.5):
+                co = bq.reduce_payoffs(bq.fixture(name), bq.Temperatures(t, t))
+                for point in bq.find_rest_points(co):
+                    _same_record(point, bq.RestPoint(
+                        **{f.name: getattr(point, f.name)
+                           for f in dataclasses.fields(point)}))
+
+    def test_cached_game_is_the_game(self):
+        # the cached numerators are not a field: a game that has been
+        # reduced is its unreduced twin in every way a caller sees
+        A, B = [[4.0, 1.0], [3.0, 2.0]], [[4.0, 1.0], [3.0, 2.0]]
+        game, twin = mk(A, B), mk(A, B)
+        first = bq.reduce_payoffs(game, bq.Temperatures(1.0, 1.0))
+        assert bq.reduce_payoffs(game, bq.Temperatures(1.0, 1.0)) == first
+        for copy in (game, pickle.loads(pickle.dumps(game)),
+                     dataclasses.replace(game)):
+            assert copy == twin and hash(copy) == hash(twin)
+            assert repr(copy) == repr(twin)
+            assert copy.to_dict() == twin.to_dict()
+            assert bq.reduce_payoffs(copy, bq.Temperatures(2.0, 0.5)) == \
+                bq.reduce_payoffs(twin, bq.Temperatures(2.0, 0.5))
 
 
 def brute_force_equilibrium(game, x, y, grid=1001, tol=1e-9):

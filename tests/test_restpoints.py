@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import importlib.util
 import math
 import random
@@ -178,6 +179,24 @@ class TestGFunction:
                 value = ac * shape - 1.0
                 assert excess(u) == (value, -value / (ac * bend)
                                      if bend else None)
+
+    def test_eval_forms_the_floats_of_its_reference_form(self, rng):
+        # the one-frame eval gives the floats of _at and numerics.sigmoid,
+        # bit for bit, on both sides of u = 0 and of v = 0
+        us = [-746.0, -700.0, -40.0, -0.0, 0.0, 1e-300, 40.0, 700.0, 746.0]
+        curves = [bq.GFunction(2.0, -1.0), bq.GFunction(-2.0, 1.0),
+                  bq.GFunction(0.0, 0.0), bq.GFunction(1.0, -0.0)]
+        for _ in range(1000):
+            c, d = rng.uniform(-8, 8, 2)
+            curves.append(bq.GFunction(c, d, 10.0 ** rng.uniform(-3.0, 1.0)))
+        for gf in curves:
+            for u in us + [float(rng.uniform(-40, 40))]:
+                s, s_neg, v = gf._at(u)
+                g = sigmoid(v)
+                sq = s * s_neg
+                g1 = gf.c * (g * sigmoid(-v)) * sq
+                assert gf.eval(u) == (g, g1, g1 * (gf.c * (1.0 - 2.0 * g) * sq
+                                                   + (1.0 - 2.0 * s)))
 
     @pytest.mark.parametrize("u", [31.0, 32.5, 34.0, 40.0])
     def test_no_cancellation_next_to_ratio_minus_one(self, u):
@@ -542,6 +561,36 @@ def test_warm_roots_are_within_target_of_the_exact_roots():
                 above = _mp_phi(mpmath.mpf(u) + target, a, b, curve)
                 assert below * above <= 0, (a, b, curve, u)
     assert ends > 100 and refined > 100
+
+
+@pytest.mark.parametrize("seed, log_t, pin", [
+    (25, (-3.0, 1.0), "c09c53e9ac6172f23c77cc7bfbc81d51"),
+    (26, (-20.0, -3.0), "b11548f1a5f0ecbd5ce15720db45d647"),
+], ids=["warm", "cold"])
+def test_root_kernel_keeps_every_bit(seed, log_t, pin):
+    # an md5 of the repr of each seeded game's record, its rest points (or
+    # the error type of a call that raises), its count and the symmetric
+    # roots at its (a, b): every root, eigenvalue and residual, exactly.
+    # The residual and budget tests cannot see a rounding change in a
+    # probe; this can.  The digest depends on the platform's exp and log.
+    md5 = hashlib.md5()
+    rng = random.Random(seed)
+    for _ in range(600):
+        payoffs = [[[rng.uniform(-3.0, 3.0) for _ in range(2)]
+                    for _ in range(2)] for _ in range(2)]
+        tx, ty = (10.0 ** rng.uniform(*log_t) for _ in range(2))
+        co = bq.reduce_payoffs(bq.Game.from_matrices("g", *payoffs),
+                               bq.Temperatures(tx, ty))
+        results = [co, (co.a, co.b, co.c, co.d)]
+        for call, args in ((bq.find_rest_points, (co,)),
+                           (bq.count_rest_points, (co,)),
+                           (bq.solve_symmetric, (co.a, co.b))):
+            try:
+                results.append(call(*args))
+            except bq.BoltzqError as exc:
+                results.append(type(exc).__name__)
+        md5.update(repr(results).encode())
+    assert md5.hexdigest() == pin
 
 
 def sample_three_root_coeffs(rng):

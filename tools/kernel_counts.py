@@ -3,8 +3,9 @@ and the bifurcation drivers' probes per bracket search.
 
 A curve evaluation is one call of ``GFunction._at``, the one place that
 forms Y's logit from X's, or one call of a probe that forms it inline in
-its own frame (``GFunction._inflection_probe``,
-``GFunction._excess_probe``).  There are two batches of 4000 games, each with
+its own frame (``GFunction.eval``, the defect's probe,
+``GFunction._inflection_probe`` and ``GFunction._excess_probe``).  There
+are two batches of 4000 games, each with
 payoffs U[-3, 3] drawn from ``random.Random(3)``: warm, with (tx, ty)
 log-uniform on [1e-3, 10], and cold, log-uniform on [1e-20, 1e-3].  The
 points are not checked (``fd_check=False``), which evaluates no curve, so
@@ -24,10 +25,12 @@ U[-3, 3] from ``random.Random(3)``): ``sweep_equal_temperature`` (40
 steps on [s/200, 2s], s = sqrt|raw_a*raw_c|/4),
 ``equal_temperature_criticals``, ``classify_pitchfork`` and
 ``critical_curve`` (8 values of ty on [1e-3, 2]), as the benchmark's
-bifurcation scan runs them.  A search is named by
-the function that starts it: g's inflection, a stationary point of the
-defect, a window end of the critical curve, a fold, or a merge of the
-stationary pair or a closing temperature.
+bifurcation scan runs them, and of ``classify_region`` on 300 seeded
+games in its ``NumericBoundary`` corners (payoffs U[-3, 3] from
+``random.Random(3)``).  A search is named by the function that starts
+it: g's inflection, a stationary point of the defect, a window end of
+the critical curve, a fold, a merge of the stationary pair or a closing
+temperature, or the corner bound.
 
 The counts do not depend on the machine or its load, so they measure the
 kernel's work exactly; run it as::
@@ -58,8 +61,10 @@ WARM, COLD = (-3.0, 1.0), (-20.0, -3.0)
 #: that starts each one (through ``numerics.bisect`` or directly)
 SEARCHES = {"inflection": "inflection", "_extrema": "stationary point",
             "_window_ends": "window end", "_fold": "fold",
-            "_merge": "merge/closing", "critical_curve": "merge/closing"}
+            "_merge": "merge/closing", "critical_curve": "merge/closing",
+            "_lowest_intercept": "corner bound"}
 BIFURCATION_GAMES = 40
+CORNER_GAMES = 300
 
 
 def batch(rng: random.Random, games: int = GAMES,
@@ -94,11 +99,11 @@ def count(games: int = GAMES, seed: int = SEED,
                 stack.pop()
         return wrapped
 
-    at = restpoints.GFunction._at
-
-    def counted_at(self, u):
-        tally[stack[-1]] += 1
-        return at(self, u)
+    def counted_method(method):
+        def counted(self, u):
+            tally[stack[-1]] += 1
+            return method(self, u)
+        return counted
 
     def counted_probe(build):
         def built(*args):
@@ -111,7 +116,8 @@ def count(games: int = GAMES, seed: int = SEED,
         return built
 
     gf = restpoints.GFunction
-    patches = [(gf, "_at", counted_at),
+    patches = [(gf, "_at", counted_method(gf._at)),
+               (gf, "eval", counted_method(gf.eval)),
                (gf, "_inflection_probe", counted_probe(gf._inflection_probe)),
                (gf, "_excess_probe", counted_probe(gf._excess_probe)),
                (restpoints.GFunction, "inflection",
@@ -156,10 +162,23 @@ def diagonal_games(games: int = BIFURCATION_GAMES, seed: int = SEED):
     return found
 
 
+def classify_corners(games: int = CORNER_GAMES, seed: int = SEED) -> None:
+    """Classify seeded games until ``games`` of them are
+    ``NumericBoundary``: only those solve the corner bound."""
+    rng = random.Random(seed)
+    while games:
+        payoffs = [[[rng.uniform(-3.0, 3.0) for _ in range(2)]
+                    for _ in range(2)] for _ in range(2)]
+        region = classify_region(reduce_payoffs(
+            Game.from_matrices("g", *payoffs), Temperatures(1.0, 1.0)))
+        games -= region.label is GameRegionLabel.NUMERIC_BOUNDARY
+
+
 def search_counts(games: int = BIFURCATION_GAMES, seed: int = SEED
                   ) -> dict[str, list[int]]:
     """``{search: [probes of each search]}`` over the drivers' calls on
-    :func:`diagonal_games`.  ``numerics._close`` is wrapped (in
+    :func:`diagonal_games` and over :func:`classify_corners`.
+    ``numerics._close`` is wrapped (in
     ``numerics`` for :func:`numerics.bisect` and in ``bifurcation``) and
     each probe it is given is counted; a search is named from the function
     that called it, or that called ``bisect`` (past a set comprehension).
@@ -196,6 +215,7 @@ def search_counts(games: int = BIFURCATION_GAMES, seed: int = SEED
             classify_pitchfork(game)
             if co.raw_a * co.raw_c > 0.0:
                 critical_curve(game, grid)
+        classify_corners(seed=seed)
     finally:
         for owner, value in saved:
             owner._close = value
@@ -214,7 +234,7 @@ def main() -> int:
                   f"{sum(means.values()):.1f} |")
         print()
     print(f"bifurcation: the fixtures and {BIFURCATION_GAMES} seeded games, "
-          f"probes per bracket search\n")
+          f"and {CORNER_GAMES} corner games, probes per bracket search\n")
     print("| search | searches | mean | max |")
     print("| --- | --- | --- | --- |")
     found = search_counts()
