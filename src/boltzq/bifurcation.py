@@ -118,6 +118,16 @@ def _lowest_intercept(top: float) -> tuple[float, float, float]:
     overflows to inf as u nears 746) is None, a halving.  A step moves
     only where the next probe lands: each side is decided by the value's
     sign, so the answer is still a sign change at float resolution.
+
+    The u-search's first probe is where the structure puts Q's root.  For
+    u well past 1, s and tanh(u/2) are near 1, so ``1 + u*lead`` is near
+    ``1 - u*(1 - 1/m)``, whose root has ``|top|*e^u`` near ``1/(u - 1)``:
+    ``u = L - ln(u - 1)`` with L = -ln|top|.  One step of that from u = L,
+    ``L - ln(L - 1)``, clipped below at u = 1 (and below 746 anyway, as L
+    <= -ln(5e-324) < 745), lands short of the root: by less than 0.85 at
+    tails from 1e303 down, and by less than 0.05 below 1e-40, where Newton
+    then closes in a few probes.  That probe, too, picks its side by the
+    value's sign alone.
     """
     def at(u: float) -> tuple[float, float, float, float]:  # s, 1-s, m, m'
         e, half = math.exp(-u), math.exp(0.5 * u)
@@ -139,7 +149,9 @@ def _lowest_intercept(top: float) -> tuple[float, float, float]:
         th = math.tanh(w)
         return newton(w * th - rhs, th + w * (1.0 - th * th))
 
-    u0 = bisect(q, 0.0, _SATURATION, 1.0, q(_SATURATION)[0])
+    ell = -math.log(-top)  # L = -ln|top|
+    u0 = bisect(q, 0.0, _SATURATION, 1.0, q(_SATURATION)[0],
+                max(ell - math.log(max(ell - 1.0, 1.0)), 1.0))
     s, _, m, _ = at(u0)
     rhs = min(-0.5 * math.expm1(-u0) * m, _SATURATION)
     w_hi = rhs / math.tanh(1.0) + 1.0

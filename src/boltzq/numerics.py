@@ -18,7 +18,14 @@ Two bracketed solvers find a sign change, each stopping by its own rule:
   merges and closing temperatures of the bifurcation drivers, whose
   probes carry a +-1.0 side, and the two searches of the corner bound
   (``bifurcation._lowest_intercept``), whose probes give closed-form
-  Newton steps;
+  Newton steps.  Two searches also start where the curve's structure
+  puts the answer, through :func:`bisect`'s ``first`` probe: g's
+  inflection where Y's logit crosses zero, and the corner bound's
+  u-search next to the root of its leading terms.  The stationary
+  points step by Newton on the log of their value plus one.  A first
+  probe or a step moves only where the next probe lands; its value's
+  sign picks the side like any other, so every answer is still a sign
+  change at float resolution;
 - :func:`_refine_root` takes Newton steps that land inside the bracket,
   with no guard, and halves otherwise, stopping at ``|f| <= target`` or
   once the bracket is 8 ulps of ``max(|lo|, |hi|, 1)`` wide.
@@ -181,15 +188,30 @@ def geomspace(lo: float, hi: float, n: int) -> list[float]:
 _BISECT_STEPS = 2200
 
 
-def bisect(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+def bisect(f, lo: float, hi: float, f_lo: float, f_hi: float,
+           first: float | None = None) -> float:
     """A sign change of ``f(u) = (value, step, ...)`` on [lo, hi], given
     the values at the ends, to float resolution (:func:`_close`): the
-    midpoint of the final bracket, or a point where the value is 0."""
+    midpoint of the final bracket, or a point where the value is 0.
+
+    ``first``, where the structure of f puts the answer, is probed first
+    if it lies strictly inside the bracket: its value's sign picks the
+    side, as every probe's does, and the search goes on from it, by its
+    step, on the side that keeps the sign change."""
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
         return hi
-    lo, _, hi, _ = _close(f, lo, (f_lo, None), hi, (f_hi, None))
+    p_lo, p_hi = (f_lo, None), (f_hi, None)
+    if first is not None and lo < first < hi:
+        p = f(first)
+        if p[0] == 0.0:
+            return first
+        if (p[0] > 0.0) == (f_hi > 0.0):
+            hi, p_hi = first, p
+        else:
+            lo, p_lo = first, p
+    lo, _, hi, _ = _close(f, lo, p_lo, hi, p_hi)
     return 0.5 * (lo + hi)
 
 

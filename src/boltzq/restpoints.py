@@ -184,10 +184,21 @@ class GFunction:
         |2*sinh(u)| <= |c|, so |u| <= asinh(|c|/2) <= _LOG_MAX: the span
         asinh(|c|/2) + 1, capped at _LOG_MAX so that sinh stays finite,
         brackets it.
+
+        The first probe is where Y's logit crosses zero, ``u = ln(t/(1 -
+        t))`` with t = -raw_d/raw_c, when 0 < t < 1 (``t/(1 - t) =
+        -raw_d/(raw_c + raw_d)``, the ratio of v's two tails at v = 0):
+        there ``F = 2*sinh(u)`` and ``F' = c^2*sigma'(u)/2 + 2*cosh(u)``,
+        so the zero lies about 4*|sinh(u)|/(c^2*sigma'(u)) away where |c|
+        is large (cold curves, c = raw_c/ty), and the search starts next
+        to it.  That probe too decides a side by F's sign alone, which
+        leaves the guarantee above as it was.
         """
         f = self._inflection_probe()
         span = min(math.asinh(0.5 * abs(self.c)) + 1.0, _LOG_MAX)
-        return bisect(f, -span, span, f(-span)[0], f(span)[0])
+        ratio = -self.raw_d / self._top if self._top else 0.0
+        first = math.log(ratio) if 0.0 < ratio < math.inf else None
+        return bisect(f, -span, span, f(-span)[0], f(span)[0], first)
 
     def _inflection_probe(self):
         """``u -> (F, -F/F')`` of :meth:`inflection`, each probe in one
@@ -209,13 +220,13 @@ class GFunction:
 
     def _excess_probe(self, ac: float):
         """``u -> (excess, step)`` of :func:`_extrema`, excess = ac*shape -
-        1 and the Newton step on its u-slope ac*bend (None where that is
-        0), each probe in one frame: shape and bend as
-        :meth:`_shape_and_bend` forms them, from sigma(u), sigma(-u) and v
-        as :meth:`_at` forms them."""
+        1 and the Newton step on ln(ac*shape), ``-ln(ac*shape)*shape/bend``
+        (None where ac*shape is not positive or bend is 0), each probe in
+        one frame: shape and bend as :meth:`_shape_and_bend` forms them,
+        from sigma(u), sigma(-u) and v as :meth:`_at` forms them."""
         raw_c, raw_d, top, ty, c = (self.raw_c, self.raw_d, self._top,
                                     self.ty, self.c)
-        exp, copysign = math.exp, math.copysign
+        exp, copysign, log = math.exp, math.copysign, math.log
 
         def excess(u: float) -> tuple[float, float | None]:
             e = exp(-u if u > 0.0 else u)
@@ -228,8 +239,9 @@ class GFunction:
             shape = e / ((1.0 + e) * (1.0 + e)) * s * s_neg
             tilt = copysign((1.0 - e) / (1.0 + e), -v)
             bend = shape * (c * tilt * (s * s_neg) + (s_neg - s))
-            value = ac * shape - 1.0
-            return value, -value / (ac * bend) if bend else None
+            scaled = ac * shape
+            return scaled - 1.0, (-log(scaled) * shape / bend
+                                  if scaled > 0.0 and bend else None)
         return excess
 
     def _tails(self, v: float) -> tuple[float, float]:
@@ -422,8 +434,9 @@ class _Logistic:
         :meth:`GFunction._excess_probe`, from :meth:`_shape_and_bend`."""
         def excess(u: float) -> tuple[float, float | None]:
             shape, bend = cls._shape_and_bend(u)
-            value = ac * shape - 1.0
-            return value, -value / (ac * bend) if bend else None
+            scaled = ac * shape
+            return scaled - 1.0, (-math.log(scaled) * shape / bend
+                                  if scaled > 0.0 and bend else None)
         return excess
 
     @staticmethod
@@ -463,12 +476,16 @@ def _extrema(a: float, b: float, curve) -> list[tuple[float, float, bool, float]
 
     Each point is the sign change of ``excess = a*c*shape - 1`` on one
     side of the peak, found by :func:`numerics.bisect` with the Newton
-    step on its u-slope a*g'' (the curve's ``_excess_probe``, from the
-    same curve evaluation; None where that is 0).  excess is monotone on
-    each bracket (rising up to the peak, falling after it), a step is
-    taken only where it lands strictly inside the shrinking bracket, and
-    each side is decided by the sign of excess alone, so the sign change
-    is never lost and each point is excess's sign change at float
+    step on ln(a*c*shape), ``-ln(a*c*shape)*shape/bend`` (the curve's
+    ``_excess_probe``, from the same curve evaluation; None where shape
+    or bend is 0).  ln(a*c*shape) has the same zero and sign as excess,
+    but falls only linearly in the tails, where shape falls like
+    e^-|u| and excess lies flat at -1, so its Newton step stays the
+    right length there.  excess is monotone on each bracket (rising up
+    to the peak, falling after it), a step is taken only where it lands
+    strictly inside the shrinking bracket, and each side is decided by
+    the sign of excess alone, never by the step's, so the sign change is
+    never lost and each point is excess's sign change at float
     resolution.
     """
     ac = a * curve.c

@@ -1,6 +1,7 @@
 import cmath
 import hashlib
 import importlib.util
+import itertools
 import math
 import random
 import sys
@@ -13,7 +14,7 @@ from scipy.special import expit
 
 import boltzq as bq
 from boltzq import restpoints
-from boltzq.numerics import _refine_root, sigmoid, sigmoid_slope
+from boltzq.numerics import _refine_root, bisect, sigmoid, sigmoid_slope
 from boltzq.restpoints import _LOGISTIC, GFunction, _extrema
 
 from conftest import scan_symmetric_count, sign_change_at
@@ -177,8 +178,9 @@ class TestGFunction:
                     + 2.0 * math.cosh(u)))
                 shape, bend = gf._shape_and_bend(u)
                 value = ac * shape - 1.0
-                assert excess(u) == (value, -value / (ac * bend)
-                                     if bend else None)
+                assert excess(u) == (value, -math.log(ac * shape) * shape
+                                     / bend if ac * shape > 0.0 and bend
+                                     else None)
 
     def test_eval_forms_the_floats_of_its_reference_form(self, rng):
         # the one-frame eval gives the floats of _at and numerics.sigmoid,
@@ -497,10 +499,48 @@ def test_kernel_evaluation_budget():
     # curve evaluations per find_rest_points call on 4000 warm games; with
     # plain bisection for the inflection and the stationary points a
     # three-root solve made 223.0 and a one-root solve 57.4, and 95.1 and
-    # 26.3 before roots at b or b + a were taken at the bracket end
-    counts = _kernel_counts().count()
-    assert sum(counts[3][1].values()) <= 80.0
-    assert sum(counts[1][1].values()) <= 20.0
+    # 26.3 before roots at b or b + a were taken at the bracket end, and
+    # 63.8 and 14.7 before the structural first probe of the inflection
+    # and the log-excess steps of the stationary points; and on 4000 cold
+    # games, where a three-root solve then made 154.1
+    kernel_counts = _kernel_counts()
+    counts = kernel_counts.count()
+    assert sum(counts[3][1].values()) <= 56.0
+    assert sum(counts[1][1].values()) <= 15.0
+    cold = kernel_counts.count(log_t=kernel_counts.COLD)
+    assert sum(cold[3][1].values()) <= 110.0
+
+
+def test_inflection_starts_where_y_logit_crosses_zero(monkeypatch):
+    # cold curves with d/c in (-1, 0), where v crosses zero at u = ln(t/(1
+    # - t)), t = -d/c: the inflection sits next to it, and the search
+    # starts there; from the midpoint it took 42.1 probes on average
+    # (max 79).  Each answer is still F's sign change at float resolution.
+    counts = []
+
+    def counted_bisect(f, lo, hi, f_lo, f_hi, first=None):
+        calls = [0]
+
+        def probe(t):
+            calls[0] += 1
+            return f(t)
+        try:
+            return bisect(probe, lo, hi, f_lo, f_hi, first)
+        finally:
+            counts.append(calls[0])
+
+    monkeypatch.setattr(restpoints, "bisect", counted_bisect)
+    curves = (curve for _, _, curve in _seeded_curves(27, (-20.0, -3.0),
+                                                      n=10 ** 5)
+              if -1.0 < curve.raw_d / curve.raw_c < 0.0)
+    for curve in itertools.islice(curves, 2000):
+        def f(u):  # F of GFunction.inflection
+            return curve.c * math.tanh(0.5 * curve._at(u)[2]) + 2.0 * math.sinh(u)
+
+        assert sign_change_at(f, curve.inflection()), curve
+    assert len(counts) == 2000
+    assert sum(counts) <= 8 * len(counts)
+    assert max(counts) <= 70
 
 
 def _kernel_target(a):

@@ -18,8 +18,9 @@ found and by phase:
 - roots: inside ``numerics._refine_root``;
 - other: the bracket ends and the back-substitution of each root.
 
-The bifurcation table counts the probes that each bracket search of the
-loop ``numerics._close`` makes, after the ends it is given, on the
+The bifurcation table counts the probes that each bracket search makes
+(each call of ``numerics.bisect``, or of the loop ``numerics._close``
+outside it), after the ends it is given, on the
 fixtures and 40 seeded games with three rest points possible (payoffs
 U[-3, 3] from ``random.Random(3)``): ``sweep_equal_temperature`` (40
 steps on [s/200, 2s], s = sqrt|raw_a*raw_c|/4),
@@ -58,7 +59,8 @@ SEED = 3
 #: log10 of the ends of the (tx, ty) range of each batch
 WARM, COLD = (-3.0, 1.0), (-20.0, -3.0)
 #: the bracket searches of the bifurcation table, keyed by the function
-#: that starts each one (through ``numerics.bisect`` or directly)
+#: that starts each one (through ``numerics.bisect`` or ``_close``,
+#: directly or from a helper)
 SEARCHES = {"inflection": "inflection", "_extrema": "stationary point",
             "_window_ends": "window end", "_fold": "fold",
             "_merge": "merge/closing", "critical_curve": "merge/closing",
@@ -178,35 +180,41 @@ def search_counts(games: int = BIFURCATION_GAMES, seed: int = SEED
                   ) -> dict[str, list[int]]:
     """``{search: [probes of each search]}`` over the drivers' calls on
     :func:`diagonal_games` and over :func:`classify_corners`.
-    ``numerics._close`` is wrapped (in
-    ``numerics`` for :func:`numerics.bisect` and in ``bifurcation``) and
-    each probe it is given is counted; a search is named from the function
-    that called it, or that called ``bisect`` (past a set comprehension).
+    ``numerics.bisect`` and ``numerics._close`` are wrapped where the
+    kernel's modules call them (not inside ``numerics``, so that a
+    ``bisect`` is one search), and each probe they are given is counted,
+    a first probe inside ``bisect`` too.  A search is named by the
+    innermost function on the stack that :data:`SEARCHES` names, so one
+    started from a helper or a comprehension inside such a function is
+    counted as that function's.
     """
     probes: dict[str, list[int]] = defaultdict(list)
-    close = numerics._close
 
-    def counted_close(probe, a, p_a, b, p_b):
-        caller = sys._getframe(1)
-        while caller.f_code.co_name in ("bisect", "<setcomp>"):
-            caller = caller.f_back
-        name = SEARCHES.get(caller.f_code.co_name, "other")
-        calls = [0]
+    def counted_search(search):
+        def counted_call(probe, *args):
+            caller = sys._getframe(1)
+            while caller and caller.f_code.co_name not in SEARCHES:
+                caller = caller.f_back
+            name = SEARCHES[caller.f_code.co_name] if caller else "other"
+            calls = [0]
 
-        def counted(t):
-            calls[0] += 1
-            return probe(t)
-        try:
-            return close(counted, a, p_a, b, p_b)
-        finally:
-            probes[name].append(calls[0])
+            def counted(t):
+                calls[0] += 1
+                return probe(t)
+            try:
+                return search(counted, *args)
+            finally:
+                probes[name].append(calls[0])
+        return counted_call
 
     grid = numerics.geomspace(1e-3, 2.0, 8)
     batch = diagonal_games(games, seed)
-    saved = [(owner, owner._close) for owner in (numerics, bifurcation)]
+    saved = [(owner, name, getattr(owner, name))
+             for owner in (restpoints, bifurcation)
+             for name in ("bisect", "_close") if hasattr(owner, name)]
     try:
-        for owner, _ in saved:
-            owner._close = counted_close
+        for owner, name, search in saved:
+            setattr(owner, name, counted_search(search))
         for game in batch:
             co = reduce_payoffs(game, Temperatures(1.0, 1.0))
             top = math.sqrt(abs(co.raw_a * co.raw_c)) / 4.0
@@ -217,8 +225,8 @@ def search_counts(games: int = BIFURCATION_GAMES, seed: int = SEED
                 critical_curve(game, grid)
         classify_corners(seed=seed)
     finally:
-        for owner, value in saved:
-            owner._close = value
+        for owner, name, search in saved:
+            setattr(owner, name, search)
     return dict(probes)
 
 
