@@ -18,11 +18,13 @@ Two bracketed solvers find a sign change, each stopping by its own rule:
   merges and closing temperatures of the bifurcation drivers, whose
   probes carry a +-1.0 side, and the two searches of the corner bound
   (``bifurcation._lowest_intercept``), whose probes give closed-form
-  Newton steps.  Two searches also start where the curve's structure
+  Newton steps.  Some searches also start where the curve's structure
   puts the answer, through :func:`bisect`'s ``first`` probe: g's
-  inflection where Y's logit crosses zero, and the corner bound's
-  u-search next to the root of its leading terms.  The stationary
-  points step by Newton on the log of their value plus one.  A first
+  inflection where Y's logit crosses zero, the defect's stationary
+  points where they would be if sigma'(u) kept its value at the
+  inflection, and the corner bound's u-search next to the root of its
+  leading terms.  The stationary points step by Newton on the log of
+  their value plus one.  A first
   probe or a step moves only where the next probe lands; its value's
   sign picks the side like any other, so every answer is still a sign
   change at float resolution;
@@ -135,8 +137,10 @@ def logit(p: float) -> float:
 
 def sigmoid_slope(u: float) -> float:
     """sigma(u)*(1-sigma(u)), computed as sigma(u)*sigma(-u) to avoid the
-    catastrophic cancellation of ``1 - sigma(u)`` for large u."""
-    return sigmoid(u) * sigmoid(-u)
+    catastrophic cancellation of ``1 - sigma(u)`` for large u; both
+    factors come from one exp, with the bits of :func:`sigmoid`."""
+    e = math.exp(-abs(u))
+    return 1.0 / (1.0 + e) * (e / (1.0 + e))  # sigma(|u|) * sigma(-|u|)
 
 
 #: 8 ulp(1) = 2^-49: a few roundings of each term of a sum
@@ -300,6 +304,9 @@ def _refine_root(f, lo: float, hi: float, flo: float, fhi: float,
     (2^1024 / 2^-1074).  At float resolution, where rounding noise can
     keep |value| above target, it returns the end with the smaller
     |value|."""
+    # the stop width at the starting bracket bounds it at every bracket
+    # inside, so only a bracket within it pays for the exact width
+    coarse = 8.0 * math.ulp(max(abs(lo), abs(hi), 1.0))
     u = 0.5 * lo + 0.5 * hi  # = 0.5*(lo + hi), without overflowing
     fu, slope = f(u)
     for _ in range(2100):
@@ -309,7 +316,8 @@ def _refine_root(f, lo: float, hi: float, flo: float, fhi: float,
             hi, fhi = u, fu
         else:
             lo, flo = u, fu
-        if hi - lo <= 8.0 * math.ulp(max(abs(lo), abs(hi), 1.0)):
+        if hi - lo <= coarse and hi - lo <= 8.0 * math.ulp(
+                max(abs(lo), abs(hi), 1.0)):
             return lo if abs(flo) <= abs(fhi) else hi
         t = u - fu / slope if slope != 0.0 else lo  # Newton, where inside
         u = t if lo < t < hi else 0.5 * lo + 0.5 * hi

@@ -65,7 +65,7 @@ class GFunction:
 
     This is the one place that forms v from u or u from v: :meth:`_at`,
     and the probes that form it inline in one frame with :meth:`_at`'s
-    bits, :meth:`eval` (the root kernel's defect probe),
+    bits, :meth:`_defect_probe` (the root kernel's),
     :meth:`_inflection_probe` and :meth:`_excess_probe`.  All go
     through p = ty*v and one identity: ``p = raw_d + raw_c*sigma(u)`` and
     ``raw_c*sigma(-u) = raw_c + raw_d - p``.  For u <= 0, p is formed from
@@ -137,9 +137,9 @@ class GFunction:
             g'  = c * g(1-g) * s(1-s)
             g'' = g' * [c*(1-2g)*s*(1-s) + (1-2s)]      with s = sigma(u)
 
-        The root kernel's probe, in one frame: sigma(u), sigma(-u) and v
-        as :meth:`_at` forms them, g = sigma(v) and 1 - g = sigma(-v) with
-        the bits of :func:`numerics.sigmoid`, from one exp each.
+        In one frame: sigma(u), sigma(-u) and v as :meth:`_at` forms
+        them, g = sigma(v) and 1 - g = sigma(-v) with the bits of
+        :func:`numerics.sigmoid`, from one exp each.
         """
         e = math.exp(-u if u > 0.0 else u)
         s, t = 1.0 / (1.0 + e), e / (1.0 + e)  # sigma(|u|), sigma(-|u|)
@@ -154,6 +154,24 @@ class GFunction:
         sq = s * s_neg
         g1 = self.c * gq * sq
         return g, g1, g1 * (self.c * (1.0 - 2.0 * g) * sq + (1.0 - 2.0 * s))
+
+    def _defect_probe(self, a: float, b: float):
+        """``u -> (phi, phi')`` of the root kernel, phi = u - b - a*g and
+        phi' = 1 - a*g', each probe in one frame with :meth:`eval`'s bits
+        and without its g''."""
+        raw_c, raw_d, top, ty, c = (self.raw_c, self.raw_d, self._top,
+                                    self.ty, self.c)
+        exp = math.exp
+
+        def phi(u: float) -> tuple[float, float]:
+            e = exp(-u if u > 0.0 else u)
+            s, t = 1.0 / (1.0 + e), e / (1.0 + e)  # sigma(|u|), sigma(-|u|)
+            v = (top - raw_c * t) / ty if u > 0.0 else (raw_d + raw_c * t) / ty
+            e = exp(-v if v >= 0.0 else v)
+            big, small = 1.0 / (1.0 + e), e / (1.0 + e)  # sigma(|v|), sigma(-|v|)
+            return (u - b - a * (big if v >= 0.0 else small),
+                    1.0 - a * (c * (big * small) * (s * t)))
+        return phi
 
     def slope_shape(self, u: float) -> float:
         """g(1-g)*s(1-s) = g'(u)/c; the quantity whose peak bounds tangency."""
@@ -183,7 +201,8 @@ class GFunction:
         answer is F's sign change at float resolution.  The zero has
         |2*sinh(u)| <= |c|, so |u| <= asinh(|c|/2) <= _LOG_MAX: the span
         asinh(|c|/2) + 1, capped at _LOG_MAX so that sinh stays finite,
-        brackets it.
+        brackets it, with F(-span) < 0 < F(span) known and not probed
+        unless the cap applies.
 
         The first probe is where Y's logit crosses zero, ``u = ln(t/(1 -
         t))`` with t = -raw_d/raw_c, when 0 < t < 1 (``t/(1 - t) =
@@ -196,9 +215,11 @@ class GFunction:
         """
         f = self._inflection_probe()
         span = min(math.asinh(0.5 * abs(self.c)) + 1.0, _LOG_MAX)
+        # at the cap 2*sinh(span) need not exceed |c|: probe the ends there
+        ends = (-1.0, 1.0) if span < _LOG_MAX else (f(-span)[0], f(span)[0])
         ratio = -self.raw_d / self._top if self._top else 0.0
         first = math.log(ratio) if 0.0 < ratio < math.inf else None
-        return bisect(f, -span, span, f(-span)[0], f(span)[0], first)
+        return bisect(f, -span, span, *ends, first)
 
     def _inflection_probe(self):
         """``u -> (F, -F/F')`` of :meth:`inflection`, each probe in one
@@ -243,6 +264,27 @@ class GFunction:
             return scaled - 1.0, (-log(scaled) * shape / bend
                                   if scaled > 0.0 and bend else None)
         return excess
+
+    def _stationary_firsts(self, ac: float, u0: float
+                           ) -> list[float | None]:
+        """First probes of :func:`_extrema`'s two searches, the max's then
+        the min's.  With sigma'(u) held at its value at the inflection
+        u0, ``ac*sigma'(v)*sigma'(u0) = 1`` at ``v = -+w``, ``w =
+        2*acosh(sqrt(ac*sigma'(u0))/2)``; each v goes back to u by the
+        ratio of the tails, as in :meth:`_touch`, and gives None where
+        that ratio is not a positive finite float.  v rises with u where
+        raw_c > 0, so the max, on the left, takes -w there and +w where
+        raw_c < 0.  m > 1 (:func:`_peak`) makes ac*sigma'(u0) > 4; the
+        clip at acosh's 1 absorbs rounding there."""
+        w = 2.0 * math.acosh(max(0.5 * math.sqrt(ac * sigmoid_slope(u0)),
+                                 1.0))
+        firsts = []
+        for v in ((-w, w) if self.raw_c > 0.0 else (w, -w)):
+            lo, hi = self._tails(v)
+            ratio = lo / hi if hi else 0.0  # e^u
+            firsts.append(math.log(ratio) if 0.0 < ratio < math.inf
+                          else None)
+        return firsts
 
     def _tails(self, v: float) -> tuple[float, float]:
         """``(raw_c*sigma(u), raw_c*sigma(-u))`` at Y's logit v, as ``p -
@@ -444,6 +486,22 @@ class _Logistic:
         s, s1 = sigmoid(u), sigmoid_slope(u)
         return s, s1, s1 * (1.0 - 2.0 * s)
 
+    @staticmethod
+    def _stationary_firsts(ac: float, u0: float) -> tuple[None, None]:
+        """No first probes, so the symmetric roots keep their bits.  The
+        stationary points are ``u = -+2*acosh(sqrt(ac)/2)`` in closed
+        form, but a search started there ends elsewhere on excess's
+        rounding plateau, an ulp or two away, and moves roots' last
+        bits."""
+        return None, None
+
+    @staticmethod
+    def _defect_probe(a: float, b: float):
+        """``u -> (phi, phi')`` as :meth:`GFunction._defect_probe`."""
+        def phi(u: float) -> tuple[float, float]:
+            return u - b - a * sigmoid(u), 1.0 - a * sigmoid_slope(u)
+        return phi
+
 
 _LOGISTIC = _Logistic()
 
@@ -486,7 +544,8 @@ def _extrema(a: float, b: float, curve) -> list[tuple[float, float, bool, float]
     strictly inside the shrinking bracket, and each side is decided by
     the sign of excess alone, never by the step's, so the sign change is
     never lost and each point is excess's sign change at float
-    resolution.
+    resolution.  Each search starts from the curve's
+    ``_stationary_firsts``, a probe like any other.
     """
     ac = a * curve.c
     if ac * curve.shape_peak <= 1.0:
@@ -495,11 +554,15 @@ def _extrema(a: float, b: float, curve) -> list[tuple[float, float, bool, float]
     if not paired:
         return []
     excess = curve._excess_probe(ac)
-    # shape(u) <= sigma(u)*sigma(-u) < e^-|u|, so excess < 0 beyond span
+    # shape(u) <= sigma(u)*sigma(-u) < e^-|u|, so excess < 0 beyond span;
+    # the ends are probed only where a*c overflowed and span is infinite
     span = math.log(ac) + 1.0
+    left, right = ((-1.0, -1.0) if span < math.inf else
+                   (excess(-span)[0], excess(span)[0]))
     top = margin - 1.0  # = excess(u_peak), the same float
-    u_max = bisect(excess, -span, u_peak, excess(-span)[0], top)
-    u_min = bisect(excess, u_peak, span, top, excess(span)[0])
+    first_max, first_min = curve._stationary_firsts(ac, u_peak)
+    u_max = bisect(excess, -span, u_peak, left, top, first_max)
+    u_min = bisect(excess, u_peak, span, top, right, first_min)
     lo, hi = sorted((b, b + a))
     found = []
     for u, is_max in ((u_max, True), (u_min, False)):
@@ -531,10 +594,7 @@ def _solve_u_roots(a: float, b: float,
     if a == 0.0:
         return [b], [False]
 
-    def phi(u: float) -> tuple[float, float]:
-        g, slope, _ = curve.eval(u)
-        return u - b - a * g, 1.0 - a * slope
-
+    phi = curve._defect_probe(a, b)
     lo, hi = (b, b + a) if a > 0.0 else (b + a, b)
     (flo, _), (fhi, _) = phi(lo), phi(hi)
     target = max(1e-15, min(5e-13, 5e-13 * abs(a)))

@@ -669,7 +669,10 @@ def test_diagonal_drivers_keep_every_bit():
     # pitchfork label of each fixture and seeded game: every branch point,
     # fold and label, exactly.  The fold tests read a fold to 1e-7 and
     # cannot see a rounding change in a probe; this can.  The digest
-    # depends on the platform's exp and log.
+    # depends on the platform's exp and log.  The structural first probes
+    # of the stationary points moved it: roots by at most 1.7e-9 relative
+    # next to folds, fold and critical temperatures by at most 6.5e-15,
+    # no count or label.
     md5 = hashlib.md5()
     games = [bq.fixture(name) for name in sorted(bq.FIXTURES)]
     for game in games + seeded_diagonal_games():
@@ -679,7 +682,7 @@ def test_diagonal_drivers_keep_every_bit():
                                                      40),
                          bq.equal_temperature_criticals(game),
                          bq.classify_pitchfork(game))).encode())
-    assert md5.hexdigest() == "13e810ce0a7c8209c377f4d2129e31f8"
+    assert md5.hexdigest() == "46b6a4a327f9a85867c558fd7c08113a"
 
 
 #: the benchmark's critical-curve grid

@@ -5,9 +5,22 @@ import numpy as np
 import pytest
 
 from boltzq.errors import DomainError
-from boltzq.numerics import _close, bisect, geomspace
+from boltzq.numerics import _close, bisect, geomspace, sigmoid, sigmoid_slope
 
 from conftest import sign_change_at
+
+
+def test_sigmoid_slope_has_the_bits_of_its_two_sigmoids():
+    # both factors come from one exp: sigma(u)*sigma(-u), bit for bit,
+    # at the edges of the floats and on seeded u of every scale
+    rng = random.Random(41)
+    us = [0.0, -0.0, 5e-324, -5e-324, 745.0, -745.0, 746.0, -746.0,
+          math.inf, -math.inf, math.nan]
+    us += [rng.uniform(-40.0, 40.0) for _ in range(5000)]
+    us += [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-320.0, 3.0)
+           for _ in range(5000)]
+    for u in us:
+        assert sigmoid_slope(u).hex() == (sigmoid(u) * sigmoid(-u)).hex(), u
 
 
 class TestGeomspace:

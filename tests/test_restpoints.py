@@ -162,14 +162,21 @@ class TestGFunction:
 
     def test_probes_form_the_floats_of_their_reference_forms(self, rng):
         # the one-frame probes of inflection and _extrema give the floats
-        # that _at and _shape_and_bend give, bit for bit
+        # that _at and _shape_and_bend give, bit for bit, and the root
+        # kernel's defect probe the floats of eval
         us = [-700.0, -40.0, -0.0, 0.0, 1e-300, 40.0, 700.0]
         for _ in range(1000):
             c, d = rng.uniform(-8, 8, 2)
             gf = bq.GFunction(c, d, 10.0 ** rng.uniform(-3.0, 1.0))
             ac = rng.uniform(-100.0, 100.0)
             f, excess = gf._inflection_probe(), gf._excess_probe(ac)
+            a, b = (float(x) for x in rng.uniform(-100.0, 100.0, 2))
+            phi, phi_s = gf._defect_probe(a, b), _LOGISTIC._defect_probe(a, b)
             for u in us + [float(rng.uniform(-40, 40))]:
+                g, g1, _ = gf.eval(u)
+                assert phi(u) == (u - b - a * g, 1.0 - a * g1)
+                s, s1, _ = _LOGISTIC.eval(u)
+                assert phi_s(u) == (u - b - a * s, 1.0 - a * s1)
                 s, s_neg, v = gf._at(u)
                 th = math.tanh(0.5 * v)
                 value = gf.c * th + 2.0 * math.sinh(u)
@@ -502,13 +509,64 @@ def test_kernel_evaluation_budget():
     # 26.3 before roots at b or b + a were taken at the bracket end, and
     # 63.8 and 14.7 before the structural first probe of the inflection
     # and the log-excess steps of the stationary points; and on 4000 cold
-    # games, where a three-root solve then made 154.1
+    # games, where a three-root solve then made 154.1.  The structural
+    # first probes of the stationary points and the search ends whose
+    # signs are proved took them from 50.8 and 13.3 warm, and 98.7 and
+    # 34.0 cold, to 39.7, 11.5, 36.6 and 26.0
     kernel_counts = _kernel_counts()
     counts = kernel_counts.count()
-    assert sum(counts[3][1].values()) <= 56.0
-    assert sum(counts[1][1].values()) <= 15.0
+    assert sum(counts[3][1].values()) <= 44.0
+    assert sum(counts[1][1].values()) <= 12.5
     cold = kernel_counts.count(log_t=kernel_counts.COLD)
-    assert sum(cold[3][1].values()) <= 110.0
+    assert sum(cold[3][1].values()) <= 40.0
+    assert sum(cold[1][1].values()) <= 28.5
+    # every phase is counted: the roots' probes too
+    assert counts[3][1]["roots"] > 0.0 and cold[1][1]["roots"] > 0.0
+
+
+def _extreme_curves():
+    """Curves with |raw_c| from 1e-300 to 1e300, ty from 1 to 1e-300 and
+    d/c on both sides of 0 and -1, where c + d is finite, as the root
+    kernel requires (:func:`restpoints._response_curve`)."""
+    for raw_c in (1e300, -1e300, 1.0, -1.0, 1e-300, -1e-300):
+        for ratio in (-3.0, -1.0 - 2.0 ** -52, -0.5, -1e-300, 0.25):
+            for ty in (1.0, 1e-150, 1e-300):
+                curve = GFunction(raw_c, ratio * raw_c, ty)
+                if math.isfinite(curve.c + curve.d):
+                    yield curve
+
+
+@pytest.mark.parametrize("seed, log_t", [(28, (-3.0, 1.0)),
+                                         (29, (-20.0, -3.0)), (0, None)],
+                         ids=["warm", "cold", "extremes"])
+def test_search_ends_have_the_signs_they_are_given(seed, log_t):
+    # inflection and _extrema pass the signs of their bracket ends as
+    # constants: excess(+-span) < 0 for every finite span, and F(-span)
+    # < 0 < F(span) wherever the inflection's span is below _LOG_MAX
+    if log_t is None:
+        cases = [(ac, curve) for curve in _extreme_curves()
+                 for ac in (16.5, 1e3, 1e100, 1e300, sys.float_info.max)]
+    else:
+        cases = [(a * curve.c, curve)
+                 for a, _, curve in _seeded_curves(seed, log_t)]
+    excess_ends = inflection_ends = 0
+    for ac, curve in cases:
+        span = math.asinh(0.5 * abs(curve.c)) + 1.0
+        if span < restpoints._LOG_MAX:
+            f = curve._inflection_probe()
+            assert f(-span)[0] < 0.0 < f(span)[0], curve
+            inflection_ends += 1
+        if ac * curve.shape_peak <= 1.0:
+            continue  # _extrema stops before its searches
+        span = math.log(ac) + 1.0
+        if span < math.inf:
+            excess = curve._excess_probe(ac)
+            assert excess(-span)[0] < 0.0 and excess(span)[0] < 0.0, curve
+            excess_ends += 1
+        # the structural first probes are floats or None, never a raise
+        for first in curve._stationary_firsts(ac, curve.inflection()):
+            assert first is None or math.isfinite(first), (ac, curve)
+    assert excess_ends > 100 and inflection_ends > 100
 
 
 def test_inflection_starts_where_y_logit_crosses_zero(monkeypatch):

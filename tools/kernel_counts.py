@@ -3,10 +3,10 @@ and the bifurcation drivers' probes per bracket search.
 
 A curve evaluation is one call of ``GFunction._at``, the one place that
 forms Y's logit from X's, or one call of a probe that forms it inline in
-its own frame (``GFunction.eval``, the defect's probe,
-``GFunction._inflection_probe`` and ``GFunction._excess_probe``).  There
-are two batches of 4000 games, each with
-payoffs U[-3, 3] drawn from ``random.Random(3)``: warm, with (tx, ty)
+its own frame (``GFunction._defect_probe``, the defect's probe,
+``GFunction.eval``, ``GFunction._inflection_probe`` and
+``GFunction._excess_probe``).  There are two batches of 4000 games, each
+with payoffs U[-3, 3] drawn from ``random.Random(3)``: warm, with (tx, ty)
 log-uniform on [1e-3, 10], and cold, log-uniform on [1e-20, 1e-3].  The
 points are not checked (``fd_check=False``), which evaluates no curve, so
 no cold call raises.  The means are split by the number of rest points
@@ -120,6 +120,7 @@ def count(games: int = GAMES, seed: int = SEED,
     gf = restpoints.GFunction
     patches = [(gf, "_at", counted_method(gf._at)),
                (gf, "eval", counted_method(gf.eval)),
+               (gf, "_defect_probe", counted_probe(gf._defect_probe)),
                (gf, "_inflection_probe", counted_probe(gf._inflection_probe)),
                (gf, "_excess_probe", counted_probe(gf._excess_probe)),
                (restpoints.GFunction, "inflection",
