@@ -47,8 +47,8 @@ from .errors import DomainError, NotApplicableError, NumericFailureError
 from .games import (Game, GameRegionLabel, ReducedCoefficients, Temperatures,
                     _same_sign, classify_region, reduce_payoffs)
 from .numerics import (_as_count, _as_finite, _as_float, _close,
-                       _require_temperature, bisect, geomspace, sigmoid,
-                       sigmoid_slope)
+                       _require_temperature, bisect, geomspace,
+                       rounds_to_zero, sigmoid, sigmoid_slope)
 from .restpoints import (_LOGISTIC, _SATURATION, GFunction, RestPoint,
                          _extrema, _is_double_root, _peak, find_rest_points)
 
@@ -555,13 +555,13 @@ def sweep_equal_temperature(game: Game, t_min: float, t_max: float,
 
 
 def _descent(base: ReducedCoefficients):
-    """``(T, _stationary(base, T))`` down the log grid ``T_k =
-    sqrt(raw_a*raw_c)/4 * e^(-0.35(k - 1/2))``; :class:`NumericFailureError`
-    past 200 points.  The grid is offset by half a step from the tangency
-    bound sqrt(raw_a*raw_c)/4: at its first point a*c = 16*e^-0.35 < 16,
-    so the defect has no stationary pair there (shape <= 1/16), and no
-    point lands on the bound, where the cusp of every game with b/a = d/c =
-    -1/2 sits.  The product is formed from the mantissas and the exponents
+    """The temperatures of the log grid ``T_k = sqrt(raw_a*raw_c)/4 *
+    e^(-0.35(k - 1/2))``, top down; :class:`NumericFailureError` past 200
+    points.  The grid is offset by half a step from the tangency bound
+    sqrt(raw_a*raw_c)/4: at its first point a*c = 16*e^-0.35 < 16, so the
+    defect has no stationary pair there (shape <= 1/16), and no point
+    lands on the bound, where the cusp of every game with b/a = d/c = -1/2
+    sits.  The product is formed from the mantissas and the exponents
     apart (:func:`math.frexp`), exactly as the float product wherever that
     is normal, so the grid scales with the payoffs at every scale."""
     (m_a, e_a), (m_c, e_c) = math.frexp(base.raw_a), math.frexp(base.raw_c)
@@ -569,24 +569,87 @@ def _descent(base: ReducedCoefficients):
     top = math.ldexp(math.sqrt(m_a * m_c * (1 + e % 2)), e // 2 - 2)
     for k in range(200):
         t = top * math.exp(-0.35 * (k - 0.5))
-        yield t, _stationary(base, t)
+        yield t
     raise NumericFailureError(f"no three rest points down to T = {t:.3e}")
+
+
+def _witness(base: ReducedCoefficients, t: float) -> bool:
+    """Whether the defect's signs at two probes prove three rest points at
+    tx = ty = t (:func:`_signs_prove_three`), with no stationary point
+    solved.  The probes are the first probes of the two stationary
+    searches (``GFunction._stationary_firsts``), seeded from the u where
+    Y's logit crosses zero (``GFunction._logit_zero``, the first probe of
+    the inflection search) in place of the inflection."""
+    co = base.at_temperatures(t, t)
+    curve = GFunction.of(base, t)
+    u_z = curve._logit_zero()
+    return u_z is not None and _signs_prove_three(
+        co, curve, *curve._stationary_firsts(co.a * curve.c, u_z))
+
+
+def _signs_prove_three(co: ReducedCoefficients, curve: GFunction,
+                       w1: Optional[float], w2: Optional[float]) -> bool:
+    """Whether phi(u) = u - b - a*g(u) at the probes w1 and w2 proves three
+    rest points at these coefficients.
+
+    It does when w1 < w2 lie strictly inside the root bracket (lo, hi),
+    b and b + a in order, phi(w1) > 0 > phi(w2) through the root kernel's
+    probe (``GFunction._defect_probe``), and neither value is zero within
+    the rounding of its terms (:func:`numerics.rounds_to_zero`), so each
+    computed sign is phi's own.  The terms are u, b and a, and ``a*(|c| +
+    |d|)/4`` for the error that Y's logit v carries into g: v is formed to
+    a few ulps of |c| + |d|, and g = sigma(v) moves by at most sigma'(v)
+    <= 1/4 times that.  Without it a probe next to the max of a fold's
+    first float past three rest points reads phi > 0 beyond the other
+    terms' rounding.  As g stays inside (0, 1), phi(lo) < 0 < phi(hi), so
+    phi changes sign in each of (lo, w1), (w1, w2) and (w2, hi).  phi
+    rises, falls between its stationary points and rises again, so its
+    fall meets [w1, w2]: the max lies in (lo, w2) with a value >= phi(w1)
+    > 0, the min in (w1, hi) with a value <= phi(w2) < 0, and both keep
+    their pair (:func:`_three`).
+    """
+    a, b = co.a, co.b
+    lo, hi = (b, b + a) if a > 0.0 else (b + a, b)
+    if w1 is None or w2 is None or not lo < w1 < w2 < hi:
+        return False
+    phi = curve._defect_probe(a, b)
+    f1, f2 = phi(w1)[0], phi(w2)[0]
+    spread = 0.25 * a * (abs(curve.c) + abs(curve.d))
+    return (f1 > 0.0 > f2 and not rounds_to_zero(f1, w1, b, a, spread)
+            and not rounds_to_zero(f2, w2, b, a, spread))
 
 
 def _diagonal_cells(base: ReducedCoefficients):
     """The cells of the :func:`_descent` grid whose ends disagree on three
     rest points, top down, each as ``(end3, end1)``, the three-point end
-    first.  The walk covers at least 24 points (down to e^-7.875 times the
-    tangency bound) and stops at the first point with three rest points
-    after them; each grid temperature is solved once."""
-    walk = _descent(base)
-    above = next(walk)
-    for count, below in enumerate(walk, 2):
-        if _three(below[1]) != _three(above[1]):
-            yield (below, above) if _three(below[1]) else (above, below)
-        if count >= 24 and _three(below[1]):
+    first, each end ``(T, _stationary(base, T))``.  The walk covers at
+    least 24 points (down to e^-7.875 times the tangency bound) and stops
+    at the first point with three rest points after them.
+
+    A point below one with three rest points is first tried by
+    :func:`_witness`: two probes of the defect whose signs prove three
+    rest points.  Only where they do not is the point's stationary pair
+    solved (:func:`_stationary`); a witnessed point that ends a cell is
+    solved then, once, so each end is the same float tuple as a solve at
+    every point would give.  The witness is not tried below a point
+    without three rest points, where it seldom holds, so the walk to the
+    first cell (:func:`classify_pitchfork`) solves every point it passes.
+    """
+    def end(point):
+        t, ext, _ = point
+        return t, _stationary(base, t) if ext is None else ext
+
+    above = None
+    for count, t in enumerate(_descent(base), 1):
+        ext = (None if above and above[2] and _witness(base, t)
+               else _stationary(base, t))
+        point = (t, ext, ext is None or _three(ext))
+        if above and point[2] != above[2]:
+            yield ((end(point), end(above)) if point[2]
+                   else (end(above), end(point)))
+        if count >= 24 and point[2]:
             return
-        above = below
+        above = point
 
 
 def equal_temperature_criticals(game: Game) -> Optional[list[tuple[float, float]]]:

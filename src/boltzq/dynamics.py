@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import cache
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -368,12 +369,25 @@ def _quartic(stages) -> list:
     return [sum(row[j] * k for row, k in zip(_P, stages)) for j in range(4)]
 
 
+def _tolerances(coeffs: ReducedCoefficients,
+                cfg: IntegratorConfig) -> Callable[[], tuple[float, float]]:
+    """The step-control tolerances ``(rtol, atol)`` of these coefficients
+    (:func:`_solver_tols` at :func:`_attractor_scales`), as a call that
+    solves the rest points at its first use only: every run on the same
+    coefficients and config shares the same floats."""
+    return cache(lambda: _solver_tols(cfg, *_attractor_scales(coeffs)))
+
+
 def _run_to_rest(u: float, v: float, coeffs: ReducedCoefficients,
-                 cfg: IntegratorConfig) -> tuple[list, str, int, int]:
+                 cfg: IntegratorConfig,
+                 tols: Callable[[], tuple[float, float]]
+                 ) -> tuple[list, str, int, int]:
     """The one ODE solve: Dormand-Prince 5(4) in logit coordinates from
     (u, v) until the logit speed reaches ``convergence_speed_tol`` or t
-    reaches ``max_time``.  Returns the accepted points (t, u, v), the
-    start first, the terminal reason, ``nfev`` and the rejected steps.
+    reaches ``max_time``, at the tolerances ``tols()``
+    (:func:`_tolerances`), asked for only when the start is not already
+    at rest.  Returns the accepted points (t, u, v), the start first, the
+    terminal reason, ``nfev`` and the rejected steps.
 
     The controller is scipy's RK45: RMS error norm over both coordinates,
     step factor 0.9*err^(-1/5) clamped to [0.2, 10] and capped at 1 right
@@ -413,7 +427,7 @@ def _run_to_rest(u: float, v: float, coeffs: ReducedCoefficients,
     g = speed(fu, fv)
     if g <= 0.0:
         return points, CONVERGED, 1, 0
-    rtol, atol = _solver_tols(cfg, *_attractor_scales(coeffs))
+    rtol, atol = tols()
     su, sv = atol + abs(u) * rtol, atol + abs(v) * rtol
     d0, d1 = rms(u / su, v / sv), rms(fu / su, fv / sv)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
@@ -544,9 +558,15 @@ def integrate(start, coeffs: ReducedCoefficients,
     is not included), and ``rejected_steps`` its rejected attempts.
     """
     cfg = cfg or IntegratorConfig()
+    return _integrate(start, coeffs, cfg, _tolerances(coeffs, cfg))
+
+
+def _integrate(start, coeffs: ReducedCoefficients, cfg: IntegratorConfig,
+               tols: Callable[[], tuple[float, float]]) -> Trajectory:
+    """:func:`integrate` at the tolerances ``tols()``."""
     x0, y0 = _require_interior(start)
     points, reason, nfev, rejected = _run_to_rest(logit(x0), logit(y0),
-                                                  coeffs, cfg)
+                                                  coeffs, cfg, tols)
     times, us, vs = zip(*points)
     # the first sample is the start itself, the rest map back from logits
     xs, ys = np.clip([np.append(x0, sigmoid_array(np.array(us[1:]))),
@@ -560,11 +580,14 @@ def integrate_batch(starts, coeffs: ReducedCoefficients,
                     ) -> tuple[np.ndarray, str]:
     """Integrate each start on its own; keep only the endpoints.
 
-    Each start runs through :func:`integrate`, so its endpoint is
+    Each start runs as :func:`integrate` runs it, so its endpoint is
     bit-equal to that run's ``final``: where this start's own logit speed
-    crossed its target, or where its run stopped.  Every start is checked
-    before any is run, and each run's samples are dropped once its
-    endpoint is read.  Returns the (n, 2) array of final (x, y) points and
+    crossed its target, or where its run stopped.  The step-control
+    tolerances depend on the coefficients alone, so the rest points that
+    set them are solved once for the batch (:func:`_tolerances`), at the
+    first start not already at rest.  Every start is checked before any
+    is run, and each run's samples are dropped once its endpoint is
+    read.  Returns the (n, 2) array of final (x, y) points and
     one terminal reason: ``converged`` when every run converged, otherwise
     the first other reason in start order.
     """
@@ -573,8 +596,10 @@ def integrate_batch(starts, coeffs: ReducedCoefficients,
         raise DomainError("starts must be an (n, 2) array with n >= 1")
     for start in pts:
         _require_interior(start)
+    cfg = cfg or IntegratorConfig()
+    tols = _tolerances(coeffs, cfg)
     # a generator, so each run's samples go once its endpoint is read
-    runs = (integrate(start, coeffs, cfg) for start in pts.tolist())
+    runs = (_integrate(start, coeffs, cfg, tols) for start in pts.tolist())
     finals, reasons = zip(*((tuple(run.final), run.terminal_reason)
                             for run in runs))
     return (np.array(finals),

@@ -81,9 +81,9 @@ class GFunction:
     cannot resolve v (v moves by raw_c/ty across sigma's range).  The
     v-side methods (:meth:`_touch`, :meth:`_bend`, :meth:`_knots`) take
     raw_c of either sign: v falls with u where raw_c < 0, and both tails
-    then share raw_c's sign.  raw_c and raw_d must be finite numbers and
-    ty a temperature (:func:`numerics._require_temperature`), else
-    :class:`DomainError`.
+    then share raw_c's sign.  raw_c and raw_d must be finite numbers, ty
+    a temperature (:func:`numerics._require_temperature`), and c and d
+    finite, else :class:`DomainError`.
     """
 
     #: the largest slope_shape, sigma'(v)*sigma'(u) <= 1/4 * 1/4
@@ -96,6 +96,8 @@ class GFunction:
         self._store(_as_finite(self.raw_c, "raw_c"),
                     _as_finite(self.raw_d, "raw_d"),
                     _require_temperature(self.ty))
+        _as_finite(self.c, "raw_c/ty")
+        _as_finite(self.d, "raw_d/ty")
 
     def _store(self, raw_c: float, raw_d: float, ty: float) -> None:
         """Store the checked fields, with c, d and p's top end derived."""
@@ -204,9 +206,9 @@ class GFunction:
         brackets it, with F(-span) < 0 < F(span) known and not probed
         unless the cap applies.
 
-        The first probe is where Y's logit crosses zero, ``u = ln(t/(1 -
-        t))`` with t = -raw_d/raw_c, when 0 < t < 1 (``t/(1 - t) =
-        -raw_d/(raw_c + raw_d)``, the ratio of v's two tails at v = 0):
+        The first probe is where Y's logit crosses zero (:meth:`_logit_zero`),
+        ``u = ln(t/(1 - t))`` with t = -raw_d/raw_c, when 0 < t < 1 (``t/(1
+        - t) = -raw_d/(raw_c + raw_d)``, the ratio of v's two tails at v = 0):
         there ``F = 2*sinh(u)`` and ``F' = c^2*sigma'(u)/2 + 2*cosh(u)``,
         so the zero lies about 4*|sinh(u)|/(c^2*sigma'(u)) away where |c|
         is large (cold curves, c = raw_c/ty), and the search starts next
@@ -217,9 +219,14 @@ class GFunction:
         span = min(math.asinh(0.5 * abs(self.c)) + 1.0, _LOG_MAX)
         # at the cap 2*sinh(span) need not exceed |c|: probe the ends there
         ends = (-1.0, 1.0) if span < _LOG_MAX else (f(-span)[0], f(span)[0])
+        return bisect(f, -span, span, *ends, self._logit_zero())
+
+    def _logit_zero(self) -> float | None:
+        """u where Y's logit crosses zero, ``ln(-raw_d/(raw_c + raw_d))``,
+        the ratio of v's two tails at v = 0; None where that ratio is not
+        a positive finite float (v keeps one sign)."""
         ratio = -self.raw_d / self._top if self._top else 0.0
-        first = math.log(ratio) if 0.0 < ratio < math.inf else None
-        return bisect(f, -span, span, *ends, first)
+        return math.log(ratio) if 0.0 < ratio < math.inf else None
 
     def _inflection_probe(self):
         """``u -> (F, -F/F')`` of :meth:`inflection`, each probe in one

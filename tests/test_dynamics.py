@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import boltzq as bq
+from boltzq import restpoints
 from boltzq.numerics import sigmoid
 
 from test_cli import run_child
@@ -570,6 +571,29 @@ class TestAgainstScipyRK45:
         for start, final in zip(starts, finals):
             single = bq.integrate(tuple(start), co).final
             assert tuple(final.tolist()) == tuple(single), (start, final)
+
+    @pytest.mark.parametrize("name,temp", portrait_cases())
+    def test_batch_solves_the_rest_points_once(self, name, temp, monkeypatch):
+        # the step-control tolerances depend on the coefficients alone, so
+        # a batch solves the rest points that set them once, not once per
+        # start, and each endpoint keeps the bits of its own run
+        co = bq.reduce_payoffs(bq.fixture(name), bq.Temperatures(temp, temp))
+        starts = np.random.default_rng(8).uniform(0.02, 0.98, (6, 2))
+        singles = [tuple(bq.integrate(tuple(start), co).final)
+                   for start in starts]
+        solves = [0]
+        find = restpoints.find_rest_points
+
+        def counted(*args, **kwargs):
+            solves[0] += 1
+            return find(*args, **kwargs)
+
+        monkeypatch.setattr(restpoints, "find_rest_points", counted)
+        finals, _ = bq.integrate_batch(starts, co)
+        assert solves[0] == 1
+        assert [tuple(final) for final in finals.tolist()] == singles
+        bq.integrate(tuple(starts[0]), co)
+        assert solves[0] == 2
 
     def test_battle_coordination_separatrix_starts_end_at_the_saddle(self):
         # (1/3, 2/3) and (2/3, 1/3) lie on the saddle's stable manifold at

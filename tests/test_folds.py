@@ -6,7 +6,9 @@ reported critical temperatures with plain rest-point counts on both sides,
 and the continuous pitchforks against their closed form.
 """
 
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -316,6 +318,10 @@ BAD_INPUT = [
     lambda: bq.tangent_intercept(bq.GFunction(1.0, -0.5), math.inf),
     lambda: bq.tangent_intercept(bq.GFunction(1.0, -0.5), math.nan),
     lambda: bq.tangent_intercept(bq.GFunction(1.0, -0.5), "x"),
+    # finite raw numerators whose curve, c = raw_c/ty or d = raw_d/ty,
+    # overflows
+    lambda: bq.GFunction(1e300, -3e300, 1e-150),
+    lambda: bq.GFunction(1.0, -1e300, 1e-150),
 ]
 BAD_INPUT_IDS = [
     "t_max_inf", "t_min_nan", "t_min_neg_inf", "empty_range",
@@ -358,7 +364,8 @@ BAD_INPUT_IDS = [
     "q_velocity_two_d_q", "log_ratio_nan_w", "agent_inf_q",
     "gibbs_scalar_reward", "sim_config_bool_counts", "geomspace_bool_n",
     "tangent_intercept_inf_u", "tangent_intercept_nan_u",
-    "tangent_intercept_text_u"]
+    "tangent_intercept_text_u", "curve_overflowing_c",
+    "curve_overflowing_d"]
 
 
 @pytest.mark.parametrize("call", BAD_INPUT, ids=BAD_INPUT_IDS)
@@ -697,10 +704,92 @@ def top_fold(game):
     cell above the first temperature with three rest points."""
     base = bq.reduce_payoffs(game, bq.Temperatures(1.0, 1.0))
     above = None
-    for end in bifurcation._descent(base):
+    for t in bifurcation._descent(base):
+        end = (t, bifurcation._stationary(base, t))
         if bifurcation._three(end[1]):
             return bifurcation._fold(base, end, above)
         above = end
+
+
+def box_games(count, seed=34):
+    """Seeded games in the open unit box (-1 < b/a, d/c < 0, a*c > 0), of
+    either common sign, with all payoffs scaled by 2^k, |k| <= 900, and
+    Y's by a further 2^j, |j| <= 20."""
+    rng = random.Random(seed)
+    for n in range(count):
+        sign = rng.choice((1.0, -1.0))
+        raw_a, raw_c = (sign * rng.uniform(0.5, 8.0) for _ in range(2))
+        beta, delta = (-rng.random() for _ in range(2))
+        k, j = rng.randint(-900, 900), rng.randint(-20, 20)
+        yield bq.Game.from_matrices(
+            f"box_{n}",
+            [[math.ldexp(raw_a * (1.0 + beta), k),
+              math.ldexp(raw_a * beta, k)], [0.0, 0.0]],
+            [[math.ldexp(raw_c * (1.0 + delta), k + j),
+              math.ldexp(raw_c * delta, k + j)], [0.0, 0.0]])
+
+
+def floats_near(u, scale, n=4):
+    """u and its n neighbours on each side, spaced by an ulp of scale (or
+    of u if that is wider)."""
+    step = max(math.ulp(u), math.ulp(scale))
+    return [u + k * step for k in range(-n, n + 1)]
+
+
+def probe_pairs(co, curve, ext):
+    """Probe pairs for :func:`bifurcation._signs_prove_three` at these
+    coefficients, with the stationary points ``ext``: the walk's own, the
+    same reversed, two spread over the root bracket in both orders, every
+    ordered pair of floats next to each root, and floats next to the max
+    against floats next to the min."""
+    lo, hi = sorted((co.b, co.b + co.a))
+    scale = abs(co.a) + abs(co.b)
+    pairs = [(lo + 0.25 * (hi - lo), lo + 0.75 * (hi - lo)),
+             (lo + 0.75 * (hi - lo), lo + 0.25 * (hi - lo))]
+    if curve._logit_zero() is not None:
+        firsts = curve._stationary_firsts(co.a * curve.c, curve._logit_zero())
+        pairs += [firsts, firsts[::-1]]
+    for point in bq.find_rest_points(co, fd_check=False):
+        pairs += itertools.combinations(floats_near(point.u, scale), 2)
+    if len(ext) == 2:
+        pairs += itertools.product(floats_near(ext[0][0], scale),
+                                   floats_near(ext[1][0], scale))
+    return pairs
+
+
+def test_witness_implies_three_rest_points():
+    # The witness of the diagonal walk never claims three rest points
+    # where the stationary solve finds fewer: at the first 40 points of
+    # the walk's grid and at the first float past each fold, for the
+    # walk's own probes and for any other pair (the proof holds for every
+    # w1 < w2), on box games at payoff scales 2^-920 .. 2^920.  A fold's
+    # first float past three rest points has a stationary value within
+    # rounding of zero, where the rounding guard is needed.
+    points = three = witnessed = checked = 0
+    for game in box_games(300):
+        base = bq.reduce_payoffs(game, bq.Temperatures(1.0, 1.0))
+        temps = list(itertools.islice(bifurcation._descent(base), 40))
+        for end3, end1 in bifurcation._diagonal_cells(base):
+            t, _, lost = bifurcation._fold(base, end3, end1)
+            if lost != "both":
+                temps.append(math.nextafter(t, end1[0]))
+        for t in temps:
+            points += 1
+            ext = bifurcation._stationary(base, t)
+            if bifurcation._three(ext):
+                three += 1
+                witnessed += bifurcation._witness(base, t)
+                continue
+            assert not bifurcation._witness(base, t), (game.name, t)
+            co = base.at_temperatures(t, t)
+            curve = bq.GFunction.of(base, t)
+            for w1, w2 in probe_pairs(co, curve, ext):
+                checked += 1
+                assert not bifurcation._signs_prove_three(
+                    co, curve, w1, w2), (game.name, t, w1, w2)
+    assert points >= 12000 and checked >= 100000
+    # the walk's own probes prove most points that have three rest points
+    assert witnessed >= 0.8 * three
 
 
 def unequal_slopes_game(beta):

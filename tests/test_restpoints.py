@@ -128,6 +128,24 @@ class TestGFunction:
             g, g1, g2 = gf.eval(u)
             assert all(map(math.isfinite, (g, g1, g2)))
 
+    def test_curve_that_overflows_raises_domain_error(self):
+        # finite raw numerators whose c = raw_c/ty or d = raw_d/ty is not
+        # finite are refused when the curve is built, where no search on
+        # it could close
+        for raw_c, raw_d, what in ((1e300, -3e300, "raw_c/ty"),
+                                   (1.0, -1e300, "raw_d/ty"),
+                                   (-1e300, 1.0, "raw_c/ty")):
+            with pytest.raises(bq.DomainError, match=what):
+                bq.GFunction(raw_c, raw_d, 1e-150)
+        # right at the edge: c is the largest float, and the curve solves
+        gf = bq.GFunction(sys.float_info.max * 1e-150, -0.5, 1e-150)
+        assert math.isfinite(gf.c) and math.isfinite(gf.inflection())
+        # GFunction.of halves an overflowing raw_c + raw_d as before
+        co = bq.ReducedCoefficients.from_values(1e308, -1.0, 1.7e308, 1.7e308)
+        gf = GFunction.of(co, co.ty)
+        assert (gf.raw_c, gf.raw_d, gf.ty) == (
+            0.5 * co.raw_c, 0.5 * co.raw_d, 0.5 * co.ty)
+
     def test_monotone_direction_follows_c(self):
         up = bq.GFunction(3.0, -1.0)
         down = bq.GFunction(-3.0, 1.0)
@@ -527,13 +545,13 @@ def test_kernel_evaluation_budget():
 def _extreme_curves():
     """Curves with |raw_c| from 1e-300 to 1e300, ty from 1 to 1e-300 and
     d/c on both sides of 0 and -1, where c + d is finite, as the root
-    kernel requires (:func:`restpoints._response_curve`)."""
+    kernel requires (:func:`restpoints._response_curve`); a curve whose c
+    or d is not finite is refused when it is built."""
     for raw_c in (1e300, -1e300, 1.0, -1.0, 1e-300, -1e-300):
         for ratio in (-3.0, -1.0 - 2.0 ** -52, -0.5, -1e-300, 0.25):
             for ty in (1.0, 1e-150, 1e-300):
-                curve = GFunction(raw_c, ratio * raw_c, ty)
-                if math.isfinite(curve.c + curve.d):
-                    yield curve
+                if math.isfinite(raw_c / ty + ratio * raw_c / ty):
+                    yield GFunction(raw_c, ratio * raw_c, ty)
 
 
 @pytest.mark.parametrize("seed, log_t", [(28, (-3.0, 1.0)),

@@ -33,6 +33,14 @@ it: g's inflection, a stationary point of the defect, a window end of
 the critical curve, a fold, a merge of the stationary pair or a closing
 temperature, or the corner bound.
 
+The diagonal-walk row counts the grid points that
+``equal_temperature_criticals`` and ``classify_pitchfork`` walk on the
+same games (``bifurcation._diagonal_cells``), the share of them whose
+three rest points the two-probe witness proved (``bifurcation._witness``)
+with no stationary point solved, and the curve evaluations per point of
+the walk itself: each point's witness or stationary solve, and the solve
+of each cell end (the folds solved from the cells are not counted).
+
 The counts do not depend on the machine or its load, so they measure the
 kernel's work exactly; run it as::
 
@@ -45,6 +53,7 @@ import math
 import random
 import sys
 from collections import defaultdict
+from contextlib import contextmanager
 
 from boltzq import (Game, GameRegionLabel, Temperatures, classify_pitchfork,
                     classify_region, critical_curve,
@@ -67,6 +76,8 @@ SEARCHES = {"inflection": "inflection", "_extrema": "stationary point",
             "_lowest_intercept": "corner bound"}
 BIFURCATION_GAMES = 40
 CORNER_GAMES = 300
+#: the functions of the diagonal walk that decide a grid point
+WALK = ("_descent", "_diagonal_cells", "end")
 
 
 def batch(rng: random.Random, games: int = GAMES,
@@ -101,9 +112,37 @@ def count(games: int = GAMES, seed: int = SEED,
                 stack.pop()
         return wrapped
 
+    def evaluated() -> None:
+        tally[stack[-1]] += 1
+
+    patches = [*evaluation_patches(evaluated),
+               (restpoints.GFunction, "inflection",
+                phase("inflection", restpoints.GFunction.inflection)),
+               (restpoints, "_extrema",
+                phase("stationary points", restpoints._extrema)),
+               (restpoints, "_refine_root",
+                phase("roots", restpoints._refine_root))]
+    totals: dict[int, dict[str, int]] = defaultdict(lambda: defaultdict(int))
+    solves: dict[int, int] = defaultdict(int)
+    with patched(patches):
+        for coeffs in batch(random.Random(seed), games, log_t):
+            tally.clear()
+            roots = len(find_rest_points(coeffs, fd_check=False))
+            solves[roots] += 1
+            for name, calls in tally.items():
+                totals[roots][name] += calls
+    return {roots: (n, {p: totals[roots][p] / n for p in PHASES})
+            for roots, n in sorted(solves.items())}
+
+
+def evaluation_patches(evaluated) -> list:
+    """``(owner, name, value)`` patches that call ``evaluated()`` at each
+    curve evaluation (``GFunction._at`` and ``eval``, and each call of a
+    probe built by ``_defect_probe``, ``_inflection_probe`` or
+    ``_excess_probe``)."""
     def counted_method(method):
         def counted(self, u):
-            tally[stack[-1]] += 1
+            evaluated()
             return method(self, u)
         return counted
 
@@ -112,40 +151,30 @@ def count(games: int = GAMES, seed: int = SEED,
             probe = build(*args)
 
             def counted(u):
-                tally[stack[-1]] += 1
+                evaluated()
                 return probe(u)
             return counted
         return built
 
     gf = restpoints.GFunction
-    patches = [(gf, "_at", counted_method(gf._at)),
-               (gf, "eval", counted_method(gf.eval)),
-               (gf, "_defect_probe", counted_probe(gf._defect_probe)),
-               (gf, "_inflection_probe", counted_probe(gf._inflection_probe)),
-               (gf, "_excess_probe", counted_probe(gf._excess_probe)),
-               (restpoints.GFunction, "inflection",
-                phase("inflection", restpoints.GFunction.inflection)),
-               (restpoints, "_extrema",
-                phase("stationary points", restpoints._extrema)),
-               (restpoints, "_refine_root",
-                phase("roots", restpoints._refine_root))]
+    return [(gf, "_at", counted_method(gf._at)),
+            (gf, "eval", counted_method(gf.eval)),
+            (gf, "_defect_probe", counted_probe(gf._defect_probe)),
+            (gf, "_inflection_probe", counted_probe(gf._inflection_probe)),
+            (gf, "_excess_probe", counted_probe(gf._excess_probe))]
+
+
+@contextmanager
+def patched(patches: list):
+    """Set each ``(owner, name, value)`` for the block, then restore."""
     saved = [(owner, name, getattr(owner, name)) for owner, name, _ in patches]
-    totals: dict[int, dict[str, int]] = defaultdict(lambda: defaultdict(int))
-    solves: dict[int, int] = defaultdict(int)
     try:
         for owner, name, value in patches:
             setattr(owner, name, value)
-        for coeffs in batch(random.Random(seed), games, log_t):
-            tally.clear()
-            roots = len(find_rest_points(coeffs, fd_check=False))
-            solves[roots] += 1
-            for name, calls in tally.items():
-                totals[roots][name] += calls
+        yield
     finally:
         for owner, name, value in saved:
             setattr(owner, name, value)
-    return {roots: (n, {p: totals[roots][p] / n for p in PHASES})
-            for roots, n in sorted(solves.items())}
 
 
 def diagonal_games(games: int = BIFURCATION_GAMES, seed: int = SEED):
@@ -210,12 +239,9 @@ def search_counts(games: int = BIFURCATION_GAMES, seed: int = SEED
 
     grid = numerics.geomspace(1e-3, 2.0, 8)
     batch = diagonal_games(games, seed)
-    saved = [(owner, name, getattr(owner, name))
-             for owner in (restpoints, bifurcation)
-             for name in ("bisect", "_close") if hasattr(owner, name)]
-    try:
-        for owner, name, search in saved:
-            setattr(owner, name, counted_search(search))
+    with patched([(owner, name, counted_search(getattr(owner, name)))
+                  for owner in (restpoints, bifurcation)
+                  for name in ("bisect", "_close") if hasattr(owner, name)]):
         for game in batch:
             co = reduce_payoffs(game, Temperatures(1.0, 1.0))
             top = math.sqrt(abs(co.raw_a * co.raw_c)) / 4.0
@@ -225,10 +251,57 @@ def search_counts(games: int = BIFURCATION_GAMES, seed: int = SEED
             if co.raw_a * co.raw_c > 0.0:
                 critical_curve(game, grid)
         classify_corners(seed=seed)
-    finally:
-        for owner, name, search in saved:
-            setattr(owner, name, search)
     return dict(probes)
+
+
+def walk_counts(games: int = BIFURCATION_GAMES, seed: int = SEED
+                ) -> tuple[int, int, int]:
+    """``(points, witnessed, evaluations)`` of the diagonal walk
+    (``bifurcation._diagonal_cells`` over ``_descent``'s grid) in
+    ``equal_temperature_criticals`` and ``classify_pitchfork`` on
+    :func:`diagonal_games`: the grid points walked, those whose three rest
+    points ``bifurcation._witness`` proved, and the curve evaluations of
+    the walk's own decisions, each point's stationary solve or witness and
+    the solve of each cell end (not the folds solved from the cells)."""
+    found = {"points": 0, "witnessed": 0, "evaluations": 0}
+    inside = [0]
+
+    def evaluated() -> None:
+        found["evaluations"] += inside[0] > 0
+
+    def walked(decide, name):
+        def counted(base, t, *args):
+            # the walk's callers: the grid generator, the cell walk and
+            # its cell-end helper
+            walking = sys._getframe(1).f_code.co_name in WALK
+            inside[0] += walking
+            try:
+                result = decide(base, t, *args)
+            finally:
+                inside[0] -= walking
+            if name and walking:
+                found[name] += bool(result)
+            return result
+        return counted
+
+    def descent(base):
+        for point in grid(base):
+            found["points"] += 1
+            yield point
+
+    grid = bifurcation._descent
+    patches = [*evaluation_patches(evaluated),
+               (bifurcation, "_descent", descent),
+               (bifurcation, "_stationary",
+                walked(bifurcation._stationary, None))]
+    if hasattr(bifurcation, "_witness"):
+        patches.append((bifurcation, "_witness",
+                        walked(bifurcation._witness, "witnessed")))
+    with patched(patches):
+        for game in diagonal_games(games, seed):
+            equal_temperature_criticals(game)
+            classify_pitchfork(game)
+    return found["points"], found["witnessed"], found["evaluations"]
 
 
 def main() -> int:
@@ -252,6 +325,14 @@ def main() -> int:
             runs = found[name]
             print(f"| {name} | {len(runs)} | {sum(runs) / len(runs):.1f} | "
                   f"{max(runs)} |")
+    points, witnessed, evaluations = walk_counts()
+    print(f"\ndiagonal walk: equal_temperature_criticals and "
+          f"classify_pitchfork on the fixtures and {BIFURCATION_GAMES} seeded "
+          f"games\n")
+    print("| walk | points | witnessed | evaluations per point |")
+    print("| --- | --- | --- | --- |")
+    print(f"| diagonal | {points} | {witnessed / points:.1%} | "
+          f"{evaluations / points:.1f} |")
     return 0
 
 
