@@ -27,7 +27,10 @@ loop calls no Python function per stage: each stage derivative is
 written out with :func:`~boltzq.numerics.sigmoid`'s two branches inline,
 because in CPython such a call costs about as much as the arithmetic it
 wraps.  Every float operation keeps its operands and order, so the
-samples are the same bits as through ``sigmoid``.
+samples are the same bits as through ``sigmoid``.  The accepted samples
+go to three float lists, t, u and v, so a step allocates nothing that
+the garbage collector tracks, and :func:`integrate` maps both logit
+lists back to (x, y) in one numpy pass.
 """
 
 from __future__ import annotations
@@ -381,13 +384,14 @@ def _tolerances(coeffs: ReducedCoefficients,
 def _run_to_rest(u: float, v: float, coeffs: ReducedCoefficients,
                  cfg: IntegratorConfig,
                  tols: Callable[[], tuple[float, float]]
-                 ) -> tuple[list, str, int, int]:
+                 ) -> tuple[list, list, list, str, int, int]:
     """The one ODE solve: Dormand-Prince 5(4) in logit coordinates from
     (u, v) until the logit speed reaches ``convergence_speed_tol`` or t
     reaches ``max_time``, at the tolerances ``tols()``
     (:func:`_tolerances`), asked for only when the start is not already
-    at rest.  Returns the accepted points (t, u, v), the start first, the
-    terminal reason, ``nfev`` and the rejected steps.
+    at rest.  Returns the accepted points as three float lists ``ts``,
+    ``us`` and ``vs``, the start first, then the terminal reason, ``nfev``
+    and the rejected steps.
 
     The controller is scipy's RK45: RMS error norm over both coordinates,
     step factor 0.9*err^(-1/5) clamped to [0.2, 10] and capped at 1 right
@@ -401,13 +405,18 @@ def _run_to_rest(u: float, v: float, coeffs: ReducedCoefficients,
     arithmetic, took much of each step.  It writes out the six new stage
     derivatives of each attempted step, one line per coordinate with
     ``sigmoid``'s two branches as a conditional expression; it reads the
-    tableau and ``exp``, ``ulp`` and ``sqrt`` as locals, and writes the
-    error norm and the step clamps as comparisons.  Each float operation
-    keeps its operands and order (``max(p, q)`` becomes ``q if q > p else
-    p``), so every sample, the reason, ``nfev`` and the rejected count are
-    the bits that ``flow`` would give.  ``flow`` still serves the
-    initial-step rule and the dense-output stop, which run once per
-    trajectory.
+    tableau, ``exp``, ``ulp``, ``sqrt`` and the controller's constants
+    as locals, and writes the error norm, the step clamps and ``|x|`` as
+    comparisons.  Each float operation keeps its operands and order
+    (``max(p, q)`` becomes ``q if q > p else p``), so every sample, the
+    reason, ``nfev`` and the rejected count are the bits that ``flow``
+    would give.  ``|x|`` as ``x if x >= 0.0 else -x`` reads -0.0 for
+    -0.0, but such a value only ever meets ``atol > 0`` or ``tol > 0`` in
+    a sum, whose result is the same float.  A step allocates no object
+    that the garbage collector tracks: samples go to the float lists, and
+    no parallel assignment has more than three targets, which CPython
+    compiles without a tuple.  ``flow`` still serves the initial-step rule
+    and the dense-output stop, which run once per trajectory.
     """
     a, b, c, d = coeffs.a, coeffs.b, coeffs.c, coeffs.d
     tol, t_end = cfg.convergence_speed_tol, cfg.max_time
@@ -422,11 +431,11 @@ def _run_to_rest(u: float, v: float, coeffs: ReducedCoefficients,
     def rms(p, q):
         return math.sqrt(p * p + q * q) / root_size
 
-    points = [(0.0, u, v)]
+    ts, us, vs = [0.0], [u], [v]
     fu, fv = flow(u, v)
     g = speed(fu, fv)
     if g <= 0.0:
-        return points, CONVERGED, 1, 0
+        return ts, us, vs, CONVERGED, 1, 0
     rtol, atol = tols()
     su, sv = atol + abs(u) * rtol, atol + abs(v) * rtol
     d0, d1 = rms(u / su, v / sv), rms(fu / su, fv / sv)
@@ -445,6 +454,8 @@ def _run_to_rest(u: float, v: float, coeffs: ReducedCoefficients,
     # embedded 4th order, FSAL stage last); CPython folds each quotient
     # at compile time
     exp, ulp, sqrt = math.exp, math.ulp, math.sqrt
+    safety, exponent = _SAFETY, _EXPONENT
+    min_factor, max_factor = _MIN_FACTOR, _MAX_FACTOR
     a21 = 1 / 5
     a31, a32 = 3 / 40, 9 / 40
     a41, a42, a43 = 44 / 45, -56 / 15, 32 / 9
@@ -459,10 +470,10 @@ def _run_to_rest(u: float, v: float, coeffs: ReducedCoefficients,
     while True:
         min_step = 10.0 * ulp(t)
         h_abs = min_step if min_step > h_abs else h_abs
-        cap = _MAX_FACTOR  # the step factor's ceiling, 1 after a rejection
+        cap = max_factor  # the step factor's ceiling, 1 after a rejection
         while True:
             if h_abs < min_step:
-                return points, STEP_FAILURE, nfev, rejected
+                return ts, us, vs, STEP_FAILURE, nfev, rejected
             t_new = t_end if t + h_abs > t_end else t + h_abs
             h_abs = h = t_new - t
             p, q = u + h * (a21 * fu), v + h * (a21 * fv)
@@ -505,21 +516,25 @@ def _run_to_rest(u: float, v: float, coeffs: ReducedCoefficients,
             kv7 = c * (1.0 / (1.0 + exp(-u_new)) if u_new >= 0.0
                        else (e := exp(u_new)) / (1.0 + e)) + d - v_new
             nfev += 6
-            au, aun, av, avn = abs(u), abs(u_new), abs(v), abs(v_new)
+            au = u if u >= 0.0 else -u
+            aun = u_new if u_new >= 0.0 else -u_new
+            av = v if v >= 0.0 else -v
+            avn = v_new if v_new >= 0.0 else -v_new
             eu = h * (e1 * fu + e3 * ku3 + e4 * ku4 + e5 * ku5 + e6 * ku6
                       + e7 * ku7) / (atol + (aun if aun > au else au) * rtol)
             ev = h * (e1 * fv + e3 * kv3 + e4 * kv4 + e5 * kv5 + e6 * kv6
                       + e7 * kv7) / (atol + (avn if avn > av else av) * rtol)
             err = sqrt(eu * eu + ev * ev) / root_size
             if err < 1.0:
-                factor = _SAFETY * err ** _EXPONENT if err > 0.0 else cap
+                factor = safety * err ** exponent if err > 0.0 else cap
                 h_abs *= cap if factor > cap else factor
                 break
-            factor = _SAFETY * err ** _EXPONENT
-            h_abs *= factor if factor > _MIN_FACTOR else _MIN_FACTOR
+            factor = safety * err ** exponent
+            h_abs *= factor if factor > min_factor else min_factor
             cap = 1.0
             rejected += 1
-        aku, akv = abs(ku7), abs(kv7)
+        aku = ku7 if ku7 >= 0.0 else -ku7
+        akv = kv7 if kv7 >= 0.0 else -kv7
         g_new = (akv if akv > aku else aku) - tol
         if g_new <= 0.0:
             qu = _quartic((fu, ku2, ku3, ku4, ku5, ku6, ku7))
@@ -534,12 +549,18 @@ def _run_to_rest(u: float, v: float, coeffs: ReducedCoefficients,
 
             t_stop = bisect(lambda s: (speed(*flow(*dense(s))), None),
                             t, t_new, g, g_new)
-            points.append((t_stop, *dense(t_stop)))
-            return points, CONVERGED, nfev, rejected
-        points.append((t_new, u_new, v_new))
+            u_stop, v_stop = dense(t_stop)
+            ts.append(t_stop)
+            us.append(u_stop)
+            vs.append(v_stop)
+            return ts, us, vs, CONVERGED, nfev, rejected
+        ts.append(t_new)
+        us.append(u_new)
+        vs.append(v_new)
         if t_new >= t_end:
-            return points, MAX_TIME, nfev, rejected
-        t, u, v, fu, fv, g = t_new, u_new, v_new, ku7, kv7, g_new
+            return ts, us, vs, MAX_TIME, nfev, rejected
+        t, u, v = t_new, u_new, v_new
+        fu, fv, g = ku7, kv7, g_new
 
 
 def integrate(start, coeffs: ReducedCoefficients,
@@ -565,14 +586,13 @@ def _integrate(start, coeffs: ReducedCoefficients, cfg: IntegratorConfig,
                tols: Callable[[], tuple[float, float]]) -> Trajectory:
     """:func:`integrate` at the tolerances ``tols()``."""
     x0, y0 = _require_interior(start)
-    points, reason, nfev, rejected = _run_to_rest(logit(x0), logit(y0),
-                                                  coeffs, cfg, tols)
-    times, us, vs = zip(*points)
-    # the first sample is the start itself, the rest map back from logits
-    xs, ys = np.clip([np.append(x0, sigmoid_array(np.array(us[1:]))),
-                      np.append(y0, sigmoid_array(np.array(vs[1:])))],
-                     _BOUNDARY_CLAMP, 1.0 - _BOUNDARY_CLAMP).tolist()
-    return Trajectory(times, tuple(xs), tuple(ys), reason, nfev, rejected)
+    ts, us, vs, reason, nfev, rejected = _run_to_rest(logit(x0), logit(y0),
+                                                      coeffs, cfg, tols)
+    # every sample maps back from logits, then the start itself is first
+    xy =sigmoid_array(np.array((us, vs)))
+    xy[:, 0] = x0, y0
+    xs, ys = np.clip(xy, _BOUNDARY_CLAMP, 1.0 - _BOUNDARY_CLAMP).tolist()
+    return Trajectory(tuple(ts), tuple(xs), tuple(ys), reason, nfev, rejected)
 
 
 def integrate_batch(starts, coeffs: ReducedCoefficients,

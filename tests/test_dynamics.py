@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import math
 
@@ -677,6 +678,35 @@ class TestPinnedTrajectories:
             for start in PORTRAIT_STARTS:
                 md5.update(repr(bq.integrate(start, co)).encode())
         assert md5.hexdigest() == "8a267a6455fb69ae5f7e8ba3cab720f9"
+
+
+class TestNoGarbageCollection:
+    def test_stepping_runs_no_collection(self):
+        # each accepted step appends its floats to three float lists and
+        # builds no tuple, so thousands of steps allocate no object that
+        # gc tracks; a list of (t, u, v) samples ran a gen-0 collection
+        # every 100 steps at this threshold (97 in this run)
+        co = mp_coeffs(0.05)
+        start = (1 / 3, 1 / 3)
+        bq.integrate(start, co)  # loads every module that integrate uses
+        collections = [0]
+
+        def counted(phase, info):
+            collections[0] += phase == "start"
+        threshold = gc.get_threshold()
+        gc.collect()
+        gc.callbacks.append(counted)
+        try:
+            gc.set_threshold(100, *threshold[1:])
+            traj = bq.integrate(start, co)
+            single = collections[0]
+            bq.integrate_batch([start, (2 / 3, 2 / 3)], co)
+        finally:
+            gc.callbacks.remove(counted)
+            gc.set_threshold(*threshold)
+        assert len(traj) == 4908
+        assert single == 0
+        assert collections[0] - single <= 1
 
 
 class TestTelemetry:

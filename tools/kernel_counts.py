@@ -41,6 +41,13 @@ with no stationary point solved, and the curve evaluations per point of
 the walk itself: each point's witness or stationary solve, and the solve
 of each cell end (the folds solved from the cells are not counted).
 
+The integrator table counts the work of ``integrate`` over the 48
+portrait cases (every fixture at T = 0.05 and 0.5, from the four starts
+with x, y in {1/3, 2/3}): samples, right-hand-side evaluations
+(``nfev``) and rejected steps per trajectory, and the garbage
+collections that each run starts at gc's default thresholds, counted by
+a ``gc.callbacks`` hook after a ``gc.collect()``.
+
 The counts do not depend on the machine or its load, so they measure the
 kernel's work exactly; run it as::
 
@@ -49,6 +56,7 @@ kernel's work exactly; run it as::
 
 from __future__ import annotations
 
+import gc
 import math
 import random
 import sys
@@ -58,7 +66,8 @@ from contextlib import contextmanager
 from boltzq import (Game, GameRegionLabel, Temperatures, classify_pitchfork,
                     classify_region, critical_curve,
                     equal_temperature_criticals, find_rest_points,
-                    fixture, reduce_payoffs, sweep_equal_temperature)
+                    fixture, integrate, reduce_payoffs,
+                    sweep_equal_temperature)
 from boltzq import bifurcation, numerics, restpoints
 from boltzq.fixtures import FIXTURES
 
@@ -78,6 +87,9 @@ BIFURCATION_GAMES = 40
 CORNER_GAMES = 300
 #: the functions of the diagonal walk that decide a grid point
 WALK = ("_descent", "_diagonal_cells", "end")
+#: the temperatures and starts of the integrator table's portrait cases
+PORTRAIT_TEMPS = (0.05, 0.5)
+PORTRAIT_STARTS = tuple((x, y) for x in (1 / 3, 2 / 3) for y in (1 / 3, 2 / 3))
 
 
 def batch(rng: random.Random, games: int = GAMES,
@@ -304,6 +316,36 @@ def walk_counts(games: int = BIFURCATION_GAMES, seed: int = SEED
     return found["points"], found["witnessed"], found["evaluations"]
 
 
+def integrator_counts() -> dict[str, list[int]]:
+    """``{count: [its value in each run]}`` of ``integrate`` over the
+    portrait cases: samples, ``nfev``, rejected steps and the garbage
+    collections that the run started, with gc's thresholds left as they
+    are and its counts cleared by ``gc.collect()`` before each run."""
+    found: dict[str, list[int]] = defaultdict(list)
+    collections = [0]
+
+    def counted(phase, info) -> None:
+        collections[0] += phase == "start"
+
+    gc.callbacks.append(counted)
+    try:
+        for name in sorted(FIXTURES):
+            for temp in PORTRAIT_TEMPS:
+                coeffs = reduce_payoffs(fixture(name),
+                                        Temperatures(temp, temp))
+                for start in PORTRAIT_STARTS:
+                    gc.collect()
+                    collections[0] = 0
+                    run = integrate(start, coeffs)
+                    found["gc collections"].append(collections[0])
+                    found["samples"].append(len(run))
+                    found["nfev"].append(run.nfev)
+                    found["rejected steps"].append(run.rejected_steps)
+    finally:
+        gc.callbacks.remove(counted)
+    return found
+
+
 def main() -> int:
     for name, log_t in (("warm", WARM), ("cold", COLD)):
         lo, hi = (10.0 ** t for t in log_t)
@@ -333,6 +375,17 @@ def main() -> int:
     print("| --- | --- | --- | --- |")
     print(f"| diagonal | {points} | {witnessed / points:.1%} | "
           f"{evaluations / points:.1f} |")
+    found = integrator_counts()
+    runs = len(found["samples"])
+    print(f"\nintegrator: integrate on every fixture at T "
+          f"{' and '.join(map(str, PORTRAIT_TEMPS))} from the "
+          f"{len(PORTRAIT_STARTS)} portrait starts ({runs} runs), per run, "
+          f"gc thresholds {gc.get_threshold()}\n")
+    print("| count | mean | max |")
+    print("| --- | --- | --- |")
+    for name in ("samples", "nfev", "rejected steps", "gc collections"):
+        print(f"| {name} | {sum(found[name]) / runs:.1f} | "
+              f"{max(found[name])} |")
     return 0
 
 

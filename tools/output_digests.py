@@ -1,9 +1,9 @@
 """Print an md5 digest of every CLI output on the built-in fixtures, and
 of the payoff decisions, the rest-point kernel, the diagonal
 bifurcation drivers, the critical curve, the stochastic simulator and
-the n-action fields on seeded random inputs and on fixed families next to the edges of the
-ratio plane, and the error type of every call that the tests list as bad
-input.
+the n-action fields on seeded random inputs and on fixed families next
+to the edges of the ratio plane, of ``integrate`` on cold and long runs,
+and the error type of every call that the tests list as bad input.
 
 Each CLI line is ``md5  argv`` for one in-process run of
 ``boltzq.cli.main``; the digest covers the exit code, the captured stdout
@@ -30,10 +30,11 @@ import sys
 import tempfile
 from pathlib import Path
 
-from boltzq import (AgentState, BoltzqError, Game, SimConfig, Temperatures,
-                    classify_pitchfork, classify_region, critical_curve,
-                    dissipation_rate, equal_temperature_criticals,
-                    find_rest_points, free_energy, gibbs_distribution,
+from boltzq import (AgentState, BoltzqError, Game, IntegratorConfig,
+                    SimConfig, Temperatures, classify_pitchfork,
+                    classify_region, critical_curve, dissipation_rate,
+                    equal_temperature_criticals, find_rest_points,
+                    fixture, free_energy, gibbs_distribution, integrate,
                     integrate_single_agent, intercept_extrema,
                     log_ratio_field, nash_equilibria, numerical_divergence,
                     q_velocity, reduce_payoffs, replicator_velocity,
@@ -309,6 +310,20 @@ def _n_action(rng: random.Random):
     return plain(results)
 
 
+def _trajectories() -> list:
+    """``integrate`` on runs that neither the portrait pin nor the CLI
+    lines reach: every fixture at T = 0.01 from the four portrait starts
+    (1/3 or 2/3 each), then matching_pennies from (0.9, 0.2) at
+    T = 0.005 with ``max_time`` 200, a spiral that ends at the horizon."""
+    def run(name, temp, start, cfg=None):
+        coeffs = reduce_payoffs(fixture(name), Temperatures(temp, temp))
+        return lambda: integrate(start, coeffs, cfg)
+    return [*(run(name, 0.01, (x, y)) for name in sorted(FIXTURES)
+              for x in (1 / 3, 2 / 3) for y in (1 / 3, 2 / 3)),
+            run("matching_pennies", 0.005, (0.9, 0.2),
+                IntegratorConfig(max_time=200.0))]
+
+
 #: the tests that list the bad-input calls and the malformed game files
 _TESTS = Path(__file__).resolve().parent.parent / "tests"
 
@@ -331,7 +346,7 @@ def _one_at_a_time(calls: list):
 
 def batches():
     """``(name, seed, calls, call)`` of every library batch."""
-    bad = _bad_inputs()
+    bad, trajectories = _bad_inputs(), _trajectories()
     return [
         ("find_rest_points warm tx,ty in [1e-3, 10]", 1, 20000,
          lambda rng: _rest_points(rng, (-3.0, 1.0))),
@@ -365,6 +380,9 @@ def batches():
          "and rates, record_q", 7, 40, _agents),
         ("n-action fields on 2-, 3- and 4-action games, scalar and vector "
          "log-ratio coordinates", 8, 300, _n_action),
+        ("integrate every fixture at T = 0.01 from the portrait starts, "
+         "and matching_pennies from (0.9, 0.2) at T = 0.005 to max_time 200",
+         0, len(trajectories), _one_at_a_time(trajectories)),
         ("bad input: the calls of test_bad_input_raises_domain_error and "
          "the malformed game files through Game.from_dict", 0, len(bad),
          _one_at_a_time(bad)),
