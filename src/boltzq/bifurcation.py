@@ -110,6 +110,15 @@ def _lowest_intercept(top: float) -> tuple[float, float, float]:
     0.0 and tanh(w) is 1.0, so the right side, which overflows as |top|
     nears the float max, is capped at 746.
 
+    The intercept is ``sigma(-2w)*(1 - u0*(2*w*s/m)*sigma(2w))``, and at
+    Q's root, where ``u0*tanh(u0/2) = 1 + u0*s/m``, with ``2*w*tanh(w) =
+    (1 - e^-u0)*m`` and ``s*(1 - e^-u0) = tanh(u0/2)``, its second factor
+    is ``-(e^-2w + u0*s/m)/(1 - e^-2w)``: the bound is negative.  Where
+    the difference reads 0.0, underflowed (w past 373) or cancelled
+    (u0*s/m below rounding), the bound is that factored form, which
+    neither cancels nor depends on the cap, and keeps its sign where it
+    underflows too: -0.0 there.  Every nonzero difference is kept.
+
     Both searches are :func:`numerics.bisect` with closed-form Newton
     steps.  With lead = s/m - tanh(u/2), the u-probe ``1 + u*lead`` has
     the slope ``lead + u*(s*(1-s)/m - s*m'/m^2 - (1 - tanh(u/2)^2)/2)``,
@@ -156,9 +165,11 @@ def _lowest_intercept(top: float) -> tuple[float, float, float]:
     rhs = min(-0.5 * math.expm1(-u0) * m, _SATURATION)
     w_hi = rhs / math.tanh(1.0) + 1.0
     w = bisect(f, 0.0, w_hi, -rhs, w_hi * math.tanh(w_hi) - rhs)
-    return (sigmoid(-2.0 * w)
-            - u0 * (2.0 * w * s / m) * sigmoid_slope(2.0 * w),
-            math.tanh(w) * math.exp(-u0) / -math.expm1(-2.0 * u0), u0)
+    low = sigmoid(-2.0 * w) - u0 * (2.0 * w * s / m) * sigmoid_slope(2.0 * w)
+    if low == 0.0:  # underflowed or cancelled: the factored form's sign
+        low = -sigmoid(-2.0 * w) * ((math.exp(-2.0 * w) + u0 * s / m)
+                                    / -math.expm1(-2.0 * w))
+    return (low, math.tanh(w) * math.exp(-u0) / -math.expm1(-2.0 * u0), u0)
 
 
 def intercept_extrema(raw_c: float, raw_d: float) -> InterceptProfile:

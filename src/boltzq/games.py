@@ -494,6 +494,10 @@ def classify_region(coeffs: ReducedCoefficients) -> GameRegion:
             low = intercept_extrema(1.0, beta)
             level = 1.0 + ratio if anti else -ratio
         bound = -math.inf if low.delta_min is None else low.delta_min
+        # a bound that underflowed keeps its sign (-0.0), and a level of
+        # 0 lies above it
+        possible = bound < level or (bound == level == 0.0
+                                     and math.copysign(1.0, bound) < 0.0)
         return GameRegion(
             GameRegionLabel.NUMERIC_BOUNDARY,
             ("mirrored corner quadrant (players exchange roles): numeric "
@@ -501,7 +505,7 @@ def classify_region(coeffs: ReducedCoefficients) -> GameRegion:
              "corner quadrant: triple rest points need both exploration "
              "rates strictly positive and occur only while -b/a stays above "
              "the numeric tangent-intercept bound") + frame,
-            boundary=bound, triple_possible=bool(bound < level))
+            boundary=bound, triple_possible=possible)
 
     return GameRegion(
         GameRegionLabel.SINGLE_REST_POINT_ONLY,

@@ -14,13 +14,19 @@ inflection point.  Consequently the defect
 ``phi(u) = u - b - a*g(u)`` has at most two stationary points, so the flow
 has one, two (only at a tangency) or three interior rest points, and every
 root can be bracketed on a monotone segment.  That structure drives the
-solver below; no dense scanning is ever needed.
+solver below; no dense scanning is ever needed.  The pair of stationary
+points needs ``a*c*sigma'(u)*sigma'(v) > 1`` somewhere, so it is ruled
+out without a search where a*c <= 16, and where Y's logit keeps one sign
+and its tail nearer 0 bounds sigma'(v) low enough.
 
 Stability falls out of the same picture: at a rest point the Jacobian of
 the (x, y) flow is ``[[-1, a x(1-x)], [c y(1-y), -1]]`` with eigenvalues
 ``-1 +- sqrt(a c x(1-x) y(1-y))``, and the radicand equals a*c times the
 slope product, so a middle root (where the line crosses g from above) is
-exactly the saddle.
+exactly the saddle.  Each point reads x and sigma'(u) from the one exp
+that forms its v, and y and sigma'(v) from one exp of v, with the bits
+of :func:`numerics.sigmoid` and :func:`numerics.sigmoid_slope`; the
+closed form (:func:`_eigenvalues`) takes the two slopes.
 """
 
 from __future__ import annotations
@@ -42,6 +48,9 @@ _LOG_MAX = math.log(sys.float_info.max)
 
 #: eigenvalue formula must agree with the complex-step Jacobian to this
 FD_EIGEN_TOL = 1e-6
+#: 1 - 2^-40: the no-pair test's bound, below 1 by more than its own
+#: rounding and that of the margin it stands for (:meth:`GFunction._pairless`)
+_PAIRLESS = 1.0 - 2.0 ** -40
 #: a checked rest point must meet ``|a*sigma(v) + b - u| <= this*(1+|a|+|b|)``
 _RESIDUAL_BOUND = 1e-9
 #: both rest-point bracket terms must be below this for stability_eigenvalues
@@ -228,6 +237,55 @@ class GFunction:
         ratio = -self.raw_d / self._top if self._top else 0.0
         return math.log(ratio) if 0.0 < ratio < math.inf else None
 
+    def _pairless(self, ac: float) -> bool:
+        """True where Y's logit keeps one sign over its range, from
+        ``raw_d/ty`` to ``(raw_c + raw_d)/ty``, and ``B = ac*sigma'(n)/4
+        <= 1 - 2^-40``, n the tail nearer 0 and ac > 0: then
+        :func:`_peak` would read ``m = ac*shape(u0) <= 1``, as computed,
+        so the defect has no stationary pair and :func:`_extrema` need not
+        solve the inflection.  sigma'(v) is ``e/((1+e)*(1+e))``, e =
+        exp(-|v|), as :meth:`_shape_and_bend` forms it.
+
+        Exactly, shape = sigma'(v)*sigma'(u) with sigma'(u) <= 1/4 and
+        sigma'(v) <= sigma'(n), as |v| >= |n| on the range.  In floats,
+        with eps = 2^-53, two things are rounded:
+
+        - v itself.  Negating raw_c and raw_d negates every v exactly, so
+          take both tails > 0.  v is formed from ``raw_d + raw_c*t`` for u
+          <= 0 and ``top - raw_c*t`` for u > 0, t = sigma(-|u|) <= 1/2 as
+          computed, top = fl(raw_c + raw_d).  Rounding is monotone, so
+          neither form is nearer 0 than n, but for the second where n =
+          raw_d (raw_c > 0): there ``top - raw_c*t >= raw_d + raw_c/2 -
+          ulp(top)/2``, which passes raw_d only where raw_c < ulp(top) <=
+          2*ulp(raw_d), and then by at most ulp(raw_d) <= 2 eps*raw_d
+          (exact where both are subnormal, as sums of subnormals are).
+          With the division by ty, |v| >= (1 - 6 eps)*|n| as computed;
+          |d ln sigma'(v)/dv| = |tanh(v/2)| <= 1, so sigma'(v) exceeds
+          sigma'(n) by a relative 6 eps*|n| at most.
+        - The products.  Say m > 1 as computed.  As ac < 2^1024 every
+          factor of m exceeds 2^-1024, and sigma'(v) exceeds 2^-1022, so
+          |v| < 709 and |n| < 710; B's factors then exceed 2^-1024 too.
+          There a rounding errs by a relative 2^-51 = 4 eps at most, and
+          exp (within an ulp) by 8 eps, which e/(1+e)^2 passes on at most
+          in size.  m takes 11 roundings and one exp: 1 + e twice,
+          (1+e)^2, the quotient, two products for shape and one for m,
+          and the two quotients of sigma(u) and sigma(-u) and the two
+          places of their common 1 + e, whose product is at most 1/4 as
+          computed but for those four.  B takes 6 roundings and one exp.
+
+        So m <= B*(1 + (17*4 + 2*8 + 6*710)*eps) = B*(1 + 4344 eps) to
+        first order, and m > 1 forces B > 1 - 2^-40 (2^-40 = 8192 eps
+        also covers the second-order terms): where B <= 1 - 2^-40 the
+        computed m is at most 1.  An ac that is inf makes B inf or nan,
+        which never passes.  Where v's range reaches 0, n would be 0 and
+        B = ac/16, which the shape_peak test has already decided.
+        """
+        raw_d, top = self.raw_d, self._top
+        if not (raw_d > 0.0 < top or raw_d < 0.0 > top):
+            return False
+        e = math.exp(-min(abs(raw_d), abs(top)) / self.ty)
+        return ac * (e / ((1.0 + e) * (1.0 + e))) * 0.25 <= _PAIRLESS
+
     def _inflection_probe(self):
         """``u -> (F, -F/F')`` of :meth:`inflection`, each probe in one
         frame: sigma(u), sigma(-u) and v are formed as :meth:`_at` forms
@@ -386,13 +444,13 @@ def _classify(radicand: float) -> str:
     return STABLE_NODE
 
 
-def _eigenvalues_from_logit(u: float, v: float,
-                            coeffs: ReducedCoefficients) -> tuple[complex, complex, float]:
-    xq = sigmoid_slope(u)
-    yq = sigmoid_slope(v)
-    rad = coeffs.a * coeffs.c * xq * yq
+def _eigenvalues(a: float, c: float, x_slope: float, y_slope: float
+                 ) -> tuple[complex, complex, float]:
+    """The closed form ``(-1 + r, -1 - r, rad)``, r = sqrt(rad), on the two
+    slopes sigma'(u) and sigma'(v): rad = a*c*sigma'(u)*sigma'(v)."""
+    rad = a * c * x_slope * y_slope
     if math.isnan(rad):  # a*c overflowed against a zero slope: pair them
-        rad = (coeffs.a * xq) * (coeffs.c * yq)
+        rad = (a * x_slope) * (c * y_slope)
     root = cmath.sqrt(rad)
     return (-1.0 + root, -1.0 - root, rad)
 
@@ -454,7 +512,8 @@ def stability_eigenvalues(point, coeffs: ReducedCoefficients
         raise DomainError(
             f"point {point} is not a rest point: residual "
             f"{residual:.3e} > {_REST_RESIDUAL_TOL}")
-    lam1, lam2, _ = _eigenvalues_from_logit(u, v, coeffs)
+    lam1, lam2, _ = _eigenvalues(coeffs.a, coeffs.c, sigmoid_slope(u),
+                                 sigmoid_slope(v))
     _check_eigenvalues(u, v, coeffs, (lam1, lam2))
     return (lam1, lam2)
 
@@ -469,6 +528,8 @@ class _Logistic:
     slope_shape = staticmethod(sigmoid_slope)
     _at = staticmethod(lambda u: (sigmoid(u), sigmoid(-u), u))
     inflection = staticmethod(lambda: 0.0)
+    #: v = u crosses 0, so the no-pair test of GFunction never applies
+    _pairless = staticmethod(lambda ac: False)
 
     @staticmethod
     def _shape_and_bend(u: float) -> tuple[float, float]:
@@ -536,7 +597,10 @@ def _extrema(a: float, b: float, curve) -> list[tuple[float, float, bool, float]
     inflection), so phi has two stationary points (:func:`_peak`) or none
     and falls between them: a max, then a min.  Shape never exceeds the
     curve's ``shape_peak``, so with ``a*c*shape_peak <= 1`` there are none
-    and the inflection is not solved.  ``keeps`` says the value
+    and the inflection is not solved; nor is it where Y's logit keeps one
+    sign and the tail nearer 0 bounds shape below 1/(a*c) by more than
+    the rounding of either (the curve's ``_pairless``), where
+    :func:`_peak` would read no pair.  ``keeps`` says the value
     still separates a pair of roots: the max above zero, the min below.
 
     Each point is the sign change of ``excess = a*c*shape - 1`` on one
@@ -555,7 +619,7 @@ def _extrema(a: float, b: float, curve) -> list[tuple[float, float, bool, float]
     ``_stationary_firsts``, a probe like any other.
     """
     ac = a * curve.c
-    if ac * curve.shape_peak <= 1.0:
+    if ac * curve.shape_peak <= 1.0 or curve._pairless(ac):
         return []
     u_peak, margin, paired = _peak(a, curve)
     if not paired:
@@ -595,8 +659,9 @@ def _solve_u_roots(a: float, b: float,
     target: ``phi(b) = -a*g(b)`` and ``phi(b + a) = a*(1 - g(b + a))``
     are g's distance to its tails, so where the curve is saturated the
     end is the root, returned with no probe (of both ends, the one with
-    the smaller |phi|).  Stationary points are never taken so: a kept
-    value within target bounds two brackets, which would both return it.
+    the smaller |phi|, lo on a tie).  Stationary points are never taken
+    so: a kept value within target bounds two brackets, which would both
+    return it.
     """
     if a == 0.0:
         return [b], [False]
@@ -605,8 +670,7 @@ def _solve_u_roots(a: float, b: float,
     lo, hi = (b, b + a) if a > 0.0 else (b + a, b)
     (flo, _), (fhi, _) = phi(lo), phi(hi)
     target = max(1e-15, min(5e-13, 5e-13 * abs(a)))
-    settled = {u: abs(f) for u, f in ((lo, flo), (hi, fhi))
-               if abs(f) <= target}
+    d_lo, d_hi = abs(flo), abs(fhi)
     # Analytically phi(lo) < 0 < phi(hi) always (g stays inside (0,1));
     # restore the sign when saturation rounding has destroyed it, which
     # parks the root at the endpoint to float resolution.
@@ -622,9 +686,13 @@ def _solve_u_roots(a: float, b: float,
     knots.append((hi, fhi))
     for (ua, va), (ub, vb) in zip(knots, knots[1:]):
         if (va > 0.0) != (vb > 0.0):
-            ends = [u for u in (ua, ub) if u in settled]
-            found.append((min(ends, key=settled.get) if ends else
-                          _refine_root(phi, ua, ub, va, vb, target), False))
+            # lo starts only the first bracket and hi ends only the last
+            at_hi = ub == hi and d_hi <= target
+            if ua == lo and d_lo <= target and not (at_hi and d_hi < d_lo):
+                found.append((ua, False))
+            else:
+                found.append((ub if at_hi else
+                              _refine_root(phi, ua, ub, va, vb, target), False))
     found.sort()
     return [u for u, _ in found], [flag for _, flag in found]
 
@@ -652,24 +720,28 @@ def find_rest_points(coeffs: ReducedCoefficients,
     at a fold: a stationary value that just lost its pair of roots is the
     double root, returned once with ``degenerate_pair`` set, the only
     point so flagged.  Stability
-    comes from the eigenvalue closed form.  With ``fd_check`` (turn off
+    comes from the eigenvalue closed form on the two slopes, which each
+    point reads, with x and y, from two exps.  With ``fd_check`` (turn off
     only in bulk counting) each point is also checked: it must meet its
     own equation, ``|a*sigma(v) + b - u| <= 1e-9*(1 + |a| + |b|)``, and its
     eigenvalues must match the complex-step Jacobian to 1e-6; otherwise
     :class:`NumericFailureError`.  Coefficients where b + a or d + c
     overflows raise :class:`DomainError`.
     """
-    a, b = coeffs.a, coeffs.b
+    a, b, c = coeffs.a, coeffs.b, coeffs.c
     curve = _response_curve(coeffs)
     roots, flags = _solve_u_roots(a, b, curve)
+    bound = _RESIDUAL_BOUND * (1.0 + abs(a) + abs(b))
     points = []
     for u, degenerate in zip(roots, flags):
-        x, _, v = curve._at(u)
-        y = sigmoid(v)
-        lam1, lam2, rad = _eigenvalues_from_logit(u, v, coeffs)
+        x, x_neg, v = curve._at(u)
+        e = math.exp(-v if v >= 0.0 else v)
+        big, small = 1.0 / (1.0 + e), e / (1.0 + e)  # sigma(|v|), sigma(-|v|)
+        y = big if v >= 0.0 else small
+        lam1, lam2, rad = _eigenvalues(a, c, x * x_neg, big * small)
         residual = abs(a * y + b - u)
         if fd_check:
-            if residual > _RESIDUAL_BOUND * (1.0 + abs(a) + abs(b)):
+            if residual > bound:
                 raise NumericFailureError(
                     f"rest point at u={u}, v={v} misses its equation by "
                     f"{residual:.3e}", residuals=residual)

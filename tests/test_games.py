@@ -451,12 +451,9 @@ class TestRegionInvariance:
                 if (twin.label, twin.triple_possible) == (
                         region.label, region.triple_possible):
                     continue
-                # two known faults, each pinned below as a strict xfail:
-                # payoff-level rounding in _raw_coefficients, and a corner
-                # bound that underflows to 0.0 against a level of 0.0
+                # a known fault, pinned below as a strict xfail:
+                # payoff-level rounding in _raw_coefficients
                 if not (raw_is_exact(A, B) and raw_is_exact(A2, B2)):
-                    continue
-                if 0.0 in (region.boundary, twin.boundary):
                     continue
                 unexplained.append((name, A, B, region, twin))
         assert checked > 50_000
@@ -472,16 +469,17 @@ class TestRegionInvariance:
         assert label is bq.GameRegionLabel.MULTI_NE_TRIPLE_POSSIBLE
         assert region_of(*twins(A, B)["x"]).label is label
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="the corner bound at d/c = 2.68e9 underflows "
-                              "to 0.0 against the level -b/a = 0.0")
     def test_swapping_the_players_keeps_triple_possible_in_a_corner(self):
+        # at d/c = 2.68e9 the negative corner bound underflows: it keeps
+        # its sign as -0.0, below the level -b/a = 0.0
         A = [[0.75, 0.25], [1.25, 0.25]]
         B = [[-2.0, -0.75 + 2.0 ** -30], [0.5, 1.75]]
         swapped = region_of(*twins(A, B)["swap"])
         assert swapped.label is bq.GameRegionLabel.NUMERIC_BOUNDARY
         assert swapped.triple_possible is True
-        assert region_of(A, B).triple_possible is True
+        region = region_of(A, B)
+        assert region.triple_possible is True
+        assert repr(region.boundary) == "-0.0"
 
 
 #: exponents k of the exact payoff scale 2**k

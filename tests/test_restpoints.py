@@ -469,14 +469,19 @@ def test_close_pair_of_a_triple_is_not_flagged():
     assert [p.degenerate_pair for p in solve(hi)] == [True, False]
 
 
-def _seeded_curves(seed, log_t, n=2000):
-    """``(a, b, curve)`` of n games with payoffs U[-3, 3] and (tx, ty)
-    log-uniform on 10**log_t."""
+def _seeded_coeffs(seed, log_t, n=2000, scale=1.0):
+    """n records with raw coefficients U[-3, 3] times ``scale`` and (tx,
+    ty) log-uniform on 10**log_t."""
     rng = random.Random(seed)
     for _ in range(n):
-        raw = [rng.uniform(-3.0, 3.0) for _ in range(4)]
+        raw = [scale * rng.uniform(-3.0, 3.0) for _ in range(4)]
         tx, ty = (10.0 ** rng.uniform(*log_t) for _ in range(2))
-        co = bq.ReducedCoefficients(*raw, tx, ty)
+        yield bq.ReducedCoefficients(*raw, tx, ty)
+
+
+def _seeded_curves(seed, log_t, n=2000, scale=1.0):
+    """``(a, b, curve)`` of :func:`_seeded_coeffs`."""
+    for co in _seeded_coeffs(seed, log_t, n, scale):
         yield co.a, co.b, GFunction.of(co, co.ty)
 
 
@@ -530,16 +535,131 @@ def test_kernel_evaluation_budget():
     # games, where a three-root solve then made 154.1.  The structural
     # first probes of the stationary points and the search ends whose
     # signs are proved took them from 50.8 and 13.3 warm, and 98.7 and
-    # 34.0 cold, to 39.7, 11.5, 36.6 and 26.0
+    # 34.0 cold, to 39.7, 11.5, 36.6 and 26.0.  The no-pair early-out of
+    # _extrema took the one-root solves to 10.2 warm and 22.4 cold
     kernel_counts = _kernel_counts()
     counts = kernel_counts.count()
     assert sum(counts[3][1].values()) <= 44.0
-    assert sum(counts[1][1].values()) <= 12.5
+    assert sum(counts[1][1].values()) <= 11.2
     cold = kernel_counts.count(log_t=kernel_counts.COLD)
     assert sum(cold[3][1].values()) <= 40.0
-    assert sum(cold[1][1].values()) <= 28.5
+    assert sum(cold[1][1].values()) <= 24.9
     # every phase is counted: the roots' probes too
     assert counts[3][1]["roots"] > 0.0 and cold[1][1]["roots"] > 0.0
+
+
+def _counted_exps(monkeypatch):
+    """``{"math": n, "cmath": n}``, the calls of ``math.exp`` and
+    ``cmath.exp`` from here on, by each module's own name."""
+    calls = {"math": 0, "cmath": 0}
+
+    def counted(name, fn):
+        def wrapped(z):
+            calls[name] += 1
+            return fn(z)
+        return wrapped
+
+    monkeypatch.setattr(math, "exp", counted("math", math.exp))
+    monkeypatch.setattr(cmath, "exp", counted("cmath", cmath.exp))
+    return calls
+
+
+@pytest.mark.parametrize("seed, log_t", [(32, (-3.0, 1.0)),
+                                         (33, (-20.0, -3.0))],
+                         ids=["warm", "cold"])
+def test_each_point_reads_its_slopes_from_two_exps(monkeypatch, seed,
+                                                   log_t):
+    # beyond the solve, a point's x, sigma'(u), y and sigma'(v) take two
+    # exps (four before), and its complex-step check two cmath.exp
+    cases = list(_seeded_coeffs(seed, log_t, n=500))
+    calls = _counted_exps(monkeypatch)
+    points = 0
+    for co in cases:
+        calls.update(math=0, cmath=0)
+        restpoints._solve_u_roots(co.a, co.b, GFunction.of(co, co.ty))
+        solve = calls["math"]
+        calls.update(math=0)
+        found = bq.find_rest_points(co, fd_check=False)
+        points += len(found)
+        assert calls == {"math": solve + 2 * len(found), "cmath": 0}, co
+        calls.update(math=0)
+        try:
+            bq.find_rest_points(co)
+        except bq.NumericFailureError:
+            continue
+        assert calls == {"math": solve + 2 * len(found),
+                         "cmath": 2 * len(found)}, co
+    assert points > len(cases)
+
+
+def _no_pair_bound(curve, ac, tail=min):
+    """``ac*sigma'(n)/4`` as :meth:`GFunction._pairless` forms it, n =
+    tail(|raw_d|, |raw_c + raw_d|)/ty."""
+    e = math.exp(-tail(abs(curve.raw_d), abs(curve._top)) / curve.ty)
+    return ac * (e / ((1.0 + e) * (1.0 + e))) * 0.25
+
+
+def _one_sign(curve):
+    """Y's logit keeps one sign over its range."""
+    return curve.raw_d > 0.0 < curve._top or curve.raw_d < 0.0 > curve._top
+
+
+def _threshold_cases(seed, n=400):
+    """``(a, curve)`` next to the no-pair threshold: Y's logit of one sign
+    and under 1e-5 in size, where its range is too narrow for shape's
+    peak to fall below the bound by more than a rounding, and a within 6
+    ulps of ``4/(c*sigma'(n))``, where the bound reads 1."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        raw_d = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-7.5, -5.0)
+        curve = GFunction(raw_d * 10.0 ** rng.uniform(-4.0, 0.0)
+                          * rng.choice((-1.0, 1.0)), raw_d)
+        a = 1.0 / _no_pair_bound(curve, curve.c)
+        for k in range(-6, 7):
+            yield a * (1.0 + k * 2.0 ** -52), curve
+
+
+def _skipped_pairs(cases, fires):
+    """The (a, curve) of cases where ``fires(curve, ac)`` holds past the
+    shape_peak test but :func:`restpoints._peak` reads a stationary
+    pair: a no-pair test that fires there would drop the pair."""
+    return [(a, curve) for a, curve in cases
+            if a * curve.c * curve.shape_peak > 1.0
+            and fires(curve, a * curve.c) and restpoints._peak(a, curve)[2]]
+
+
+def test_no_pair_early_out_fires_only_where_peak_reads_no_pair():
+    # warm, cold and 2^k-scaled seeded games, and games next to the
+    # threshold; on each, _pairless is the one-sign test on the near
+    # tail's bound, and wherever it fires _peak reads margin <= 1
+    cases = [(a, curve) for seed, log_t, scale in (
+        (34, (-3.0, 1.0), 1.0), (35, (-20.0, -3.0), 1.0),
+        (36, (-20.0, -3.0), 2.0 ** -40), (37, (-3.0, 1.0), 2.0 ** 300),
+        (38, (-20.0, -3.0), 2.0 ** 40))
+        for a, _, curve in _seeded_curves(seed, log_t, scale=scale)]
+    near = list(_threshold_cases(39))
+    fired = 0
+    for a, curve in cases + near:
+        ac = a * curve.c
+        if ac * curve.shape_peak <= 1.0:
+            continue  # _extrema stops before the no-pair test
+        fires = curve._pairless(ac)
+        assert fires == (_one_sign(curve) and _no_pair_bound(curve, ac)
+                         <= 1.0 - 2.0 ** -40), (a, curve)
+        if fires:
+            fired += 1
+            assert restpoints._peak(a, curve)[1] <= 1.0, (a, curve)
+    assert fired > 300
+
+    def defect(tail, slack):
+        return lambda curve, ac: (_one_sign(curve) and _no_pair_bound(
+            curve, ac, tail) <= 1.0 - slack)
+
+    # the test sees a planted defect: the far tail in place of the near
+    # one, or the bound without its slack, next to the threshold
+    assert not _skipped_pairs(cases + near, defect(min, 2.0 ** -40))
+    assert _skipped_pairs(cases, defect(max, 2.0 ** -40))
+    assert _skipped_pairs(near, defect(min, 0.0))
 
 
 def _extreme_curves():
@@ -731,6 +851,24 @@ def sample_three_root_coeffs(rng):
             return co
 
 
+@pytest.mark.parametrize("seed, log_t", [(30, (-3.0, 1.0)),
+                                         (31, (-20.0, -3.0))],
+                         ids=["warm", "cold"])
+def test_points_have_the_bits_of_sigmoid_and_the_closed_form(seed, log_t):
+    # x, y and the eigenvalues of every point, exactly as sigmoid and the
+    # closed form at sigmoid_slope give them
+    points = 0
+    for co in _seeded_coeffs(seed, log_t, n=1000):
+        for p in bq.find_rest_points(co, fd_check=False):
+            points += 1
+            lam1, lam2, rad = restpoints._eigenvalues(
+                co.a, co.c, sigmoid_slope(p.u), sigmoid_slope(p.v))
+            assert repr((p.x, p.y, p.eigenvalues, p.stability)) == repr(
+                (sigmoid(p.u), sigmoid(p.v), (lam1, lam2),
+                 restpoints._classify(rad))), co
+    assert points > 1000
+
+
 class TestStability:
     def test_matching_pennies_formula(self):
         lam = bq.stability_eigenvalues((0.5, 0.5), coeffs(4, -2, -4, 2))
@@ -748,19 +886,24 @@ class TestStability:
     def test_wrong_closed_form_eigenvalues_raise(self, monkeypatch):
         from boltzq import restpoints
 
-        exact = restpoints._eigenvalues_from_logit
+        exact = restpoints._eigenvalues
 
-        def skewed(u, v, co):
-            rad = exact(u, v, co)[2] * (1.0 + 1e-3)
+        def skewed(a, c, x_slope, y_slope):
+            rad = exact(a, c, x_slope, y_slope)[2] * (1.0 + 1e-3)
             root = cmath.sqrt(rad)
             return (-1.0 + root, -1.0 - root, rad)
 
         co = bq.reduce_payoffs(bq.fixture("stag_hunt"),
                                bq.Temperatures.equal(0.5))
-        assert len(bq.find_rest_points(co)) == 3
-        monkeypatch.setattr(restpoints, "_eigenvalues_from_logit", skewed)
+        points = bq.find_rest_points(co)
+        assert len(points) == 3
+        # the one closed form serves both callers
+        monkeypatch.setattr(restpoints, "_eigenvalues", skewed)
         with pytest.raises(bq.NumericFailureError):
             bq.find_rest_points(co)
+        for p in points:
+            with pytest.raises(bq.NumericFailureError):
+                bq.stability_eigenvalues((p.x, p.y), co)
 
     def test_complex_step_slope_matches_closed_form(self):
         from boltzq.restpoints import _complex_step_slope

@@ -18,6 +18,13 @@ found and by phase:
 - roots: inside ``numerics._refine_root``;
 - other: the bracket ends and the back-substitution of each root.
 
+A second table counts the calls of ``math.exp`` and ``cmath.exp`` per
+``find_rest_points`` call on the same two batches, with ``fd_check`` off
+and on, split by the number of rest points found (with it off; a checked
+call that raises is counted up to its raise, and the raises are listed).
+Each point reads x, sigma'(u), y and sigma'(v) from two exps, and its
+complex-step check adds two ``cmath.exp``.
+
 The bifurcation table counts the probes that each bracket search makes
 (each call of ``numerics.bisect``, or of the loop ``numerics._close``
 outside it), after the ends it is given, on the
@@ -56,6 +63,7 @@ kernel's work exactly; run it as::
 
 from __future__ import annotations
 
+import cmath
 import gc
 import math
 import random
@@ -63,8 +71,8 @@ import sys
 from collections import defaultdict
 from contextlib import contextmanager
 
-from boltzq import (Game, GameRegionLabel, Temperatures, classify_pitchfork,
-                    classify_region, critical_curve,
+from boltzq import (BoltzqError, Game, GameRegionLabel, Temperatures,
+                    classify_pitchfork, classify_region, critical_curve,
                     equal_temperature_criticals, find_rest_points,
                     fixture, integrate, reduce_payoffs,
                     sweep_equal_temperature)
@@ -72,6 +80,8 @@ from boltzq import bifurcation, numerics, restpoints
 from boltzq.fixtures import FIXTURES
 
 PHASES = ("inflection", "stationary points", "roots", "other")
+#: the exp table's columns: each exp, with fd_check off and on
+EXP_COLUMNS = ("math off", "cmath off", "math on", "cmath on")
 GAMES = 4000
 SEED = 3
 #: log10 of the ends of the (tx, ty) range of each batch
@@ -144,6 +154,49 @@ def count(games: int = GAMES, seed: int = SEED,
             for name, calls in tally.items():
                 totals[roots][name] += calls
     return {roots: (n, {p: totals[roots][p] / n for p in PHASES})
+            for roots, n in sorted(solves.items())}
+
+
+def exp_counts(games: int = GAMES, seed: int = SEED,
+               log_t: tuple[float, float] = WARM
+               ) -> dict[int, tuple[int, int, dict[str, float]]]:
+    """``{roots: (solves, raised, {column: mean calls per call})}``: the
+    calls of ``math.exp`` and ``cmath.exp`` in ``find_rest_points`` with
+    ``fd_check`` off and on (columns ``"math off"``, ``"cmath off"``,
+    ``"math on"`` and ``"cmath on"``), keyed by the roots found with it
+    off, and the checked calls that raised.  Both functions are wrapped
+    in their modules for the count, after the batch is drawn, and
+    restored afterwards."""
+    calls: dict[str, int] = defaultdict(int)
+
+    def counted(name, fn):
+        def wrapped(z):
+            calls[name] += 1
+            return fn(z)
+        return wrapped
+
+    def tally(side: str) -> None:
+        for name in ("math", "cmath"):
+            totals[roots][f"{name} {side}"] += calls[name]
+        calls.clear()
+
+    totals: dict[int, dict[str, int]] = defaultdict(lambda: defaultdict(int))
+    solves: dict[int, int] = defaultdict(int)
+    raised: dict[int, int] = defaultdict(int)
+    inputs = list(batch(random.Random(seed), games, log_t))
+    with patched([(math, "exp", counted("math", math.exp)),
+                  (cmath, "exp", counted("cmath", cmath.exp))]):
+        for coeffs in inputs:
+            roots = len(find_rest_points(coeffs, fd_check=False))
+            solves[roots] += 1
+            tally("off")
+            try:
+                find_rest_points(coeffs, fd_check=True)
+            except BoltzqError:
+                raised[roots] += 1
+            tally("on")
+    return {roots: (n, raised[roots], {c: totals[roots][c] / n
+                                       for c in EXP_COLUMNS})
             for roots, n in sorted(solves.items())}
 
 
@@ -357,6 +410,16 @@ def main() -> int:
             print(f"| {roots}-root | {n} | {cells} | "
                   f"{sum(means.values()):.1f} |")
         print()
+    print("math.exp and cmath.exp calls per find_rest_points call, with "
+          "fd_check off and on\n")
+    print("| inputs | solve | solves | math.exp off | cmath.exp off | "
+          "math.exp on | cmath.exp on | raised |")
+    print("| --- " * 8 + "|")
+    for name, log_t in (("warm", WARM), ("cold", COLD)):
+        for roots, (n, raised, means) in exp_counts(log_t=log_t).items():
+            cells = " | ".join(f"{means[c]:.1f}" for c in EXP_COLUMNS)
+            print(f"| {name} | {roots}-root | {n} | {cells} | {raised} |")
+    print()
     print(f"bifurcation: the fixtures and {BIFURCATION_GAMES} seeded games, "
           f"and {CORNER_GAMES} corner games, probes per bracket search\n")
     print("| search | searches | mean | max |")
